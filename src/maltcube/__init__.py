@@ -57,7 +57,9 @@ from .cube import (
 )
 from .entailment import (
     EntailmentIndex,
+    EntailmentStats,
     EntailmentVerdict,
+    TermUniverseError,
     condition_index,
     derives,
     entails,

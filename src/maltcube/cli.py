@@ -8,13 +8,15 @@ switches reports to line-oriented key=value pairs.
 Exit codes: 0 for success or a "yes" decision, 1 for a "no"-type
 decision (inconsistent or cube-entailing condition, failed model check,
 non-member target, no interpretation, violated certificate), 2 for
-usage, parse, or I/O errors, 3 for an exhausted closure budget.
+usage, parse, or I/O errors, 3 for an exhausted subpower closure budget
+or a weak closure whose term universe exceeds its size limit.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from random import Random
 
 from .algebras import (
@@ -32,7 +34,7 @@ from .algebras import (
 )
 from .construction import ConstructionError, extend, reduce_and_certify
 from .cube import check_condition
-from .entailment import condition_index, render_classes
+from .entailment import TermUniverseError, condition_index, render_classes
 from .interp import find_interpretation
 from .terms import (
     ConditionSyntaxError,
@@ -43,6 +45,7 @@ from .terms import (
     random_condition,
     render_condition,
     render_identity,
+    render_term,
     union_conditions,
     variable_name,
 )
@@ -130,9 +133,7 @@ def _cmd_closure(args) -> int:
     if args.machine:
         lines.append(f"variables={index.nvars}")
         lines.append(f"inconsistent={'yes' if index.inconsistent else 'no'}")
-        lines.append(f"classes={len(classes)}")
-        from .terms import render_term
-
+        lines += [f"{k}={v}" for k, v in asdict(index.stats).items()]
         for cls in classes:
             lines.append("class=" + ",".join(render_term(t) for t in cls))
     else:
@@ -355,7 +356,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except BudgetExceededError as exc:
+    except (BudgetExceededError, TermUniverseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ConditionSyntaxError, AlgebraFormatError) as exc:

@@ -19,18 +19,36 @@ Saturation runs over a generating set of the full transformation monoid
 on X (a transposition, the full cycle, one rank-collapsing map) rather
 than all |X|^|X| maps: a partition stable under generators is stable
 under arbitrary composites, so the fixpoint is the same.
+
+Terms are never built as objects during saturation.  Each term is an
+integer id (variables first, then each symbol's argument tuples in
+lexicographic order), and the image of every id under each generator is
+computed by numpy digit maps.  A worklist of id pairs, seeded with the
+normalized identities, drives a union-find: popping a pair whose ends lie
+in different classes unions them and pushes the pair's image under every
+generator, as in congruence closure.  Each union thereby forces the
+images of its two ends together, so the image of every class is
+connected and the result is the least stable partition.  `LinearTerm`s
+are decoded only when `classes()` lists the partition.
+
+The universe has nvars + sum nvars^arity terms.  Above MAX_TERMS the
+constructor raises TermUniverseError before allocating anything: one
+arity-9 symbol alone would need 9^9 terms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
+
+import numpy as np
 
 from .terms import (
     Identity,
     LinearTerm,
     MaltsevCondition,
+    OperationSymbol,
     app,
     canonical_variable_set,
     render_term,
@@ -39,25 +57,40 @@ from .terms import (
 )
 
 
-class _UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
+MAX_TERMS = 2_000_000
+"""Largest term universe a closure may build: two arity-7 symbols fit, arity 8 does not."""
 
-    def find(self, i: int) -> int:
-        parent = self.parent
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
 
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if ra > rb:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        return True
+class TermUniverseError(RuntimeError):
+    """The closure would need more than MAX_TERMS terms; nothing was allocated."""
+
+    def __init__(self, terms: int, nvars: int):
+        self.terms = terms
+        self.limit = MAX_TERMS
+        super().__init__(
+            f"the weak closure over {nvars} variables needs {terms} terms, "
+            f"more than the limit of {MAX_TERMS}"
+        )
+
+
+@dataclass(frozen=True)
+class EntailmentStats:
+    """Size of one closure and the work its saturation did.
+
+    `pops` counts the worklist pairs examined: every seed pair plus one
+    image per monoid generator for every union.
+    """
+
+    terms: int
+    seed_pairs: int
+    unions: int
+    pops: int
+    classes: int
+
+
+def universe_size(condition: MaltsevCondition, nvars: int) -> int:
+    """Number of linear terms over nvars variables: nvars + sum nvars^arity."""
+    return nvars + sum(nvars**s.arity for s in condition.signature)
 
 
 def normalize_identity(ident: Identity) -> Identity:
@@ -69,14 +102,12 @@ def normalize_identity(ident: Identity) -> Identity:
 
 
 def _monoid_generators(nvars: int) -> list[tuple[int, ...]]:
-    if nvars == 1:
-        return []
     swap = list(range(nvars))
     swap[0], swap[1] = 1, 0
     cycle = [(i + 1) % nvars for i in range(nvars)]
     collapse = list(range(nvars))
     collapse[0] = 1
-    return [t for t in dict.fromkeys(map(tuple, (swap, cycle, collapse)))]
+    return list(dict.fromkeys(map(tuple, (swap, cycle, collapse))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,9 +126,11 @@ class EntailmentIndex:
     """Frozen weak closure of one condition over a fixed variable set.
 
     Immutable after construction, so instances can be shared across
-    threads.  Classes are exposed sorted by their smallest term id, where
-    ids enumerate variables first and then each symbol's argument tuples
-    in lexicographic order.
+    threads.  Terms are integer ids: variables first, then each symbol's
+    argument tuples in lexicographic order, so symbol s applied to
+    (a_1, ..., a_k) has id offset(s) + sum a_i * nvars^(k-i).  `_rep[i]` is
+    the smallest id of the class of id i, and classes are exposed sorted
+    by it.
     """
 
     def __init__(self, condition: MaltsevCondition, nvars: int):
@@ -107,81 +140,120 @@ class EntailmentIndex:
             raise ValueError(
                 f"variable set of size {nvars} is smaller than the maximal arity"
             )
+        size = universe_size(condition, nvars)
+        if size > MAX_TERMS:
+            raise TermUniverseError(size, nvars)
         self.condition = condition
         self.nvars = nvars
-        terms: list[LinearTerm] = [var(i) for i in range(nvars)]
+        self._offsets: dict[OperationSymbol, int] = {}
+        offset = nvars
         for s in condition.signature:
-            terms += [app(s, *args) for args in product(range(nvars), repeat=s.arity)]
-        self.terms: tuple[LinearTerm, ...] = tuple(terms)
-        self._ids: dict[LinearTerm, int] = {t: i for i, t in enumerate(terms)}
+            self._offsets[s] = offset
+            offset += nvars**s.arity
 
-        uf = _UnionFind(len(terms))
-        merges = 0
+        seeds = []
         for ident in condition.identities:
             norm = normalize_identity(ident)
             if len(norm.variables()) > nvars:
                 raise ValueError(
                     f"identity {ident} uses more than {nvars} distinct variables"
                 )
-            merges += uf.union(self._ids[norm.lhs], self._ids[norm.rhs])
-        self._images = [
-            [self._ids[substitute(t, gamma)] for t in terms]
-            for gamma in _monoid_generators(nvars)
-        ]
-        merges += self._saturate(uf)
-        self.saturation_merges = merges
+            seeds.append((self.term_id(norm.lhs), self.term_id(norm.rhs)))
+        gammas = _monoid_generators(nvars)
+        images = [self._image(gamma, size) for gamma in gammas]
 
-        rep_of_root: dict[int, int] = {}
-        reps = []
-        for i in range(len(terms)):
-            root = uf.find(i)
-            reps.append(rep_of_root.setdefault(root, i))
-        self._rep: tuple[int, ...] = tuple(reps)
-        self.inconsistent = any(
-            self._rep[i] == self._rep[j]
-            for i in range(nvars)
-            for j in range(i + 1, nvars)
+        # Worklist saturation (module docstring).  Roots are linked
+        # smaller id first, so every root is the smallest id of its class.
+        parent = list(range(size))
+        stack = list(seeds)
+        unions = 0
+        while stack:
+            a, b = stack.pop()
+            ra = a
+            while parent[ra] != ra:
+                parent[ra] = ra = parent[parent[ra]]
+            rb = b
+            while parent[rb] != rb:
+                parent[rb] = rb = parent[parent[rb]]
+            if ra == rb:
+                continue
+            if ra < rb:
+                parent[rb] = ra
+            else:
+                parent[ra] = rb
+            unions += 1
+            for image in images:
+                stack.append((image.item(a), image.item(b)))
+        del images
+
+        rep = np.array(parent, dtype=np.int64)
+        while True:
+            jumped = rep[rep]
+            if np.array_equal(jumped, rep):
+                break
+            rep = jumped
+        rep.flags.writeable = False
+        self._rep = rep
+        self.saturation_merges = unions
+        self.inconsistent = bool((rep[:nvars] != np.arange(nvars)).any())
+        self.stats = EntailmentStats(
+            terms=size,
+            seed_pairs=len(seeds),
+            unions=unions,
+            pops=len(seeds) + len(gammas) * unions,
+            classes=size - unions,
         )
 
-    def _saturate(self, uf: _UnionFind) -> int:
-        """Merge images of merged classes until a full pass changes nothing."""
-        total = 0
-        size = len(self.terms)
-        changed = True
-        while changed:
-            changed = False
-            for image in self._images:
-                for i in range(size):
-                    if uf.union(image[i], image[uf.find(i)]):
-                        changed = True
-                        total += 1
-        return total
-
-    def resaturate_once(self) -> int:
-        """Number of merges one more saturation pass would make (0 once frozen)."""
-        uf = _UnionFind(len(self.terms))
-        for i, r in enumerate(self._rep):
-            uf.union(i, r)
-        merges = 0
-        for image in self._images:
-            for i in range(len(self.terms)):
-                merges += uf.union(image[i], image[uf.find(i)])
-        return merges
+    def _image(self, gamma: tuple[int, ...], size: int) -> np.ndarray:
+        """Id of the image of every term under the variable map gamma."""
+        n = self.nvars
+        g = np.asarray(gamma, dtype=np.int64)
+        image = np.empty(size, dtype=np.int64)
+        image[:n] = g
+        local: dict[int, np.ndarray] = {}
+        for s, offset in self._offsets.items():
+            k = s.arity
+            if k not in local:
+                # digit i of a block-local id is argument i; map every digit
+                block = np.zeros((n,) * k, dtype=np.int64)
+                for axis in range(k):
+                    shape = [1] * k
+                    shape[axis] = n
+                    block += (g * n ** (k - 1 - axis)).reshape(shape)
+                local[k] = block.ravel()
+            np.add(local[k], offset, out=image[offset : offset + n**k])
+        return image
 
     def term_id(self, term: LinearTerm) -> int:
-        try:
-            return self._ids[term]
-        except KeyError:
-            raise ValueError(f"term {render_term(term)} lies outside the universe") from None
+        n = self.nvars
+        offset = 0 if term.symbol is None else self._offsets.get(term.symbol)
+        local = 0
+        for a in term.args:
+            if a >= n:
+                offset = None
+            local = local * n + a
+        if offset is None:
+            raise ValueError(f"term {render_term(term)} lies outside the universe")
+        return offset + local
 
     def same_class(self, lhs: LinearTerm, rhs: LinearTerm) -> bool:
-        return self._rep[self.term_id(lhs)] == self._rep[self.term_id(rhs)]
+        return bool(self._rep[self.term_id(lhs)] == self._rep[self.term_id(rhs)])
 
     def classes(self) -> list[tuple[LinearTerm, ...]]:
+        """Decoded classes; a class first appears at its smallest id."""
+        n = self.nvars
+        terms = chain(
+            (var(i) for i in range(n)),
+            (
+                app(s, *args)
+                for s in self.condition.signature
+                for args in product(range(n), repeat=s.arity)
+            ),
+        )
         by_rep: dict[int, list[LinearTerm]] = {}
-        for i, t in enumerate(self.terms):
-            by_rep.setdefault(self._rep[i], []).append(t)
-        return [tuple(by_rep[r]) for r in sorted(by_rep)]
+        for term, r in zip(terms, self._rep.tolist()):
+            by_rep.setdefault(r, []).append(term)
+        return [tuple(members) for members in by_rep.values()]
 
 
 def weak_closure(condition: MaltsevCondition, nvars: int) -> EntailmentIndex:
@@ -189,9 +261,16 @@ def weak_closure(condition: MaltsevCondition, nvars: int) -> EntailmentIndex:
     return EntailmentIndex(condition, nvars)
 
 
-@lru_cache(maxsize=None)
+CONDITION_INDEX_MEMO = 64
+
+
+@lru_cache(maxsize=CONDITION_INDEX_MEMO)
 def condition_index(condition: MaltsevCondition, nvars: int | None = None) -> EntailmentIndex:
-    """Memoized closure per (condition, variable-set size)."""
+    """Memoized closure per (condition, variable-set size).
+
+    The memo keeps the CONDITION_INDEX_MEMO most recently used closures,
+    so a long-running process does not keep every closure it ever built.
+    """
     return weak_closure(condition, nvars or canonical_variable_set(condition))
 
 

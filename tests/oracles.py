@@ -5,6 +5,9 @@ available, trading speed for obviousness:
 
   * the identity closure iterates merging under ALL variable maps
     X -> X until a fixpoint, rather than a generating set of maps;
+  * the reference closure saturates under the engine's generating maps
+    with full passes over `LinearTerm` objects until nothing changes,
+    rather than a worklist over integer ids;
   * the cube decision searches every row set of bounded size directly;
   * subpower members are grown by applying operations to all argument
     combinations until nothing new appears, with no frontier bookkeeping;
@@ -104,6 +107,10 @@ class OracleClosure:
     def same_class(self, s: LinearTerm, t: LinearTerm) -> bool:
         return self._find(self.index[s]) == self._find(self.index[t])
 
+    def reps(self) -> tuple[int, ...]:
+        """Smallest term index of each term's class (roots are class minima)."""
+        return tuple(self._find(i) for i in range(len(self.terms)))
+
     def classes(self) -> list[frozenset[LinearTerm]]:
         grouped: dict[int, set[LinearTerm]] = {}
         for term, i in self.index.items():
@@ -116,6 +123,68 @@ class OracleClosure:
     def derives(self, identity: Identity) -> bool:
         identity = normalize(identity)
         return self.same_class(identity.lhs, identity.rhs)
+
+
+def monoid_generators(nvars: int) -> list[tuple[int, ...]]:
+    """A transposition, the full cycle and a rank-collapsing map on range(nvars)."""
+    swap = list(range(nvars))
+    swap[0], swap[1] = 1, 0
+    cycle = [(i + 1) % nvars for i in range(nvars)]
+    collapse = list(range(nvars))
+    collapse[0] = 1
+    return list(dict.fromkeys(map(tuple, (swap, cycle, collapse))))
+
+
+class ReferenceClosure:
+    """Weak closure by repeated full passes over `LinearTerm` objects.
+
+    Every term is built as an object and every image is looked up by
+    substitution; passes run until one changes nothing.  `_rep` holds the
+    smallest id of each term's class, in the engine's id order.
+    """
+
+    def __init__(self, condition: MaltsevCondition, nvars: int):
+        self.nvars = nvars
+        self.terms: list[LinearTerm] = [var(i) for i in range(nvars)]
+        for symbol in condition.signature:
+            for args in product(range(nvars), repeat=symbol.arity):
+                self.terms.append(app(symbol, *args))
+        ids = {t: i for i, t in enumerate(self.terms)}
+        self.parent = list(range(len(self.terms)))
+        merges = 0
+        for identity in condition.identities:
+            identity = normalize(identity)
+            if len(identity.variables()) > nvars:
+                raise ValueError("identity needs more variables than available")
+            merges += self._union(ids[identity.lhs], ids[identity.rhs])
+        images = [
+            [ids[substitute(t, gamma)] for t in self.terms]
+            for gamma in monoid_generators(nvars)
+        ]
+        changed = True
+        while changed:
+            changed = False
+            for image in images:
+                for i in range(len(self.terms)):
+                    if self._union(image[i], image[self._find(i)]):
+                        changed = True
+                        merges += 1
+        self.saturation_merges = merges
+        self._rep = tuple(self._find(i) for i in range(len(self.terms)))
+        self.inconsistent = any(self._rep[i] != i for i in range(nvars))
+
+    def _find(self, i: int) -> int:
+        while self.parent[i] != i:
+            self.parent[i] = self.parent[self.parent[i]]
+            i = self.parent[i]
+        return i
+
+    def _union(self, a: int, b: int) -> bool:
+        a, b = self._find(a), self._find(b)
+        if a == b:
+            return False
+        self.parent[max(a, b)] = min(a, b)
+        return True
 
 
 def oracle_entails(condition: MaltsevCondition, identity: Identity, nvars: int) -> bool:

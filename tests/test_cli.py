@@ -1,6 +1,7 @@
 """End-to-end command line checks running main() in process."""
 
 import io
+import time
 
 import pytest
 
@@ -107,6 +108,16 @@ def test_closure_reports_classes(capsys, tmp_path):
     assert len(class_lines) == len(index.classes())
 
 
+def test_closure_machine_stats(capsys, tmp_path):
+    path = tmp_path / "cd3.cond"
+    path.write_text(render_condition(jonsson_condition(3)))
+    code, out, _ = run(capsys, "closure", "--machine", str(path))
+    assert code == 0
+    lines = out.splitlines()
+    stats = ["terms=111", "seed_pairs=9", "unions=90", "pops=279", "classes=21"]
+    assert lines[2:7] == stats
+
+
 def test_closure_vars_override(capsys, tmp_path):
     path = tmp_path / "c.cond"
     path.write_text("signature: h/2\nidentities:\n  h(x,y) = h(y,x)\n")
@@ -116,6 +127,19 @@ def test_closure_vars_override(capsys, tmp_path):
     code, _, err = run(capsys, "closure", "--vars", "1", str(path))
     assert code == 2
     assert "error:" in err
+
+
+def test_check_rejects_huge_term_universe(capsys, tmp_path):
+    # one arity-9 symbol means 9 + 9^9 terms; refused before any allocation
+    path = tmp_path / "wide.cond"
+    args = ",".join(["x"] * 8 + ["y"])
+    path.write_text(f"signature: c/9\nidentities:\n  c({args}) = y\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert "387420498 terms" in err
 
 
 # --- gen ---------------------------------------------------------------------

@@ -1,18 +1,24 @@
 """The identity closure: derivability, consistency, and its invariants."""
 
+import gc
+import weakref
 from itertools import product
 
 import pytest
 
-from oracles import OracleClosure, oracle_entails
+from oracles import OracleClosure, monoid_generators, oracle_entails
 from maltcube.entailment import (
+    MAX_TERMS,
     EntailmentIndex,
+    EntailmentStats,
+    TermUniverseError,
     condition_index,
     derives,
     entails,
     is_consistent,
     normalize_identity,
     render_classes,
+    universe_size,
     weak_closure,
 )
 from maltcube.terms import (
@@ -122,8 +128,14 @@ def test_monotonicity_under_extra_identities():
 
 
 def test_saturation_idempotent(each_condition):
+    # one more saturation step would merge nothing: under every generating
+    # map, each term and its class representative have images in one class
     index = condition_index(each_condition)
-    assert index.resaturate_once() == 0
+    for gamma in monoid_generators(index.nvars):
+        for members in index.classes():
+            rep_image = substitute(members[0], gamma)
+            for term in members:
+                assert index.same_class(substitute(term, gamma), rep_image)
 
 
 @pytest.mark.parametrize("name", ["cd3", "hm2", "maltsev", "commutative", "random_a"])
@@ -209,6 +221,21 @@ def test_term_id_rejects_foreign_terms():
     index = condition_index(cd3)
     with pytest.raises(ValueError, match="outside the universe"):
         index.term_id(app(OperationSymbol("nope", 1), 0))
+    with pytest.raises(ValueError, match="outside the universe"):
+        index.term_id(app(cd3.symbol("d_1"), 0, 3, 1))
+    with pytest.raises(ValueError, match="outside the universe"):
+        index.term_id(var(3))
+
+
+def test_term_ids_follow_enumeration_order(condition_corpus):
+    condition = condition_corpus["cd3cp3"]
+    index = condition_index(condition)
+    terms = [t for members in index.classes() for t in members]
+    assert sorted(index.term_id(t) for t in terms) == list(range(len(index._rep)))
+    assert index.term_id(var(2)) == 2
+    d0 = condition.symbol("d_0")
+    assert index.term_id(app(d0, 0, 0, 0)) == 3
+    assert index.term_id(app(d0, 2, 1, 0)) == 3 + 2 * 9 + 1 * 3
 
 
 def test_render_classes_layout():
@@ -225,7 +252,60 @@ def test_condition_index_cached():
     assert condition_index(cd3, 4) is not condition_index(cd3, 3)
 
 
+def test_condition_index_memo_is_bounded():
+    maxsize = condition_index.cache_info().maxsize
+    assert maxsize is not None
+    first = MaltsevCondition((OperationSymbol("memo_first", 2),), ())
+    released = weakref.ref(condition_index(first))
+    for i in range(maxsize - 1):
+        condition_index(MaltsevCondition((OperationSymbol(f"memo_{i}", 1),), ()))
+    gc.collect()
+    assert released() is not None  # still among the maxsize most recent
+    condition_index(MaltsevCondition((OperationSymbol("memo_last", 1),), ()))
+    gc.collect()
+    assert released() is None
+
+
 def test_saturation_merge_counter():
     cd3 = jonsson_condition(3)
     index = EntailmentIndex(cd3, 3)
     assert index.saturation_merges > 0
+
+
+def test_stats_on_cd3():
+    # 3 variables + 4 symbols of arity 3; 9 identities; 21 classes (the
+    # brute-force oracle finds the same); 3 generators, so 9 + 3 * 90 pops
+    index = EntailmentIndex(jonsson_condition(3), 3)
+    assert index.stats == EntailmentStats(
+        terms=111, seed_pairs=9, unions=90, pops=279, classes=21
+    )
+    assert index.saturation_merges == index.stats.unions
+    assert len(index.classes()) == index.stats.classes
+    assert len(OracleClosure(jonsson_condition(3), 3).classes()) == 21
+
+
+def test_stats_with_two_generators():
+    # over two variables the cycle equals the transposition
+    free = MaltsevCondition((OperationSymbol("h", 2),), ())
+    assert EntailmentIndex(free, 2).stats == EntailmentStats(
+        terms=6, seed_pairs=0, unions=0, pops=0, classes=6
+    )
+    comm = parse_condition("signature: f/2\nidentities:\n  f(x,y) = f(y,x)\n")
+    stats = EntailmentIndex(comm, 2).stats
+    assert (stats.unions, stats.pops, stats.classes) == (1, 1 + 2 * 1, 5)
+
+
+def test_universe_guard():
+    arity7 = MaltsevCondition(
+        (OperationSymbol("s", 7), OperationSymbol("t", 7)), ()
+    )
+    assert universe_size(arity7, 7) == 7 + 2 * 7**7 <= MAX_TERMS
+    arity8 = MaltsevCondition((OperationSymbol("s", 8),), ())
+    assert universe_size(arity8, 8) > MAX_TERMS
+    with pytest.raises(TermUniverseError) as caught:
+        weak_closure(arity8, 8)
+    assert caught.value.terms == 8 + 8**8
+    assert caught.value.limit == MAX_TERMS
+    # the guard counts the enlarged variable set too
+    with pytest.raises(TermUniverseError):
+        weak_closure(MaltsevCondition((OperationSymbol("s", 7),), ()), 8)
