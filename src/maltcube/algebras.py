@@ -168,10 +168,10 @@ def evaluate(tree: TermTree, algebra: FiniteAlgebra, args: Sequence[int]) -> int
     return vals[id(tree)]
 
 
-def evaluate_on_power(
+def _values_on_power(
     tree: TermTree, algebra: FiniteAlgebra, args: Sequence[tuple[int, ...]]
-) -> tuple[int, ...]:
-    """Coordinatewise value of the term in a finite power of the algebra."""
+) -> dict[int, tuple[int, ...]]:
+    """Coordinatewise value of every distinct node, keyed by object id."""
     if not args:
         raise ValueError("evaluation in a power needs at least one argument tuple")
     m = len(args[0])
@@ -188,9 +188,14 @@ def evaluate_on_power(
             return (algebra.value(n.symbol, ()),) * m
         return tuple(algebra.value(n.symbol, column) for column in zip(*vs))
 
-    if tree.symbol is None:
-        return leaf_fn(tree)
-    return _fold_tree(tree, leaf_fn, apply_fn)[id(tree)]
+    return _fold_tree(tree, leaf_fn, apply_fn)
+
+
+def evaluate_on_power(
+    tree: TermTree, algebra: FiniteAlgebra, args: Sequence[tuple[int, ...]]
+) -> tuple[int, ...]:
+    """Coordinatewise value of the term in a finite power of the algebra."""
+    return _values_on_power(tree, algebra, args)[id(tree)]
 
 
 def tree_size(tree: TermTree) -> int:
@@ -558,7 +563,7 @@ class _NumpyEngine:
         self.n = algebra.size
         self.m = m
         self.budget = budget
-        self.threads = max(1, threads)
+        self.threads = threads
         self.space = self.n ** m
         self.seen = _BitmapSeen(self.space) if self.space <= _BITMAP_CAP else _SortedSeen()
         self.ids: list[int] = []
@@ -906,6 +911,8 @@ def generate_subpower(
             raise ValueError(f"generator {g} leaves the universe")
     if budget < 1:
         raise ValueError("budget must be positive")
+    if threads < 1:
+        raise ValueError("threads must be positive")
     if engine not in ("auto", "numpy", "python"):
         raise ValueError(f"unknown engine {engine!r}")
     fits = algebra.size ** m <= 2 ** 62

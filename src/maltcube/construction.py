@@ -15,29 +15,34 @@ algebra A_M on A plus one new absorbing element:
 
 Consistency makes the position choice canonical: two derivable
 positions in different pattern blocks would merge two distinct
-variables in the closure.  `well_definedness_audit` re-derives that
-fact per pattern and reports the first violation, which only an
-artificially broken extension can produce.
+variables in the closure.  `well_definedness_audit` checks that fact
+per pattern, on positions derived once per condition, and reports the
+first violation, which only an artificially broken extension can
+produce.
 
 Because membership instances over A are verbatim instances over A_M,
 subpower membership for A reduces to subpower membership for A_M; the
 converse direction rewrites an extended witness into one over F alone.
-`eliminate_H` performs that rewrite: repeatedly take an H-labeled node
-of maximal height, compare its value tuple z with its children's value
-tuples at the given generators, and splice in any child agreeing with z
-in every coordinate.  Cube-freeness guarantees such a child exists; the
-sets B_j of children agreeing at coordinate j otherwise form the rows
-of a derivable cube identity, and the empty intersection is surfaced as
-a diagnostic.  Splicing a value-equal subterm never changes an ancestor
-value, and each step removes one H node, so the loop terminates with an
-F-term evaluating to the same target.
+`eliminate_H` performs that rewrite: fold every node's value tuple at
+the given generators once, then resolve the tree from the root down.
+An H-labeled node with value z gives way to its least child agreeing
+with z in every coordinate; any other node is rebuilt from its resolved
+children.  Cube-freeness guarantees such a child exists; the sets B_j
+of children agreeing at coordinate j otherwise form the rows of a
+derivable cube identity, and the empty intersection is surfaced as a
+diagnostic.  A value-equal replacement never changes an ancestor value,
+so one fold serves the whole walk.  The walk must go top-down: a kept
+node never takes the absorbing value, but an H-node inside a discarded
+child may, with no child sharing it, and a bottom-up pass would raise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from .algebras import (
     DEFAULT_BUDGET,
@@ -45,13 +50,13 @@ from .algebras import (
     SmpAnswer,
     SmpInstance,
     TermTree,
-    _fold_tree,
+    _values_on_power,
     evaluate_on_power,
     smp_decide,
     tree_symbols,
 )
 from .cube import check_condition
-from .entailment import condition_index, entails
+from .entailment import CONDITION_INDEX_MEMO, condition_index, entails
 from .terms import (
     Identity,
     LinearTerm,
@@ -84,6 +89,7 @@ class EliminationError(RuntimeError):
 
 
 PatternTable = dict[tuple[int, ...], int | None]
+PatternPositions = Mapping[OperationSymbol, Mapping[tuple[int, ...], tuple[int, ...]]]
 
 
 @dataclass(frozen=True)
@@ -97,30 +103,29 @@ class ExtendedAlgebra:
     pattern_tables: dict[OperationSymbol, PatternTable]
 
 
-def _symbol_patterns(arity: int) -> list[tuple[int, ...]]:
-    """All equality patterns of arity-length tuples, in first-seen order."""
-    out: list[tuple[int, ...]] = []
-    seen = set()
-    for values in product(range(max(arity, 1)), repeat=arity):
-        pattern = equality_pattern(values)
-        if pattern not in seen:
-            seen.add(pattern)
-            out.append(pattern)
-    return out
+@lru_cache(maxsize=CONDITION_INDEX_MEMO)
+def _pattern_positions(condition: MaltsevCondition) -> PatternPositions:
+    """Per symbol and pattern, all 1-based i with Sigma deriving h(x-bar) = x_i.
 
-
-def _pattern_positions(
-    condition: MaltsevCondition, symbol: OperationSymbol, pattern: tuple[int, ...]
-) -> list[int]:
-    """All 1-based positions i with Sigma deriving h(x-bar) = x_i."""
+    Memoized per condition, like its closure; read-only because every
+    extension of the condition shares it.
+    """
     index = condition_index(condition)
-    rep = pattern_representative(pattern)
-    term = app(symbol, *rep)
-    return [
-        i
-        for i in range(1, symbol.arity + 1)
-        if entails(index, Identity(term, var(rep[i - 1]))).derivable
-    ]
+    out = {}
+    for symbol in condition.signature:
+        table = {}
+        # every equality pattern of an arity-length tuple, in first-seen order
+        tuples = product(range(max(symbol.arity, 1)), repeat=symbol.arity)
+        for pattern in dict.fromkeys(map(equality_pattern, tuples)):
+            rep = pattern_representative(pattern)
+            term = app(symbol, *rep)
+            table[pattern] = tuple(
+                i
+                for i in range(1, symbol.arity + 1)
+                if entails(index, Identity(term, var(rep[i - 1]))).derivable
+            )
+        out[symbol] = MappingProxyType(table)
+    return MappingProxyType(out)
 
 
 def _build_extension(
@@ -146,12 +151,11 @@ def _build_extension(
         operations[symbol] = tuple(extended_table)
 
     pattern_tables: dict[OperationSymbol, PatternTable] = {}
-    for symbol in condition.signature:
-        table_for_symbol: PatternTable = {}
-        for pattern in _symbol_patterns(symbol.arity):
-            positions = _pattern_positions(condition, symbol, pattern)
-            table_for_symbol[pattern] = positions[0] if positions else None
-        pattern_tables[symbol] = table_for_symbol
+    for symbol, derived in _pattern_positions(condition).items():
+        pattern_tables[symbol] = table_for_symbol = {
+            pattern: positions[0] if positions else None
+            for pattern, positions in derived.items()
+        }
         if symbol.arity == 0:
             # a derivable h() = x would need a variable on the right; the
             # closure never merges a nullary term with a variable unless
@@ -208,19 +212,19 @@ class AuditResult:
 
 
 def well_definedness_audit(ext: ExtendedAlgebra) -> AuditResult:
-    """Re-derive every pattern's derivable positions and check one value.
+    """Check every pattern's derivable positions and the stored tables.
 
     All positions i with Sigma deriving h(x-bar) = x_i must lie in a
     single block of the pattern, so every realization assigns them the
-    same value.  Consistency proves this; the audit asserts it against
-    the stored condition and catches injected breakage.
+    same value.  Consistency proves this; the audit asserts it on the
+    derived positions and checks each stored table against them, which
+    catches injected breakage.
     """
-    for symbol in ext.condition.signature:
-        for pattern in _symbol_patterns(symbol.arity):
-            positions = _pattern_positions(ext.condition, symbol, pattern)
+    for symbol, derived in _pattern_positions(ext.condition).items():
+        for pattern, positions in derived.items():
             blocks = {pattern[i - 1] for i in positions}
             if len(blocks) > 1:
-                return AuditResult(False, symbol, pattern, tuple(positions))
+                return AuditResult(False, symbol, pattern, positions)
             stored = ext.pattern_tables.get(symbol, {}).get(pattern)
             expected = positions[0] if positions else None
             if stored != expected and (
@@ -228,7 +232,7 @@ def well_definedness_audit(ext: ExtendedAlgebra) -> AuditResult:
                 or expected is None
                 or pattern[stored - 1] != pattern[expected - 1]
             ):
-                return AuditResult(False, symbol, pattern, tuple(positions))
+                return AuditResult(False, symbol, pattern, positions)
     return AuditResult(True)
 
 
@@ -238,8 +242,8 @@ def evaluate_linear_via_pattern(
     """Value of a linear H-term read off the equality pattern of its arguments.
 
     Substitutes the argument row into the term, takes the equality
-    pattern of the resulting tuple, and queries the closure for a
-    derivable result position.  Must agree with direct table evaluation.
+    pattern of the resulting tuple, and looks up its least derivable
+    position.  Must agree with direct table evaluation.
     """
     if w.symbol is None:
         return values[w.args[0]]
@@ -248,49 +252,8 @@ def evaluate_linear_via_pattern(
     row = tuple(values[a] for a in w.args)
     if any(not 0 <= v <= ext.absorbing for v in row):
         raise ValueError("argument values leave the extended universe")
-    index = condition_index(ext.condition)
-    pattern = equality_pattern(row)
-    rep = pattern_representative(pattern)
-    term = app(w.symbol, *rep)
-    for j in range(1, w.symbol.arity + 1):
-        if entails(index, Identity(term, var(rep[j - 1]))).derivable:
-            return row[j - 1]
-    return ext.absorbing
-
-
-def _h_nodes_by_height(tree: TermTree, h_symbols) -> TermTree | None:
-    """Leftmost H-node of maximal height, or None."""
-    heights = _fold_tree(tree, lambda n: 0, lambda n, hs: 1 + max(hs, default=0))
-    best: TermTree | None = None
-    best_height = -1
-    stack = [tree]
-    order: list[TermTree] = []
-    seen: set[int] = set()
-    while stack:
-        current = stack.pop()
-        if id(current) in seen or current.symbol is None:
-            continue
-        seen.add(id(current))
-        order.append(current)
-        stack.extend(reversed(current.children))
-    for current in order:
-        if current.symbol in h_symbols and heights[id(current)] > best_height:
-            best = current
-            best_height = heights[id(current)]
-    return best
-
-
-def _splice(tree: TermTree, target: TermTree, replacement_child: int) -> TermTree:
-    """Replace every occurrence of `target` by its chosen child."""
-
-    def apply_fn(current: TermTree, new_children: list[TermTree]) -> TermTree:
-        if current is target:
-            return new_children[replacement_child]
-        return TermTree(current.symbol, tuple(new_children))
-
-    if tree.symbol is None:
-        return tree
-    return _fold_tree(tree, lambda n: n, apply_fn)[id(tree)]
+    positions = _pattern_positions(ext.condition)[w.symbol][equality_pattern(row)]
+    return row[positions[0] - 1] if positions else ext.absorbing
 
 
 def eliminate_H(
@@ -302,30 +265,23 @@ def eliminate_H(
     """Rewrite a witness term over F and H into one over F alone.
 
     The generators may use the absorbing element, the target must not,
-    and the input term must evaluate to the target coordinatewise.
+    and the input term must evaluate to the target coordinatewise.  A
+    term without H-nodes comes back as the same object, and unchanged
+    shared subterms stay shared.  When several kept H-nodes have no
+    common child, the first met walking down from the root, left to
+    right, is reported.
     """
     target = tuple(target)
     if any(v == ext.absorbing for v in target):
         raise ValueError("the target must avoid the absorbing element")
-    if evaluate_on_power(tree, ext.extended, generators) != target:
+    values = _values_on_power(tree, ext.extended, generators)
+    if values[id(tree)] != target:
         raise ValueError("the term does not evaluate to the target")
-    m = len(target)
     h_symbols = set(ext.condition.signature)
 
-    def value_fn(n: TermTree, vs: list) -> tuple[int, ...]:
-        if not vs:  # nullary node, constant in every coordinate
-            return (ext.extended.value(n.symbol, ()),) * m
-        return tuple(ext.extended.value(n.symbol, column) for column in zip(*vs))
-
-    while True:
-        chosen = _h_nodes_by_height(tree, h_symbols)
-        if chosen is None:
-            return tree
-        values = _fold_tree(
-            tree, lambda n: tuple(generators[n.position]), value_fn
-        )
-        z = values[id(chosen)]
-        children_values = [values[id(c)] for c in chosen.children]
+    def chosen_child(n: TermTree) -> TermTree:
+        z = values[id(n)]
+        children_values = [values[id(c)] for c in n.children]
         b_sets = tuple(
             frozenset(
                 i + 1 for i, cv in enumerate(children_values) if cv[j] == z[j]
@@ -334,8 +290,29 @@ def eliminate_H(
         )
         common = frozenset.intersection(*b_sets) if b_sets else frozenset()
         if not common:
-            raise EliminationError(chosen.symbol, b_sets)
-        tree = _splice(tree, chosen, min(common) - 1)
+            raise EliminationError(n.symbol, b_sets)
+        return n.children[min(common) - 1]
+
+    # `kids` is None until a node is expanded, then what it resolves from;
+    # H-nodes in discarded children are never reached.
+    resolved: dict[int, TermTree] = {}
+    stack: list[tuple[TermTree, tuple[TermTree, ...] | None]] = [(tree, None)]
+    while stack:
+        current, kids = stack.pop()
+        if id(current) in resolved:
+            continue
+        if kids is None:
+            h_node = current.symbol in h_symbols
+            kids = (chosen_child(current),) if h_node else current.children
+            stack.append((current, kids))
+            stack.extend((k, None) for k in reversed(kids))
+        elif current.symbol in h_symbols:
+            resolved[id(current)] = resolved[id(kids[0])]
+        else:
+            children = tuple(resolved[id(c)] for c in kids)
+            same = all(a is b for a, b in zip(children, kids))
+            resolved[id(current)] = current if same else TermTree(current.symbol, children)
+    return resolved[id(tree)]
 
 
 @dataclass(frozen=True)

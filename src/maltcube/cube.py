@@ -26,8 +26,9 @@ intersection is empty, one member omitting each position suffices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .entailment import condition_index, entails, is_consistent
+from .entailment import CONDITION_INDEX_MEMO, EntailmentIndex, condition_index, entails
 from .terms import Identity, MaltsevCondition, OperationSymbol, app, var
 
 
@@ -61,20 +62,7 @@ class ConditionReport:
 
 def y_family(condition: MaltsevCondition, symbol: OperationSymbol) -> frozenset[frozenset[int]]:
     """All position sets B (1-based) with h(w_B) = y derivable."""
-    if symbol not in condition.signature:
-        raise ValueError(f"{symbol} is not in the condition's signature")
-    if not is_consistent(condition):
-        raise ValueError("cube decisions require a consistent condition")
-    index = condition_index(condition)
-    x, y = 0, 1
-    family = set()
-    k = symbol.arity
-    for bits in range(1 << k):
-        positions = frozenset(i + 1 for i in range(k) if bits >> i & 1)
-        args = (y if i + 1 in positions else x for i in range(k))
-        if entails(index, Identity(app(symbol, *args), var(y))).derivable:
-            family.add(positions)
-    return frozenset(family)
+    return entails_cube(condition, symbol).y_family
 
 
 def _minimal_subfamily(family: frozenset[frozenset[int]]) -> list[frozenset[int]]:
@@ -92,23 +80,45 @@ def _minimal_subfamily(family: frozenset[frozenset[int]]) -> list[frozenset[int]
 
 def entails_cube(condition: MaltsevCondition, symbol: OperationSymbol) -> CubeReport:
     """Decide whether the condition entails cube identities for one symbol."""
-    family = y_family(condition, symbol)
+    if symbol not in condition.signature:
+        raise ValueError(f"{symbol} is not in the condition's signature")
+    index = condition_index(condition)
+    if index.inconsistent:
+        raise ValueError("cube decisions require a consistent condition")
+    return _cube_report(index, symbol)
+
+
+def _cube_report(index: EntailmentIndex, symbol: OperationSymbol) -> CubeReport:
+    """`entails_cube` against the condition's consistent closure."""
+    x, y = 0, 1
+    k = symbol.arity
+    found = set()
+    for bits in range(1 << k):
+        positions = frozenset(i + 1 for i in range(k) if bits >> i & 1)
+        args = (y if i + 1 in positions else x for i in range(k))
+        if entails(index, Identity(app(symbol, *args), var(y))).derivable:
+            found.add(positions)
+    family = frozenset(found)
     positive = bool(family) and not frozenset.intersection(*family)
     witness: tuple[str, ...] | None = None
     if positive:
         rows = _minimal_subfamily(family)
         if len(rows) == 1:  # only possible via the empty set; keep two rows anyway
             rows = rows * 2
-        k = symbol.arity
         witness = tuple(
             "".join("y" if i + 1 in b else "x" for i in range(k)) for b in rows
         )
     return CubeReport(symbol, positive, family, witness)
 
 
+@lru_cache(maxsize=CONDITION_INDEX_MEMO)
 def check_condition(condition: MaltsevCondition) -> ConditionReport:
-    """Consistency, per-symbol cube decisions, and overall applicability."""
-    if not is_consistent(condition):
+    """Consistency, per-symbol cube decisions, and overall applicability.
+
+    Memoized per condition, like its closure; the frozen report is shared.
+    """
+    index = condition_index(condition)
+    if index.inconsistent:
         return ConditionReport(condition, False, ())
-    reports = tuple(entails_cube(condition, s) for s in condition.signature)
+    reports = tuple(_cube_report(index, s) for s in condition.signature)
     return ConditionReport(condition, True, reports)

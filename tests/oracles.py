@@ -11,6 +11,9 @@ available, trading speed for obviousness:
   * the cube decision searches every row set of bounded size directly;
   * subpower members are grown by applying operations to all argument
     combinations until nothing new appears, with no frontier bookkeeping;
+  * H-elimination splices one H-node of maximal height at a time and
+    refolds heights and values of the whole tree after each splice,
+    rather than resolving the tree in one top-down pass;
   * clone membership uses the characterization that a boolean function
     lies in the clone of the dual implication iff it is constant 0 or
     bounded above by some projection.
@@ -25,8 +28,16 @@ from __future__ import annotations
 
 from itertools import product
 from random import Random
+from typing import Sequence
 
-from maltcube.algebras import FiniteAlgebra, satisfies
+from maltcube.algebras import (
+    FiniteAlgebra,
+    TermTree,
+    _fold_tree,
+    evaluate_on_power,
+    satisfies,
+)
+from maltcube.construction import EliminationError, ExtendedAlgebra
 from maltcube.terms import (
     Identity,
     LinearTerm,
@@ -244,6 +255,87 @@ def oracle_subpower(
                     members.add(value)
                     changed = True
     return frozenset(members)
+
+
+def _h_nodes_by_height(tree: TermTree, h_symbols) -> TermTree | None:
+    """Leftmost H-node of maximal height, or None."""
+    heights = _fold_tree(tree, lambda n: 0, lambda n, hs: 1 + max(hs, default=0))
+    best: TermTree | None = None
+    best_height = -1
+    stack = [tree]
+    order: list[TermTree] = []
+    seen: set[int] = set()
+    while stack:
+        current = stack.pop()
+        if id(current) in seen or current.symbol is None:
+            continue
+        seen.add(id(current))
+        order.append(current)
+        stack.extend(reversed(current.children))
+    for current in order:
+        if current.symbol in h_symbols and heights[id(current)] > best_height:
+            best = current
+            best_height = heights[id(current)]
+    return best
+
+
+def _splice(tree: TermTree, target: TermTree, replacement_child: int) -> TermTree:
+    """Replace every occurrence of `target` by its chosen child."""
+
+    def apply_fn(current: TermTree, new_children: list[TermTree]) -> TermTree:
+        if current is target:
+            return new_children[replacement_child]
+        return TermTree(current.symbol, tuple(new_children))
+
+    if tree.symbol is None:
+        return tree
+    return _fold_tree(tree, lambda n: n, apply_fn)[id(tree)]
+
+
+def reference_eliminate_H(
+    tree: TermTree,
+    ext: ExtendedAlgebra,
+    generators: Sequence[tuple[int, ...]],
+    target: tuple[int, ...],
+) -> TermTree:
+    """H-elimination by repeated splicing, refolding the whole tree each time.
+
+    Repeatedly take the leftmost H-node of maximal height, recompute all
+    values, and splice in the least child agreeing with it in every
+    coordinate.  Same contract as `maltcube.construction.eliminate_H`.
+    """
+    target = tuple(target)
+    if any(v == ext.absorbing for v in target):
+        raise ValueError("the target must avoid the absorbing element")
+    if evaluate_on_power(tree, ext.extended, generators) != target:
+        raise ValueError("the term does not evaluate to the target")
+    m = len(target)
+    h_symbols = set(ext.condition.signature)
+
+    def value_fn(n: TermTree, vs: list) -> tuple[int, ...]:
+        if not vs:  # nullary node, constant in every coordinate
+            return (ext.extended.value(n.symbol, ()),) * m
+        return tuple(ext.extended.value(n.symbol, column) for column in zip(*vs))
+
+    while True:
+        chosen = _h_nodes_by_height(tree, h_symbols)
+        if chosen is None:
+            return tree
+        values = _fold_tree(
+            tree, lambda n: tuple(generators[n.position]), value_fn
+        )
+        z = values[id(chosen)]
+        children_values = [values[id(c)] for c in chosen.children]
+        b_sets = tuple(
+            frozenset(
+                i + 1 for i, cv in enumerate(children_values) if cv[j] == z[j]
+            )
+            for j in range(len(z))
+        )
+        common = frozenset.intersection(*b_sets) if b_sets else frozenset()
+        if not common:
+            raise EliminationError(chosen.symbol, b_sets)
+        tree = _splice(tree, chosen, min(common) - 1)
 
 
 def all_two_element_models(condition: MaltsevCondition):

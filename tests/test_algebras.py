@@ -341,6 +341,9 @@ def test_closure_argument_validation():
         generate_subpower(Z3, (), m=0)
     with pytest.raises(ValueError, match="budget"):
         generate_subpower(Z3, ((0,),), budget=0)
+    for threads in (0, -1):
+        with pytest.raises(ValueError, match="threads"):
+            generate_subpower(Z3, ((0,),), threads=threads)
     with pytest.raises(ValueError, match="engine"):
         generate_subpower(Z3, ((0,),), engine="fortran")
 

@@ -4,6 +4,8 @@ from itertools import product
 
 import pytest
 
+import maltcube.construction
+import maltcube.cube
 from maltcube.algebras import (
     BudgetExceededError,
     FiniteAlgebra,
@@ -20,12 +22,15 @@ from maltcube.construction import (
     ConstructionError,
     EliminationError,
     _build_extension,
+    _pattern_positions,
     eliminate_H,
     evaluate_linear_via_pattern,
     extend,
     reduce_and_certify,
     well_definedness_audit,
 )
+from maltcube.cube import check_condition
+from maltcube.entailment import CONDITION_INDEX_MEMO
 from maltcube.terms import (
     MaltsevCondition,
     OperationSymbol,
@@ -142,6 +147,48 @@ def test_extension_preserves_base_identities():
     for a in range(2):
         for b in range(2):
             assert ext.extended.value(meet, (a, b)) == ext.extended.value(meet, (b, a))
+
+
+# --- condition-only work, once per condition --------------------------------
+
+
+def test_second_extension_makes_no_entailment_query(monkeypatch, algebra_corpus):
+    condition = hagemann_mitschke_condition(4)
+    extend(LATTICE2, condition)
+    original = maltcube.construction.entails
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(maltcube.construction, "entails", counting)
+    monkeypatch.setattr(maltcube.cube, "entails", counting)
+    ext = extend(algebra_corpus[0], condition)
+    assert calls == []
+    assert well_definedness_audit(ext)
+    assert calls == []
+
+
+@pytest.mark.parametrize("memoized", [check_condition, _pattern_positions])
+def test_condition_memos_are_bounded(memoized):
+    assert memoized.cache_info().maxsize == CONDITION_INDEX_MEMO
+
+    def fresh(name):
+        return MaltsevCondition((OperationSymbol(name, 1),), ())
+
+    first = MaltsevCondition((OperationSymbol("memo_first", 2),), ())
+    memoized(first)
+    for i in range(CONDITION_INDEX_MEMO - 1):
+        memoized(fresh(f"memo_a{i}"))
+    hits = memoized.cache_info().hits
+    memoized(first)  # still among the most recent, and refreshed by this hit
+    assert memoized.cache_info().hits == hits + 1
+    for i in range(CONDITION_INDEX_MEMO):
+        memoized(fresh(f"memo_b{i}"))
+    misses = memoized.cache_info().misses
+    memoized(first)
+    assert memoized.cache_info().misses == misses + 1
 
 
 # --- the audit ---------------------------------------------------------------

@@ -155,6 +155,11 @@ def test_inconsistent_condition_report(condition_corpus):
     assert report.cube_symbols == ()
 
 
+def test_check_condition_is_memoized(condition_corpus):
+    cd3 = condition_corpus["cd3"]
+    assert check_condition(cd3) is check_condition(cd3)
+
+
 def test_free_symbols_are_cube_free(condition_corpus):
     for name in ("free_unary", "free_binary"):
         report = check_condition(condition_corpus[name])
