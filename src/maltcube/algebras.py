@@ -36,8 +36,6 @@ even when its unfolding is not.
 from __future__ import annotations
 
 import re
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 from math import prod
@@ -442,6 +440,30 @@ class BudgetExceededError(RuntimeError):
         )
 
 
+def _pack(member: Sequence[int], n: int) -> int:
+    """The base-n code of a member, first coordinate most significant."""
+    code = 0
+    for digit in member:
+        code = code * n + digit
+    return code
+
+
+def _seeds(algebra: FiniteAlgebra, generators, m: int) -> list[tuple[tuple[int, ...], object]]:
+    """The closure's first members, each with its derivation.
+
+    Distinct generators in position order (a repeat keeps its first
+    position), then the value of each nullary constant, unless a generator
+    or an earlier constant already gave it.
+    """
+    seeds: dict[tuple[int, ...], object] = {}
+    for position, g in enumerate(generators):
+        seeds.setdefault(tuple(g), position)
+    for op_index, symbol in enumerate(algebra.operations):
+        if symbol.arity == 0:
+            seeds.setdefault((algebra.operations[symbol][0],) * m, (op_index,))
+    return list(seeds.items())
+
+
 class ClosureResult:
     """Members of a generated subpower plus per-member derivations.
 
@@ -467,12 +489,6 @@ class ClosureResult:
             out.append(digit)
         return tuple(reversed(out))
 
-    def _pack(self, member: Sequence[int]) -> int:
-        code = 0
-        for digit in member:
-            code = code * self.algebra.size + digit
-        return code
-
     @property
     def member_list(self) -> tuple[tuple[int, ...], ...]:
         return tuple(self._unpack(c) for c in self._ids)
@@ -489,7 +505,7 @@ class ClosureResult:
         member = tuple(member)
         if len(member) != self.m or any(not 0 <= v < self.algebra.size for v in member):
             return None
-        return self._positions.get(self._pack(member))
+        return self._positions.get(_pack(member, self.algebra.size))
 
     def __contains__(self, member: Sequence[int]) -> bool:
         return self.position(member) is not None
@@ -558,12 +574,11 @@ class _ChunkSpec:
 class _NumpyEngine:
     """Vectorized semi-naive closure over packed member codes."""
 
-    def __init__(self, algebra: FiniteAlgebra, m: int, budget: int, threads: int):
+    def __init__(self, algebra: FiniteAlgebra, m: int, budget: int):
         self.algebra = algebra
         self.n = algebra.size
         self.m = m
         self.budget = budget
-        self.threads = threads
         self.space = self.n ** m
         self.seen = _BitmapSeen(self.space) if self.space <= _BITMAP_CAP else _SortedSeen()
         self.ids: list[int] = []
@@ -638,7 +653,7 @@ class _NumpyEngine:
     def _comp(self, spec: _ChunkSpec) -> np.ndarray:
         key = (spec.shift, spec.modulus)
         comp = self._comps.get(key)
-        if comp is None or len(comp) < len(self.ids):
+        if comp is None:
             comp = ((self.ids_np // spec.shift) % spec.modulus).astype(np.int32)
             self._comps[key] = comp
         return comp
@@ -670,11 +685,7 @@ class _NumpyEngine:
             ]
         else:
             flat = np.arange(start, start + extent, dtype=np.int64)
-            positions = []
-            for s, b in zip(reversed(sizes), reversed(bases)):
-                positions.append(flat % s + b)
-                flat = flat // s
-            positions.reverse()
+            positions = self._decode(flat, sizes, bases)
         result = None
         for spec in specs:
             comp = self._comp(spec)
@@ -700,89 +711,58 @@ class _NumpyEngine:
 
     def run(self, generators: Sequence[tuple[int, ...]]) -> ClosureResult:
         self.rounds = 0
-        seed_codes: list[int] = []
-        seed_provs: list = []
-        seen_seed: set[int] = set()
-        for position, g in enumerate(generators):
-            code = 0
-            for digit in g:
-                code = code * self.n + digit
-            if code not in seen_seed:
-                seen_seed.add(code)
-                seed_codes.append(code)
-                seed_provs.append(position)
-        for op_index, symbol in enumerate(self.op_symbols):
-            if symbol.arity == 0:
-                value = self.algebra.operations[symbol][0]
-                code = sum(value * self.n ** j for j in range(self.m))
-                if code not in seen_seed:
-                    seen_seed.add(code)
-                    seed_codes.append(code)
-                    seed_provs.append((op_index,))
-        if seed_codes:
+        seeds = _seeds(self.algebra, generators, self.m)
+        if seeds:
+            seed_codes = [_pack(member, self.n) for member, _ in seeds]
             self.seen.add(np.asarray(seed_codes, dtype=np.int64))
-            self._append_members(seed_codes, seed_provs)
+            self._append_members(seed_codes, [derivation for _, derivation in seeds])
 
         arity_ops = [
             (i, s.arity) for i, s in enumerate(self.op_symbols) if s.arity >= 1
         ]
-        executor = ThreadPoolExecutor(self.threads) if self.threads > 1 else None
-        try:
-            old = 0
-            while old < len(self.ids):
-                current = len(self.ids)
-                pending_codes: list[int] = []
-                pending_provs: list = []
-                round_provisional = len(self.ids)
-                for op_index, k in arity_ops:
-                    for axis in range(k):
-                        sizes = [old] * axis + [current - old] + [current] * (k - 1 - axis)
-                        if any(s == 0 for s in sizes):
+        old = 0
+        while old < len(self.ids):
+            current = len(self.ids)
+            pending_codes: list[int] = []
+            pending_provs: list = []
+            round_provisional = len(self.ids)
+            for op_index, k in arity_ops:
+                for axis in range(k):
+                    sizes = [old] * axis + [current - old] + [current] * (k - 1 - axis)
+                    if any(s == 0 for s in sizes):
+                        continue
+                    bases = [0] * axis + [old] + [0] * (k - 1 - axis)
+                    for chunk in self._block_chunks(sizes, bases):
+                        codes = self._apply_chunk(op_index, chunk)
+                        kind, start, extent, csizes, cbases = chunk
+                        mask = self.seen.new_mask(codes)
+                        if not mask.any():
                             continue
-                        bases = [0] * axis + [old] + [0] * (k - 1 - axis)
-                        chunks = list(self._block_chunks(sizes, bases))
-                        if executor is not None and len(chunks) > 1:
-                            results = _windowed_map(
-                                executor,
-                                lambda c: self._apply_chunk(op_index, c),
-                                chunks,
-                                self.threads * 2,
-                            )
+                        fresh, first = np.unique(codes[mask], return_index=True)
+                        flat_local = np.flatnonzero(mask)[first]
+                        if kind == "rows":
+                            suffix = prod(csizes[1:]) if len(csizes) > 1 else 1
+                            flat_global = flat_local + start * suffix
                         else:
-                            results = (self._apply_chunk(op_index, c) for c in chunks)
-                        for chunk, codes in zip(chunks, results):
-                            kind, start, extent, csizes, cbases = chunk
-                            mask = self.seen.new_mask(codes)
-                            if not mask.any():
-                                continue
-                            fresh, first = np.unique(codes[mask], return_index=True)
-                            flat_local = np.flatnonzero(mask)[first]
-                            if kind == "rows":
-                                suffix = prod(csizes[1:]) if len(csizes) > 1 else 1
-                                flat_global = flat_local + start * suffix
-                            else:
-                                flat_global = flat_local + start
-                            arg_positions = self._decode(flat_global, csizes, cbases)
-                            self.seen.add(fresh)
-                            fresh_list = fresh.tolist()
-                            pending_codes.extend(fresh_list)
-                            pending_provs.extend(
-                                (op_index, *(int(p[i]) for p in arg_positions))
-                                for i in range(len(fresh_list))
+                            flat_global = flat_local + start
+                        arg_positions = self._decode(flat_global, csizes, cbases)
+                        self.seen.add(fresh)
+                        fresh_list = fresh.tolist()
+                        pending_codes.extend(fresh_list)
+                        pending_provs.extend(
+                            (op_index, *(int(p[i]) for p in arg_positions))
+                            for i in range(len(fresh_list))
+                        )
+                        if round_provisional + len(pending_codes) > self.budget:
+                            raise BudgetExceededError(
+                                len(self.ids) + len(pending_codes),
+                                self.rounds,
+                                self.budget,
                             )
-                            if round_provisional + len(pending_codes) > self.budget:
-                                raise BudgetExceededError(
-                                    len(self.ids) + len(pending_codes),
-                                    self.rounds,
-                                    self.budget,
-                                )
-                old = current
-                if pending_codes:
-                    self.rounds += 1
-                    self._append_members(pending_codes, pending_provs)
-        finally:
-            if executor is not None:
-                executor.shutdown(wait=False, cancel_futures=True)
+            old = current
+            if pending_codes:
+                self.rounds += 1
+                self._append_members(pending_codes, pending_provs)
         return ClosureResult(
             self.algebra,
             self.m,
@@ -791,17 +771,6 @@ class _NumpyEngine:
             self.op_symbols,
             ClosureStats(len(self.ids), self.rounds),
         )
-
-
-def _windowed_map(executor, fn, items, window):
-    futures: deque = deque()
-    items = iter(items)
-    for item in items:
-        futures.append(executor.submit(fn, item))
-        if len(futures) >= window:
-            yield futures.popleft().result()
-    while futures:
-        yield futures.popleft().result()
 
 
 def _closure_python(
@@ -825,12 +794,8 @@ def _closure_python(
         return True
 
     rounds = 0
-    for i, g in enumerate(generators):
-        add(tuple(g), i)
-    for op_index, symbol in enumerate(op_symbols):
-        if symbol.arity == 0:
-            value = algebra.operations[symbol][0]
-            add((value,) * m, (op_index,))
+    for member, derivation in _seeds(algebra, generators, m):
+        add(member, derivation)
 
     tables = {s: algebra.operations[s] for s in op_symbols}
     old = 0
@@ -871,12 +836,7 @@ def _closure_python(
             for member, derivation in pending:
                 add(member, derivation)
 
-    ids = [0] * len(order)
-    for member, i in positions.items():
-        code = 0
-        for digit in member:
-            code = code * n + digit
-        ids[i] = code
+    ids = [_pack(member, n) for member in order]
     return ClosureResult(
         algebra, m, ids, prov, op_symbols, ClosureStats(len(order), rounds)
     )
@@ -888,7 +848,6 @@ def generate_subpower(
     *,
     m: int | None = None,
     budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
     engine: str = "auto",
 ) -> ClosureResult:
     """Close the generators under all operations in the m-th power.
@@ -911,8 +870,6 @@ def generate_subpower(
             raise ValueError(f"generator {g} leaves the universe")
     if budget < 1:
         raise ValueError("budget must be positive")
-    if threads < 1:
-        raise ValueError("threads must be positive")
     if engine not in ("auto", "numpy", "python"):
         raise ValueError(f"unknown engine {engine!r}")
     fits = algebra.size ** m <= 2 ** 62
@@ -920,7 +877,7 @@ def generate_subpower(
         raise ValueError("packed codes do not fit the numpy engine")
     if engine == "python" or not fits:
         return _closure_python(algebra, generators, m, budget)
-    return _NumpyEngine(algebra, m, budget, threads).run(generators)
+    return _NumpyEngine(algebra, m, budget).run(generators)
 
 
 @dataclass(frozen=True, eq=False)
@@ -937,7 +894,6 @@ def smp_decide(
     instance: SmpInstance,
     *,
     budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
     engine: str = "auto",
 ) -> SmpAnswer:
     """Decide whether the target lies in the subpower the generators generate."""
@@ -946,7 +902,7 @@ def smp_decide(
             raise ValueError(f"tuple {t} leaves the universe")
     closure = generate_subpower(
         algebra, instance.generators, m=instance.m,
-        budget=budget, threads=threads, engine=engine,
+        budget=budget, engine=engine,
     )
     if instance.target in closure:
         return SmpAnswer(True, closure.witness_tree(instance.target), closure.stats)

@@ -211,9 +211,7 @@ def _cmd_model_check(args) -> int:
 def _cmd_smp(args) -> int:
     algebra = _load_algebra(args.algebra)
     instance = _load_instance(args.instance)
-    answer = smp_decide(
-        algebra, instance, budget=args.budget, threads=args.threads
-    )
+    answer = smp_decide(algebra, instance, budget=args.budget)
     sep = "=" if args.machine else ": "
     lines = [
         f"members{sep}{answer.stats.members}",
@@ -258,7 +256,7 @@ def _cmd_reduce(args) -> int:
     condition = _load_condition(args.condition)
     instance = _load_instance(args.instance)
     certificate = reduce_and_certify(
-        algebra, condition, instance, budget=args.budget, threads=args.threads
+        algebra, condition, instance, budget=args.budget
     )
     base = "yes" if certificate.answer_base else "no"
     extended = "yes" if certificate.answer_extended else "no"
@@ -329,7 +327,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("algebra")
     p.add_argument("instance")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--witness", action="store_true", help="print a witness term")
     p.set_defaults(func=_cmd_smp)
 
@@ -342,7 +339,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("condition")
     p.add_argument("instance")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_reduce)
 
     return parser

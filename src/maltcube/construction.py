@@ -335,7 +335,6 @@ def reduce_and_certify(
     instance: SmpInstance,
     *,
     budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
 ) -> ReductionCertificate:
     """Decide one instance over A and over A_M and cross-check the answers.
 
@@ -346,8 +345,8 @@ def reduce_and_certify(
         if any(not 0 <= v < algebra.size for v in t):
             raise ValueError(f"instance tuple {t} leaves the base universe")
     ext = extend(algebra, condition)
-    base = smp_decide(algebra, instance, budget=budget, threads=threads)
-    extended = smp_decide(ext.extended, instance, budget=budget, threads=threads)
+    base = smp_decide(algebra, instance, budget=budget)
+    extended = smp_decide(ext.extended, instance, budget=budget)
     eliminated: TermTree | None = None
     if extended.answer:
         eliminated = eliminate_H(

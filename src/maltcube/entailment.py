@@ -194,7 +194,6 @@ class EntailmentIndex:
             rep = jumped
         rep.flags.writeable = False
         self._rep = rep
-        self.saturation_merges = unions
         self.inconsistent = bool((rep[:nvars] != np.arange(nvars)).any())
         self.stats = EntailmentStats(
             terms=size,

@@ -278,13 +278,6 @@ def test_closure_random_corpus_matches_oracle(algebra_corpus):
         assert result.members == expected
 
 
-def test_closure_threads_do_not_change_the_order():
-    generators = ((0, 1, 2, 0), (1, 1, 0, 2))
-    lone = generate_subpower(Z3, generators, engine="numpy", threads=1)
-    many = generate_subpower(Z3, generators, engine="numpy", threads=4)
-    assert lone.member_list == many.member_list
-
-
 def test_closure_member_queries():
     result = generate_subpower(LATTICE2, ((0, 1), (1, 0)))
     assert (0, 0) in result
@@ -341,9 +334,6 @@ def test_closure_argument_validation():
         generate_subpower(Z3, (), m=0)
     with pytest.raises(ValueError, match="budget"):
         generate_subpower(Z3, ((0,),), budget=0)
-    for threads in (0, -1):
-        with pytest.raises(ValueError, match="threads"):
-            generate_subpower(Z3, ((0,),), threads=threads)
     with pytest.raises(ValueError, match="engine"):
         generate_subpower(Z3, ((0,),), engine="fortran")
 

@@ -276,14 +276,6 @@ def test_smp_budget_exit(capsys, tmp_path, lattice_file):
     assert "budget" in err
 
 
-@pytest.mark.parametrize("threads", ["0", "-1"])
-def test_smp_rejects_non_positive_threads(capsys, tmp_path, lattice_file, threads):
-    inst = instance_file(tmp_path, "m: 2\ngenerators:\n0 1\ntarget:\n0 1\n")
-    code, _, err = run(capsys, "smp", "--threads", threads, lattice_file, inst)
-    assert code == 2
-    assert "threads" in err
-
-
 def test_smp_machine_keys(capsys, tmp_path, lattice_file):
     inst = instance_file(tmp_path, "m: 2\ngenerators:\n0 1\ntarget:\n0 1\n")
     code, out, _ = run(capsys, "smp", "--machine", lattice_file, inst)

@@ -266,12 +266,6 @@ def test_condition_index_memo_is_bounded():
     assert released() is None
 
 
-def test_saturation_merge_counter():
-    cd3 = jonsson_condition(3)
-    index = EntailmentIndex(cd3, 3)
-    assert index.saturation_merges > 0
-
-
 def test_stats_on_cd3():
     # 3 variables + 4 symbols of arity 3; 9 identities; 21 classes (the
     # brute-force oracle finds the same); 3 generators, so 9 + 3 * 90 pops
@@ -279,7 +273,6 @@ def test_stats_on_cd3():
     assert index.stats == EntailmentStats(
         terms=111, seed_pairs=9, unions=90, pops=279, classes=21
     )
-    assert index.saturation_merges == index.stats.unions
     assert len(index.classes()) == index.stats.classes
     assert len(OracleClosure(jonsson_condition(3), 3).classes()) == 21
 

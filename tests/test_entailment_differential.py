@@ -53,7 +53,7 @@ def test_matches_reference_and_oracle(condition):
     oracle = OracleClosure(condition, nvars)
     assert index._rep.tolist() == list(reference._rep) == list(oracle.reps())
     assert index.inconsistent == reference.inconsistent == oracle.inconsistent
-    assert index.saturation_merges == reference.saturation_merges
+    assert index.stats.unions == reference.saturation_merges
 
 
 def seeded_cube_matrix(arity: int, seed: int) -> MaltsevCondition:
