@@ -75,7 +75,6 @@ from .interp import (
     clone_enumerate,
     dual_implication_algebra,
     find_interpretation,
-    preserves_relation,
 )
 from .terms import (
     ConditionSyntaxError,

@@ -2,30 +2,52 @@
 
 The algebra has universe {0, 1} and one binary operation a ->d b that
 is 1 exactly when a = 0 and b = 1.  Its clone members are exactly the
-boolean functions that are constant 0 or bounded above by a projection,
-which keeps the per-arity enumeration small (2, 6, 38, 942 for arities
-1 through 4).
+boolean functions that are constant 0 or bounded above by a projection
+(2, 6, 38, 942 of them for arities 1 through 4).
 
-`clone_enumerate` generates the k-ary members breadth-first over
-composition depth, carrying a defining term for each; truth tables are
-packed into bitmasks so a composition round is one bit operation per
-pair.  `find_interpretation` searches those members for a simultaneous
-assignment to all symbols of a condition that satisfies its identities
-over {0, 1}; a consistent condition admits one exactly when no symbol
-entails cube identities, which `preserves_relation` cross-checks
-against the complement-of-all-ones relations.
+A model of a condition in this clone is read off its cube families
+(`maltcube.cube`).  For a symbol h of arity k, let f_h(a) = 1 exactly
+when the set B of positions where a is 1 lies in
+
+    F(h) = { B subset of {1..k} : the condition derives h(w_B) = y }.
+
+For an applicable condition (consistent, no cube identities) the f_h
+form an interpretation:
+
+  * f_h lies in the clone: F(h) is empty, so f_h = 0, or some j lies
+    in every member of F(h) (no cube identities), so f_h <= x_j;
+  * f_h satisfies the condition: an assignment of {0, 1} to the
+    variables of an identity s(u) = t(v) corresponds, reading 0 as x
+    and 1 as y, to an {x, y}-instance that the condition derives, and
+    both sides then have value 1 exactly when the condition derives
+    them equal to y; a side that is the variable y or x has value 1 or
+    0, and h(w_B) = x with B in F(h) would derive x = y, which
+    consistency excludes;
+  * conversely, an inconsistent condition derives x = y, which fails
+    on {0, 1}, and cube identities for h have no model in the clone:
+    if f_h <= x_j, the rows of a cube matrix must each carry y at
+    position j, so column j is all-y; if f_h = 0, no row has value y.
+
+So a model exists exactly when the condition is applicable, and it
+needs no search.  Defining terms are built by Shannon expansion:
+with impd(a, b) = b AND NOT a, for g <= x_j and a, b <= x_j,
+
+    constant 0 = impd(x1, x1),   g AND NOT x_i = impd(x_i, g),
+    g AND x_i = impd(impd(x_i, g), g),
+    a OR b = impd(impd(b, impd(a, x_j)), x_j),
+
+expanding over the variables other than x_j that g depends on, so a
+projection comes out as the bare variable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
-import numpy as np
-
-from .algebras import FiniteAlgebra, TermTree, evaluate, leaf, node, tree_size
-from .terms import LinearTerm, MaltsevCondition, OperationSymbol
+from .algebras import FiniteAlgebra, TermTree, leaf, node
+from .cube import check_condition
+from .terms import MaltsevCondition, OperationSymbol
 
 DUAL_IMPLICATION = OperationSymbol("impd", 2)
 
@@ -52,106 +74,73 @@ class BooleanOperationEntry:
         return self.truth_table[index]
 
 
-def _term_for_mask(
-    mask: int, parents: dict[int, tuple[int, int] | int]
-) -> TermTree:
-    memo: dict[int, TermTree] = {}
-    stack = [mask]
-    while stack:
-        m = stack.pop()
-        if m in memo:
-            continue
-        parent = parents[m]
-        if isinstance(parent, int):
-            memo[m] = leaf(parent)
-            continue
-        a, b = parent
-        if a in memo and b in memo:
-            memo[m] = node(DUAL_IMPLICATION, memo[a], memo[b])
-        else:
-            stack.extend((m, a, b))
-    return memo[mask]
+def _impd(a: TermTree, b: TermTree) -> TermTree:
+    return node(DUAL_IMPLICATION, a, b)
+
+
+def _variable_mask(i: int, k: int) -> int:
+    """Table of x_{i+1} packed little-endian over the lexicographic rows."""
+    return sum(1 << p for p in range(1 << k) if p >> (k - 1 - i) & 1)
+
+
+def _defining_term(mask: int, k: int) -> TermTree:
+    """A term for the clone member whose packed table is `mask`.
+
+    Bit p of the mask is the value at the argument row of lexicographic
+    rank p.
+    """
+    if not mask:
+        return _impd(leaf(0), leaf(0))
+    variables = [_variable_mask(i, k) for i in range(k)]
+    j = min(j for j in range(k) if not mask & ~variables[j])
+    xj = leaf(j)
+
+    def below_xj(g: int, start: int) -> TermTree:
+        for i in range(start, k):
+            # the cofactors of g at x_i = 1 and x_i = 0, spread over both halves
+            shift = 1 << (k - 1 - i)
+            high, low = g & variables[i], g & ~variables[i]
+            g1, g0 = high | high >> shift, low | low << shift
+            if i == j or g1 == g0:
+                continue
+            xi = leaf(i)
+            parts = []
+            if g1:
+                t1 = below_xj(g1, i + 1)
+                parts.append(_impd(_impd(xi, t1), t1))
+            if g0:
+                parts.append(_impd(xi, below_xj(g0, i + 1)))
+            if len(parts) == 1:
+                return parts[0]
+            a, b = parts
+            return _impd(_impd(b, _impd(a, xj)), xj)
+        return xj
+
+    return below_xj(mask, 0)
 
 
 @lru_cache(maxsize=None)
 def clone_enumerate(k: int) -> tuple[BooleanOperationEntry, ...]:
-    """All k-ary members of the clone, breadth-first over composition depth.
+    """All k-ary members of the clone: constant 0, then each table below x_j.
 
-    Truth tables are packed little-endian by argument index: bit of
-    table position p is the value at the argument row whose lexicographic
-    rank is p.
+    Truth tables are in lexicographic row order; tables below several
+    projections are listed once, under the first.
     """
     if not 1 <= k <= _MAX_CLONE_ARITY:
         raise ValueError(f"arity {k} outside the supported range 1..{_MAX_CLONE_ARITY}")
-    rows = 1 << k
-    full = (1 << rows) - 1
-    parents: dict[int, tuple[int, int] | int] = {}
-    order: list[int] = []
-    for i in range(k):
-        mask = 0
-        for p in range(rows):
-            if (p >> (k - 1 - i)) & 1:
-                mask |= 1 << p
-        if mask not in parents:
-            parents[mask] = i
-            order.append(mask)
-    old = 0
-    while True:
-        current = len(order)
-        if old == current:
-            break
-        fresh: list[int] = []
-        for ia in range(current):
-            for ib in range(current):
-                if ia < old and ib < old:
-                    continue
-                composed = ~order[ia] & order[ib] & full
-                if composed not in parents:
-                    parents[composed] = (order[ia], order[ib])
-                    fresh.append(composed)
-        old = current
-        order.extend(fresh)
-
-    entries = []
-    for mask in order:
-        table = tuple((mask >> p) & 1 for p in range(rows))
-        entries.append(BooleanOperationEntry(k, table, _term_for_mask(mask, parents)))
-    return tuple(entries)
-
-
-@lru_cache(maxsize=None)
-def _relation_row_indices(m: int, k: int) -> list[np.ndarray]:
-    """Per row, the truth-table index each member combination induces."""
-    members = np.array([t for t in range(1 << m) if t != (1 << m) - 1], dtype=np.int64)
-    out = []
-    for i in range(m):
-        bits = (members >> (m - 1 - i)) & 1
-        index = bits
-        for _ in range(k - 1):
-            index = index[..., None] * 2 + bits
-        out.append(index.reshape(-1))
-    return out
-
-
-def preserves_relation(entry: BooleanOperationEntry, m: int) -> bool:
-    """Whether the entry preserves the m-tuples that are not all ones.
-
-    Applies the entry coordinatewise to every choice of m-tuples from
-    the relation and checks no all-ones tuple appears.  A violation, if
-    any exists, already occurs at m equal to the arity.
-    """
-    if m < 1:
-        raise ValueError("the relation needs at least one coordinate")
-    count = ((1 << m) - 1) ** entry.arity
-    if count > 20_000_000:
-        raise ValueError("relation cross-check too large at this arity")
-    table = np.asarray(entry.truth_table, dtype=np.int8)
-    all_ones = np.ones(count, dtype=bool)
-    for index in _relation_row_indices(m, entry.arity):
-        all_ones &= table[index] == 1
-        if not all_ones.any():
-            return True
-    return not all_ones.any()
+    masks = {0: None}  # insertion-ordered set
+    for j in range(k):
+        xj = _variable_mask(j, k)
+        below = xj
+        while below:  # every nonzero submask of x_j's table, x_j first
+            masks.setdefault(below)
+            below = (below - 1) & xj
+    return tuple(
+        BooleanOperationEntry(
+            k, tuple(mask >> p & 1 for p in range(1 << k)), _defining_term(mask, k)
+        )
+        for mask in masks
+    )
 
 
 @dataclass(frozen=True)
@@ -167,82 +156,26 @@ class Interpretation:
         )
 
 
-def _identity_holds(
-    identity, assignment: dict[OperationSymbol, BooleanOperationEntry]
-) -> bool:
-    variables = identity.variables()
-
-    def side(term: LinearTerm, env: dict[int, int]) -> int:
-        if term.symbol is None:
-            return env[term.args[0]]
-        return assignment[term.symbol].value([env[a] for a in term.args])
-
-    for bits in product((0, 1), repeat=len(variables)):
-        env = dict(zip(variables, bits))
-        if side(identity.lhs, env) != side(identity.rhs, env):
-            return False
-    return True
-
-
 def find_interpretation(condition: MaltsevCondition) -> Interpretation | None:
-    """Search the clone for a simultaneous model of the condition on {0, 1}.
+    """The model of the condition in the clone read off its cube families.
 
-    Symbols are assigned in descending order of identity participation,
-    candidates in ascending term size; each identity prunes as soon as
-    all its symbols are assigned.  Returns None when no assignment
-    exists, which for consistent conditions means some symbol entails
-    cube identities.
+    Symbol h gets the table that is 1 at an argument row exactly when
+    the set of positions carrying 1 lies in h's `y_family`.  Returns None
+    when the condition is inconsistent or entails cube identities, in
+    which case no model in the clone exists.
     """
-    for s in condition.signature:
-        if s.arity == 0:
-            raise ValueError("nullary symbols are outside the interpretation search")
-        if s.arity > _MAX_CLONE_ARITY:
-            raise ValueError(
-                f"arity {s.arity} of {s} exceeds the supported bound {_MAX_CLONE_ARITY}"
-            )
-    participation = {s: 0 for s in condition.signature}
-    for identity in condition.identities:
-        for s in identity.symbols():
-            participation[s] += 1
-    symbols = sorted(
-        condition.signature, key=lambda s: (-participation[s], s.name)
-    )
-    rank = {s: i for i, s in enumerate(symbols)}
-    checkpoint: dict[int, list] = {i: [] for i in range(len(symbols))}
-    immediate = []
-    for identity in condition.identities:
-        used = identity.symbols()
-        if used:
-            checkpoint[max(rank[s] for s in used)].append(identity)
-        else:
-            immediate.append(identity)
-    for identity in immediate:
-        if not _identity_holds(identity, {}):
-            return None
-
-    candidates = {
-        s: sorted(
-            clone_enumerate(s.arity),
-            key=lambda e: (tree_size(e.defining_term), e.truth_table),
-        )
-        for s in symbols
-    }
-    assignment: dict[OperationSymbol, BooleanOperationEntry] = {}
-
-    def search(position: int) -> bool:
-        if position == len(symbols):
-            return True
-        symbol = symbols[position]
-        for entry in candidates[symbol]:
-            assignment[symbol] = entry
-            if all(
-                _identity_holds(identity, assignment)
-                for identity in checkpoint[position]
-            ) and search(position + 1):
-                return True
-        assignment.pop(symbol, None)
-        return False
-
-    if not search(0):
+    if any(s.arity == 0 for s in condition.signature):
+        raise ValueError("nullary symbols have no term over the dual implication")
+    report = check_condition(condition)
+    if not report.applicable:
         return None
-    return Interpretation(condition, dict(assignment))
+    assignment = {}
+    for cube in report.reports:
+        k = cube.symbol.arity
+        table = tuple(
+            int(frozenset(i + 1 for i in range(k) if p >> (k - 1 - i) & 1) in cube.y_family)
+            for p in range(1 << k)
+        )
+        mask = sum(bit << p for p, bit in enumerate(table))
+        assignment[cube.symbol] = BooleanOperationEntry(k, table, _defining_term(mask, k))
+    return Interpretation(condition, assignment)

@@ -16,7 +16,10 @@ available, trading speed for obviousness:
     rather than resolving the tree in one top-down pass;
   * clone membership uses the characterization that a boolean function
     lies in the clone of the dual implication iff it is constant 0 or
-    bounded above by some projection.
+    bounded above by some projection;
+  * the clone is enumerated by composing ->d breadth-first from the
+    projections, and interpretations are found by backtracking over it,
+    rather than read off the cube families.
 
 A k-ary violation of relation preservation needs only k rows: pick for
 each output coordinate one argument row where the function is 0, if one
@@ -26,6 +29,7 @@ and never violates.  Hence checking m up to the arity is complete.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 from random import Random
 from typing import Sequence
@@ -35,9 +39,13 @@ from maltcube.algebras import (
     TermTree,
     _fold_tree,
     evaluate_on_power,
+    leaf,
+    node,
     satisfies,
+    tree_size,
 )
 from maltcube.construction import EliminationError, ExtendedAlgebra
+from maltcube.interp import DUAL_IMPLICATION, BooleanOperationEntry, Interpretation
 from maltcube.terms import (
     Identity,
     LinearTerm,
@@ -384,3 +392,149 @@ def oracle_preserves(table: tuple[int, ...], arity: int, m: int) -> bool:
         if image == (1,) * m:
             return False
     return True
+
+
+def _term_for_mask(
+    mask: int, parents: dict[int, tuple[int, int] | int]
+) -> TermTree:
+    memo: dict[int, TermTree] = {}
+    stack = [mask]
+    while stack:
+        m = stack.pop()
+        if m in memo:
+            continue
+        parent = parents[m]
+        if isinstance(parent, int):
+            memo[m] = leaf(parent)
+            continue
+        a, b = parent
+        if a in memo and b in memo:
+            memo[m] = node(DUAL_IMPLICATION, memo[a], memo[b])
+        else:
+            stack.extend((m, a, b))
+    return memo[mask]
+
+
+@lru_cache(maxsize=None)
+def reference_clone_enumerate(k: int) -> tuple[BooleanOperationEntry, ...]:
+    """All k-ary members of the clone, breadth-first over composition depth.
+
+    Truth tables are packed little-endian by argument index: bit of
+    table position p is the value at the argument row whose lexicographic
+    rank is p.
+    """
+    if not 1 <= k <= 4:
+        raise ValueError(f"arity {k} outside the supported range 1..4")
+    rows = 1 << k
+    full = (1 << rows) - 1
+    parents: dict[int, tuple[int, int] | int] = {}
+    order: list[int] = []
+    for i in range(k):
+        mask = 0
+        for p in range(rows):
+            if (p >> (k - 1 - i)) & 1:
+                mask |= 1 << p
+        if mask not in parents:
+            parents[mask] = i
+            order.append(mask)
+    old = 0
+    while True:
+        current = len(order)
+        if old == current:
+            break
+        fresh: list[int] = []
+        for ia in range(current):
+            for ib in range(current):
+                if ia < old and ib < old:
+                    continue
+                composed = ~order[ia] & order[ib] & full
+                if composed not in parents:
+                    parents[composed] = (order[ia], order[ib])
+                    fresh.append(composed)
+        old = current
+        order.extend(fresh)
+
+    entries = []
+    for mask in order:
+        table = tuple((mask >> p) & 1 for p in range(rows))
+        entries.append(BooleanOperationEntry(k, table, _term_for_mask(mask, parents)))
+    return tuple(entries)
+
+
+def _identity_holds(
+    identity, assignment: dict[OperationSymbol, BooleanOperationEntry]
+) -> bool:
+    variables = identity.variables()
+
+    def side(term: LinearTerm, env: dict[int, int]) -> int:
+        if term.symbol is None:
+            return env[term.args[0]]
+        return assignment[term.symbol].value([env[a] for a in term.args])
+
+    for bits in product((0, 1), repeat=len(variables)):
+        env = dict(zip(variables, bits))
+        if side(identity.lhs, env) != side(identity.rhs, env):
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _candidates_by_size(k: int) -> tuple[BooleanOperationEntry, ...]:
+    return tuple(
+        sorted(
+            reference_clone_enumerate(k),
+            key=lambda e: (tree_size(e.defining_term), e.truth_table),
+        )
+    )
+
+
+def reference_find_interpretation(condition: MaltsevCondition) -> Interpretation | None:
+    """Search the clone for a simultaneous model of the condition on {0, 1}.
+
+    Symbols are assigned in descending order of identity participation,
+    candidates in ascending term size; each identity prunes as soon as
+    all its symbols are assigned.  Arity 1 to 4 only.
+    """
+    for s in condition.signature:
+        if not 1 <= s.arity <= 4:
+            raise ValueError(f"arity {s.arity} of {s} outside the reference's range 1..4")
+    participation = {s: 0 for s in condition.signature}
+    for identity in condition.identities:
+        for s in identity.symbols():
+            participation[s] += 1
+    symbols = sorted(
+        condition.signature, key=lambda s: (-participation[s], s.name)
+    )
+    rank = {s: i for i, s in enumerate(symbols)}
+    checkpoint: dict[int, list] = {i: [] for i in range(len(symbols))}
+    immediate = []
+    for identity in condition.identities:
+        used = identity.symbols()
+        if used:
+            checkpoint[max(rank[s] for s in used)].append(identity)
+        else:
+            immediate.append(identity)
+    for identity in immediate:
+        if not _identity_holds(identity, {}):
+            return None
+
+    candidates = {s: _candidates_by_size(s.arity) for s in symbols}
+    assignment: dict[OperationSymbol, BooleanOperationEntry] = {}
+
+    def search(position: int) -> bool:
+        if position == len(symbols):
+            return True
+        symbol = symbols[position]
+        for entry in candidates[symbol]:
+            assignment[symbol] = entry
+            if all(
+                _identity_holds(identity, assignment)
+                for identity in checkpoint[position]
+            ) and search(position + 1):
+                return True
+        assignment.pop(symbol, None)
+        return False
+
+    if not search(0):
+        return None
+    return Interpretation(condition, dict(assignment))

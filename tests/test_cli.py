@@ -321,6 +321,37 @@ def test_interpret_none_reasons(capsys, tmp_path):
     assert "interpretation: none (inconsistent)" in out
 
 
+# two arity-4 symbols that derive y = z; a search over the clone tried every
+# pair of its 942 arity-4 members before answering
+INCONSISTENT_PAIR4_TEXT = (
+    "signature: h0/4, h1/4\nidentities:\n"
+    "  h0(x2,x2,x2,x2) = h1(x1,x1,x0,x2)\n"
+    "  x1 = h0(x1,x1,x2,x2)\n"
+    "  h1(x1,x1,x2,x0) = x1\n"
+)
+
+
+def test_interpret_inconsistent_arity_four_pair_is_fast(capsys, tmp_path):
+    path = tmp_path / "pair4.cond"
+    path.write_text(INCONSISTENT_PAIR4_TEXT)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "interpret", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert "interpretation: none (inconsistent)" in out
+
+
+def test_interpret_arity_five(capsys, tmp_path):
+    path = tmp_path / "h5.cond"
+    path.write_text(
+        "signature: h/5\nidentities:\n  h(x,y,y,x,y) = y\n  h(x,y,x,y,y) = y\n"
+    )
+    code, out, _ = run(capsys, "interpret", str(path))
+    assert code == 0
+    assert out.splitlines()[0] == "interpretation: yes"
+    assert any(l.startswith("h = impd(") for l in out.splitlines())
+
+
 # --- reduce ------------------------------------------------------------------
 
 

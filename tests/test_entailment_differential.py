@@ -25,9 +25,9 @@ from maltcube.terms import (
 
 
 @st.composite
-def conditions(draw) -> MaltsevCondition:
+def conditions(draw, min_arity: int = 0) -> MaltsevCondition:
     """At most 3 symbols of arity at most 4, identities over the canonical set."""
-    arities = draw(st.lists(st.integers(0, 4), min_size=1, max_size=3))
+    arities = draw(st.lists(st.integers(min_arity, 4), min_size=1, max_size=3))
     symbols = tuple(OperationSymbol(f"f{i}", a) for i, a in enumerate(arities))
     nvars = max(2, *arities)
     variables = st.integers(0, nvars - 1)

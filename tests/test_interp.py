@@ -1,17 +1,18 @@
-"""The two-element dual implication algebra, its clone, and the search."""
+"""The two-element dual implication algebra, its clone, and interpretations."""
 
 from itertools import product
 
 import pytest
 
 from oracles import dual_clone_member, oracle_preserves
+from maltcube import interp
 from maltcube.algebras import evaluate, satisfies
+from maltcube.entailment import TermUniverseError
 from maltcube.interp import (
     DUAL_IMPLICATION,
     clone_enumerate,
     dual_implication_algebra,
     find_interpretation,
-    preserves_relation,
 )
 from maltcube.terms import (
     MaltsevCondition,
@@ -57,7 +58,7 @@ def test_clone_count_at_arity_four_matches_the_oracle():
     assert len(clone_enumerate(4)) == expected == 942
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_defining_terms_reproduce_their_tables(k):
     algebra = dual_implication_algebra()
     for entry in clone_enumerate(k):
@@ -93,7 +94,6 @@ def test_projections_and_constant_zero_are_members():
 def test_clone_members_preserve_every_relation(k):
     for entry in clone_enumerate(k):
         for m in range(1, 5):
-            assert preserves_relation(entry, m)
             assert oracle_preserves(entry.truth_table, k, m)
 
 
@@ -102,33 +102,30 @@ def test_non_members_break_some_small_relation():
     # so scanning m <= k decides membership both ways
     for k in (1, 2, 3):
         member_tables = {e.truth_table for e in clone_enumerate(k)}
-        sample = clone_enumerate(k)[0]
         for table in product((0, 1), repeat=2 ** k):
-            entry = type(sample)(k, table, sample.defining_term)
-            preserved = all(preserves_relation(entry, m) for m in range(1, k + 1))
+            preserved = all(oracle_preserves(table, k, m) for m in range(1, k + 1))
             assert preserved == (table in member_tables)
 
 
 def test_preserves_relation_agrees_with_the_oracle():
+    # members preserve every relation; from m = k on, so does nothing else
     for k in (1, 2):
-        sample = clone_enumerate(k)[0]
         for table in product((0, 1), repeat=2 ** k):
-            entry = type(sample)(k, table, sample.defining_term)
+            member = dual_clone_member(table, k)
             for m in (1, 2, 3):
-                assert preserves_relation(entry, m) == oracle_preserves(table, k, m)
+                preserved = oracle_preserves(table, k, m)
+                if m >= k:
+                    assert preserved == member
+                elif member:
+                    assert preserved
 
 
 def test_negation_and_constant_one_fail_immediately():
-    sample = clone_enumerate(1)[0]
-    negation = type(sample)(1, (1, 0), sample.defining_term)
-    constant = type(sample)(1, (1, 1), sample.defining_term)
-    assert not preserves_relation(negation, 1)
-    assert not preserves_relation(constant, 1)
-    with pytest.raises(ValueError, match="at least one coordinate"):
-        preserves_relation(sample, 0)
+    assert not oracle_preserves((1, 0), 1, 1)  # negation
+    assert not oracle_preserves((1, 1), 1, 1)  # constant 1
 
 
-# --- the interpretation search -----------------------------------------------
+# --- the interpretation read off the cube families ---------------------------
 
 
 def test_interpretation_found_for_permutability_chains(condition_corpus):
@@ -166,12 +163,48 @@ def test_interpretation_for_free_and_random_conditions(condition_corpus):
         assert satisfies(found.as_algebra(), condition)
 
 
+def assert_verified_model(found, condition):
+    """Tables in the clone, a model of the condition, terms giving the tables."""
+    algebra = dual_implication_algebra()
+    assert set(found.assignment) == set(condition.signature)
+    assert satisfies(found.as_algebra(), condition)
+    for symbol, entry in found.assignment.items():
+        k = symbol.arity
+        assert entry.arity == k
+        assert dual_clone_member(entry.truth_table, k)
+        for p, args in enumerate(product((0, 1), repeat=k)):
+            assert evaluate(entry.defining_term, algebra, args) == entry.truth_table[p]
+
+
+WIDE_CONDITIONS = {
+    5: "signature: h/5\nidentities:\n"
+    "  h(x,y,y,x,y) = y\n  h(x,y,x,y,y) = y\n  h(x,x,y,y,z) = h(x,x,z,y,y)\n",
+    6: "signature: h/6, g/2\nidentities:\n"
+    "  h(x,y,y,x,y,y) = g(x,y)\n  g(y,y) = y\n  h(x,y,x,y,x,y) = y\n",
+}
+
+
 def test_interpretation_rejects_unsupported_signatures():
     with pytest.raises(ValueError, match="nullary"):
         find_interpretation(MaltsevCondition((OperationSymbol("c", 0),), ()))
-    wide = MaltsevCondition((OperationSymbol("h", 5),), ())
-    with pytest.raises(ValueError, match="exceeds the supported bound"):
-        find_interpretation(wide)
+    for arity, text in WIDE_CONDITIONS.items():
+        condition = parse_condition(text)
+        assert condition.max_arity() == arity
+        found = find_interpretation(condition)
+        assert found is not None
+        assert_verified_model(found, condition)
+        assert any(any(e.truth_table) for e in found.assignment.values())
+    with pytest.raises(TermUniverseError):
+        find_interpretation(MaltsevCondition((OperationSymbol("h", 8),), ()))
+
+
+def test_interpretation_makes_no_clone_enumeration(monkeypatch, condition_corpus):
+    def refuse(k):
+        raise AssertionError("find_interpretation enumerated the clone")
+
+    monkeypatch.setattr(interp, "clone_enumerate", refuse)
+    for condition in condition_corpus.values():
+        find_interpretation(condition)
 
 
 def test_interpretation_agrees_with_cube_decision(condition_corpus):
@@ -180,7 +213,7 @@ def test_interpretation_agrees_with_cube_decision(condition_corpus):
     from maltcube.cube import check_condition
 
     for name, condition in condition_corpus.items():
-        if any(s.arity == 0 or s.arity > 4 for s in condition.signature):
+        if any(s.arity == 0 for s in condition.signature):
             continue
         report = check_condition(condition)
         found = find_interpretation(condition)
