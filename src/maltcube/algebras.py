@@ -44,7 +44,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .terms import Identity, MaltsevCondition, OperationSymbol
+from .terms import Identity, MaltsevCondition, OperationSymbol, _significant_lines
 
 DEFAULT_BUDGET = 1_000_000
 _TABLE_CAP = 1 << 18      # max entries in a lifted chunk table
@@ -286,17 +286,8 @@ class AlgebraFormatError(ValueError):
         super().__init__(f"{where}: {message}")
 
 
-def _clean_lines(text: str) -> list[tuple[int, str]]:
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            out.append((lineno, body))
-    return out
-
-
 def parse_algebra(text: str, source: str = "<string>") -> FiniteAlgebra:
-    lines = _clean_lines(text)
+    lines = _significant_lines(text)
     if not lines or not lines[0][1].startswith("universe:"):
         raise AlgebraFormatError("expected a universe: line first", source=source,
                                  line=lines[0][0] if lines else None)
@@ -378,7 +369,7 @@ class SmpInstance:
 
 
 def parse_instance(text: str, source: str = "<string>") -> SmpInstance:
-    lines = _clean_lines(text)
+    lines = _significant_lines(text)
     if not lines or not lines[0][1].startswith("m:"):
         raise AlgebraFormatError("expected an m: line first", source=source,
                                  line=lines[0][0] if lines else None)

@@ -9,7 +9,10 @@ Exit codes: 0 for success or a "yes" decision, 1 for a "no"-type
 decision (inconsistent or cube-entailing condition, failed model check,
 non-member target, no interpretation, violated certificate), 2 for
 usage, parse, or I/O errors, 3 for an exhausted subpower closure budget
-or a weak closure whose term universe exceeds its size limit.
+or a weak closure whose terms plus seed pairs exceed MAX_TERMS: from
+arity 8 for `closure`, `extend` and `reduce`, which build the canonical
+closure, and from arity 21 for `check` and `interpret`, which build the
+closure over {x, y} only.
 """
 
 from __future__ import annotations

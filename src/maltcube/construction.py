@@ -56,9 +56,8 @@ from .algebras import (
     tree_symbols,
 )
 from .cube import check_condition
-from .entailment import CONDITION_INDEX_MEMO, condition_index, entails
+from .entailment import CONDITION_INDEX_MEMO, condition_index
 from .terms import (
-    Identity,
     LinearTerm,
     MaltsevCondition,
     OperationSymbol,
@@ -108,7 +107,9 @@ def _pattern_positions(condition: MaltsevCondition) -> PatternPositions:
     """Per symbol and pattern, all 1-based i with Sigma deriving h(x-bar) = x_i.
 
     Memoized per condition, like its closure; read-only because every
-    extension of the condition shares it.
+    extension of the condition shares it.  Needs the canonical closure:
+    Sigma = {h(x,x,y) = x, h(x,y,x) = x, h(y,x,x) = y} derives every
+    {x, y}-collapse of h(x,y,z) = x but not that identity itself.
     """
     index = condition_index(condition)
     out = {}
@@ -122,7 +123,7 @@ def _pattern_positions(condition: MaltsevCondition) -> PatternPositions:
             table[pattern] = tuple(
                 i
                 for i in range(1, symbol.arity + 1)
-                if entails(index, Identity(term, var(rep[i - 1]))).derivable
+                if index.same_class(term, var(rep[i - 1]))
             )
         out[symbol] = MappingProxyType(table)
     return MappingProxyType(out)

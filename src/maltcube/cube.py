@@ -21,6 +21,11 @@ is nonempty and the intersection of all its members is empty:
 
 A minimal witness subfamily needs at most k members: whenever the
 intersection is empty, one member omitting each position suffices.
+
+Every member is an {x, y}-fact, so F(h) is read off the condition's
+closure over the two variables {x, y} (`maltcube.entailment` explains
+why that closure is exact), as is consistency: the condition is
+inconsistent exactly when that closure merges x and y.
 """
 
 from __future__ import annotations
@@ -28,8 +33,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .entailment import CONDITION_INDEX_MEMO, EntailmentIndex, condition_index, entails
-from .terms import Identity, MaltsevCondition, OperationSymbol, app, var
+import numpy as np
+
+from .entailment import CONDITION_INDEX_MEMO, EntailmentIndex, condition_index
+from .terms import MaltsevCondition, OperationSymbol
 
 
 @dataclass(frozen=True)
@@ -66,39 +73,57 @@ def y_family(condition: MaltsevCondition, symbol: OperationSymbol) -> frozenset[
 
 
 def _minimal_subfamily(family: frozenset[frozenset[int]]) -> list[frozenset[int]]:
-    """Greedy removal in sorted order; the result is irreducible."""
-    chosen = sorted(family, key=lambda b: tuple(sorted(b)))
-    i = 0
-    while i < len(chosen):
-        rest = chosen[:i] + chosen[i + 1 :]
-        if rest and not frozenset.intersection(*rest):
-            chosen = rest
-        else:
-            i += 1
+    """Greedy removal in sorted order; the result is irreducible.
+
+    A member is dropped when the kept members before it and all members
+    after it still have empty intersection.  Removals happen only at the
+    current member, so the members after it are the sorted tail, whose
+    intersections are precomputed: linear in the family, not quadratic.
+    """
+    ordered = sorted(family, key=lambda b: tuple(sorted(b)))
+    universe = frozenset().union(*ordered)
+    # tails[t]: intersection of ordered[t:], the universe for the empty tail
+    tails = [universe] * (len(ordered) + 1)
+    for t in range(len(ordered) - 1, -1, -1):
+        tails[t] = ordered[t] & tails[t + 1]
+    chosen: list[frozenset[int]] = []
+    common = universe
+    for t, b in enumerate(ordered):
+        others = chosen or t + 1 < len(ordered)
+        if others and not common & tails[t + 1]:
+            continue
+        chosen.append(b)
+        common &= b
     return chosen
 
 
 def entails_cube(condition: MaltsevCondition, symbol: OperationSymbol) -> CubeReport:
-    """Decide whether the condition entails cube identities for one symbol."""
+    """Decide whether the condition entails cube identities for one symbol.
+
+    The symbol's entry of the memoized `check_condition` report.
+    """
     if symbol not in condition.signature:
         raise ValueError(f"{symbol} is not in the condition's signature")
-    index = condition_index(condition)
-    if index.inconsistent:
+    report = check_condition(condition)
+    if not report.consistent:
         raise ValueError("cube decisions require a consistent condition")
-    return _cube_report(index, symbol)
+    return report.reports[condition.signature.index(symbol)]
 
 
 def _cube_report(index: EntailmentIndex, symbol: OperationSymbol) -> CubeReport:
-    """`entails_cube` against the condition's consistent closure."""
-    x, y = 0, 1
+    """`entails_cube` against the condition's consistent closure over {x, y}.
+
+    Id offset + p of that closure is h(w_B) with position i (1-based) in
+    B exactly when bit k-i of p is set, so one comparison against the
+    class of y lists the whole family.
+    """
     k = symbol.arity
-    found = set()
-    for bits in range(1 << k):
-        positions = frozenset(i + 1 for i in range(k) if bits >> i & 1)
-        args = (y if i + 1 in positions else x for i in range(k))
-        if entails(index, Identity(app(symbol, *args), var(y))).derivable:
-            found.add(positions)
-    family = frozenset(found)
+    offset = index._offsets[symbol]
+    hits = np.flatnonzero(index._rep[offset : offset + 2**k] == index._rep[1])
+    family = frozenset(
+        frozenset(i + 1 for i in range(k) if p >> (k - 1 - i) & 1)
+        for p in hits.tolist()
+    )
     positive = bool(family) and not frozenset.intersection(*family)
     witness: tuple[str, ...] | None = None
     if positive:
@@ -115,9 +140,10 @@ def _cube_report(index: EntailmentIndex, symbol: OperationSymbol) -> CubeReport:
 def check_condition(condition: MaltsevCondition) -> ConditionReport:
     """Consistency, per-symbol cube decisions, and overall applicability.
 
-    Memoized per condition, like its closure; the frozen report is shared.
+    Decided on the closure over {x, y} alone.  Memoized per condition,
+    like its closure; the frozen report is shared.
     """
-    index = condition_index(condition)
+    index = condition_index(condition, 2)
     if index.inconsistent:
         return ConditionReport(condition, False, ())
     reports = tuple(_cube_report(index, s) for s in condition.signature)

@@ -2,18 +2,26 @@
 
 The closure of a condition's identities over a variable set X is the
 least partition of all linear terms over X (every variable, every symbol
-applied to every argument tuple) that identifies both sides of each
-listed identity and is stable under every substitution gamma: X -> X.
-Reflexivity, symmetry and transitivity come free with a partition, so
-only substitution stability needs saturating.
+applied to every argument tuple) that identifies both sides of every
+X-instance of each listed identity and is stable under every
+substitution gamma: X -> X.  Reflexivity, symmetry and transitivity come
+free with a partition, so only substitution stability needs saturating.
 
-An identity between linear terms is a semantic consequence of the
-condition exactly when, over a large enough X, it lands in one class or
-the closure has collapsed two distinct variables (an inconsistent
-condition entails everything).  Large enough means: at least two
-variables, at least the arity of every declared symbol, and at least the
-number of distinct variables of any identity involved; any two sets this
-large produce the same verdicts.
+An identity between linear terms over X is a semantic consequence of
+the condition exactly when it lands in one class or the closure has
+collapsed two distinct variables (an inconsistent condition entails
+everything).  This holds for every X with at least two variables, and
+in particular over {x, y}, which decides consistency and every cube
+family.  A derivation of s = t over a larger set maps, under the
+substitution fixing X and collapsing every other variable onto x, to a
+derivation of s = t whose every step is an X-instance of a listed
+identity; so the terms over X fall into the same classes whatever
+larger set the derivation used.
+
+Seeds are those instances.  An identity whose w distinct variables fit
+in X is seeded by its normalized instance alone, since substitution
+stability reaches every other instance; a wider identity is seeded with
+each of its |X|^w instances.
 
 Saturation runs over a generating set of the full transformation monoid
 on X (a transposition, the full cycle, one rank-collapsing map) rather
@@ -23,17 +31,19 @@ under arbitrary composites, so the fixpoint is the same.
 Terms are never built as objects during saturation.  Each term is an
 integer id (variables first, then each symbol's argument tuples in
 lexicographic order), and the image of every id under each generator is
-computed by numpy digit maps.  A worklist of id pairs, seeded with the
-normalized identities, drives a union-find: popping a pair whose ends lie
-in different classes unions them and pushes the pair's image under every
-generator, as in congruence closure.  Each union thereby forces the
-images of its two ends together, so the image of every class is
-connected and the result is the least stable partition.  `LinearTerm`s
-are decoded only when `classes()` lists the partition.
+computed by numpy digit maps.  A worklist of id pairs, seeded as above,
+drives a union-find: popping a pair whose ends lie in different classes
+unions them and pushes the pair's image under every generator, as in
+congruence closure.  Each union thereby forces the images of its two
+ends together, so the image of every class is connected and the result
+is the least stable partition.  `LinearTerm`s are decoded only when
+`classes()` lists the partition.
 
-The universe has nvars + sum nvars^arity terms.  Above MAX_TERMS the
-constructor raises TermUniverseError before allocating anything: one
-arity-9 symbol alone would need 9^9 terms.
+The universe has nvars + sum nvars^arity terms.  When the terms plus the
+seed pairs exceed MAX_TERMS the constructor raises TermUniverseError
+before allocating anything: one arity-9 symbol over nine variables would
+need 9^9 terms, and an identity in 38 variables over two would need 2^38
+seed pairs.
 """
 
 from __future__ import annotations
@@ -58,18 +68,25 @@ from .terms import (
 
 
 MAX_TERMS = 2_000_000
-"""Largest term universe a closure may build: two arity-7 symbols fit, arity 8 does not."""
+"""Largest count of terms plus seed pairs a closure may build.
+
+Over two variables a symbol of arity 20 fits and arity 21 does not; over
+the canonical set two arity-7 symbols fit and arity 8 does not.
+"""
 
 
 class TermUniverseError(RuntimeError):
-    """The closure would need more than MAX_TERMS terms; nothing was allocated."""
+    """The closure would need more than MAX_TERMS terms and seed pairs.
+
+    Raised before anything is allocated; `terms` is that total.
+    """
 
     def __init__(self, terms: int, nvars: int):
         self.terms = terms
         self.limit = MAX_TERMS
         super().__init__(
-            f"the weak closure over {nvars} variables needs {terms} terms, "
-            f"more than the limit of {MAX_TERMS}"
+            f"the weak closure over {nvars} variables needs {terms} terms "
+            f"and seed pairs, more than the limit of {MAX_TERMS}"
         )
 
 
@@ -136,13 +153,12 @@ class EntailmentIndex:
     def __init__(self, condition: MaltsevCondition, nvars: int):
         if nvars < 2:
             raise ValueError("the variable set needs at least two variables")
-        if condition.max_arity() > nvars:
-            raise ValueError(
-                f"variable set of size {nvars} is smaller than the maximal arity"
-            )
+        norms = [normalize_identity(ident) for ident in condition.identities]
+        widths = [len(norm.variables()) for norm in norms]
         size = universe_size(condition, nvars)
-        if size > MAX_TERMS:
-            raise TermUniverseError(size, nvars)
+        seed_count = sum(1 if w <= nvars else nvars**w for w in widths)
+        if size + seed_count > MAX_TERMS:
+            raise TermUniverseError(size + seed_count, nvars)
         self.condition = condition
         self.nvars = nvars
         self._offsets: dict[OperationSymbol, int] = {}
@@ -152,13 +168,12 @@ class EntailmentIndex:
             offset += nvars**s.arity
 
         seeds = []
-        for ident in condition.identities:
-            norm = normalize_identity(ident)
-            if len(norm.variables()) > nvars:
-                raise ValueError(
-                    f"identity {ident} uses more than {nvars} distinct variables"
-                )
-            seeds.append((self.term_id(norm.lhs), self.term_id(norm.rhs)))
+        for norm, w in zip(norms, widths):
+            if w <= nvars:
+                seeds.append((self.term_id(norm.lhs), self.term_id(norm.rhs)))
+            else:
+                lhs, rhs = self._instance_ids(norm.lhs, w), self._instance_ids(norm.rhs, w)
+                seeds += zip(lhs.tolist(), rhs.tolist())
         gammas = _monoid_generators(nvars)
         images = [self._image(gamma, size) for gamma in gammas]
 
@@ -222,6 +237,19 @@ class EntailmentIndex:
                 local[k] = block.ravel()
             np.add(local[k], offset, out=image[offset : offset + n**k])
         return image
+
+    def _instance_ids(self, term: LinearTerm, w: int) -> np.ndarray:
+        """Ids of the term's images under all nvars^w maps of its w variables.
+
+        Map q sends variable v to digit v of q in base nvars, most
+        significant first, as `term_id` reads an argument tuple.
+        """
+        n = self.nvars
+        maps = np.arange(n**w, dtype=np.int64)
+        local = np.zeros_like(maps)
+        for a in term.args:
+            local = local * n + maps // n ** (w - 1 - a) % n
+        return local + (0 if term.symbol is None else self._offsets[term.symbol])
 
     def term_id(self, term: LinearTerm) -> int:
         n = self.nvars
@@ -302,7 +330,7 @@ def derives(condition: MaltsevCondition, ident: Identity) -> bool:
 
 def is_consistent(condition: MaltsevCondition) -> bool:
     """True when the condition does not entail x = y for distinct variables."""
-    return not condition_index(condition).inconsistent
+    return not condition_index(condition, 2).inconsistent
 
 
 def render_classes(index: EntailmentIndex) -> str:

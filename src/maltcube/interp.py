@@ -33,7 +33,7 @@ needs no search.  Defining terms are built by Shannon expansion:
 with impd(a, b) = b AND NOT a, for g <= x_j and a, b <= x_j,
 
     constant 0 = impd(x1, x1),   g AND NOT x_i = impd(x_i, g),
-    g AND x_i = impd(impd(x_i, g), g),
+    g AND x_i = impd(impd(x_i, x_j), g),
     a OR b = impd(impd(b, impd(a, x_j)), x_j),
 
 expanding over the variables other than x_j that g depends on, so a
@@ -44,6 +44,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .algebras import FiniteAlgebra, TermTree, leaf, node
 from .cube import check_condition
@@ -79,8 +81,12 @@ def _impd(a: TermTree, b: TermTree) -> TermTree:
 
 
 def _variable_mask(i: int, k: int) -> int:
-    """Table of x_{i+1} packed little-endian over the lexicographic rows."""
-    return sum(1 << p for p in range(1 << k) if p >> (k - 1 - i) & 1)
+    """Table of x_{i+1} packed little-endian over the lexicographic rows.
+
+    Bit p is bit k-1-i of p: runs of `run` zeros then `run` ones, repeated.
+    """
+    run = 1 << (k - 1 - i)
+    return ((1 << (1 << k)) - 1) // ((1 << 2 * run) - 1) * (((1 << run) - 1) << run)
 
 
 def _defining_term(mask: int, k: int) -> TermTree:
@@ -106,8 +112,7 @@ def _defining_term(mask: int, k: int) -> TermTree:
             xi = leaf(i)
             parts = []
             if g1:
-                t1 = below_xj(g1, i + 1)
-                parts.append(_impd(_impd(xi, t1), t1))
+                parts.append(_impd(_impd(xi, xj), below_xj(g1, i + 1)))
             if g0:
                 parts.append(_impd(xi, below_xj(g0, i + 1)))
             if len(parts) == 1:
@@ -172,10 +177,11 @@ def find_interpretation(condition: MaltsevCondition) -> Interpretation | None:
     assignment = {}
     for cube in report.reports:
         k = cube.symbol.arity
-        table = tuple(
-            int(frozenset(i + 1 for i in range(k) if p >> (k - 1 - i) & 1) in cube.y_family)
-            for p in range(1 << k)
+        table = np.zeros(1 << k, dtype=np.uint8)
+        for b in cube.y_family:
+            table[sum(1 << (k - i) for i in b)] = 1
+        mask = int.from_bytes(np.packbits(table, bitorder="little").tobytes(), "little")
+        assignment[cube.symbol] = BooleanOperationEntry(
+            k, tuple(table.tolist()), _defining_term(mask, k)
         )
-        mask = sum(bit << p for p, bit in enumerate(table))
-        assignment[cube.symbol] = BooleanOperationEntry(k, table, _defining_term(mask, k))
     return Interpretation(condition, assignment)

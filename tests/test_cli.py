@@ -129,17 +129,53 @@ def test_closure_vars_override(capsys, tmp_path):
     assert "error:" in err
 
 
-def test_check_rejects_huge_term_universe(capsys, tmp_path):
-    # one arity-9 symbol means 9 + 9^9 terms; refused before any allocation
+def test_closure_and_extend_reject_huge_term_universe(capsys, tmp_path, lattice_file):
+    # one arity-9 symbol means 9 + 9^9 terms over the canonical set; refused
+    # before any allocation, while check decides it over {x, y}
     path = tmp_path / "wide.cond"
     args = ",".join(["x"] * 8 + ["y"])
     path.write_text(f"signature: c/9\nidentities:\n  c({args}) = y\n")
+    for argv in (("closure", str(path)), ("extend", lattice_file, str(path))):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert out == ""
+        assert "387420499 terms and seed pairs" in err
+    code, out, _ = run(capsys, "check", str(path))
+    assert code == 0
+    assert "applicable: yes" in out.splitlines()
+
+
+def test_check_refuses_too_many_seed_pairs(capsys, tmp_path):
+    # 2 + 2 * 2^19 terms fit, but the identity's 38 variables would need
+    # 2^38 instances over {x, y}; the guard counts them before seeding
+    path = tmp_path / "seeds.cond"
+    lhs = ",".join(f"x{i}" for i in range(19))
+    rhs = ",".join(f"x{i}" for i in range(19, 38))
+    path.write_text(f"signature: h/19, g/19\nidentities:\n  h({lhs}) = g({rhs})\n")
     start = time.perf_counter()
     code, out, err = run(capsys, "check", str(path))
     assert time.perf_counter() - start < 1.0
     assert code == 3
     assert out == ""
-    assert "387420498 terms" in err
+    assert f"{2 + 2 * 2**19 + 2**38} terms and seed pairs" in err
+
+
+def test_check_and_interpret_arity_seventeen(capsys, tmp_path):
+    path = tmp_path / "h17.cond"
+    args = ",".join(f"x{i}" for i in range(17))
+    path.write_text(f"signature: h/17\nidentities:\n  h({args}) = x16\n")
+    code, out, _ = run(capsys, "check", str(path))
+    assert code == 0
+    assert "applicable: yes" in out.splitlines()
+    # a fresh condition, so interpret pays for its own closure
+    path.write_text(path.read_text().replace("h/17", "g/17").replace("h(", "g("))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "interpret", str(path))
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    assert out.splitlines() == ["interpretation: yes", "g = x17"]
 
 
 # --- gen ---------------------------------------------------------------------

@@ -4,8 +4,6 @@ from itertools import product
 
 import pytest
 
-import maltcube.construction
-import maltcube.cube
 from maltcube.algebras import (
     BudgetExceededError,
     FiniteAlgebra,
@@ -30,7 +28,7 @@ from maltcube.construction import (
     well_definedness_audit,
 )
 from maltcube.cube import check_condition
-from maltcube.entailment import CONDITION_INDEX_MEMO
+from maltcube.entailment import CONDITION_INDEX_MEMO, EntailmentIndex
 from maltcube.terms import (
     MaltsevCondition,
     OperationSymbol,
@@ -155,15 +153,19 @@ def test_extension_preserves_base_identities():
 def test_second_extension_makes_no_entailment_query(monkeypatch, algebra_corpus):
     condition = hagemann_mitschke_condition(4)
     extend(LATTICE2, condition)
-    original = maltcube.construction.entails
     calls = []
 
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
+    def counting(name):
+        original = getattr(EntailmentIndex, name)
 
-    monkeypatch.setattr(maltcube.construction, "entails", counting)
-    monkeypatch.setattr(maltcube.cube, "entails", counting)
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(EntailmentIndex, name, wrapper)
+
+    counting("__init__")
+    counting("same_class")
     ext = extend(algebra_corpus[0], condition)
     assert calls == []
     assert well_definedness_audit(ext)

@@ -1,5 +1,7 @@
 """Cube-identity entailment: families, decisions, witnesses."""
 
+from random import Random
+
 import pytest
 
 from oracles import oracle_entails_cube
@@ -191,6 +193,30 @@ def test_minimal_subfamily_greedy_examples():
         frozenset({1, 3}),
         frozenset({2, 3}),
     ]
+
+
+def quadratic_minimal_subfamily(family):
+    """The greedy removal spelled out: recompute the rest's intersection each time."""
+    chosen = sorted(family, key=lambda b: tuple(sorted(b)))
+    i = 0
+    while i < len(chosen):
+        rest = chosen[:i] + chosen[i + 1 :]
+        if rest and not frozenset.intersection(*rest):
+            chosen = rest
+        else:
+            i += 1
+    return chosen
+
+
+def test_minimal_subfamily_matches_the_quadratic_greedy():
+    rng = Random(7)
+    for _ in range(300):
+        k = rng.randint(1, 5)
+        family = frozenset(
+            frozenset(i for i in range(1, k + 1) if rng.random() < 0.6)
+            for _ in range(rng.randint(1, 12))
+        )
+        assert _minimal_subfamily(family) == quadratic_minimal_subfamily(family)
 
 
 def test_minimal_subfamily_is_irreducible(condition_corpus):

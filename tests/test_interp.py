@@ -6,7 +6,7 @@ import pytest
 
 from oracles import dual_clone_member, oracle_preserves
 from maltcube import interp
-from maltcube.algebras import evaluate, satisfies
+from maltcube.algebras import evaluate, satisfies, tree_size
 from maltcube.entailment import TermUniverseError
 from maltcube.interp import (
     DUAL_IMPLICATION,
@@ -65,6 +65,11 @@ def test_defining_terms_reproduce_their_tables(k):
         for p, args in enumerate(product((0, 1), repeat=k)):
             value = evaluate(entry.defining_term, algebra, args)
             assert value == entry.truth_table[p] == entry.value(args)
+
+
+def test_defining_terms_stay_small():
+    # g AND x_i is written with one copy of g, so no arity-4 term tops 49 nodes
+    assert max(tree_size(e.defining_term) for e in clone_enumerate(4)) <= 49
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -195,7 +200,7 @@ def test_interpretation_rejects_unsupported_signatures():
         assert_verified_model(found, condition)
         assert any(any(e.truth_table) for e in found.assignment.values())
     with pytest.raises(TermUniverseError):
-        find_interpretation(MaltsevCondition((OperationSymbol("h", 8),), ()))
+        find_interpretation(MaltsevCondition((OperationSymbol("h", 21),), ()))
 
 
 def test_interpretation_makes_no_clone_enumeration(monkeypatch, condition_corpus):
