@@ -24,8 +24,13 @@ applies every operation to argument tuples touching at least one member
 discovered in the previous round.  Members are packed into base-n
 integers and rounds run vectorized over numpy; operations are lifted to
 packed codes chunk by chunk so the hot loop is a handful of gathers into
-cache-sized tables.  A pure-python engine backs instances whose packed
-codes do not fit machine integers and doubles as a test oracle.
+cache-sized tables.  Lifted tables are memoized process-wide by their
+contents (universe size, arity, operation table, chunk length), so equal
+operations of different algebras, such as those of repeated extensions,
+share one read-only table; the memo evicts least recently used tables
+to stay within a fixed number of bytes.  A pure-python engine backs
+instances whose packed codes do not fit machine integers and doubles as
+a test oracle.
 
 Derivations are recorded per member (one operation plus argument member
 indices), and witness term trees are materialized from them on demand;
@@ -36,7 +41,9 @@ even when its unfolding is not.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+import threading
+from collections import OrderedDict
+from dataclasses import dataclass, field
 from itertools import product
 from math import prod
 from random import Random
@@ -50,6 +57,7 @@ DEFAULT_BUDGET = 1_000_000
 _TABLE_CAP = 1 << 18      # max entries in a lifted chunk table
 _CHUNK_TARGET = 1 << 16   # tuple applications per vectorized call
 _BITMAP_CAP = 1 << 26     # largest packed-id space tracked by a byte map
+_LIFT_MEMO_BYTES = 1 << 24  # resident bytes kept by the lifted-table memo
 
 
 @dataclass(frozen=True)
@@ -415,8 +423,17 @@ def render_instance(instance: SmpInstance) -> str:
 
 @dataclass(frozen=True)
 class ClosureStats:
+    """Counters of one closure run.
+
+    `lifts_built` and `lifts_reused` count the lifted chunk tables the
+    numpy engine built and took from the process-wide memo; they depend
+    on what earlier closures left there, so they take no part in equality.
+    """
+
     members: int
     rounds: int
+    lifts_built: int = field(default=0, compare=False)
+    lifts_reused: int = field(default=0, compare=False)
 
 
 class BudgetExceededError(RuntimeError):
@@ -562,6 +579,66 @@ class _ChunkSpec:
     table: np.ndarray
 
 
+class _LiftMemo:
+    """Lifted chunk tables by contents, least recently used first."""
+
+    def __init__(self) -> None:
+        self.tables: OrderedDict[tuple, np.ndarray] = OrderedDict()
+        self.nbytes = 0
+        self.lock = threading.Lock()
+
+
+_lift_memo = _LiftMemo()
+
+
+def _lift(n: int, arity: int, table: tuple[int, ...], length: int) -> np.ndarray:
+    """The operation on blocks of `length` coordinates, over base-n block codes.
+
+    Entry i_1 ... i_arity (each a block code, first coordinate most
+    significant) is the code of the operation applied coordinatewise.
+    """
+    base = np.asarray(table, dtype=np.int32).reshape((n,) * arity)
+    cur = base
+    size = n
+    perm = [axis for pair in zip(range(arity), range(arity, 2 * arity)) for axis in pair]
+    for _ in range(length - 1):
+        outer = np.add.outer(cur.ravel() * np.int32(n), base.ravel())
+        outer = outer.reshape((size,) * arity + (n,) * arity)
+        outer = np.ascontiguousarray(outer.transpose(perm))
+        size *= n
+        cur = outer.reshape((size,) * arity)
+    dtype = np.uint16 if n ** length <= 1 << 16 else np.int32
+    flat = np.ascontiguousarray(cur.reshape(-1), dtype=dtype)
+    flat.flags.writeable = False
+    return flat
+
+
+def _lifted_table(
+    n: int, arity: int, table: tuple[int, ...], length: int
+) -> tuple[np.ndarray, bool]:
+    """The read-only lifted table, and whether this call had to build it.
+
+    Keyed on the table's contents, so equal operations of distinct
+    algebras share one entry.  After an insertion the least recently used
+    tables are evicted until the memo holds at most `_LIFT_MEMO_BYTES`.
+    """
+    key = (n, arity, table, length)
+    with _lift_memo.lock:
+        lifted = _lift_memo.tables.get(key)
+        if lifted is not None:
+            _lift_memo.tables.move_to_end(key)
+            return lifted, False
+    lifted = _lift(n, arity, table, length)
+    with _lift_memo.lock:
+        if key not in _lift_memo.tables:
+            _lift_memo.tables[key] = lifted
+            _lift_memo.nbytes += lifted.nbytes
+            while _lift_memo.nbytes > _LIFT_MEMO_BYTES:
+                _, evicted = _lift_memo.tables.popitem(last=False)
+                _lift_memo.nbytes -= evicted.nbytes
+    return lifted, True
+
+
 class _NumpyEngine:
     """Vectorized semi-naive closure over packed member codes."""
 
@@ -576,7 +653,8 @@ class _NumpyEngine:
         self.ids_np = np.empty(0, dtype=np.int64)
         self.prov: list = []
         self.op_symbols = tuple(algebra.operations)
-        self._lift_cache: dict[tuple[int, int], np.ndarray] = {}
+        self.lifts_built = 0
+        self.lifts_reused = 0
         self._plans: dict[int, list[_ChunkSpec]] = {}
         self._comps: dict[tuple[int, int], np.ndarray] = {}
 
@@ -595,36 +673,21 @@ class _NumpyEngine:
             start += step
         return out
 
-    def _lifted(self, op_index: int, length: int) -> np.ndarray:
-        key = (op_index, length)
-        if key in self._lift_cache:
-            return self._lift_cache[key]
-        symbol = self.op_symbols[op_index]
-        k = symbol.arity
-        base_flat = np.asarray(self.algebra.operations[symbol], dtype=np.int32)
-        base = base_flat.reshape((self.n,) * k)
-        cur = base
-        size = self.n
-        for _ in range(length - 1):
-            outer = np.add.outer(cur.ravel() * np.int32(self.n), base.ravel())
-            outer = outer.reshape((size,) * k + (self.n,) * k)
-            perm = [axis for pair in zip(range(k), range(k, 2 * k)) for axis in pair]
-            outer = np.ascontiguousarray(outer.transpose(perm))
-            size *= self.n
-            cur = outer.reshape((size,) * k)
-        flat = np.ascontiguousarray(cur.reshape(-1))
-        self._lift_cache[key] = flat
-        return flat
-
     def _plan(self, op_index: int) -> list[_ChunkSpec]:
         if op_index in self._plans:
             return self._plans[op_index]
         symbol = self.op_symbols[op_index]
+        base = tuple(self.algebra.operations[symbol])
         specs = []
         for start, length in self._chunk_lengths(symbol.arity):
             shift = self.n ** (self.m - start - length)
             modulus = self.n ** length
-            specs.append(_ChunkSpec(shift, modulus, self._lifted(op_index, length)))
+            table, built = _lifted_table(self.n, symbol.arity, base, length)
+            if built:
+                self.lifts_built += 1
+            else:
+                self.lifts_reused += 1
+            specs.append(_ChunkSpec(shift, modulus, table))
         self._plans[op_index] = specs
         return specs
 
@@ -760,7 +823,7 @@ class _NumpyEngine:
             self.ids,
             self.prov,
             self.op_symbols,
-            ClosureStats(len(self.ids), self.rounds),
+            ClosureStats(len(self.ids), self.rounds, self.lifts_built, self.lifts_reused),
         )
 
 

@@ -221,6 +221,11 @@ def _cmd_smp(args) -> int:
         f"rounds{sep}{answer.stats.rounds}",
         f"answer{sep}{'yes' if answer.answer else 'no'}",
     ]
+    if args.machine:
+        lines += [
+            f"lifts_built={answer.stats.lifts_built}",
+            f"lifts_reused={answer.stats.lifts_reused}",
+        ]
     if args.witness and answer.witness is not None:
         lines.append(f"witness{sep}{_render_witness(answer.witness)}")
     print("\n".join(lines))

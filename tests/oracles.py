@@ -11,6 +11,9 @@ available, trading speed for obviousness:
   * the cube decision searches every row set of bounded size directly;
   * subpower members are grown by applying operations to all argument
     combinations until nothing new appears, with no frontier bookkeeping;
+  * a lifted operation table is filled entry by entry, unpacking each
+    block code into coordinates, applying the operation to each
+    coordinate and packing the result, rather than by outer products;
   * H-elimination splices one H-node of maximal height at a time and
     refolds heights and values of the whole tree after each splice,
     rather than resolving the tree in one top-down pass;
@@ -263,6 +266,36 @@ def oracle_subpower(
                     members.add(value)
                     changed = True
     return frozenset(members)
+
+
+def reference_lifted_table(
+    n: int, arity: int, table: Sequence[int], length: int
+) -> tuple[int, ...]:
+    """The operation on blocks of `length` coordinates, over base-n block codes.
+
+    Entry number c_1 ... c_arity (in base n**length) is the base-n code of
+    the operation applied coordinatewise to the unpacked blocks c_i, first
+    coordinate most significant.
+    """
+
+    def unpack(code: int) -> list[int]:
+        digits = []
+        for _ in range(length):
+            code, digit = divmod(code, n)
+            digits.append(digit)
+        return digits[::-1]
+
+    out = []
+    for codes in product(range(n**length), repeat=arity):
+        blocks = [unpack(c) for c in codes]
+        value = 0
+        for j in range(length):
+            index = 0
+            for block in blocks:
+                index = index * n + block[j]
+            value = value * n + table[index]
+        out.append(value)
+    return tuple(out)
 
 
 def _h_nodes_by_height(tree: TermTree, h_symbols) -> TermTree | None:

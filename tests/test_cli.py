@@ -452,3 +452,15 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
     assert main(["check", "--help"]) == 0
     capsys.readouterr()
+
+
+def test_smp_machine_reports_lift_reuse(capsys, tmp_path, lattice_file):
+    inst = instance_file(tmp_path, "m: 3\ngenerators:\n0 1 1\n1 0 1\ntarget:\n0 0 1\n")
+    run(capsys, "smp", "--machine", lattice_file, inst)
+    code, out, _ = run(capsys, "smp", "--machine", lattice_file, inst)
+    assert code == 0
+    lines = out.splitlines()
+    assert "lifts_built=0" in lines
+    assert any(l.startswith("lifts_reused=") and l != "lifts_reused=0" for l in lines)
+    code, out, _ = run(capsys, "smp", lattice_file, inst)
+    assert not any(l.startswith("lifts_") for l in out.splitlines())

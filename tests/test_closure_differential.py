@@ -6,12 +6,18 @@ order within a round may differ: the numpy engine sorts the fresh codes of
 each chunk, the python engine keeps the order in which it meets them.
 """
 
+from random import Random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import oracle_subpower
 from maltcube.algebras import (
+    DEFAULT_BUDGET,
     FiniteAlgebra,
+    _NumpyEngine,
+    _SortedSeen,
     evaluate,
     evaluate_on_power,
     generate_subpower,
@@ -65,3 +71,40 @@ def test_engines_match_the_oracle(case):
             else:  # built from constants alone, so constant in every coordinate
                 assert member == (evaluate(tree, algebra, ()),) * m
     assert results[0].stats == results[1].stats
+
+
+def chain_lattice(n):
+    meet, join = OperationSymbol("meet", 2), OperationSymbol("join", 2)
+    pairs = [(a, b) for a in range(n) for b in range(n)]
+    return FiniteAlgebra(
+        n, {meet: tuple(min(p) for p in pairs), join: tuple(max(p) for p in pairs)}
+    )
+
+
+def cyclic_group(n):
+    plus, neg, zero = (OperationSymbol("plus", 2), OperationSymbol("neg", 1),
+                       OperationSymbol("zero", 0))
+    return FiniteAlgebra(n, {
+        plus: tuple((a + b) % n for a in range(n) for b in range(n)),
+        neg: tuple((-a) % n for a in range(n)),
+        zero: (0,),
+    })
+
+
+@pytest.mark.parametrize("algebra,m", [
+    (chain_lattice(2), 30), (cyclic_group(2), 30),
+    (chain_lattice(3), 17), (cyclic_group(3), 17),
+])
+def test_sorted_seen_engine_matches_the_oracle(algebra, m):
+    """Powers beyond the byte map's cap track seen codes in a sorted array."""
+    rng = Random(m * algebra.size)
+    generators = [tuple(rng.randrange(algebra.size) for _ in range(m)) for _ in range(3)]
+    engine = _NumpyEngine(algebra, m, DEFAULT_BUDGET)
+    assert isinstance(engine.seen, _SortedSeen)
+    numpy_result = engine.run(generators)
+    python_result = generate_subpower(algebra, generators, engine="python")
+    expected = oracle_subpower(algebra, generators, m)
+    assert numpy_result.stats.rounds > 1
+    assert numpy_result.members == python_result.members == expected
+    assert numpy_result.stats == python_result.stats
+    assert generate_subpower(algebra, generators).member_list == numpy_result.member_list
