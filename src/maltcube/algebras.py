@@ -23,12 +23,17 @@ by the given tuples with a semi-naive (frontier) closure: each round
 applies every operation to argument tuples touching at least one member
 discovered in the previous round.  Members are packed into base-n
 integers and rounds run vectorized over numpy; operations are lifted to
-packed codes chunk by chunk so the hot loop is a handful of gathers into
-cache-sized tables.  Lifted tables are memoized process-wide by their
-contents (universe size, arity, operation table, chunk length), so equal
-operations of different algebras, such as those of repeated extensions,
-share one read-only table; the memo evicts least recently used tables
-to stay within a fixed number of bytes.  A pure-python engine backs
+packed codes chunk by chunk (a chunk is a run of coordinates) so the hot
+loop is a handful of gathers into cache-sized tables.  Each block of
+argument tuples is cut into boxes, one vectorized call each: a box fixes
+one position on every axis before a lead axis, takes a run of rows on it
+and every position after it, and holds at most 64 * 2^16 tuples (at most
+2^16 unless one row alone is longer).  Lifted tables are memoized
+process-wide by their contents (universe size, arity, operation table,
+chunk length), so equal operations of different algebras, such as those
+of repeated extensions, share one read-only table; the memo evicts least
+recently used tables to stay within a fixed number of bytes.  A
+pure-python engine backs
 instances whose packed codes do not fit machine integers and doubles as
 a test oracle.
 
@@ -55,7 +60,8 @@ from .terms import Identity, MaltsevCondition, OperationSymbol, _significant_lin
 
 DEFAULT_BUDGET = 1_000_000
 _TABLE_CAP = 1 << 18      # max entries in a lifted chunk table
-_CHUNK_TARGET = 1 << 16   # tuple applications per vectorized call
+_CHUNK_TARGET = 1 << 16   # argument tuples per box, one vectorized call
+_BOX_SLACK = 64           # no box holds more than _BOX_SLACK * _CHUNK_TARGET tuples
 _BITMAP_CAP = 1 << 26     # largest packed-id space tracked by a byte map
 _LIFT_MEMO_BYTES = 1 << 24  # resident bytes kept by the lifted-table memo
 
@@ -639,6 +645,28 @@ def _lifted_table(
     return lifted, True
 
 
+def _boxes(sizes: Sequence[int]):
+    """Cut a block of argument tuples into boxes, (starts, extents) per axis.
+
+    A box fixes one position on each axis before the lead axis, takes a
+    run of rows on the lead axis and every position after it.  The lead
+    axis is the first whose trailing product is at most
+    _BOX_SLACK * _CHUNK_TARGET, which bounds every box; the boxes come in
+    row-major order and cover the block once.
+    """
+    trailing = prod(sizes)
+    for lead, size in enumerate(sizes):
+        trailing //= size
+        if trailing <= _BOX_SLACK * _CHUNK_TARGET:
+            break
+    rows = max(1, _CHUNK_TARGET // trailing)
+    after = tuple(sizes[lead + 1:])
+    for prefix in product(*map(range, sizes[:lead])):
+        for r0 in range(0, sizes[lead], rows):
+            height = min(rows, sizes[lead] - r0)
+            yield (*prefix, r0) + (0,) * len(after), (1,) * lead + (height,) + after
+
+
 class _NumpyEngine:
     """Vectorized semi-naive closure over packed member codes."""
 
@@ -649,8 +677,7 @@ class _NumpyEngine:
         self.budget = budget
         self.space = self.n ** m
         self.seen = _BitmapSeen(self.space) if self.space <= _BITMAP_CAP else _SortedSeen()
-        self.ids: list[int] = []
-        self.ids_np = np.empty(0, dtype=np.int64)
+        self.ids = np.empty(0, dtype=np.int64)  # packed member codes, in member order
         self.prov: list = []
         self.op_symbols = tuple(algebra.operations)
         self.lifts_built = 0
@@ -696,10 +723,9 @@ class _NumpyEngine:
     def _append_members(self, codes: Sequence[int], provs: Sequence) -> None:
         if len(self.ids) + len(codes) > self.budget:
             raise BudgetExceededError(len(self.ids), self.rounds, self.budget)
-        self.ids.extend(codes)
         self.prov.extend(provs)
         fresh = np.asarray(codes, dtype=np.int64)
-        self.ids_np = np.concatenate([self.ids_np, fresh])
+        self.ids = np.concatenate([self.ids, fresh])
         for (shift, modulus), comp in self._comps.items():
             extra = ((fresh // shift) % modulus).astype(np.int32)
             self._comps[(shift, modulus)] = np.concatenate([comp, extra])
@@ -708,60 +734,23 @@ class _NumpyEngine:
         key = (spec.shift, spec.modulus)
         comp = self._comps.get(key)
         if comp is None:
-            comp = ((self.ids_np // spec.shift) % spec.modulus).astype(np.int32)
+            comp = ((self.ids // spec.shift) % spec.modulus).astype(np.int32)
             self._comps[key] = comp
         return comp
 
     # -- rounds ---------------------------------------------------------
 
-    def _block_chunks(self, sizes: list[int], bases: list[int]):
-        """Split a block of argument tuples into bounded leading-axis slices."""
-        suffix = prod(sizes[1:]) if len(sizes) > 1 else 1
-        rows = max(1, _CHUNK_TARGET // max(1, suffix))
-        if suffix > _CHUNK_TARGET * 64:
-            # degenerate wide block: fall back to flat slicing
-            total = prod(sizes)
-            for start in range(0, total, _CHUNK_TARGET):
-                yield ("flat", start, min(_CHUNK_TARGET, total - start), sizes, bases)
-        else:
-            for r0 in range(0, sizes[0], rows):
-                height = min(rows, sizes[0] - r0)
-                yield ("rows", r0, height, sizes, bases)
-
-    def _apply_chunk(self, op_index: int, chunk) -> np.ndarray:
-        kind, start, extent, sizes, bases = chunk
-        specs = self._plan(op_index)
-        k = len(sizes)
-        if kind == "rows":
-            positions = [np.arange(start, start + extent, dtype=np.int64) + bases[0]]
-            positions += [
-                np.arange(s, dtype=np.int64) + b for s, b in zip(sizes[1:], bases[1:])
-            ]
-        else:
-            flat = np.arange(start, start + extent, dtype=np.int64)
-            positions = self._decode(flat, sizes, bases)
+    def _apply(self, op_index: int, positions: list[np.ndarray]) -> np.ndarray:
+        """Codes of the operation on a box's argument tuples, in row-major order."""
         result = None
-        for spec in specs:
+        for spec in self._plan(op_index):
             comp = self._comp(spec)
-            if kind == "rows":
-                idx = comp[positions[0]].astype(np.int64)
-                for axis in range(1, k):
-                    idx = idx[..., None] * spec.modulus + comp[positions[axis]]
-            else:
-                idx = comp[positions[0]].astype(np.int64)
-                for axis in range(1, k):
-                    idx = idx * spec.modulus + comp[positions[axis]]
+            idx = comp[positions[0]].astype(np.int64)
+            for p in positions[1:]:
+                idx = idx[..., None] * spec.modulus + comp[p]
             part = spec.table[idx.reshape(-1)].astype(np.int64) * spec.shift
             result = part if result is None else result + part
         return result
-
-    def _decode(self, flat: np.ndarray, sizes: list[int], bases: list[int]) -> list[np.ndarray]:
-        positions = []
-        for s, b in zip(reversed(sizes), reversed(bases)):
-            positions.append(flat % s + b)
-            flat = flat // s
-        positions.reverse()
-        return positions
 
     def run(self, generators: Sequence[tuple[int, ...]]) -> ClosureResult:
         self.rounds = 0
@@ -779,39 +768,34 @@ class _NumpyEngine:
             current = len(self.ids)
             pending_codes: list[int] = []
             pending_provs: list = []
-            round_provisional = len(self.ids)
             for op_index, k in arity_ops:
                 for axis in range(k):
                     sizes = [old] * axis + [current - old] + [current] * (k - 1 - axis)
                     if any(s == 0 for s in sizes):
                         continue
                     bases = [0] * axis + [old] + [0] * (k - 1 - axis)
-                    for chunk in self._block_chunks(sizes, bases):
-                        codes = self._apply_chunk(op_index, chunk)
-                        kind, start, extent, csizes, cbases = chunk
+                    for starts, extents in _boxes(sizes):
+                        positions = [
+                            np.arange(b + s, b + s + e, dtype=np.int64)
+                            for b, s, e in zip(bases, starts, extents)
+                        ]
+                        codes = self._apply(op_index, positions)
                         mask = self.seen.new_mask(codes)
                         if not mask.any():
                             continue
                         fresh, first = np.unique(codes[mask], return_index=True)
-                        flat_local = np.flatnonzero(mask)[first]
-                        if kind == "rows":
-                            suffix = prod(csizes[1:]) if len(csizes) > 1 else 1
-                            flat_global = flat_local + start * suffix
-                        else:
-                            flat_global = flat_local + start
-                        arg_positions = self._decode(flat_global, csizes, cbases)
+                        offsets = np.unravel_index(np.flatnonzero(mask)[first], extents)
                         self.seen.add(fresh)
-                        fresh_list = fresh.tolist()
-                        pending_codes.extend(fresh_list)
+                        pending_codes.extend(fresh.tolist())
                         pending_provs.extend(
-                            (op_index, *(int(p[i]) for p in arg_positions))
-                            for i in range(len(fresh_list))
+                            (op_index, *args)
+                            for args in zip(
+                                *(p[o].tolist() for p, o in zip(positions, offsets))
+                            )
                         )
-                        if round_provisional + len(pending_codes) > self.budget:
+                        if current + len(pending_codes) > self.budget:
                             raise BudgetExceededError(
-                                len(self.ids) + len(pending_codes),
-                                self.rounds,
-                                self.budget,
+                                current + len(pending_codes), self.rounds, self.budget
                             )
             old = current
             if pending_codes:
@@ -820,7 +804,7 @@ class _NumpyEngine:
         return ClosureResult(
             self.algebra,
             self.m,
-            self.ids,
+            self.ids.tolist(),
             self.prov,
             self.op_symbols,
             ClosureStats(len(self.ids), self.rounds, self.lifts_built, self.lifts_reused),
@@ -948,16 +932,12 @@ def smp_decide(
     instance: SmpInstance,
     *,
     budget: int = DEFAULT_BUDGET,
-    engine: str = "auto",
 ) -> SmpAnswer:
     """Decide whether the target lies in the subpower the generators generate."""
     for t in instance.generators + (instance.target,):
         if any(not 0 <= v < algebra.size for v in t):
             raise ValueError(f"tuple {t} leaves the universe")
-    closure = generate_subpower(
-        algebra, instance.generators, m=instance.m,
-        budget=budget, engine=engine,
-    )
+    closure = generate_subpower(algebra, instance.generators, m=instance.m, budget=budget)
     if instance.target in closure:
         return SmpAnswer(True, closure.witness_tree(instance.target), closure.stats)
     return SmpAnswer(False, None, closure.stats)

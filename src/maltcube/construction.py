@@ -62,6 +62,7 @@ from .terms import (
     MaltsevCondition,
     OperationSymbol,
     app,
+    canonical_variable_set,
     equality_pattern,
     pattern_representative,
     var,
@@ -107,11 +108,12 @@ def _pattern_positions(condition: MaltsevCondition) -> PatternPositions:
     """Per symbol and pattern, all 1-based i with Sigma deriving h(x-bar) = x_i.
 
     Memoized per condition, like its closure; read-only because every
-    extension of the condition shares it.  Needs the canonical closure:
+    extension of the condition shares it.  Needs the canonical closure,
+    asked for at its width so that `derives` shares the memo entry:
     Sigma = {h(x,x,y) = x, h(x,y,x) = x, h(y,x,x) = y} derives every
     {x, y}-collapse of h(x,y,z) = x but not that identity itself.
     """
-    index = condition_index(condition)
+    index = condition_index(condition, canonical_variable_set(condition))
     out = {}
     for symbol in condition.signature:
         table = {}

@@ -298,7 +298,9 @@ def condition_index(condition: MaltsevCondition, nvars: int | None = None) -> En
     The memo keeps the CONDITION_INDEX_MEMO most recently used closures,
     so a long-running process does not keep every closure it ever built.
     """
-    return weak_closure(condition, nvars or canonical_variable_set(condition))
+    if nvars is None:
+        nvars = canonical_variable_set(condition)
+    return weak_closure(condition, nvars)
 
 
 def entails(index: EntailmentIndex, ident: Identity) -> EntailmentVerdict:

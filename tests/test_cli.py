@@ -124,9 +124,10 @@ def test_closure_vars_override(capsys, tmp_path):
     code, out, _ = run(capsys, "closure", "--vars", "4", str(path))
     assert code == 0
     assert "variables: 4" in out.splitlines()
-    code, _, err = run(capsys, "closure", "--vars", "1", str(path))
-    assert code == 2
-    assert "error:" in err
+    for nvars in ("1", "0"):
+        code, _, err = run(capsys, "closure", "--vars", nvars, str(path))
+        assert code == 2
+        assert "error:" in err
 
 
 def test_closure_and_extend_reject_huge_term_universe(capsys, tmp_path, lattice_file):

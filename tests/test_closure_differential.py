@@ -3,9 +3,11 @@
 The engines agree on the member set, the counters and the seed members
 (distinct generators in position order, then the nullary constants).  The
 order within a round may differ: the numpy engine sorts the fresh codes of
-each chunk, the python engine keeps the order in which it meets them.
+each box, the python engine keeps the order in which it meets them.
 """
 
+from itertools import product
+from math import prod
 from random import Random
 
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import oracle_subpower
+from maltcube import algebras
 from maltcube.algebras import (
     DEFAULT_BUDGET,
     FiniteAlgebra,
@@ -108,3 +111,65 @@ def test_sorted_seen_engine_matches_the_oracle(algebra, m):
     assert numpy_result.members == python_result.members == expected
     assert numpy_result.stats == python_result.stats
     assert generate_subpower(algebra, generators).member_list == numpy_result.member_list
+
+
+def nand3():
+    f = OperationSymbol("f", 3)
+    return FiniteAlgebra(2, {f: tuple(1 - (a & b & c) for a, b, c in product((0, 1), repeat=3))})
+
+
+def affine3():
+    f = OperationSymbol("f", 3)
+    return FiniteAlgebra(3, {f: tuple((a - b + c) % 3 for a, b, c in product(range(3), repeat=3))})
+
+
+def random_ternary(seed):
+    rng = Random(seed)
+    return FiniteAlgebra(3, {OperationSymbol("f", 3): tuple(rng.randrange(3) for _ in range(27))})
+
+
+@pytest.mark.parametrize("algebra,generators,slack", [
+    (nand3(), [(0, 1, 0, 1, 0), (0, 0, 1, 1, 0), (0, 0, 0, 0, 1)], algebras._BOX_SLACK),
+    (nand3(), [(0, 1, 0, 1, 0), (0, 0, 1, 1, 0), (0, 0, 0, 0, 1)], 1),
+    (affine3(), [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], algebras._BOX_SLACK),
+    (random_ternary(0), [(1, 1, 0, 2), (1, 1, 1, 2)], algebras._BOX_SLACK),
+    (random_ternary(0), [(1, 1, 0, 2), (1, 1, 1, 2)], 1),
+    (cyclic_group(3), [(1, 0, 0), (0, 1, 2)], 1),
+])
+def test_lead_axis_boxes_match_the_oracle(monkeypatch, algebra, generators, slack):
+    """With 4 tuples per box, blocks whose rows pass 4 * slack tuples take a lead axis >= 1.
+
+    At the default slack that is a ternary block past 16 members; at slack 1
+    a ternary block past 4 members reaches lead axis 2.
+    """
+    monkeypatch.setattr(algebras, "_CHUNK_TARGET", 4)
+    monkeypatch.setattr(algebras, "_BOX_SLACK", slack)
+    cut = algebras._boxes
+    leads = []
+
+    def spy(sizes):
+        leads.append(prod(sizes[1:]) > 4 * slack)
+        return cut(sizes)
+
+    monkeypatch.setattr(algebras, "_boxes", spy)
+    m = len(generators[0])
+    result = generate_subpower(algebra, generators, engine="numpy")
+    python_result = generate_subpower(algebra, generators, engine="python")
+    assert any(leads)
+    assert result.members == python_result.members == oracle_subpower(algebra, generators, m)
+    assert result.stats == python_result.stats
+    for member in result.member_list:
+        assert evaluate_on_power(result.witness_tree(member), algebra, generators) == member
+
+
+@pytest.mark.parametrize("sizes", [
+    (1,), (5,), (300,), (3, 7), (2, 300), (257, 1), (2, 17, 17), (17, 17, 17),
+    (2, 3, 17, 17), (3, 1, 2, 200),
+])
+def test_boxes_cover_the_block_once_in_row_major_order(monkeypatch, sizes):
+    monkeypatch.setattr(algebras, "_CHUNK_TARGET", 4)
+    covered = []
+    for starts, extents in algebras._boxes(sizes):
+        assert prod(extents) <= algebras._BOX_SLACK * 4
+        covered += product(*(range(s, s + e) for s, e in zip(starts, extents)))
+    assert covered == list(product(*map(range, sizes)))

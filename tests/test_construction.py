@@ -27,15 +27,18 @@ from maltcube.construction import (
     reduce_and_certify,
     well_definedness_audit,
 )
+from maltcube import entailment
 from maltcube.cube import check_condition
-from maltcube.entailment import CONDITION_INDEX_MEMO, EntailmentIndex
+from maltcube.entailment import CONDITION_INDEX_MEMO, EntailmentIndex, derives
 from maltcube.terms import (
     MaltsevCondition,
     OperationSymbol,
     app,
+    canonical_variable_set,
     hagemann_mitschke_condition,
     jonsson_condition,
     parse_condition,
+    render_condition,
     var,
 )
 
@@ -191,6 +194,22 @@ def test_condition_memos_are_bounded(memoized):
     misses = memoized.cache_info().misses
     memoized(first)
     assert memoized.cache_info().misses == misses + 1
+
+
+def test_derives_then_extend_build_the_canonical_closure_once(monkeypatch):
+    # fresh symbol names, so no earlier test left this condition in a memo
+    condition = parse_condition(render_condition(CP3).replace("p_", "once_"))
+    widths = []
+    build = entailment.weak_closure
+
+    def counting(condition, nvars):
+        widths.append(nvars)
+        return build(condition, nvars)
+
+    monkeypatch.setattr(entailment, "weak_closure", counting)
+    assert derives(condition, condition.identities[2])
+    extend(LATTICE2, condition)
+    assert sorted(widths) == [2, canonical_variable_set(condition)]
 
 
 # --- the audit ---------------------------------------------------------------
