@@ -10,9 +10,9 @@ decision (inconsistent or cube-entailing condition, failed model check,
 non-member target, no interpretation, violated certificate), 2 for
 usage, parse, or I/O errors, 3 for an exhausted subpower closure budget
 or a weak closure whose terms plus seed pairs exceed MAX_TERMS: from
-arity 8 for `closure`, `extend` and `reduce`, which build the canonical
-closure, and from arity 21 for `check` and `interpret`, which build the
-closure over {x, y} only.
+arity 21 for `check` and `interpret` (over {x, y}), arity 8 for
+`closure` (over the canonical set, as for `extend` and `reduce` once
+|A| + 1 reaches it), and arity 14 for `extend` over a 2-element algebra.
 """
 
 from __future__ import annotations

@@ -13,12 +13,25 @@ algebra A_M on A plus one new absorbing element:
     that Sigma derives h(x-bar) = x_i, and absorbing when no position
     is derivable.
 
+Every H-table is read off the closure over w = min(|A| + 1, canonical
+width) variables.  Row a of {0..|A|}^k gets first-occurrence labels
+l(a), l_i(a) counting the distinct values before a_i first occurs: the
+pattern's x-bar, in at most min(k, |A| + 1) <= w variables.  Position i
+is derivable at a exactly when h(l(a)) and x_{l_i(a)} share a class:
+the map l_i(a) -> a_i is injective, so it preserves derivability, and
+the closure over any set of two or more variables is exact for
+identities over that set (`maltcube.entailment`).  Rows of one pattern
+share l(a), so the positions are read once per pattern, at the row
+with l(a) = a, and spread over its rows; the pattern tables thus list
+the patterns of at most |A| + 1 blocks, those A_M's rows have.  Below
+the canonical width, only an identity in more than |A| + 1 variables,
+seeded with all its instances, can push that closure over MAX_TERMS.
+
 Consistency makes the position choice canonical: two derivable
 positions in different pattern blocks would merge two distinct
 variables in the closure.  `well_definedness_audit` checks that fact
-per pattern, on positions derived once per condition, and reports the
-first violation, which only an artificially broken extension can
-produce.
+per pattern, on positions read off the closure, and reports the first
+violation, which only an artificially broken extension can produce.
 
 Because membership instances over A are verbatim instances over A_M,
 subpower membership for A reduces to subpower membership for A_M; the
@@ -39,10 +52,9 @@ child may, with no child sharing it, and a bottom-up pass would raise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import product
-from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .algebras import (
     DEFAULT_BUDGET,
@@ -56,16 +68,13 @@ from .algebras import (
     tree_symbols,
 )
 from .cube import check_condition
-from .entailment import CONDITION_INDEX_MEMO, condition_index
+from .entailment import condition_index
 from .terms import (
     LinearTerm,
     MaltsevCondition,
     OperationSymbol,
-    app,
     canonical_variable_set,
     equality_pattern,
-    pattern_representative,
-    var,
 )
 
 
@@ -88,10 +97,6 @@ class EliminationError(RuntimeError):
         )
 
 
-PatternTable = dict[tuple[int, ...], int | None]
-PatternPositions = Mapping[OperationSymbol, Mapping[tuple[int, ...], tuple[int, ...]]]
-
-
 @dataclass(frozen=True)
 class ExtendedAlgebra:
     """A base algebra together with its absorbing extension."""
@@ -100,35 +105,51 @@ class ExtendedAlgebra:
     condition: MaltsevCondition
     extended: FiniteAlgebra
     absorbing: int
-    pattern_tables: dict[OperationSymbol, PatternTable]
+    pattern_tables: dict[OperationSymbol, dict[tuple[int, ...], int | None]]
 
 
-@lru_cache(maxsize=CONDITION_INDEX_MEMO)
-def _pattern_positions(condition: MaltsevCondition) -> PatternPositions:
-    """Per symbol and pattern, all 1-based i with Sigma deriving h(x-bar) = x_i.
+def _relabel(values: int, arity: int):
+    """Rows of {0..values-1}^arity, representatives, patterns, pattern numbers.
 
-    Memoized per condition, like its closure; read-only because every
-    extension of the condition shares it.  Needs the canonical closure,
-    asked for at its width so that `derives` shares the memo entry:
-    Sigma = {h(x,x,y) = x, h(x,y,x) = x, h(y,x,x) = y} derives every
-    {x, y}-collapse of h(x,y,z) = x but not that identity itself.
+    The representatives are the rows with l(a) = a, in row order: l(a)
+    read in base `values` is the number of a's representative row.
+    `first[:, i]` is the least j with a_j = a_i, so `first + 1` is the
+    row's `equality_pattern`; each j = i opens the next label.
     """
-    index = condition_index(condition, canonical_variable_set(condition))
-    out = {}
+    codes = np.arange(values**arity)
+    rows = np.empty((len(codes), arity), dtype=np.min_scalar_type(values))
+    first = np.empty_like(rows)
+    for i in range(arity):
+        rows[:, i] = codes // values ** (arity - 1 - i) % values
+        first[:, i] = (rows[:, : i + 1] == rows[:, i : i + 1]).argmax(axis=1)
+    opened = (first == np.arange(arity)).cumsum(axis=1, dtype=rows.dtype) - 1
+    labels = np.take_along_axis(opened, first, axis=1)
+    reps, numbers = np.unique(labels @ values ** np.arange(arity - 1, -1, -1), return_inverse=True)
+    return rows, rows[reps], list(map(tuple, (first[reps] + 1).tolist())), numbers
+
+
+def _read_off(condition: MaltsevCondition, absorbing: int):
+    """Per symbol, its H-table and every pattern's derivable positions.
+
+    A row takes a_i at its pattern's least position (module docstring),
+    and the absorbing element where the pattern has none.
+    """
+    w = min(absorbing + 1, canonical_variable_set(condition))
+    index = condition_index(condition, w)
+    classes = index._rep
+    relabelled = {k: _relabel(absorbing + 1, k) for k in {s.arity for s in condition.signature}}
     for symbol in condition.signature:
-        table = {}
-        # every equality pattern of an arity-length tuple, in first-seen order
-        tuples = product(range(max(symbol.arity, 1)), repeat=symbol.arity)
-        for pattern in dict.fromkeys(map(equality_pattern, tuples)):
-            rep = pattern_representative(pattern)
-            term = app(symbol, *rep)
-            table[pattern] = tuple(
-                i
-                for i in range(1, symbol.arity + 1)
-                if index.same_class(term, var(rep[i - 1]))
-            )
-        out[symbol] = MappingProxyType(table)
-    return MappingProxyType(out)
+        k = symbol.arity
+        rows, reps, patterns, numbers = relabelled[k]
+        term = classes[index._offsets[symbol] + reps @ w ** np.arange(k - 1, -1, -1)]
+        hits = (classes[reps] == term[:, None]).tolist()
+        positions = {
+            pattern: tuple(i + 1 for i in range(k) if hit[i])
+            for pattern, hit in zip(patterns, hits)
+        }
+        least = np.array([found[0] - 1 if found else k for found in positions.values()])
+        table = np.choose(least[numbers], [*rows.T, absorbing])
+        yield symbol, tuple(table.tolist()), positions
 
 
 def _build_extension(
@@ -139,38 +160,16 @@ def _build_extension(
     absorbing = n
     operations: dict[OperationSymbol, tuple[int, ...]] = {}
     for symbol, table in algebra.operations.items():
-        if symbol.arity == 0:
-            operations[symbol] = table
-            continue
-        extended_table = []
-        for args in product(range(n + 1), repeat=symbol.arity):
-            if absorbing in args:
-                extended_table.append(absorbing)
-            else:
-                index = 0
-                for a in args:
-                    index = index * n + a
-                extended_table.append(table[index])
-        operations[symbol] = tuple(extended_table)
-
-    pattern_tables: dict[OperationSymbol, PatternTable] = {}
-    for symbol, derived in _pattern_positions(condition).items():
-        pattern_tables[symbol] = table_for_symbol = {
+        padded = np.full((n + 1,) * symbol.arity, absorbing)
+        padded[(slice(n),) * symbol.arity] = np.reshape(table, (n,) * symbol.arity)
+        operations[symbol] = tuple(padded.ravel().tolist())
+    pattern_tables: dict[OperationSymbol, dict[tuple[int, ...], int | None]] = {}
+    for symbol, table, derived in _read_off(condition, absorbing):
+        operations[symbol] = table
+        pattern_tables[symbol] = {
             pattern: positions[0] if positions else None
             for pattern, positions in derived.items()
         }
-        if symbol.arity == 0:
-            # a derivable h() = x would need a variable on the right; the
-            # closure never merges a nullary term with a variable unless
-            # inconsistent, so nullary H-operations are constantly absorbing
-            operations[symbol] = (absorbing,)
-            continue
-        h_table = []
-        for args in product(range(n + 1), repeat=symbol.arity):
-            position = table_for_symbol[equality_pattern(args)]
-            h_table.append(args[position - 1] if position is not None else absorbing)
-        operations[symbol] = tuple(h_table)
-
     return ExtendedAlgebra(
         base=algebra,
         condition=condition,
@@ -220,21 +219,15 @@ def well_definedness_audit(ext: ExtendedAlgebra) -> AuditResult:
     All positions i with Sigma deriving h(x-bar) = x_i must lie in a
     single block of the pattern, so every realization assigns them the
     same value.  Consistency proves this; the audit asserts it on the
-    derived positions and checks each stored table against them, which
-    catches injected breakage.
+    positions read off the closure and checks each stored table against
+    them, which catches injected breakage.
     """
-    for symbol, derived in _pattern_positions(ext.condition).items():
+    for symbol, _, derived in _read_off(ext.condition, ext.absorbing):
         for pattern, positions in derived.items():
             blocks = {pattern[i - 1] for i in positions}
-            if len(blocks) > 1:
-                return AuditResult(False, symbol, pattern, positions)
             stored = ext.pattern_tables.get(symbol, {}).get(pattern)
-            expected = positions[0] if positions else None
-            if stored != expected and (
-                stored is None
-                or expected is None
-                or pattern[stored - 1] != pattern[expected - 1]
-            ):
+            # one block, and the stored position (or None) lies in it
+            if blocks != (set() if stored is None else {pattern[stored - 1]}):
                 return AuditResult(False, symbol, pattern, positions)
     return AuditResult(True)
 
@@ -255,8 +248,8 @@ def evaluate_linear_via_pattern(
     row = tuple(values[a] for a in w.args)
     if any(not 0 <= v <= ext.absorbing for v in row):
         raise ValueError("argument values leave the extended universe")
-    positions = _pattern_positions(ext.condition)[w.symbol][equality_pattern(row)]
-    return row[positions[0] - 1] if positions else ext.absorbing
+    position = ext.pattern_tables[w.symbol][equality_pattern(row)]
+    return ext.absorbing if position is None else row[position - 1]
 
 
 def eliminate_H(

@@ -71,7 +71,8 @@ MAX_TERMS = 2_000_000
 """Largest count of terms plus seed pairs a closure may build.
 
 Over two variables a symbol of arity 20 fits and arity 21 does not; over
-the canonical set two arity-7 symbols fit and arity 8 does not.
+the canonical set two arity-7 symbols fit and arity 8 does not; over
+three, as `extend` asks for a 2-element algebra, arity 13 and not 14.
 """
 
 
@@ -291,15 +292,20 @@ def weak_closure(condition: MaltsevCondition, nvars: int) -> EntailmentIndex:
 CONDITION_INDEX_MEMO = 64
 
 
-@lru_cache(maxsize=CONDITION_INDEX_MEMO)
 def condition_index(condition: MaltsevCondition, nvars: int | None = None) -> EntailmentIndex:
     """Memoized closure per (condition, variable-set size).
 
-    The memo keeps the CONDITION_INDEX_MEMO most recently used closures,
-    so a long-running process does not keep every closure it ever built.
+    The canonical size, the default, is resolved before the memo, so
+    `condition_index(c)` and `condition_index(c, n)` share one entry.
     """
     if nvars is None:
         nvars = canonical_variable_set(condition)
+    return _closure_memo(condition, nvars)
+
+
+@lru_cache(maxsize=CONDITION_INDEX_MEMO)
+def _closure_memo(condition: MaltsevCondition, nvars: int) -> EntailmentIndex:
+    """Keeps the CONDITION_INDEX_MEMO most recently used closures."""
     return weak_closure(condition, nvars)
 
 

@@ -14,6 +14,10 @@ available, trading speed for obviousness:
   * a lifted operation table is filled entry by entry, unpacking each
     block code into coordinates, applying the operation to each
     coordinate and packing the result, rather than by outer products;
+  * the absorbing extension asks the canonical closure for every
+    pattern's derivable positions with `same_class`, and looks up the
+    equality pattern of every table row one at a time, rather than
+    reading both off the narrower closure in numpy;
   * H-elimination splices one H-node of maximal height at a time and
     refolds heights and values of the whole tree after each splice,
     rather than resolving the tree in one top-down pass;
@@ -48,6 +52,7 @@ from maltcube.algebras import (
     tree_size,
 )
 from maltcube.construction import EliminationError, ExtendedAlgebra
+from maltcube.entailment import condition_index
 from maltcube.interp import DUAL_IMPLICATION, BooleanOperationEntry, Interpretation
 from maltcube.terms import (
     Identity,
@@ -55,6 +60,9 @@ from maltcube.terms import (
     MaltsevCondition,
     OperationSymbol,
     app,
+    canonical_variable_set,
+    equality_pattern,
+    pattern_representative,
     substitute,
     var,
 )
@@ -296,6 +304,61 @@ def reference_lifted_table(
             value = value * n + table[index]
         out.append(value)
     return tuple(out)
+
+
+def reference_build_extension(
+    algebra: FiniteAlgebra, condition: MaltsevCondition
+) -> ExtendedAlgebra:
+    """The absorbing extension built row by row over the canonical closure.
+
+    Each pattern of each symbol is asked for its derivable positions
+    with `same_class` over the canonical variable set, listing every
+    pattern of an arity-length tuple; each table row then looks up the
+    equality pattern of its arguments.  No precondition is checked.
+    """
+    index = condition_index(condition, canonical_variable_set(condition))
+    n = algebra.size
+    absorbing = n
+    operations: dict[OperationSymbol, tuple[int, ...]] = {}
+    for symbol, table in algebra.operations.items():
+        extended_table = []
+        for args in product(range(n + 1), repeat=symbol.arity):
+            if absorbing in args:
+                extended_table.append(absorbing)
+            else:
+                position = 0
+                for a in args:
+                    position = position * n + a
+                extended_table.append(table[position])
+        operations[symbol] = tuple(extended_table)
+
+    pattern_tables = {}
+    for symbol in condition.signature:
+        table = {}
+        tuples = product(range(max(symbol.arity, 1)), repeat=symbol.arity)
+        for pattern in dict.fromkeys(map(equality_pattern, tuples)):
+            rep = pattern_representative(pattern)
+            term = app(symbol, *rep)
+            positions = [
+                i
+                for i in range(1, symbol.arity + 1)
+                if index.same_class(term, var(rep[i - 1]))
+            ]
+            table[pattern] = positions[0] if positions else None
+        pattern_tables[symbol] = table
+        h_table = []
+        for args in product(range(n + 1), repeat=symbol.arity):
+            position = table[equality_pattern(args)]
+            h_table.append(args[position - 1] if position is not None else absorbing)
+        operations[symbol] = tuple(h_table)
+
+    return ExtendedAlgebra(
+        base=algebra,
+        condition=condition,
+        extended=FiniteAlgebra(n + 1, operations),
+        absorbing=absorbing,
+        pattern_tables=pattern_tables,
+    )
 
 
 def _h_nodes_by_height(tree: TermTree, h_symbols) -> TermTree | None:

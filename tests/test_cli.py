@@ -130,13 +130,17 @@ def test_closure_vars_override(capsys, tmp_path):
         assert "error:" in err
 
 
-def test_closure_and_extend_reject_huge_term_universe(capsys, tmp_path, lattice_file):
+def test_closure_and_extend_reject_huge_term_universe(capsys, tmp_path):
     # one arity-9 symbol means 9 + 9^9 terms over the canonical set; refused
-    # before any allocation, while check decides it over {x, y}
+    # before any allocation, while check decides it over {x, y}.  `extend`
+    # reads A_M off the closure over min(|A| + 1, 9) variables, so an
+    # 8-element algebra asks for the same closure
     path = tmp_path / "wide.cond"
     args = ",".join(["x"] * 8 + ["y"])
     path.write_text(f"signature: c/9\nidentities:\n  c({args}) = y\n")
-    for argv in (("closure", str(path)), ("extend", lattice_file, str(path))):
+    cycle = tmp_path / "cycle.alg"
+    cycle.write_text("universe: 8\nop s/1:\n1 2 3 4 5 6 7 0\n")
+    for argv in (("closure", str(path)), ("extend", str(cycle), str(path))):
         start = time.perf_counter()
         code, out, err = run(capsys, *argv)
         assert time.perf_counter() - start < 1.0
@@ -146,6 +150,32 @@ def test_closure_and_extend_reject_huge_term_universe(capsys, tmp_path, lattice_
     code, out, _ = run(capsys, "check", str(path))
     assert code == 0
     assert "applicable: yes" in out.splitlines()
+
+
+def test_extend_model_check_and_reduce_arity_nine(capsys, tmp_path, lattice_file):
+    # over the 2-element lattice the extension needs the closure over three
+    # variables only: 3 + 3^9 terms, and 3^9 rows per table.  The instance
+    # keeps the A_M closure at three members: with nine, its second round
+    # would apply c to 9^9 argument tuples
+    path = tmp_path / "wide.cond"
+    args = ",".join(["x"] * 8 + ["y"])
+    path.write_text(f"signature: c/9\nidentities:\n  c({args}) = y\n")
+    extended = tmp_path / "ext.alg"
+    instance = tmp_path / "inst.smp"
+    instance.write_text("m: 2\ngenerators:\n0 1\n1 1\ntarget:\n0 0\n")
+    outputs = []
+    for argv in (
+        ("extend", lattice_file, str(path), "-o", str(extended)),
+        ("model-check", str(extended), str(path)),
+        ("reduce", lattice_file, str(path), str(instance)),
+    ):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        outputs.append(out)
+    assert "satisfies: yes" in outputs[1].splitlines()
+    assert "certificate OK" in outputs[2]
 
 
 def test_check_refuses_too_many_seed_pairs(capsys, tmp_path):

@@ -20,7 +20,6 @@ from maltcube.construction import (
     ConstructionError,
     EliminationError,
     _build_extension,
-    _pattern_positions,
     eliminate_H,
     evaluate_linear_via_pattern,
     extend,
@@ -169,36 +168,46 @@ def test_second_extension_makes_no_entailment_query(monkeypatch, algebra_corpus)
 
     counting("__init__")
     counting("same_class")
-    ext = extend(algebra_corpus[0], condition)
+    # the same size, so the same width: no closure is built
+    same_size = next(a for a in algebra_corpus if a.size == LATTICE2.size)
+    ext = extend(same_size, condition)
     assert calls == []
     assert well_definedness_audit(ext)
     assert calls == []
 
 
-@pytest.mark.parametrize("memoized", [check_condition, _pattern_positions])
-def test_condition_memos_are_bounded(memoized):
-    assert memoized.cache_info().maxsize == CONDITION_INDEX_MEMO
+def test_check_condition_memo_is_bounded():
+    assert check_condition.cache_info().maxsize == CONDITION_INDEX_MEMO
 
     def fresh(name):
         return MaltsevCondition((OperationSymbol(name, 1),), ())
 
     first = MaltsevCondition((OperationSymbol("memo_first", 2),), ())
-    memoized(first)
+    check_condition(first)
     for i in range(CONDITION_INDEX_MEMO - 1):
-        memoized(fresh(f"memo_a{i}"))
-    hits = memoized.cache_info().hits
-    memoized(first)  # still among the most recent, and refreshed by this hit
-    assert memoized.cache_info().hits == hits + 1
+        check_condition(fresh(f"memo_a{i}"))
+    hits = check_condition.cache_info().hits
+    check_condition(first)  # still among the most recent, and refreshed by this hit
+    assert check_condition.cache_info().hits == hits + 1
     for i in range(CONDITION_INDEX_MEMO):
-        memoized(fresh(f"memo_b{i}"))
-    misses = memoized.cache_info().misses
-    memoized(first)
-    assert memoized.cache_info().misses == misses + 1
+        check_condition(fresh(f"memo_b{i}"))
+    misses = check_condition.cache_info().misses
+    check_condition(first)
+    assert check_condition.cache_info().misses == misses + 1
 
 
-def test_derives_then_extend_build_the_canonical_closure_once(monkeypatch):
-    # fresh symbol names, so no earlier test left this condition in a memo
-    condition = parse_condition(render_condition(CP3).replace("p_", "once_"))
+@pytest.mark.parametrize(
+    "algebra",
+    [LATTICE2, FiniteAlgebra(1, {MEET: (0,)})],
+    ids=["lattice2-width3", "trivial-width2"],
+)
+def test_extend_reuses_the_closure_at_its_width(monkeypatch, algebra):
+    # fresh symbol names, so no earlier test left this condition in a memo;
+    # extend reads the closure over min(|A| + 1, 3) variables, built by
+    # derives at width 3 or by check_condition at width 2
+    condition = parse_condition(
+        render_condition(CP3).replace("p_", f"once{algebra.size}_")
+    )
     widths = []
     build = entailment.weak_closure
 
@@ -208,8 +217,10 @@ def test_derives_then_extend_build_the_canonical_closure_once(monkeypatch):
 
     monkeypatch.setattr(entailment, "weak_closure", counting)
     assert derives(condition, condition.identities[2])
-    extend(LATTICE2, condition)
+    ext = extend(algebra, condition)
     assert sorted(widths) == [2, canonical_variable_set(condition)]
+    assert well_definedness_audit(ext)  # reads the same closure
+    assert len(widths) == 2
 
 
 # --- the audit ---------------------------------------------------------------

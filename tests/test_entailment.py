@@ -12,6 +12,7 @@ from maltcube.entailment import (
     EntailmentIndex,
     EntailmentStats,
     TermUniverseError,
+    _closure_memo,
     condition_index,
     derives,
     entails,
@@ -30,6 +31,7 @@ from maltcube.terms import (
     hagemann_mitschke_condition,
     jonsson_condition,
     parse_condition,
+    render_condition,
     substitute,
     var,
 )
@@ -250,8 +252,18 @@ def test_condition_index_cached():
     assert condition_index(cd3, 4) is not condition_index(cd3, 3)
 
 
+def test_condition_index_resolves_the_default_width_before_the_memo():
+    # fresh symbol names, so no earlier test left this condition in the memo
+    cd3 = parse_condition(render_condition(jonsson_condition(3)).replace("d_", "width_"))
+    misses = _closure_memo.cache_info().misses
+    index = condition_index(cd3)
+    assert condition_index(cd3, None) is index
+    assert condition_index(cd3, 3) is index
+    assert _closure_memo.cache_info().misses == misses + 1
+
+
 def test_condition_index_memo_is_bounded():
-    maxsize = condition_index.cache_info().maxsize
+    maxsize = _closure_memo.cache_info().maxsize
     assert maxsize is not None
     first = MaltsevCondition((OperationSymbol("memo_first", 2),), ())
     released = weakref.ref(condition_index(first))
