@@ -41,6 +41,17 @@ Derivations are recorded per member (one operation plus argument member
 indices), and witness term trees are materialized from them on demand;
 trees share subterm objects, so a witness is linear in the member count
 even when its unfolding is not.
+
+`smp_decide` stops the closure right after the box (the python engine:
+the application) that first derives the target, or before round 1 when
+a seed is the target, keeping the members found so far in that round.
+The witness is the one the full closure gives: a member's recorded
+derivation is its first, made in the first box that yields it, and its
+arguments are members of earlier rounds; the full closure runs the same
+boxes in the same order up to that point, so the stopped closure's ids
+and derivations are a prefix of the full closure's and the target's
+derivation tree is the same.  A non-member target still runs the whole
+closure.
 """
 
 from __future__ import annotations
@@ -83,7 +94,11 @@ class FiniteAlgebra:
                     f"table for {symbol} has {len(table)} entries, "
                     f"expected {self.size ** symbol.arity}"
                 )
-            if any(not 0 <= v < self.size for v in table):
+            try:
+                values = np.fromiter(table, dtype=np.int64, count=len(table))
+            except OverflowError:  # an entry beyond 64 bits
+                values = None
+            if values is None or values.min() < 0 or values.max() >= self.size:
                 raise ValueError(f"table for {symbol} leaves the universe")
 
     def value(self, symbol: OperationSymbol, args: Sequence[int]) -> int:
@@ -431,6 +446,9 @@ def render_instance(instance: SmpInstance) -> str:
 class ClosureStats:
     """Counters of one closure run.
 
+    `members` and `rounds` count the members found and the rounds that
+    found any.  For a closure stopped at a member target (`smp_decide`)
+    they count up to the stopping box, whose round is counted.
     `lifts_built` and `lifts_reused` count the lifted chunk tables the
     numpy engine built and took from the process-wide memo; they depend
     on what earlier closures left there, so they take no part in equality.
@@ -680,6 +698,9 @@ class _NumpyEngine:
         self.ids = np.empty(0, dtype=np.int64)  # packed member codes, in member order
         self.prov: list = []
         self.op_symbols = tuple(algebra.operations)
+        self.arity_ops = [
+            (i, s.arity) for i, s in enumerate(self.op_symbols) if s.arity >= 1
+        ]
         self.lifts_built = 0
         self.lifts_reused = 0
         self._plans: dict[int, list[_ChunkSpec]] = {}
@@ -752,51 +773,64 @@ class _NumpyEngine:
             result = part if result is None else result + part
         return result
 
-    def run(self, generators: Sequence[tuple[int, ...]]) -> ClosureResult:
+    def _round(self, old: int, current: int, goal: int | None, pending_codes: list,
+               pending_provs: list) -> bool:
+        """Collect the fresh members of one round; True once a box yields `goal`.
+
+        The round applies every operation to the argument tuples that touch
+        a member found since `old`.
+        """
+        for op_index, k in self.arity_ops:
+            for axis in range(k):
+                sizes = [old] * axis + [current - old] + [current] * (k - 1 - axis)
+                if any(s == 0 for s in sizes):
+                    continue
+                bases = [0] * axis + [old] + [0] * (k - 1 - axis)
+                for starts, extents in _boxes(sizes):
+                    positions = [
+                        np.arange(b + s, b + s + e, dtype=np.int64)
+                        for b, s, e in zip(bases, starts, extents)
+                    ]
+                    codes = self._apply(op_index, positions)
+                    mask = self.seen.new_mask(codes)
+                    if not mask.any():
+                        continue
+                    fresh, first = np.unique(codes[mask], return_index=True)
+                    offsets = np.unravel_index(np.flatnonzero(mask)[first], extents)
+                    self.seen.add(fresh)
+                    pending_codes.extend(fresh.tolist())
+                    pending_provs.extend(
+                        (op_index, *args)
+                        for args in zip(
+                            *(p[o].tolist() for p, o in zip(positions, offsets))
+                        )
+                    )
+                    if current + len(pending_codes) > self.budget:
+                        raise BudgetExceededError(
+                            current + len(pending_codes), self.rounds, self.budget
+                        )
+                    if goal is not None and goal in fresh:
+                        return True
+        return False
+
+    def run(
+        self, generators: Sequence[tuple[int, ...]], target: tuple[int, ...] | None = None
+    ) -> ClosureResult:
         self.rounds = 0
+        goal = None if target is None else _pack(target, self.n)
         seeds = _seeds(self.algebra, generators, self.m)
+        seed_codes = [_pack(member, self.n) for member, _ in seeds]
         if seeds:
-            seed_codes = [_pack(member, self.n) for member, _ in seeds]
             self.seen.add(np.asarray(seed_codes, dtype=np.int64))
             self._append_members(seed_codes, [derivation for _, derivation in seeds])
 
-        arity_ops = [
-            (i, s.arity) for i, s in enumerate(self.op_symbols) if s.arity >= 1
-        ]
+        found = goal in seed_codes
         old = 0
-        while old < len(self.ids):
+        while old < len(self.ids) and not found:
             current = len(self.ids)
             pending_codes: list[int] = []
             pending_provs: list = []
-            for op_index, k in arity_ops:
-                for axis in range(k):
-                    sizes = [old] * axis + [current - old] + [current] * (k - 1 - axis)
-                    if any(s == 0 for s in sizes):
-                        continue
-                    bases = [0] * axis + [old] + [0] * (k - 1 - axis)
-                    for starts, extents in _boxes(sizes):
-                        positions = [
-                            np.arange(b + s, b + s + e, dtype=np.int64)
-                            for b, s, e in zip(bases, starts, extents)
-                        ]
-                        codes = self._apply(op_index, positions)
-                        mask = self.seen.new_mask(codes)
-                        if not mask.any():
-                            continue
-                        fresh, first = np.unique(codes[mask], return_index=True)
-                        offsets = np.unravel_index(np.flatnonzero(mask)[first], extents)
-                        self.seen.add(fresh)
-                        pending_codes.extend(fresh.tolist())
-                        pending_provs.extend(
-                            (op_index, *args)
-                            for args in zip(
-                                *(p[o].tolist() for p, o in zip(positions, offsets))
-                            )
-                        )
-                        if current + len(pending_codes) > self.budget:
-                            raise BudgetExceededError(
-                                current + len(pending_codes), self.rounds, self.budget
-                            )
+            found = self._round(old, current, goal, pending_codes, pending_provs)
             old = current
             if pending_codes:
                 self.rounds += 1
@@ -812,7 +846,7 @@ class _NumpyEngine:
 
 
 def _closure_python(
-    algebra: FiniteAlgebra, generators, m: int, budget: int
+    algebra: FiniteAlgebra, generators, m: int, budget: int, target: tuple[int, ...] | None
 ) -> ClosureResult:
     """Dict-based reference engine; also covers members too wide to pack."""
     n = algebra.size
@@ -836,10 +870,9 @@ def _closure_python(
         add(member, derivation)
 
     tables = {s: algebra.operations[s] for s in op_symbols}
-    old = 0
-    while old < len(order):
-        current = len(order)
-        pending: list[tuple[tuple[int, ...], tuple]] = []
+
+    def close_round(old: int, current: int, pending: list) -> bool:
+        """Collect the fresh members of one round; True once one is the target."""
         pending_set: set[tuple[int, ...]] = set()
         for op_index, symbol in enumerate(op_symbols):
             k = symbol.arity
@@ -868,6 +901,16 @@ def _closure_python(
                             raise BudgetExceededError(
                                 len(order) + len(pending), rounds, budget
                             )
+                        if member == target:
+                            return True
+        return False
+
+    found = target in positions
+    old = 0
+    while old < len(order) and not found:
+        current = len(order)
+        pending: list[tuple[tuple[int, ...], tuple]] = []
+        found = close_round(old, current, pending)
         old = current
         if pending:
             rounds += 1
@@ -880,19 +923,19 @@ def _closure_python(
     )
 
 
-def generate_subpower(
+def _close(
     algebra: FiniteAlgebra,
     generators: Sequence[Sequence[int]],
-    *,
-    m: int | None = None,
-    budget: int = DEFAULT_BUDGET,
-    engine: str = "auto",
+    m: int | None,
+    budget: int,
+    engine: str,
+    target: tuple[int, ...] | None,
 ) -> ClosureResult:
-    """Close the generators under all operations in the m-th power.
+    """Validate a closure request and run the chosen engine.
 
-    Runs breadth-first rounds; every member records the operation and
-    argument members that produced it.  Raises BudgetExceededError once
-    more than `budget` members appear.
+    With a target, the engine stops right after the box (numpy) or the
+    application (python) that first derives it, or before round 1 if a
+    seed is the target; with None it computes the whole closure.
     """
     generators = [tuple(g) for g in generators]
     if m is None:
@@ -914,8 +957,25 @@ def generate_subpower(
     if engine == "numpy" and not fits:
         raise ValueError("packed codes do not fit the numpy engine")
     if engine == "python" or not fits:
-        return _closure_python(algebra, generators, m, budget)
-    return _NumpyEngine(algebra, m, budget).run(generators)
+        return _closure_python(algebra, generators, m, budget, target)
+    return _NumpyEngine(algebra, m, budget).run(generators, target)
+
+
+def generate_subpower(
+    algebra: FiniteAlgebra,
+    generators: Sequence[Sequence[int]],
+    *,
+    m: int | None = None,
+    budget: int = DEFAULT_BUDGET,
+    engine: str = "auto",
+) -> ClosureResult:
+    """Close the generators under all operations in the m-th power.
+
+    Runs breadth-first rounds; every member records the operation and
+    argument members that produced it.  Raises BudgetExceededError once
+    more than `budget` members appear.
+    """
+    return _close(algebra, generators, m, budget, engine, None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -933,11 +993,20 @@ def smp_decide(
     *,
     budget: int = DEFAULT_BUDGET,
 ) -> SmpAnswer:
-    """Decide whether the target lies in the subpower the generators generate."""
+    """Decide whether the target lies in the subpower the generators generate.
+
+    The closure stops right after the box that first derives the target,
+    so for a member target `stats` counts the members and rounds up to
+    that box and the budget bounds only those; a non-member target runs
+    the whole closure, whose counters `stats` then holds.  The witness is
+    the one the full closure records.
+    """
     for t in instance.generators + (instance.target,):
         if any(not 0 <= v < algebra.size for v in t):
             raise ValueError(f"tuple {t} leaves the universe")
-    closure = generate_subpower(algebra, instance.generators, m=instance.m, budget=budget)
+    closure = _close(
+        algebra, instance.generators, instance.m, budget, "auto", instance.target
+    )
     if instance.target in closure:
         return SmpAnswer(True, closure.witness_tree(instance.target), closure.stats)
     return SmpAnswer(False, None, closure.stats)

@@ -61,8 +61,9 @@ def test_algebra_validation():
         FiniteAlgebra(0, {})
     with pytest.raises(ValueError):
         FiniteAlgebra(2, {MEET: (0, 0, 0)})
-    with pytest.raises(ValueError, match="leaves the universe"):
-        FiniteAlgebra(2, {MEET: (0, 0, 0, 2)})
+    for table in ((0, 0, 0, 2), (0, -1, 0, 0), (0, 0, 2**64, 0)):
+        with pytest.raises(ValueError, match="leaves the universe"):
+            FiniteAlgebra(2, {MEET: table})
 
 
 def test_algebra_value_and_symbol():
@@ -350,6 +351,21 @@ def test_budget_stops_the_closure():
         # block-wise engines may overshoot within one round; never undershoot
         assert err.stats.members >= budget
         assert f"budget of {budget} members" in str(err)
+
+
+def test_budget_counts_members_up_to_the_target():
+    """The closure stops at the target, so a member found within the budget
+    answers yes where the whole closure would exceed it; a non-member needs
+    the whole closure and still exhausts the budget."""
+    generators = ((0, 1), (1, 0))
+    with pytest.raises(BudgetExceededError):
+        generate_subpower(LATTICE2, generators, budget=3)
+    answer = smp_decide(LATTICE2, SmpInstance(2, generators, (0, 0)), budget=3)
+    assert answer.answer
+    assert render_tree(answer.witness) == "meet(x1,x2)"
+    assert (answer.stats.members, answer.stats.rounds) == (3, 1)
+    with pytest.raises(BudgetExceededError):
+        smp_decide(LATTICE2, SmpInstance(3, ((0, 1, 1), (1, 0, 1)), (0, 0, 0)), budget=3)
 
 
 def test_wide_powers_fall_back_to_python():

@@ -336,6 +336,16 @@ def test_smp_no(capsys, tmp_path, lattice_file):
     assert not any(l.startswith("witness") for l in lines)
 
 
+def test_smp_target_within_budget(capsys, tmp_path, lattice_file):
+    """The closure stops at the target: 3 members, though the whole has 4."""
+    inst = instance_file(tmp_path, "m: 2\ngenerators:\n0 1\n1 0\ntarget:\n0 0\n")
+    code, out, _ = run(capsys, "smp", "--budget", "3", "--witness", lattice_file, inst)
+    assert code == 0
+    assert out.splitlines() == [
+        "members: 3", "rounds: 1", "answer: yes", "witness: meet(x1,x2)",
+    ]
+
+
 def test_smp_budget_exit(capsys, tmp_path, lattice_file):
     inst = instance_file(tmp_path, "m: 3\ngenerators:\n0 1 1\n1 0 1\ntarget:\n1 1 1\n")
     code, _, err = run(capsys, "smp", "--budget", "2", lattice_file, inst)
