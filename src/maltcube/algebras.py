@@ -77,6 +77,18 @@ _BITMAP_CAP = 1 << 26     # largest packed-id space tracked by a byte map
 _LIFT_MEMO_BYTES = 1 << 24  # resident bytes kept by the lifted-table memo
 
 
+def _table_length_error(symbol: OperationSymbol, size: int, entries: int) -> str | None:
+    """The error for `entries` values as the symbol's table, or None.
+
+    A size ** arity with far more bits than `entries` is not computed.
+    """
+    huge = symbol.arity * (size.bit_length() - 1) > entries.bit_length() + 64
+    expected = f"{size}^{symbol.arity}" if huge else size**symbol.arity
+    if huge or expected != entries:
+        return f"table for {symbol} has {entries} entries, expected {expected}"
+    return None
+
+
 @dataclass(frozen=True)
 class FiniteAlgebra:
     """A finite universe {0..size-1} with finitely many table operations."""
@@ -89,11 +101,9 @@ class FiniteAlgebra:
             raise ValueError("universe must be nonempty")
         object.__setattr__(self, "operations", dict(self.operations))
         for symbol, table in self.operations.items():
-            if len(table) != self.size ** symbol.arity:
-                raise ValueError(
-                    f"table for {symbol} has {len(table)} entries, "
-                    f"expected {self.size ** symbol.arity}"
-                )
+            error = _table_length_error(symbol, self.size, len(table))
+            if error:
+                raise ValueError(error)
             try:
                 values = np.fromiter(table, dtype=np.int64, count=len(table))
             except OverflowError:  # an entry beyond 64 bits
@@ -106,6 +116,8 @@ class FiniteAlgebra:
             table = self.operations[symbol]
         except KeyError:
             raise ValueError(f"no interpretation for {symbol}") from None
+        if len(args) != symbol.arity:
+            raise ValueError(f"{symbol} takes {symbol.arity} arguments, not {len(args)}")
         index = 0
         for a in args:
             if not 0 <= a < self.size:
@@ -333,12 +345,9 @@ def parse_algebra(text: str, source: str = "<string>") -> FiniteAlgebra:
         nonlocal current, values
         if current is None:
             return
-        expected = size ** current.arity
-        if len(values) != expected:
-            raise AlgebraFormatError(
-                f"table for {current} has {len(values)} entries, expected {expected}",
-                source=source, line=at_line,
-            )
+        error = _table_length_error(current, size, len(values))
+        if error:
+            raise AlgebraFormatError(error, source=source, line=at_line)
         operations[current] = tuple(values)
         current, values = None, []
 

@@ -25,8 +25,6 @@ from random import Random
 from .algebras import (
     BudgetExceededError,
     DEFAULT_BUDGET,
-    AlgebraFormatError,
-    FiniteAlgebra,
     parse_algebra,
     parse_instance,
     render_algebra,
@@ -40,7 +38,6 @@ from .cube import check_condition
 from .entailment import TermUniverseError, condition_index, render_classes
 from .interp import find_interpretation
 from .terms import (
-    ConditionSyntaxError,
     cube_condition,
     hagemann_mitschke_condition,
     jonsson_condition,
@@ -56,11 +53,12 @@ from .terms import (
 _WITNESS_RENDER_CAP = 2000
 
 
-def _read(path: str) -> tuple[str, str]:
+def _load(parse, path: str):
+    """Parse a file, or standard input for "-", naming it in errors."""
     if path == "-":
-        return sys.stdin.read(), "<stdin>"
+        return parse(sys.stdin.read(), source="<stdin>")
     with open(path, "r", encoding="utf-8") as handle:
-        return handle.read(), path
+        return parse(handle.read(), source=path)
 
 
 def _write(path: str | None, text: str) -> None:
@@ -71,65 +69,44 @@ def _write(path: str | None, text: str) -> None:
             handle.write(text)
 
 
-def _load_condition(path: str):
-    text, source = _read(path)
-    return parse_condition(text, source=source)
-
-
-def _load_algebra(path: str) -> FiniteAlgebra:
-    text, source = _read(path)
-    return parse_algebra(text, source=source)
-
-
-def _load_instance(path: str):
-    text, source = _read(path)
-    return parse_instance(text, source=source)
-
-
 def _render_witness(tree) -> str:
     if tree_size(tree) > _WITNESS_RENDER_CAP:
         return f"(too large to render: {tree_size(tree)} nodes)"
     return render_tree(tree)
 
 
+def _reason(report) -> str:
+    """Why a condition is not applicable."""
+    if not report.consistent:
+        return "inconsistent"
+    return "cube identities for " + ", ".join(s.name for s in report.cube_symbols)
+
+
 def _cmd_check(args) -> int:
-    report = check_condition(_load_condition(args.condition))
-    out = []
-    cube_names = [s.name for s in report.cube_symbols]
+    report = check_condition(_load(parse_condition, args.condition))
+    cubes = [sub for sub in report.reports if sub.entails_cube]
+    names = [sub.symbol.name for sub in cubes]
+    consistent = "yes" if report.consistent else "no"
     if args.machine:
-        out.append(f"consistent={'yes' if report.consistent else 'no'}")
+        out = [f"consistent={consistent}"]
         if report.consistent:
-            out.append(f"cube={','.join(cube_names) if cube_names else 'none'}")
-            for sub in report.reports:
-                if sub.entails_cube:
-                    out.append(f"witness.{sub.symbol.name}={','.join(sub.witness)}")
+            out.append(f"cube={','.join(names) or 'none'}")
+            out += [f"witness.{sub.symbol.name}={','.join(sub.witness)}" for sub in cubes]
         out.append(f"applicable={'yes' if report.applicable else 'no'}")
         if not report.applicable:
-            reason = (
-                "inconsistent"
-                if not report.consistent
-                else f"cube identities for {', '.join(cube_names)}"
-            )
-            out.append(f"reason={reason}")
+            out.append(f"reason={_reason(report)}")
     else:
-        out.append(f"consistent: {'yes' if report.consistent else 'no'}")
+        out = [f"consistent: {consistent}"]
         if report.consistent:
-            out.append(f"cube: {', '.join(cube_names) if cube_names else 'none'}")
-            for sub in report.reports:
-                if sub.entails_cube:
-                    out.append(f"witness {sub.symbol.name}: {' '.join(sub.witness)}")
-        if report.applicable:
-            out.append("applicable: yes")
-        elif not report.consistent:
-            out.append("applicable: no (inconsistent)")
-        else:
-            out.append(f"applicable: no (cube identities for {', '.join(cube_names)})")
+            out.append(f"cube: {', '.join(names) or 'none'}")
+            out += [f"witness {sub.symbol.name}: {' '.join(sub.witness)}" for sub in cubes]
+        out.append("applicable: " + ("yes" if report.applicable else f"no ({_reason(report)})"))
     print("\n".join(out))
     return 0 if report.applicable else 1
 
 
 def _cmd_closure(args) -> int:
-    condition = _load_condition(args.condition)
+    condition = _load(parse_condition, args.condition)
     index = condition_index(condition, args.vars)
     lines = []
     classes = index.classes()
@@ -156,7 +133,7 @@ def _cmd_gen(args) -> int:
     elif args.kind == "cube":
         condition = cube_condition(args.columns)
     elif args.kind == "union":
-        condition = union_conditions(_load_condition(p) for p in args.files)
+        condition = union_conditions(_load(parse_condition, p) for p in args.files)
     else:
         condition = random_condition(Random(args.seed))
     _write(args.output, render_condition(condition))
@@ -164,17 +141,14 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_extend(args) -> int:
-    algebra = _load_algebra(args.algebra)
-    condition = _load_condition(args.condition)
+    algebra = _load(parse_algebra, args.algebra)
+    condition = _load(parse_condition, args.condition)
     ext = extend(algebra, condition)
     comments = [f"absorbing: {ext.absorbing}"]
     for symbol, table in ext.pattern_tables.items():
         rendered = " ".join(
-            "("
-            + ",".join(map(str, pattern))
-            + ")->"
-            + ("absorb" if position is None else str(position))
-            for pattern, position in sorted(table.items())
+            f"({','.join(map(str, pattern))})->{position or 'absorb'}"
+            for pattern, position in zip(ext.patterns[symbol.arity].tolist(), table.tolist())
         )
         comments.append(f"pattern {symbol.name}: {rendered}")
     _write(args.output, render_algebra(ext.extended, comments))
@@ -182,38 +156,24 @@ def _cmd_extend(args) -> int:
 
 
 def _cmd_model_check(args) -> int:
-    algebra = _load_algebra(args.algebra)
-    condition = _load_condition(args.condition)
+    algebra = _load(parse_algebra, args.algebra)
+    condition = _load(parse_condition, args.condition)
     result = satisfies(algebra, condition)
-    if args.machine:
-        lines = [f"satisfies={'yes' if result.holds else 'no'}"]
-        if not result.holds:
-            lines.append(f"identity={render_identity(result.identity)}")
-            lines.append(
-                "assignment="
-                + ",".join(
-                    f"{variable_name(v)}={value}"
-                    for v, value in sorted(result.assignment.items())
-                )
-            )
-    else:
-        lines = [f"satisfies: {'yes' if result.holds else 'no'}"]
-        if not result.holds:
-            lines.append(f"identity: {render_identity(result.identity)}")
-            lines.append(
-                "assignment: "
-                + " ".join(
-                    f"{variable_name(v)}={value}"
-                    for v, value in sorted(result.assignment.items())
-                )
-            )
+    sep, comma = ("=", ",") if args.machine else (": ", " ")
+    lines = [f"satisfies{sep}{'yes' if result.holds else 'no'}"]
+    if not result.holds:
+        assignment = sorted(result.assignment.items())
+        lines += [
+            f"identity{sep}{render_identity(result.identity)}",
+            f"assignment{sep}" + comma.join(f"{variable_name(v)}={x}" for v, x in assignment),
+        ]
     print("\n".join(lines))
     return 0 if result.holds else 1
 
 
 def _cmd_smp(args) -> int:
-    algebra = _load_algebra(args.algebra)
-    instance = _load_instance(args.instance)
+    algebra = _load(parse_algebra, args.algebra)
+    instance = _load(parse_instance, args.instance)
     answer = smp_decide(algebra, instance, budget=args.budget)
     sep = "=" if args.machine else ": "
     lines = [
@@ -233,16 +193,10 @@ def _cmd_smp(args) -> int:
 
 
 def _cmd_interpret(args) -> int:
-    condition = _load_condition(args.condition)
+    condition = _load(parse_condition, args.condition)
     interpretation = find_interpretation(condition)
     if interpretation is None:
-        report = check_condition(condition)
-        reason = (
-            "inconsistent"
-            if not report.consistent
-            else "cube identities for "
-            + ", ".join(s.name for s in report.cube_symbols)
-        )
+        reason = _reason(check_condition(condition))
         if args.machine:
             print(f"interpretation=none\nreason={reason}")
         else:
@@ -260,9 +214,9 @@ def _cmd_interpret(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    algebra = _load_algebra(args.algebra)
-    condition = _load_condition(args.condition)
-    instance = _load_instance(args.instance)
+    algebra = _load(parse_algebra, args.algebra)
+    condition = _load(parse_condition, args.condition)
+    instance = _load(parse_instance, args.instance)
     certificate = reduce_and_certify(
         algebra, condition, instance, budget=args.budget
     )
@@ -363,16 +317,10 @@ def main(argv=None) -> int:
     except (BudgetExceededError, TermUniverseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ConditionSyntaxError, AlgebraFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ConstructionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, KeyError, OSError) as exc:  # parse errors included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

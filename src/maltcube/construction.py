@@ -22,8 +22,10 @@ the map l_i(a) -> a_i is injective, so it preserves derivability, and
 the closure over any set of two or more variables is exact for
 identities over that set (`maltcube.entailment`).  Rows of one pattern
 share l(a), so the positions are read once per pattern, at the row
-with l(a) = a, and spread over its rows; the pattern tables thus list
-the patterns of at most |A| + 1 blocks, those A_M's rows have.  Below
+with l(a) = a, as one patterns x k hit matrix, and spread over its
+rows; the pattern tables thus list the patterns of at most |A| + 1
+blocks, those A_M's rows have, as one array per symbol indexed by
+pattern number, in sorted pattern order.  Below
 the canonical width, only an identity in more than |A| + 1 variables,
 seeded with all its instances, can push that closure over MAX_TERMS.
 
@@ -97,15 +99,21 @@ class EliminationError(RuntimeError):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExtendedAlgebra:
-    """A base algebra together with its absorbing extension."""
+    """A base algebra together with its absorbing extension.
+
+    `patterns[k]` lists the arity-k patterns of at most |A| + 1 blocks,
+    sorted; `pattern_tables[h][r]` is h's least derivable position at
+    pattern r, 0 where h absorbs.  Both are read-only arrays.
+    """
 
     base: FiniteAlgebra
     condition: MaltsevCondition
     extended: FiniteAlgebra
     absorbing: int
-    pattern_tables: dict[OperationSymbol, dict[tuple[int, ...], int | None]]
+    patterns: dict[int, np.ndarray]
+    pattern_tables: dict[OperationSymbol, np.ndarray]
 
 
 def _relabel(values: int, arity: int):
@@ -114,7 +122,10 @@ def _relabel(values: int, arity: int):
     The representatives are the rows with l(a) = a, in row order: l(a)
     read in base `values` is the number of a's representative row.
     `first[:, i]` is the least j with a_j = a_i, so `first + 1` is the
-    row's `equality_pattern`; each j = i opens the next label.
+    row's `equality_pattern`; each j = i opens the next label.  Where two
+    representatives first differ, the later one holds a later-opened or
+    a new label, whose first occurrence comes later: representative
+    order is sorted pattern order.
     """
     codes = np.arange(values**arity)
     rows = np.empty((len(codes), arity), dtype=np.min_scalar_type(values))
@@ -125,14 +136,17 @@ def _relabel(values: int, arity: int):
     opened = (first == np.arange(arity)).cumsum(axis=1, dtype=rows.dtype) - 1
     labels = np.take_along_axis(opened, first, axis=1)
     reps, numbers = np.unique(labels @ values ** np.arange(arity - 1, -1, -1), return_inverse=True)
-    return rows, rows[reps], list(map(tuple, (first[reps] + 1).tolist())), numbers
+    patterns = first[reps] + 1
+    patterns.setflags(write=False)
+    return rows, rows[reps], patterns, numbers
 
 
 def _read_off(condition: MaltsevCondition, absorbing: int):
-    """Per symbol, its H-table and every pattern's derivable positions.
+    """Per symbol, its H-table, patterns, hits and least positions.
 
-    A row takes a_i at its pattern's least position (module docstring),
-    and the absorbing element where the pattern has none.
+    hits[r, i] tells whether position i + 1 is derivable at pattern r.
+    A row takes a_i at its pattern's least position i (module
+    docstring), and the absorbing element where `least` has 0.
     """
     w = min(absorbing + 1, canonical_variable_set(condition))
     index = condition_index(condition, w)
@@ -142,14 +156,11 @@ def _read_off(condition: MaltsevCondition, absorbing: int):
         k = symbol.arity
         rows, reps, patterns, numbers = relabelled[k]
         term = classes[index._offsets[symbol] + reps @ w ** np.arange(k - 1, -1, -1)]
-        hits = (classes[reps] == term[:, None]).tolist()
-        positions = {
-            pattern: tuple(i + 1 for i in range(k) if hit[i])
-            for pattern, hit in zip(patterns, hits)
-        }
-        least = np.array([found[0] - 1 if found else k for found in positions.values()])
-        table = np.choose(least[numbers], [*rows.T, absorbing])
-        yield symbol, tuple(table.tolist()), positions
+        hits = classes[reps] == term[:, None]
+        # one past the leading underivable positions, k + 1 (none) wrapping to 0
+        least = (((~hits).cumprod(axis=1).sum(axis=1) + 1) % (k + 1)).astype(patterns.dtype)
+        table = np.choose(least[numbers], [absorbing, *rows.T])
+        yield symbol, tuple(table.tolist()), patterns, hits, least
 
 
 def _build_extension(
@@ -163,18 +174,19 @@ def _build_extension(
         padded = np.full((n + 1,) * symbol.arity, absorbing)
         padded[(slice(n),) * symbol.arity] = np.reshape(table, (n,) * symbol.arity)
         operations[symbol] = tuple(padded.ravel().tolist())
-    pattern_tables: dict[OperationSymbol, dict[tuple[int, ...], int | None]] = {}
-    for symbol, table, derived in _read_off(condition, absorbing):
+    patterns: dict[int, np.ndarray] = {}
+    pattern_tables: dict[OperationSymbol, np.ndarray] = {}
+    for symbol, table, symbol_patterns, _, least in _read_off(condition, absorbing):
         operations[symbol] = table
-        pattern_tables[symbol] = {
-            pattern: positions[0] if positions else None
-            for pattern, positions in derived.items()
-        }
+        patterns[symbol.arity] = symbol_patterns
+        least.setflags(write=False)
+        pattern_tables[symbol] = least
     return ExtendedAlgebra(
         base=algebra,
         condition=condition,
         extended=FiniteAlgebra(n + 1, operations),
         absorbing=absorbing,
+        patterns=patterns,
         pattern_tables=pattern_tables,
     )
 
@@ -222,13 +234,17 @@ def well_definedness_audit(ext: ExtendedAlgebra) -> AuditResult:
     positions read off the closure and checks each stored table against
     them, which catches injected breakage.
     """
-    for symbol, _, derived in _read_off(ext.condition, ext.absorbing):
-        for pattern, positions in derived.items():
-            blocks = {pattern[i - 1] for i in positions}
-            stored = ext.pattern_tables.get(symbol, {}).get(pattern)
-            # one block, and the stored position (or None) lies in it
-            if blocks != (set() if stored is None else {pattern[stored - 1]}):
-                return AuditResult(False, symbol, pattern, positions)
+    for symbol, _, patterns, hits, _ in _read_off(ext.condition, ext.absorbing):
+        stored = ext.pattern_tables[symbol]
+        # the stored position's block, 0 (no block) where the table absorbs
+        block = (patterns * (np.arange(1, symbol.arity + 1) == stored[:, None])).sum(axis=1)
+        bad = (hits.any(axis=1) != (stored != 0)) | (
+            hits & (patterns != block[:, None])
+        ).any(axis=1)
+        if bad.any():
+            r = bad.argmax()
+            positions = tuple((np.flatnonzero(hits[r]) + 1).tolist())
+            return AuditResult(False, symbol, tuple(patterns[r].tolist()), positions)
     return AuditResult(True)
 
 
@@ -248,8 +264,10 @@ def evaluate_linear_via_pattern(
     row = tuple(values[a] for a in w.args)
     if any(not 0 <= v <= ext.absorbing for v in row):
         raise ValueError("argument values leave the extended universe")
-    position = ext.pattern_tables[w.symbol][equality_pattern(row)]
-    return ext.absorbing if position is None else row[position - 1]
+    patterns = ext.patterns[len(row)]
+    number = (patterns == equality_pattern(row)).all(axis=1).argmax()
+    position = ext.pattern_tables[w.symbol][number]
+    return row[position - 1] if position else ext.absorbing
 
 
 def eliminate_H(

@@ -16,8 +16,9 @@ is nonempty and the intersection of all its members is empty:
     entailed matrix without an all-y column is a subfamily of F(h) with
     empty intersection;
   * conversely, the rows w_B of any subfamily with empty intersection
-    form a derivable matrix with no all-y column (one row is duplicated
-    if needed to reach the required two).
+    form a derivable matrix with no all-y column, and it has two rows
+    or more: the empty set is never in F(h), as h(x,...,x) = y would
+    derive x = y.
 
 A minimal witness subfamily needs at most k members: whenever the
 intersection is empty, one member omitting each position suffices.
@@ -25,7 +26,11 @@ intersection is empty, one member omitting each position suffices.
 Every member is an {x, y}-fact, so F(h) is read off the condition's
 closure over the two variables {x, y} (`maltcube.entailment` explains
 why that closure is exact), as is consistency: the condition is
-inconsistent exactly when that closure merges x and y.
+inconsistent exactly when that closure merges x and y.  F(h) stays the
+bit vector that closure gives, over the row numbers p of the w_B (bit
+k-i of p set exactly when i lies in B): an intersection is the AND of
+row numbers, and the position sets are built only on request
+(`CubeReport.y_family`).
 """
 
 from __future__ import annotations
@@ -38,15 +43,40 @@ import numpy as np
 from .entailment import CONDITION_INDEX_MEMO, EntailmentIndex, condition_index
 from .terms import MaltsevCondition, OperationSymbol
 
+_XY = str.maketrans("01", "xy")
+
+
+def pack_bits(bits: np.ndarray) -> int:
+    """A 0/1 vector as one int, entry p as bit p."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def unpack_bits(packed: int, length: int) -> np.ndarray:
+    """The first `length` bits of an int as 0/1 bytes, bit p as entry p."""
+    data = np.frombuffer(packed.to_bytes(-(-length // 8), "little"), np.uint8)
+    return np.unpackbits(data, count=length, bitorder="little")
+
 
 @dataclass(frozen=True)
 class CubeReport:
-    """Cube decision for one symbol; witness rows are words over {x, y}."""
+    """Cube decision for one symbol; witness rows are words over {x, y}.
+
+    Bit p of `hits` is set when h(w_B) = y is derivable, B of row number p.
+    """
 
     symbol: OperationSymbol
     entails_cube: bool
-    y_family: frozenset[frozenset[int]]
+    hits: int
     witness: tuple[str, ...] | None
+
+    @property
+    def y_family(self) -> frozenset[frozenset[int]]:
+        """F(h) as position sets (1-based), built from `hits` on request."""
+        k = self.symbol.arity
+        return frozenset(
+            frozenset(i + 1 for i in range(k) if p >> (k - 1 - i) & 1)
+            for p in np.flatnonzero(unpack_bits(self.hits, 1 << k)).tolist()
+        )
 
 
 @dataclass(frozen=True)
@@ -72,28 +102,28 @@ def y_family(condition: MaltsevCondition, symbol: OperationSymbol) -> frozenset[
     return entails_cube(condition, symbol).y_family
 
 
-def _minimal_subfamily(family: frozenset[frozenset[int]]) -> list[frozenset[int]]:
-    """Greedy removal in sorted order; the result is irreducible.
+def _minimal_subfamily(rows: np.ndarray, k: int) -> list[int]:
+    """Greedy removal over a family with empty intersection; irreducible.
 
-    A member is dropped when the kept members before it and all members
-    after it still have empty intersection.  Removals happen only at the
-    current member, so the members after it are the sorted tail, whose
-    intersections are precomputed: linear in the family, not quadratic.
+    Members go in lexicographic order of their sorted positions.  One is
+    dropped when the kept ones before it and all after it still have
+    empty intersection; as tails only grow, the next kept member is the
+    first whose tail meets `common`, which each kept member shrinks.
     """
-    ordered = sorted(family, key=lambda b: tuple(sorted(b)))
-    universe = frozenset().union(*ordered)
-    # tails[t]: intersection of ordered[t:], the universe for the empty tail
-    tails = [universe] * (len(ordered) + 1)
-    for t in range(len(ordered) - 1, -1, -1):
-        tails[t] = ordered[t] & tails[t + 1]
-    chosen: list[frozenset[int]] = []
-    common = universe
-    for t, b in enumerate(ordered):
-        others = chosen or t + 1 < len(ordered)
-        if others and not common & tails[t + 1]:
-            continue
-        chosen.append(b)
-        common &= b
+    bits = rows[:, None] >> np.arange(k - 1, -1, -1) & 1
+    positions = np.where(bits, np.arange(1, k + 1, dtype=np.uint8), k + 1)
+    positions = np.sort(positions, axis=1) % (k + 1)
+    ordered = rows[np.lexsort(positions.T[::-1])]
+    full = (1 << k) - 1
+    # tails[t]: intersection of ordered[t + 1:], all positions for the empty tail
+    tails = np.bitwise_and.accumulate(np.append(ordered, full)[::-1])[-2::-1]
+    chosen: list[int] = []
+    common, start = full, 0
+    while common:
+        start += int(np.argmax(tails[start:] & common != 0))
+        chosen.append(int(ordered[start]))
+        common &= chosen[-1]
+        start += 1
     return chosen
 
 
@@ -113,27 +143,19 @@ def entails_cube(condition: MaltsevCondition, symbol: OperationSymbol) -> CubeRe
 def _cube_report(index: EntailmentIndex, symbol: OperationSymbol) -> CubeReport:
     """`entails_cube` against the condition's consistent closure over {x, y}.
 
-    Id offset + p of that closure is h(w_B) with position i (1-based) in
-    B exactly when bit k-i of p is set, so one comparison against the
-    class of y lists the whole family.
+    Id offset + p of that closure is h(w_B) for the B of row number p,
+    so one comparison against the class of y gives the whole family.
     """
     k = symbol.arity
     offset = index._offsets[symbol]
-    hits = np.flatnonzero(index._rep[offset : offset + 2**k] == index._rep[1])
-    family = frozenset(
-        frozenset(i + 1 for i in range(k) if p >> (k - 1 - i) & 1)
-        for p in hits.tolist()
-    )
-    positive = bool(family) and not frozenset.intersection(*family)
+    hit = index._rep[offset : offset + 2**k] == index._rep[1]
+    rows = np.flatnonzero(hit)
     witness: tuple[str, ...] | None = None
-    if positive:
-        rows = _minimal_subfamily(family)
-        if len(rows) == 1:  # only possible via the empty set; keep two rows anyway
-            rows = rows * 2
+    if rows.size and not np.bitwise_and.reduce(rows):
         witness = tuple(
-            "".join("y" if i + 1 in b else "x" for i in range(k)) for b in rows
+            format(p, f"0{k}b").translate(_XY) for p in _minimal_subfamily(rows, k)
         )
-    return CubeReport(symbol, positive, family, witness)
+    return CubeReport(symbol, witness is not None, pack_bits(hit), witness)
 
 
 @lru_cache(maxsize=CONDITION_INDEX_MEMO)

@@ -29,7 +29,9 @@ form an interpretation:
     position j, so column j is all-y; if f_h = 0, no row has value y.
 
 So a model exists exactly when the condition is applicable, and it
-needs no search.  Defining terms are built by Shannon expansion:
+needs no search: f_h's truth table, over the argument rows in
+lexicographic order, is the bit vector `maltcube.cube` reads F(h) off
+the closure as.  Defining terms are built by Shannon expansion:
 with impd(a, b) = b AND NOT a, for g <= x_j and a, b <= x_j,
 
     constant 0 = impd(x1, x1),   g AND NOT x_i = impd(x_i, g),
@@ -45,10 +47,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .algebras import FiniteAlgebra, TermTree, leaf, node
-from .cube import check_condition
+from .cube import check_condition, unpack_bits
 from .terms import MaltsevCondition, OperationSymbol
 
 DUAL_IMPLICATION = OperationSymbol("impd", 2)
@@ -86,7 +86,10 @@ def _variable_mask(i: int, k: int) -> int:
     Bit p is bit k-1-i of p: runs of `run` zeros then `run` ones, repeated.
     """
     run = 1 << (k - 1 - i)
-    return ((1 << (1 << k)) - 1) // ((1 << 2 * run) - 1) * (((1 << run) - 1) << run)
+    mask = ((1 << run) - 1) << run
+    while mask.bit_length() < 1 << k:
+        mask |= mask << mask.bit_length()
+    return mask
 
 
 def _defining_term(mask: int, k: int) -> TermTree:
@@ -164,24 +167,22 @@ class Interpretation:
 def find_interpretation(condition: MaltsevCondition) -> Interpretation | None:
     """The model of the condition in the clone read off its cube families.
 
-    Symbol h gets the table that is 1 at an argument row exactly when
-    the set of positions carrying 1 lies in h's `y_family`.  Returns None
-    when the condition is inconsistent or entails cube identities, in
-    which case no model in the clone exists.
+    Symbol h's table is its report's `hits` bit vector: row p is 1
+    exactly when the positions carrying 1 form a member of F(h).  Returns
+    None when the condition is inconsistent or entails cube identities,
+    in which case no model in the clone exists.
     """
     if any(s.arity == 0 for s in condition.signature):
         raise ValueError("nullary symbols have no term over the dual implication")
     report = check_condition(condition)
     if not report.applicable:
         return None
-    assignment = {}
-    for cube in report.reports:
-        k = cube.symbol.arity
-        table = np.zeros(1 << k, dtype=np.uint8)
-        for b in cube.y_family:
-            table[sum(1 << (k - i) for i in b)] = 1
-        mask = int.from_bytes(np.packbits(table, bitorder="little").tobytes(), "little")
-        assignment[cube.symbol] = BooleanOperationEntry(
-            k, tuple(table.tolist()), _defining_term(mask, k)
+    assignment = {
+        cube.symbol: BooleanOperationEntry(
+            cube.symbol.arity,
+            tuple(unpack_bits(cube.hits, 1 << cube.symbol.arity).tolist()),
+            _defining_term(cube.hits, cube.symbol.arity),
         )
+        for cube in report.reports
+    }
     return Interpretation(condition, assignment)

@@ -9,6 +9,9 @@ available, trading speed for obviousness:
     with full passes over `LinearTerm` objects until nothing changes,
     rather than a worklist over integer ids;
   * the cube decision searches every row set of bounded size directly;
+    cube families are listed as frozensets of position sets, one
+    closure lookup per member, and intersected as sets, rather than
+    kept as the closure's bit vector;
   * subpower members are grown by applying operations to all argument
     combinations until nothing new appears, with no frontier bookkeeping;
   * a lifted operation table is filled entry by entry, unpacking each
@@ -250,6 +253,61 @@ def oracle_entails_cube(
     return False
 
 
+def reference_minimal_subfamily(family: frozenset[frozenset[int]]) -> list[frozenset[int]]:
+    """Greedy removal over position sets in sorted order.
+
+    A member is dropped when the kept members before it and all members
+    after it still have empty intersection; the tails' intersections
+    are precomputed.
+    """
+    ordered = sorted(family, key=lambda b: tuple(sorted(b)))
+    universe = frozenset().union(*ordered)
+    tails = [universe] * (len(ordered) + 1)
+    for t in range(len(ordered) - 1, -1, -1):
+        tails[t] = ordered[t] & tails[t + 1]
+    chosen: list[frozenset[int]] = []
+    common = universe
+    for t, b in enumerate(ordered):
+        others = chosen or t + 1 < len(ordered)
+        if others and not common & tails[t + 1]:
+            continue
+        chosen.append(b)
+        common &= b
+    return chosen
+
+
+def reference_cube_report(condition: MaltsevCondition, symbol: OperationSymbol):
+    """F(h) as a frozenset of position sets, the verdict, and witness rows.
+
+    The family is listed from the closure over {x, y} one member at a
+    time; intersections and the greedy run on frozensets.
+    """
+    index = condition_index(condition, 2)
+    k = symbol.arity
+    offset = index._offsets[symbol]
+    family = frozenset(
+        frozenset(i + 1 for i in range(k) if p >> (k - 1 - i) & 1)
+        for p in range(2**k)
+        if index._rep[offset + p] == index._rep[1]
+    )
+    positive = bool(family) and not frozenset.intersection(*family)
+    witness = None
+    if positive:
+        witness = tuple(
+            "".join("y" if i + 1 in b else "x" for i in range(k))
+            for b in reference_minimal_subfamily(family)
+        )
+    return family, positive, witness
+
+
+def reference_truth_table(family: frozenset[frozenset[int]], k: int) -> tuple[int, ...]:
+    """The table that is 1 at a lexicographic row exactly when its 1-positions are in the family."""
+    table = [0] * (1 << k)
+    for b in family:
+        table[sum(1 << (k - i) for i in b)] = 1
+    return tuple(table)
+
+
 def oracle_subpower(
     algebra: FiniteAlgebra, generators, m: int
 ) -> frozenset[tuple[int, ...]]:
@@ -306,15 +364,16 @@ def reference_lifted_table(
     return tuple(out)
 
 
-def reference_build_extension(
-    algebra: FiniteAlgebra, condition: MaltsevCondition
-) -> ExtendedAlgebra:
+def reference_build_extension(algebra: FiniteAlgebra, condition: MaltsevCondition):
     """The absorbing extension built row by row over the canonical closure.
 
     Each pattern of each symbol is asked for its derivable positions
     with `same_class` over the canonical variable set, listing every
     pattern of an arity-length tuple; each table row then looks up the
     equality pattern of its arguments.  No precondition is checked.
+    Returns the extended algebra, whose absorbing element is
+    `algebra.size`, and per symbol a dict from every pattern to its
+    least derivable position, None where the symbol absorbs.
     """
     index = condition_index(condition, canonical_variable_set(condition))
     n = algebra.size
@@ -352,13 +411,7 @@ def reference_build_extension(
             h_table.append(args[position - 1] if position is not None else absorbing)
         operations[symbol] = tuple(h_table)
 
-    return ExtendedAlgebra(
-        base=algebra,
-        condition=condition,
-        extended=FiniteAlgebra(n + 1, operations),
-        absorbing=absorbing,
-        pattern_tables=pattern_tables,
-    )
+    return FiniteAlgebra(n + 1, operations), pattern_tables
 
 
 def _h_nodes_by_height(tree: TermTree, h_symbols) -> TermTree | None:

@@ -1,5 +1,6 @@
 """Finite algebras, term trees, subpower closure, and the membership solver."""
 
+import time
 from random import Random
 
 import pytest
@@ -77,6 +78,14 @@ def test_algebra_value_and_symbol():
         Z3.value(OperationSymbol("times", 2), (0, 0))
     with pytest.raises(ValueError, match="outside the universe"):
         Z3.value(PLUS, (0, 3))
+
+
+def test_value_checks_the_argument_count():
+    for args in [(1,), (0, 0, 1), (), (0, 1, 2, 0)]:
+        with pytest.raises(ValueError, match="takes 2 arguments"):
+            Z3.value(PLUS, args)
+    with pytest.raises(ValueError, match="takes 0 arguments"):
+        Z3.value(ONE, (0,))
 
 
 def test_random_algebra_is_deterministic():
@@ -222,6 +231,18 @@ def test_parse_algebra_errors_carry_location():
         parse_algebra("universe: 2\nwhat\n")
     with pytest.raises(AlgebraFormatError):
         parse_algebra("universe: 2\nop f/2:\n0 1\n")  # half a table
+
+
+def test_huge_arity_fails_without_computing_the_table_size():
+    start = time.perf_counter()
+    with pytest.raises(AlgebraFormatError, match=r"a\.alg:2: table for f/300000 has 1 entries"):
+        parse_algebra("universe: 1000000\nop f/300000: 0\n", source="a.alg")
+    with pytest.raises(ValueError, match=r"has 1 entries, expected 2\^300000$"):
+        FiniteAlgebra(2, {OperationSymbol("f", 300000): (0,)})
+    assert time.perf_counter() - start < 0.5
+    # sizes that are cheap to print keep the exact count
+    with pytest.raises(AlgebraFormatError, match="has 2 entries, expected 4$"):
+        parse_algebra("universe: 2\nop f/2:\n0 1\n")
 
 
 def test_instance_round_trip():

@@ -272,9 +272,10 @@ def test_extend_output_parses_and_models(capsys, tmp_path, lattice_file, cp3_fil
     assert code == 0
     text = out_path.read_text()
     assert "# absorbing: 2" in text
-    assert any(
-        line.startswith("# pattern p_1:") and "(1,2,2)->1" in line
-        for line in text.splitlines()
+    # the README's line, patterns in sorted order
+    assert (
+        "# pattern p_1: (1,1,1)->1 (1,1,3)->absorb (1,2,1)->absorb (1,2,2)->1 (1,2,3)->absorb"
+        in text.splitlines()
     )
     extended = parse_algebra(text)
     assert extended.size == 3
@@ -486,6 +487,17 @@ def test_malformed_algebra_reports_location(capsys, tmp_path, cp3_file):
     code, _, err = run(capsys, "model-check", str(path), cp3_file)
     assert code == 2
     assert "error:" in err
+
+
+def test_huge_arity_in_an_algebra_fails_fast(capsys, tmp_path):
+    path = tmp_path / "huge.alg"
+    path.write_text("universe: 1000000\nop f/3000000: 0\n")
+    inst = instance_file(tmp_path, "m: 1\ngenerators:\n0\ntarget:\n0\n")
+    start = time.perf_counter()
+    code, _, err = run(capsys, "smp", str(path), inst)
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    assert f"{path}:2: table for f/3000000 has 1 entries" in err
 
 
 def test_help_exits_zero(capsys):

@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from test_construction_differential import pattern_dict
 from maltcube.algebras import (
     BudgetExceededError,
     FiniteAlgebra,
@@ -109,7 +110,7 @@ def test_nullary_condition_symbol_is_constantly_absorbing():
 
 def test_jonsson_pattern_tables():
     ext = extend(LATTICE2, CD3)
-    tables = {s.name: ext.pattern_tables[s] for s in CD3.signature}
+    tables = {s.name: pattern_dict(ext, s) for s in CD3.signature}
     assert tables["d_0"][(1, 2, 3)] == 1
     assert tables["d_3"][(1, 2, 3)] == 3
     assert tables["d_2"][(1, 1, 3)] == 3

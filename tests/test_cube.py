@@ -2,10 +2,17 @@
 
 from random import Random
 
+import numpy as np
 import pytest
 
-from oracles import oracle_entails_cube
-from maltcube.cube import _minimal_subfamily, check_condition, entails_cube, y_family
+from oracles import oracle_entails_cube, reference_minimal_subfamily
+from maltcube.cube import (
+    _minimal_subfamily,
+    check_condition,
+    entails_cube,
+    unpack_bits,
+    y_family,
+)
 from maltcube.entailment import condition_index, entails, is_consistent
 from maltcube.terms import (
     Identity,
@@ -180,15 +187,20 @@ def test_all_x_row_makes_condition_inconsistent():
         y_family(condition, condition.symbol("h"))
 
 
+def row_numbers(family, k: int) -> np.ndarray:
+    """The row number of each w_B: bit k-i set exactly when i lies in B."""
+    return np.array([sum(1 << (k - i) for i in b) for b in family], dtype=np.int64)
+
+
+def position_sets(rows, k: int) -> list[frozenset[int]]:
+    return [frozenset(i + 1 for i in range(k) if p >> (k - 1 - i) & 1) for p in rows]
+
+
 def test_minimal_subfamily_greedy_examples():
-    family = frozenset(
-        {frozenset({1}), frozenset({3}), frozenset({1, 2, 3})}
-    )
-    assert _minimal_subfamily(family) == [frozenset({1}), frozenset({3})]
-    majority = frozenset(
-        {frozenset({1, 2}), frozenset({1, 3}), frozenset({2, 3}), frozenset({1, 2, 3})}
-    )
-    assert _minimal_subfamily(majority) == [
+    # over 3 positions, {1} is row 4, {3} row 1 and {1,2,3} row 7
+    assert _minimal_subfamily(np.array([1, 4, 7]), 3) == [4, 1]
+    majority = row_numbers([{1, 2}, {1, 3}, {2, 3}, {1, 2, 3}], 3)
+    assert position_sets(_minimal_subfamily(majority, 3), 3) == [
         frozenset({1, 2}),
         frozenset({1, 3}),
         frozenset({2, 3}),
@@ -209,14 +221,23 @@ def quadratic_minimal_subfamily(family):
 
 
 def test_minimal_subfamily_matches_the_quadratic_greedy():
+    # the greedy is defined on families with empty intersection, the only
+    # ones a cube decision hands it
     rng = Random(7)
-    for _ in range(300):
-        k = rng.randint(1, 5)
+    tried = 0
+    while tried < 3000:
+        k = rng.randint(1, 6)
         family = frozenset(
             frozenset(i for i in range(1, k + 1) if rng.random() < 0.6)
             for _ in range(rng.randint(1, 12))
         )
-        assert _minimal_subfamily(family) == quadratic_minimal_subfamily(family)
+        if frozenset.intersection(*family):
+            continue
+        tried += 1
+        expected = quadratic_minimal_subfamily(family)
+        assert reference_minimal_subfamily(family) == expected
+        chosen = _minimal_subfamily(row_numbers(family, k), k)
+        assert position_sets(chosen, k) == expected
 
 
 def test_minimal_subfamily_is_irreducible(condition_corpus):
@@ -225,8 +246,10 @@ def test_minimal_subfamily_is_irreducible(condition_corpus):
         for sub in report.reports:
             if not sub.entails_cube:
                 continue
-            rows = _minimal_subfamily(sub.y_family)
-            assert not frozenset.intersection(*rows)
+            k = sub.symbol.arity
+            rows = _minimal_subfamily(np.flatnonzero(unpack_bits(sub.hits, 1 << k)), k)
+            assert len(rows) >= 2
+            assert np.bitwise_and.reduce(rows) == 0
             for i in range(len(rows)):
                 rest = rows[:i] + rows[i + 1 :]
-                assert not rest or frozenset.intersection(*rest)
+                assert np.bitwise_and.reduce(rest) != 0

@@ -5,6 +5,11 @@ condition's closure over the two variables {x, y}.  Both facts must
 agree with the closure over the canonical variable set and with
 `OracleClosure`, which saturates under every variable map; and deciding
 must build no closure over more than two variables.
+
+The reports keep each family as the closure's bit vector.  Their
+`y_family` views, verdicts, witness rows and interpretation tables must
+equal those of `reference_cube_report`, which lists the family as
+frozensets and runs the greedy on them.
 """
 
 from itertools import product
@@ -12,16 +17,18 @@ from itertools import product
 import pytest
 from hypothesis import given, settings
 
-from oracles import OracleClosure
+from oracles import OracleClosure, reference_cube_report, reference_truth_table
 from test_entailment_differential import conditions, seeded_cube_matrix
 from maltcube.cube import check_condition
 from maltcube.entailment import EntailmentIndex, weak_closure
+from maltcube.interp import find_interpretation
 from maltcube.terms import (
     MaltsevCondition,
     app,
     canonical_variable_set,
     hagemann_mitschke_condition,
     jonsson_condition,
+    parse_condition,
     var,
 )
 
@@ -93,3 +100,44 @@ def test_fresh_decision_builds_one_closure_over_two_variables():
     report, widths = decide_recording_widths(condition)
     assert widths == [2]
     assert report.consistent and not report.applicable
+
+
+def assert_matches_frozenset_reference(condition: MaltsevCondition) -> None:
+    report = check_condition(condition)
+    assert report.consistent
+    tables = {}
+    for cube in report.reports:
+        family, positive, witness = reference_cube_report(condition, cube.symbol)
+        assert cube.y_family == family
+        assert cube.entails_cube == positive
+        assert cube.witness == witness
+        tables[cube.symbol] = reference_truth_table(family, cube.symbol.arity)
+    if all(s.arity for s in condition.signature):
+        found = find_interpretation(condition)
+        assert (found is not None) == report.applicable
+        if found is not None:
+            assert {s: e.truth_table for s, e in found.assignment.items()} == tables
+
+
+def test_corpus_matches_the_frozenset_reference(each_condition):
+    if check_condition(each_condition).consistent:
+        assert_matches_frozenset_reference(each_condition)
+
+
+@pytest.mark.parametrize("arity", range(2, 9))
+def test_cube_matrices_match_the_frozenset_reference(arity):
+    # an all-x row makes a matrix inconsistent, and so do the rows xy and yx
+    # that every arity-2 matrix without an all-x row has
+    matrices = (seeded_cube_matrix(arity, seed) for seed in range(40))
+    consistent = [c for c in matrices if check_condition(c).consistent]
+    assert (arity == 2) == (not consistent)
+    for condition in consistent:
+        assert not check_condition(condition).applicable
+        assert_matches_frozenset_reference(condition)
+
+
+def test_wide_projection_matches_the_frozenset_reference():
+    args = ",".join(f"x{i}" for i in range(17))
+    condition = parse_condition(f"signature: h/17\nidentities:\n  h({args}) = x16\n")
+    assert len(check_condition(condition).reports[0].y_family) == 65536
+    assert_matches_frozenset_reference(condition)
