@@ -24,34 +24,38 @@ applies every operation to argument tuples touching at least one member
 discovered in the previous round.  Members are packed into base-n
 integers and rounds run vectorized over numpy; operations are lifted to
 packed codes chunk by chunk (a chunk is a run of coordinates) so the hot
-loop is a handful of gathers into cache-sized tables.  Each block of
-argument tuples is cut into boxes, one vectorized call each: a box fixes
-one position on every axis before a lead axis, takes a run of rows on it
-and every position after it, and holds at most 64 * 2^16 tuples (at most
-2^16 unless one row alone is longer).  Lifted tables are memoized
-process-wide by their contents (universe size, arity, operation table,
-chunk length), so equal operations of different algebras, such as those
-of repeated extensions, share one read-only table; the memo evicts least
-recently used tables to stay within a fixed number of bytes.  A
-pure-python engine backs
-instances whose packed codes do not fit machine integers and doubles as
-a test oracle.
+loop is a handful of gathers into cache-sized tables.  The operations of
+one arity share their chunk layout, so they are applied together: each
+block of argument tuples, with the arity's operations as one more axis,
+is cut into boxes, one vectorized call each.  A box fixes one position
+on every axis before a lead axis, takes a run of rows on it and every
+position after it, and holds at most 64 * 2^16 applications (at most
+2^16 unless one row alone is longer).  An operation whose table is a
+projection never derives a fresh member and is left out.  Lifted tables
+are memoized process-wide by their contents (universe size, arity,
+operation table, chunk length), so equal operations of different
+algebras, such as those of repeated extensions, share one read-only
+table; the memo evicts least recently used tables to stay within a
+fixed number of bytes.  A pure-python engine backs instances whose
+packed codes do not fit machine integers and doubles as a test oracle.
 
 Derivations are recorded per member (one operation plus argument member
 indices), and witness term trees are materialized from them on demand;
 trees share subterm objects, so a witness is linear in the member count
 even when its unfolding is not.
 
-`smp_decide` stops the closure right after the box (the python engine:
-the application) that first derives the target, or before round 1 when
-a seed is the target, keeping the members found so far in that round.
-The witness is the one the full closure gives: a member's recorded
-derivation is its first, made in the first box that yields it, and its
-arguments are members of earlier rounds; the full closure runs the same
-boxes in the same order up to that point, so the stopped closure's ids
-and derivations are a prefix of the full closure's and the target's
-derivation tree is the same.  A non-member target still runs the whole
-closure.
+`smp_decide` stops the closure right after the target's operation in the
+box that first derives the target (the python engine: right after the
+application), or before round 1 when a seed is the target, keeping the
+members found so far in that round.  A box's fresh members come ordered
+by (operation, code), so those of the operations up to the target's
+come first.  The witness is the one the full closure gives: a member's
+recorded derivation is its first, made in the first box that yields it,
+by its first operation there, and its arguments are members of earlier
+rounds; the full closure runs the same boxes in the same order up to
+that point, so the stopped closure's ids and derivations are a prefix of
+the full closure's and the target's derivation tree is the same.  A
+non-member target still runs the whole closure.
 """
 
 from __future__ import annotations
@@ -60,7 +64,8 @@ import re
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from itertools import product
+from functools import lru_cache
+from itertools import product, repeat
 from math import prod
 from random import Random
 from typing import Iterable, Mapping, Sequence
@@ -75,6 +80,7 @@ _CHUNK_TARGET = 1 << 16   # argument tuples per box, one vectorized call
 _BOX_SLACK = 64           # no box holds more than _BOX_SLACK * _CHUNK_TARGET tuples
 _BITMAP_CAP = 1 << 26     # largest packed-id space tracked by a byte map
 _LIFT_MEMO_BYTES = 1 << 24  # resident bytes kept by the lifted-table memo
+_PROJECTION_MEMO = 256      # tables whose projection test is remembered
 
 
 def _table_length_error(symbol: OperationSymbol, size: int, entries: int) -> str | None:
@@ -457,16 +463,23 @@ class ClosureStats:
 
     `members` and `rounds` count the members found and the rounds that
     found any.  For a closure stopped at a member target (`smp_decide`)
-    they count up to the stopping box, whose round is counted.
-    `lifts_built` and `lifts_reused` count the lifted chunk tables the
-    numpy engine built and took from the process-wide memo; they depend
-    on what earlier closures left there, so they take no part in equality.
+    they count up to the target's operation in the stopping box, whose
+    round is counted.  `lifts_built` and `lifts_reused` count the lifted
+    chunk tables the numpy engine built and took from the process-wide
+    memo; they depend on what earlier closures left there.  `boxes`
+    counts the numpy engine's vectorized calls (0 for the python engine)
+    and `applications` the operations applied to argument tuples, which
+    the numpy engine counts a whole box at a time and without the
+    projections it skips.  These four describe how the engine worked,
+    not what it found, so they take no part in equality.
     """
 
     members: int
     rounds: int
     lifts_built: int = field(default=0, compare=False)
     lifts_reused: int = field(default=0, compare=False)
+    boxes: int = field(default=0, compare=False)
+    applications: int = field(default=0, compare=False)
 
 
 class BudgetExceededError(RuntimeError):
@@ -609,7 +622,7 @@ class _SortedSeen:
 class _ChunkSpec:
     shift: int     # weight of this chunk's code in the packed member
     modulus: int   # number of codes for this chunk
-    table: np.ndarray
+    tables: tuple[np.ndarray, ...]  # one lifted table per operation of the group
 
 
 class _LiftMemo:
@@ -672,6 +685,20 @@ def _lifted_table(
     return lifted, True
 
 
+@lru_cache(maxsize=_PROJECTION_MEMO)
+def _is_projection(n: int, arity: int, table: tuple[int, ...]) -> bool:
+    """Whether the table returns its argument at one fixed position.
+
+    Such an operation maps members to members, so it never derives a
+    fresh one and the numpy engine leaves it out of its boxes.
+    """
+    values = np.asarray(table).reshape((n,) * arity)
+    return any(
+        (values == np.arange(n).reshape((n,) + (1,) * (arity - 1 - i))).all()
+        for i in range(arity)
+    )
+
+
 def _boxes(sizes: Sequence[int]):
     """Cut a block of argument tuples into boxes, (starts, extents) per axis.
 
@@ -695,7 +722,16 @@ def _boxes(sizes: Sequence[int]):
 
 
 class _NumpyEngine:
-    """Vectorized semi-naive closure over packed member codes."""
+    """Vectorized semi-naive closure over packed member codes.
+
+    The operations of one arity form a group, in first-occurrence order,
+    and a box spans the whole group: the group's operations are the last
+    axis of every block handed to `_boxes`, so a box is bounded by its
+    applications (argument tuples times operations), and its chunk
+    indices, seen-set test, `np.unique` and provenance are computed once
+    for all of them.  Operations whose table is a projection are left
+    out, since they derive nothing fresh.
+    """
 
     def __init__(self, algebra: FiniteAlgebra, m: int, budget: int):
         self.algebra = algebra
@@ -707,11 +743,16 @@ class _NumpyEngine:
         self.ids = np.empty(0, dtype=np.int64)  # packed member codes, in member order
         self.prov: list = []
         self.op_symbols = tuple(algebra.operations)
-        self.arity_ops = [
-            (i, s.arity) for i, s in enumerate(self.op_symbols) if s.arity >= 1
-        ]
+        self.tables = [tuple(algebra.operations[s]) for s in self.op_symbols]
+        groups: dict[int, list[int]] = {}
+        for i, s in enumerate(self.op_symbols):
+            if s.arity >= 1 and not _is_projection(self.n, s.arity, self.tables[i]):
+                groups.setdefault(s.arity, []).append(i)
+        self.groups = list(groups.items())  # (arity, operation indices)
         self.lifts_built = 0
         self.lifts_reused = 0
+        self.boxes = 0
+        self.applications = 0
         self._plans: dict[int, list[_ChunkSpec]] = {}
         self._comps: dict[tuple[int, int], np.ndarray] = {}
 
@@ -730,22 +771,23 @@ class _NumpyEngine:
             start += step
         return out
 
-    def _plan(self, op_index: int) -> list[_ChunkSpec]:
-        if op_index in self._plans:
-            return self._plans[op_index]
-        symbol = self.op_symbols[op_index]
-        base = tuple(self.algebra.operations[symbol])
+    def _plan(self, arity: int, ops: Sequence[int]) -> list[_ChunkSpec]:
+        """The chunks of one group; same-arity operations share the layout."""
+        if arity in self._plans:
+            return self._plans[arity]
         specs = []
-        for start, length in self._chunk_lengths(symbol.arity):
-            shift = self.n ** (self.m - start - length)
-            modulus = self.n ** length
-            table, built = _lifted_table(self.n, symbol.arity, base, length)
-            if built:
-                self.lifts_built += 1
-            else:
-                self.lifts_reused += 1
-            specs.append(_ChunkSpec(shift, modulus, table))
-        self._plans[op_index] = specs
+        for start, length in self._chunk_lengths(arity):
+            tables = []
+            for op_index in ops:
+                table, built = _lifted_table(self.n, arity, self.tables[op_index], length)
+                if built:
+                    self.lifts_built += 1
+                else:
+                    self.lifts_reused += 1
+                tables.append(table)
+            specs.append(_ChunkSpec(self.n ** (self.m - start - length), self.n ** length,
+                                    tuple(tables)))
+        self._plans[arity] = specs
         return specs
 
     # -- members --------------------------------------------------------
@@ -770,15 +812,22 @@ class _NumpyEngine:
 
     # -- rounds ---------------------------------------------------------
 
-    def _apply(self, op_index: int, positions: list[np.ndarray]) -> np.ndarray:
-        """Codes of the operation on a box's argument tuples, in row-major order."""
+    def _apply(self, plan: list[_ChunkSpec], lo: int, hi: int,
+               positions: list[np.ndarray]) -> np.ndarray:
+        """Codes of a group's operations lo..hi-1 on a box's argument tuples.
+
+        One row per operation, the tuples in row-major order along it.
+        """
         result = None
-        for spec in self._plan(op_index):
+        for spec in plan:
             comp = self._comp(spec)
             idx = comp[positions[0]].astype(np.int64)
             for p in positions[1:]:
                 idx = idx[..., None] * spec.modulus + comp[p]
-            part = spec.table[idx.reshape(-1)].astype(np.int64) * spec.shift
+            idx = idx.reshape(-1)
+            rows = [table[idx] for table in spec.tables[lo:hi]]
+            gathered = rows[0][None] if len(rows) == 1 else np.vstack(rows)
+            part = gathered.astype(np.int64) * spec.shift
             result = part if result is None else result + part
         return result
 
@@ -787,38 +836,55 @@ class _NumpyEngine:
         """Collect the fresh members of one round; True once a box yields `goal`.
 
         The round applies every operation to the argument tuples that touch
-        a member found since `old`.
+        a member found since `old`.  A box's fresh members come ordered by
+        (operation, code), each credited to the first operation and then
+        the first tuple that yields it; the box that yields `goal` keeps
+        only those of the operations up to `goal`'s.
         """
-        for op_index, k in self.arity_ops:
+        for k, ops in self.groups:
+            plan = self._plan(k, ops)
             for axis in range(k):
                 sizes = [old] * axis + [current - old] + [current] * (k - 1 - axis)
                 if any(s == 0 for s in sizes):
                     continue
                 bases = [0] * axis + [old] + [0] * (k - 1 - axis)
-                for starts, extents in _boxes(sizes):
+                for starts, extents in _boxes([*sizes, len(ops)]):
+                    *starts, lo = starts
+                    *extents, width = extents
                     positions = [
                         np.arange(b + s, b + s + e, dtype=np.int64)
                         for b, s, e in zip(bases, starts, extents)
                     ]
-                    codes = self._apply(op_index, positions)
+                    codes = self._apply(plan, lo, lo + width, positions).reshape(-1)
+                    self.boxes += 1
+                    self.applications += len(codes)
                     mask = self.seen.new_mask(codes)
                     if not mask.any():
                         continue
                     fresh, first = np.unique(codes[mask], return_index=True)
-                    offsets = np.unravel_index(np.flatnonzero(mask)[first], extents)
+                    found = goal is not None and goal in fresh
+                    at = np.flatnonzero(mask)[first]
+                    if width == 1:
+                        offsets = np.unravel_index(at, extents)
+                        op_list = repeat(ops[lo])
+                    else:
+                        op_at, *offsets = np.unravel_index(at, (width, *extents))
+                        order = np.argsort(op_at, kind="stable")
+                        if found:  # stop after the target's operation
+                            order = order[op_at[order] <= op_at[fresh == goal][0]]
+                        fresh, op_at = fresh[order], op_at[order]
+                        offsets = [o[order] for o in offsets]
+                        op_list = np.asarray(ops[lo:lo + width])[op_at].tolist()
                     self.seen.add(fresh)
                     pending_codes.extend(fresh.tolist())
                     pending_provs.extend(
-                        (op_index, *args)
-                        for args in zip(
-                            *(p[o].tolist() for p, o in zip(positions, offsets))
-                        )
+                        zip(op_list, *(p[o].tolist() for p, o in zip(positions, offsets)))
                     )
                     if current + len(pending_codes) > self.budget:
                         raise BudgetExceededError(
                             current + len(pending_codes), self.rounds, self.budget
                         )
-                    if goal is not None and goal in fresh:
+                    if found:
                         return True
         return False
 
@@ -850,7 +916,8 @@ class _NumpyEngine:
             self.ids.tolist(),
             self.prov,
             self.op_symbols,
-            ClosureStats(len(self.ids), self.rounds, self.lifts_built, self.lifts_reused),
+            ClosureStats(len(self.ids), self.rounds, self.lifts_built, self.lifts_reused,
+                         self.boxes, self.applications),
         )
 
 
@@ -874,7 +941,7 @@ def _closure_python(
         prov.append(derivation)
         return True
 
-    rounds = 0
+    rounds = applications = 0
     for member, derivation in _seeds(algebra, generators, m):
         add(member, derivation)
 
@@ -882,6 +949,7 @@ def _closure_python(
 
     def close_round(old: int, current: int, pending: list) -> bool:
         """Collect the fresh members of one round; True once one is the target."""
+        nonlocal applications
         pending_set: set[tuple[int, ...]] = set()
         for op_index, symbol in enumerate(op_symbols):
             k = symbol.arity
@@ -895,6 +963,7 @@ def _closure_python(
                     + [range(0, current)] * (k - 1 - axis)
                 )
                 for combo in product(*ranges):
+                    applications += 1
                     rows = [order[i] for i in combo]
                     value = []
                     for j in range(m):
@@ -928,7 +997,8 @@ def _closure_python(
 
     ids = [_pack(member, n) for member in order]
     return ClosureResult(
-        algebra, m, ids, prov, op_symbols, ClosureStats(len(order), rounds)
+        algebra, m, ids, prov, op_symbols,
+        ClosureStats(len(order), rounds, applications=applications),
     )
 
 
@@ -942,9 +1012,10 @@ def _close(
 ) -> ClosureResult:
     """Validate a closure request and run the chosen engine.
 
-    With a target, the engine stops right after the box (numpy) or the
-    application (python) that first derives it, or before round 1 if a
-    seed is the target; with None it computes the whole closure.
+    With a target, the engine stops right after the target's operation in
+    the box (numpy) or the application (python) that first derives it, or
+    before round 1 if a seed is the target; with None it computes the
+    whole closure.
     """
     generators = [tuple(g) for g in generators]
     if m is None:
@@ -1004,9 +1075,11 @@ def smp_decide(
 ) -> SmpAnswer:
     """Decide whether the target lies in the subpower the generators generate.
 
-    The closure stops right after the box that first derives the target,
-    so for a member target `stats` counts the members and rounds up to
-    that box and the budget bounds only those; a non-member target runs
+    The closure stops right after the target's operation in the box that
+    first derives the target; a box spans all operations of one arity,
+    and its fresh members of later operations are dropped.  So for a
+    member target `stats` counts the members and rounds up to that
+    operation and the budget bounds only those; a non-member target runs
     the whole closure, whose counters `stats` then holds.  The witness is
     the one the full closure records.
     """

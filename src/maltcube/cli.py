@@ -185,6 +185,8 @@ def _cmd_smp(args) -> int:
         lines += [
             f"lifts_built={answer.stats.lifts_built}",
             f"lifts_reused={answer.stats.lifts_reused}",
+            f"boxes={answer.stats.boxes}",
+            f"applications={answer.stats.applications}",
         ]
     if args.witness and answer.witness is not None:
         lines.append(f"witness{sep}{_render_witness(answer.witness)}")

@@ -28,12 +28,17 @@ blocks, those A_M's rows have, as one array per symbol indexed by
 pattern number, in sorted pattern order.  Below
 the canonical width, only an identity in more than |A| + 1 variables,
 seeded with all its instances, can push that closure over MAX_TERMS.
+The H-tables and pattern tables depend on M and |A| alone, so they are
+read off once per (M, |A|) and kept as read-only arrays for the
+CONDITION_INDEX_MEMO most recently used pairs; `extend` only pads A's
+tables around them.
 
 Consistency makes the position choice canonical: two derivable
 positions in different pattern blocks would merge two distinct
 variables in the closure.  `well_definedness_audit` checks that fact
-per pattern, on positions read off the closure, and reports the first
-violation, which only an artificially broken extension can produce.
+per pattern, on positions it reads off the closure afresh, past the
+memo, and reports the first violation, which only an artificially
+broken extension can produce.
 
 Because membership instances over A are verbatim instances over A_M,
 subpower membership for A reduces to subpower membership for A_M; the
@@ -54,6 +59,7 @@ child may, with no child sharing it, and a bottom-up pass would raise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -70,13 +76,12 @@ from .algebras import (
     tree_symbols,
 )
 from .cube import check_condition
-from .entailment import condition_index
+from .entailment import CONDITION_INDEX_MEMO, condition_index
 from .terms import (
     LinearTerm,
     MaltsevCondition,
     OperationSymbol,
     canonical_variable_set,
-    equality_pattern,
 )
 
 
@@ -104,8 +109,11 @@ class ExtendedAlgebra:
     """A base algebra together with its absorbing extension.
 
     `patterns[k]` lists the arity-k patterns of at most |A| + 1 blocks,
-    sorted; `pattern_tables[h][r]` is h's least derivable position at
-    pattern r, 0 where h absorbs.  Both are read-only arrays.
+    sorted; `representatives[k][r]` is pattern r's representative, the
+    row whose entries are its first-occurrence labels, as a
+    base-(|A| + 1) code, ascending with r; `pattern_tables[h][r]` is h's
+    least derivable position at pattern r, 0 where h absorbs.  All are
+    read-only arrays.
     """
 
     base: FiniteAlgebra
@@ -113,19 +121,20 @@ class ExtendedAlgebra:
     extended: FiniteAlgebra
     absorbing: int
     patterns: dict[int, np.ndarray]
+    representatives: dict[int, np.ndarray]
     pattern_tables: dict[OperationSymbol, np.ndarray]
 
 
 def _relabel(values: int, arity: int):
     """Rows of {0..values-1}^arity, representatives, patterns, pattern numbers.
 
-    The representatives are the rows with l(a) = a, in row order: l(a)
-    read in base `values` is the number of a's representative row.
-    `first[:, i]` is the least j with a_j = a_i, so `first + 1` is the
-    row's `equality_pattern`; each j = i opens the next label.  Where two
-    representatives first differ, the later one holds a later-opened or
-    a new label, whose first occurrence comes later: representative
-    order is sorted pattern order.
+    The representatives are the rows with l(a) = a, given by their
+    numbers in row order: l(a) read in base `values` is the number of
+    a's representative row.  `first[:, i]` is the least j with a_j = a_i,
+    so `first + 1` is the row's `equality_pattern`; each j = i opens the
+    next label.  Where two representatives first differ, the later one
+    holds a later-opened or a new label, whose first occurrence comes
+    later: representative order is sorted pattern order.
     """
     codes = np.arange(values**arity)
     rows = np.empty((len(codes), arity), dtype=np.min_scalar_type(values))
@@ -137,12 +146,13 @@ def _relabel(values: int, arity: int):
     labels = np.take_along_axis(opened, first, axis=1)
     reps, numbers = np.unique(labels @ values ** np.arange(arity - 1, -1, -1), return_inverse=True)
     patterns = first[reps] + 1
-    patterns.setflags(write=False)
-    return rows, rows[reps], patterns, numbers
+    for array in (reps, patterns):
+        array.setflags(write=False)
+    return rows, reps, patterns, numbers
 
 
 def _read_off(condition: MaltsevCondition, absorbing: int):
-    """Per symbol, its H-table, patterns, hits and least positions.
+    """Per symbol, its H-table, patterns, representatives, hits and least positions.
 
     hits[r, i] tells whether position i + 1 is derivable at pattern r.
     A row takes a_i at its pattern's least position i (module
@@ -155,12 +165,27 @@ def _read_off(condition: MaltsevCondition, absorbing: int):
     for symbol in condition.signature:
         k = symbol.arity
         rows, reps, patterns, numbers = relabelled[k]
-        term = classes[index._offsets[symbol] + reps @ w ** np.arange(k - 1, -1, -1)]
-        hits = classes[reps] == term[:, None]
+        labels = rows[reps]
+        term = classes[index._offsets[symbol] + labels @ w ** np.arange(k - 1, -1, -1)]
+        hits = classes[labels] == term[:, None]
         # one past the leading underivable positions, k + 1 (none) wrapping to 0
         least = (((~hits).cumprod(axis=1).sum(axis=1) + 1) % (k + 1)).astype(patterns.dtype)
+        least.setflags(write=False)
         table = np.choose(least[numbers], [absorbing, *rows.T])
-        yield symbol, tuple(table.tolist()), patterns, hits, least
+        yield symbol, tuple(table.tolist()), patterns, reps, hits, least
+
+
+@lru_cache(maxsize=CONDITION_INDEX_MEMO)
+def _condition_tables(condition: MaltsevCondition, absorbing: int) -> tuple:
+    """`_read_off` without the hits, kept for the most recently used pairs.
+
+    A_M's H-part depends on M and |A| alone, so every extension of a
+    same-sized algebra by M shares these tables and read-only arrays.
+    """
+    return tuple(
+        (symbol, table, patterns, reps, least)
+        for symbol, table, patterns, reps, _, least in _read_off(condition, absorbing)
+    )
 
 
 def _build_extension(
@@ -175,11 +200,12 @@ def _build_extension(
         padded[(slice(n),) * symbol.arity] = np.reshape(table, (n,) * symbol.arity)
         operations[symbol] = tuple(padded.ravel().tolist())
     patterns: dict[int, np.ndarray] = {}
+    representatives: dict[int, np.ndarray] = {}
     pattern_tables: dict[OperationSymbol, np.ndarray] = {}
-    for symbol, table, symbol_patterns, _, least in _read_off(condition, absorbing):
+    for symbol, table, symbol_patterns, reps, least in _condition_tables(condition, absorbing):
         operations[symbol] = table
         patterns[symbol.arity] = symbol_patterns
-        least.setflags(write=False)
+        representatives[symbol.arity] = reps
         pattern_tables[symbol] = least
     return ExtendedAlgebra(
         base=algebra,
@@ -187,6 +213,7 @@ def _build_extension(
         extended=FiniteAlgebra(n + 1, operations),
         absorbing=absorbing,
         patterns=patterns,
+        representatives=representatives,
         pattern_tables=pattern_tables,
     )
 
@@ -234,7 +261,7 @@ def well_definedness_audit(ext: ExtendedAlgebra) -> AuditResult:
     positions read off the closure and checks each stored table against
     them, which catches injected breakage.
     """
-    for symbol, _, patterns, hits, _ in _read_off(ext.condition, ext.absorbing):
+    for symbol, _, patterns, _, hits, _ in _read_off(ext.condition, ext.absorbing):
         stored = ext.pattern_tables[symbol]
         # the stored position's block, 0 (no block) where the table absorbs
         block = (patterns * (np.arange(1, symbol.arity + 1) == stored[:, None])).sum(axis=1)
@@ -253,9 +280,9 @@ def evaluate_linear_via_pattern(
 ) -> int:
     """Value of a linear H-term read off the equality pattern of its arguments.
 
-    Substitutes the argument row into the term, takes the equality
-    pattern of the resulting tuple, and looks up its least derivable
-    position.  Must agree with direct table evaluation.
+    Substitutes the argument row into the term, finds the pattern of the
+    resulting tuple by its representative, and looks up its least
+    derivable position.  Must agree with direct table evaluation.
     """
     if w.symbol is None:
         return values[w.args[0]]
@@ -264,8 +291,11 @@ def evaluate_linear_via_pattern(
     row = tuple(values[a] for a in w.args)
     if any(not 0 <= v <= ext.absorbing for v in row):
         raise ValueError("argument values leave the extended universe")
-    patterns = ext.patterns[len(row)]
-    number = (patterns == equality_pattern(row)).all(axis=1).argmax()
+    labels: dict[int, int] = {}
+    representative = 0
+    for v in row:
+        representative = representative * (ext.absorbing + 1) + labels.setdefault(v, len(labels))
+    number = ext.representatives[len(row)].searchsorted(representative)
     position = ext.pattern_tables[w.symbol][number]
     return row[position - 1] if position else ext.absorbing
 

@@ -515,5 +515,9 @@ def test_smp_machine_reports_lift_reuse(capsys, tmp_path, lattice_file):
     lines = out.splitlines()
     assert "lifts_built=0" in lines
     assert any(l.startswith("lifts_reused=") and l != "lifts_reused=0" for l in lines)
+    # meet and join share one box per block: 2 applications per argument pair
+    stats = dict(l.split("=") for l in lines if l.startswith(("boxes=", "applications=")))
+    assert int(stats["boxes"]) >= 1
+    assert int(stats["applications"]) % 2 == 0
     code, out, _ = run(capsys, "smp", lattice_file, inst)
-    assert not any(l.startswith("lifts_") for l in out.splitlines())
+    assert not any(l.startswith(("lifts_", "boxes", "applications")) for l in out.splitlines())

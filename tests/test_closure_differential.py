@@ -2,8 +2,11 @@
 
 The engines agree on the member set, the counters and the seed members
 (distinct generators in position order, then the nullary constants).  The
-order within a round may differ: the numpy engine sorts the fresh codes of
-each box, the python engine keeps the order in which it meets them.
+order within a round may differ: the numpy engine applies all operations
+of one arity in one box and orders its fresh members by (operation,
+code), the python engine keeps the order in which it meets them.  Over
+A_M, whose H-operations include projections that the numpy engine skips,
+the engines must also find the same members in each round.
 """
 
 from itertools import product
@@ -25,7 +28,14 @@ from maltcube.algebras import (
     evaluate_on_power,
     generate_subpower,
 )
-from maltcube.terms import OperationSymbol
+from maltcube.construction import extend
+from maltcube.terms import (
+    OperationSymbol,
+    hagemann_mitschke_condition,
+    jonsson_condition,
+    parse_condition,
+    union_conditions,
+)
 
 
 @st.composite
@@ -42,6 +52,56 @@ def closures(draw):
     rows = draw(st.lists(st.tuples(*[value] * m), min_size=1, max_size=3))
     generators = [draw(st.sampled_from(rows)) for _ in range(draw(st.integers(0, 3)))]
     return FiniteAlgebra(size, operations), m, generators
+
+
+# CD(3) with CP(3), whose d_0, d_3, p_0 and p_3 are projections, and two
+# one-symbol conditions
+EXTENSION_CONDITIONS = (
+    union_conditions([jonsson_condition(3), hagemann_mitschke_condition(3)]),
+    parse_condition("signature: q/3\nidentities:\n  q(x,x,y) = x\n"),
+    parse_condition("signature: h/2\nidentities:\n  h(x,y) = h(y,x)\n"),
+)
+
+
+@st.composite
+def extended_closures(draw):
+    """A_M of a small algebra, a power and up to 3 generators over A_M.
+
+    The base algebra may hold a projection and a duplicate of one of its
+    operations; the generators may use the absorbing element.
+    """
+    size = draw(st.integers(1, 3))
+    value = st.integers(0, size - 1)
+    operations = {}
+    for i in range(draw(st.integers(1, 2))):
+        arity = draw(st.integers(0, 3))
+        table = draw(st.lists(value, min_size=size**arity, max_size=size**arity))
+        operations[OperationSymbol(f"f{i}", arity)] = tuple(table)
+    if draw(st.booleans()):
+        arity = draw(st.integers(1, 3))
+        position = draw(st.integers(0, arity - 1))
+        rows = product(range(size), repeat=arity)
+        operations[OperationSymbol("pr", arity)] = tuple(row[position] for row in rows)
+    if draw(st.booleans()):
+        symbol = draw(st.sampled_from(list(operations)))
+        operations[OperationSymbol("dup", symbol.arity)] = operations[symbol]
+    condition = draw(st.sampled_from(EXTENSION_CONDITIONS))
+    ext = extend(FiniteAlgebra(size, operations), condition)
+    m = draw(st.integers(1, 3 if size == 1 else 2))
+    value = st.integers(0, size)
+    generators = [draw(st.tuples(*[value] * m)) for _ in range(draw(st.integers(1, 3)))]
+    return ext.extended, m, generators
+
+
+def member_rounds(result) -> list[int]:
+    """The round that found each member: a seed is round 0, and a derived
+    member comes one round after its latest argument (each round applies
+    the operations to tuples touching the previous round's members)."""
+    rounds = []
+    for derivation in result._prov:
+        args = () if isinstance(derivation, int) else derivation[1:]
+        rounds.append(1 + max(rounds[a] for a in args) if args else 0)
+    return rounds
 
 
 def seed_prefix(algebra, generators, m):
@@ -76,6 +136,29 @@ def test_engines_match_the_oracle(case):
     assert results[0].stats == results[1].stats
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(extended_closures())
+def test_engines_find_the_same_rounds_over_extensions(case):
+    algebra, m, generators = case
+    results = [
+        generate_subpower(algebra, generators, m=m, engine=engine)
+        for engine in ("numpy", "python")
+    ]
+    assert results[0].members == oracle_subpower(algebra, generators, m)
+    by_round = []
+    for result in results:
+        rounds: dict[int, set] = {}
+        for member, r in zip(result.member_list, member_rounds(result)):
+            rounds.setdefault(r, set()).add(member)
+        by_round.append(rounds)
+    assert by_round[0] == by_round[1]
+    assert results[0].stats == results[1].stats
+    for member in results[0].member_list:
+        tree = results[0].witness_tree(member)
+        if generators:
+            assert evaluate_on_power(tree, algebra, generators) == member
+
+
 def chain_lattice(n):
     meet, join = OperationSymbol("meet", 2), OperationSymbol("join", 2)
     pairs = [(a, b) for a in range(n) for b in range(n)]
@@ -92,6 +175,13 @@ def cyclic_group(n):
         neg: tuple((-a) % n for a in range(n)),
         zero: (0,),
     })
+
+
+def test_projections_are_left_out_of_the_groups():
+    ext = extend(chain_lattice(2), EXTENSION_CONDITIONS[0])
+    engine = _NumpyEngine(ext.extended, 2, DEFAULT_BUDGET)
+    names = {k: [engine.op_symbols[i].name for i in ops] for k, ops in engine.groups}
+    assert names == {2: ["meet", "join"], 3: ["d_1", "d_2", "p_1", "p_2"]}
 
 
 @pytest.mark.parametrize("algebra,m", [
@@ -135,12 +225,14 @@ def random_ternary(seed):
     (random_ternary(0), [(1, 1, 0, 2), (1, 1, 1, 2)], algebras._BOX_SLACK),
     (random_ternary(0), [(1, 1, 0, 2), (1, 1, 1, 2)], 1),
     (cyclic_group(3), [(1, 0, 0), (0, 1, 2)], 1),
+    (chain_lattice(3), [(0, 1, 2, 1), (2, 1, 0, 0), (1, 2, 1, 2)], 1),
 ])
 def test_lead_axis_boxes_match_the_oracle(monkeypatch, algebra, generators, slack):
-    """With 4 tuples per box, blocks whose rows pass 4 * slack tuples take a lead axis >= 1.
+    """With 4 applications per box, blocks whose rows pass 4 * slack take a lead axis >= 1.
 
     At the default slack that is a ternary block past 16 members; at slack 1
-    a ternary block past 4 members reaches lead axis 2.
+    a ternary block past 4 members reaches lead axis 2.  The lattice's meet
+    and join share its boxes, whose last axis runs over the two of them.
     """
     monkeypatch.setattr(algebras, "_CHUNK_TARGET", 4)
     monkeypatch.setattr(algebras, "_BOX_SLACK", slack)

@@ -248,6 +248,24 @@ def test_audit_flags_injected_breakage():
     assert result.positions == (1, 2)
 
 
+def test_audit_flags_a_planted_pattern_table():
+    """The audit reads the positions afresh, so it catches a stored table
+    that disagrees with them; the memoized tables stay as they were."""
+    ext = extend(LATTICE2, CP3)
+    p_1 = CP3.symbol("p_1")
+    stored = ext.pattern_tables[p_1]
+    with pytest.raises(ValueError):
+        stored[0] = 0
+    planted = stored.copy()
+    planted[planted.argmax()] = 0
+    ext.pattern_tables[p_1] = planted
+    result = well_definedness_audit(ext)
+    assert not result and result.symbol == p_1
+    again = extend(LATTICE2, CP3)
+    assert again.pattern_tables[p_1] is stored
+    assert well_definedness_audit(again)
+
+
 # --- the pattern evaluator ---------------------------------------------------
 
 

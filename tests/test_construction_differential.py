@@ -7,16 +7,25 @@ at a time.  Over generated conditions and cube matrices (nullary
 symbols, inconsistent and cube-entailing conditions included) and
 algebras of every size from 1 to 4, all tables and the absorbing element
 must agree, and the pattern tables, read as dicts through `pattern_dict`,
-must be the reference's restricted to the patterns A_M's rows have.
+must be the reference's restricted to the patterns A_M's rows have.  The
+tables `_build_extension` takes from the memo per (M, |A|) must equal a
+fresh read off the closure and be read-only.
 """
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import reference_build_extension
 from test_entailment_differential import conditions, seeded_cube_matrix
 from maltcube.algebras import FiniteAlgebra
-from maltcube.construction import ExtendedAlgebra, _build_extension, well_definedness_audit
+from maltcube.construction import (
+    ExtendedAlgebra,
+    _build_extension,
+    _condition_tables,
+    _read_off,
+    well_definedness_audit,
+)
 from maltcube.cube import check_condition
 from maltcube.terms import OperationSymbol
 
@@ -62,6 +71,15 @@ def test_matches_the_row_by_row_reference():
                 if len(set(pattern)) <= algebra.size + 1
             }
             assert pattern_dict(ext, symbol) == expected
+        memo = _condition_tables(condition, algebra.size)
+        fresh = list(_read_off(condition, algebra.size))
+        assert [entry[:2] for entry in memo] == [entry[:2] for entry in fresh]
+        for (*_, patterns, reps, least), (*_, fresh_patterns, fresh_reps, _, fresh_least) in zip(
+            memo, fresh
+        ):
+            for array, again in ((patterns, fresh_patterns), (reps, fresh_reps),
+                                 (least, fresh_least)):
+                assert np.array_equal(array, again) and not array.flags.writeable
         report = check_condition(condition)
         if report.consistent:
             assert well_definedness_audit(ext)

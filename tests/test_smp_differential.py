@@ -9,15 +9,20 @@ whole closure.  Over generated algebras, powers and generators (repeats
 and nullary constants included), with targets among the seeds, the
 constants, the first and the last round, and outside the subpower, both
 engines must keep that prefix and `smp_decide` must give the full
-closure's answer, witness and, for a non-member, counters.
+closure's answer, witness and, for a non-member, counters.  The numpy
+engine's box spans all operations of one arity and keeps the fresh
+members of the operations up to the target's, so over A_M, whose
+H-operations share boxes, the budget must bound exactly those.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_closure_differential import closures
+from test_closure_differential import closures, extended_closures, member_rounds
 from maltcube.algebras import (
     DEFAULT_BUDGET,
+    BudgetExceededError,
     SmpInstance,
     _close,
     _pack,
@@ -25,17 +30,6 @@ from maltcube.algebras import (
     render_tree,
     smp_decide,
 )
-
-
-def member_rounds(result) -> list[int]:
-    """The round that found each member: a seed is round 0, and a derived
-    member comes one round after its latest argument (each round applies
-    the operations to tuples touching the previous round's members)."""
-    rounds = []
-    for derivation in result._prov:
-        args = () if isinstance(derivation, int) else derivation[1:]
-        rounds.append(1 + max(rounds[a] for a in args) if args else 0)
-    return rounds
 
 
 def pick_target(algebra, m, full, pick, member):
@@ -85,9 +79,11 @@ def test_stopped_closure_is_a_prefix_of_the_full_closure():
                 seen.add("last round" if found_in == full.stats.rounds else "earlier round")
                 if engine == "python":  # one application at a time
                     assert stopped._ids[-1] == _pack(target, algebra.size)
-                else:  # the target's box ran last, and its fresh codes ascend
+                else:  # the target's box ran last, and its operation's fresh codes ascend
                     code = _pack(target, algebra.size)
                     assert all(c > code for c in stopped._ids[position + 1:])
+                    op_index = stopped._prov[position][0]
+                    assert all(d[0] == op_index for d in stopped._prov[position + 1:])
 
         answer = smp_decide(algebra, SmpInstance(m, generators, target))
         full = generate_subpower(algebra, generators, m=m)
@@ -100,3 +96,40 @@ def test_stopped_closure_is_a_prefix_of_the_full_closure():
 
     compare()
     assert seen == {"generator", "constant", "earlier round", "last round", "non-member"}
+
+
+def test_budget_bounds_the_members_up_to_the_target_over_extensions():
+    seen = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(extended_closures(), st.integers(0, 10**6), st.booleans())
+    def compare(case, pick, member):
+        algebra, m, generators = case
+        target = pick_target(algebra, m, generate_subpower(algebra, generators, m=m),
+                             pick, member)
+        for engine in ("numpy", "python"):
+            full = generate_subpower(algebra, generators, m=m, engine=engine)
+            stopped = _close(algebra, generators, m, DEFAULT_BUDGET, engine, target)
+            count = stopped.stats.members
+            assert stopped._ids == full._ids[:count]
+            assert stopped._prov == full._prov[:count]
+            if target not in full:
+                assert stopped.stats == full.stats
+                seen.add("non-member")
+                continue
+            tight = _close(algebra, generators, m, count, engine, target)
+            assert tight._ids == stopped._ids and tight._prov == stopped._prov
+            if count > 1:
+                with pytest.raises(BudgetExceededError):
+                    _close(algebra, generators, m, count - 1, engine, target)
+            position = full.position(target)
+            if member_rounds(full)[position] and position < count - 1:
+                assert engine == "numpy"  # members after the target in its box
+                op_index = stopped._prov[position][0]
+                assert all(d[0] == op_index for d in stopped._prov[position + 1:])
+                seen.add("shared box")
+            if count < full.stats.members:
+                seen.add("stopped early")
+
+    compare()
+    assert seen == {"non-member", "shared box", "stopped early"}
