@@ -22,22 +22,22 @@ Subpower-membership instances pair generator tuples with a target tuple:
 by the given tuples with a semi-naive (frontier) closure: each round
 applies every operation to argument tuples touching at least one member
 discovered in the previous round.  Members are packed into base-n
-integers and rounds run vectorized over numpy; operations are lifted to
-packed codes chunk by chunk (a chunk is a run of coordinates) so the hot
-loop is a handful of gathers into cache-sized tables.  The operations of
-one arity share their chunk layout, so they are applied together: each
-block of argument tuples, with the arity's operations as one more axis,
-is cut into boxes, one vectorized call each.  A box fixes one position
-on every axis before a lead axis, takes a run of rows on it and every
-position after it, and holds at most 64 * 2^16 applications (at most
-2^16 unless one row alone is longer).  An operation whose table is a
-projection never derives a fresh member and is left out.  Lifted tables
-are memoized process-wide by their contents (universe size, arity,
-operation table, chunk length), so equal operations of different
-algebras, such as those of repeated extensions, share one read-only
-table; the memo evicts least recently used tables to stay within a
-fixed number of bytes.  A pure-python engine backs instances whose
-packed codes do not fit machine integers and doubles as a test oracle.
+integers and rounds run vectorized over numpy: the codes are int64 while
+n^m <= 2^62 and Python ints in object arrays past that, so every power
+takes the same path.  Operations are lifted to packed codes chunk by
+chunk (a chunk is a run of coordinates) so the hot loop is a handful of
+gathers into cache-sized tables.  The operations of one arity share
+their chunk layout, so they are applied together: each block of argument
+tuples, with the arity's operations as one more axis, is cut into boxes,
+one vectorized call each.  A box fixes one position on every axis before
+a lead axis, takes a run of rows on it and every position after it, and
+holds at most 64 * 2^16 applications (at most 2^16 unless one row alone
+is longer).  An operation whose table is a projection never derives a
+fresh member and is left out.  Lifted tables are memoized process-wide
+by their contents (universe size, arity, operation table, chunk length),
+so equal operations of different algebras, such as those of repeated
+extensions, share one read-only table; the memo evicts least recently
+used tables to stay within a fixed number of bytes.
 
 Derivations are recorded per member (one operation plus argument member
 indices), and witness term trees are materialized from them on demand;
@@ -45,17 +45,17 @@ trees share subterm objects, so a witness is linear in the member count
 even when its unfolding is not.
 
 `smp_decide` stops the closure right after the target's operation in the
-box that first derives the target (the python engine: right after the
-application), or before round 1 when a seed is the target, keeping the
-members found so far in that round.  A box's fresh members come ordered
-by (operation, code), so those of the operations up to the target's
-come first.  The witness is the one the full closure gives: a member's
-recorded derivation is its first, made in the first box that yields it,
-by its first operation there, and its arguments are members of earlier
-rounds; the full closure runs the same boxes in the same order up to
-that point, so the stopped closure's ids and derivations are a prefix of
-the full closure's and the target's derivation tree is the same.  A
-non-member target still runs the whole closure.
+box that first derives the target, or before round 1 when a seed is the
+target, keeping the members found so far in that round.  A box's fresh
+members come ordered by (operation, code), so those of the operations up
+to the target's come first.  The witness is the one the full closure
+gives: a member's recorded derivation is its first, made in the first
+box that yields it, by its first operation there, and its arguments are
+members of earlier rounds; the full closure runs the same boxes in the
+same order up to that point, so the stopped closure's ids and
+derivations are a prefix of the full closure's and the target's
+derivation tree is the same.  A non-member target still runs the whole
+closure.
 """
 
 from __future__ import annotations
@@ -214,12 +214,13 @@ def evaluate(tree: TermTree, algebra: FiniteAlgebra, args: Sequence[int]) -> int
 
 
 def _values_on_power(
-    tree: TermTree, algebra: FiniteAlgebra, args: Sequence[tuple[int, ...]]
+    tree: TermTree, algebra: FiniteAlgebra, args: Sequence[tuple[int, ...]], m: int
 ) -> dict[int, tuple[int, ...]]:
-    """Coordinatewise value of every distinct node, keyed by object id."""
-    if not args:
-        raise ValueError("evaluation in a power needs at least one argument tuple")
-    m = len(args[0])
+    """Coordinatewise value in A^m of every distinct node, keyed by object id.
+
+    m is given, not read off `args`, so a term over constants alone is
+    evaluated with no argument tuples at all.
+    """
     if any(len(t) != m for t in args):
         raise ValueError("argument tuples must share one length")
 
@@ -240,7 +241,9 @@ def evaluate_on_power(
     tree: TermTree, algebra: FiniteAlgebra, args: Sequence[tuple[int, ...]]
 ) -> tuple[int, ...]:
     """Coordinatewise value of the term in a finite power of the algebra."""
-    return _values_on_power(tree, algebra, args)[id(tree)]
+    if not args:
+        raise ValueError("evaluation in a power needs at least one argument tuple")
+    return _values_on_power(tree, algebra, args, len(args[0]))[id(tree)]
 
 
 def tree_size(tree: TermTree) -> int:
@@ -465,13 +468,12 @@ class ClosureStats:
     found any.  For a closure stopped at a member target (`smp_decide`)
     they count up to the target's operation in the stopping box, whose
     round is counted.  `lifts_built` and `lifts_reused` count the lifted
-    chunk tables the numpy engine built and took from the process-wide
-    memo; they depend on what earlier closures left there.  `boxes`
-    counts the numpy engine's vectorized calls (0 for the python engine)
-    and `applications` the operations applied to argument tuples, which
-    the numpy engine counts a whole box at a time and without the
-    projections it skips.  These four describe how the engine worked,
-    not what it found, so they take no part in equality.
+    chunk tables the closure built and took from the process-wide memo;
+    they depend on what earlier closures left there.  `boxes` counts the
+    vectorized calls and `applications` the operations applied to
+    argument tuples, counted a whole box at a time and without the
+    projections the closure skips.  These four describe how the closure
+    worked, not what it found, so they take no part in equality.
     """
 
     members: int
@@ -604,8 +606,8 @@ class _BitmapSeen:
 
 
 class _SortedSeen:
-    def __init__(self) -> None:
-        self._sorted = np.empty(0, dtype=np.int64)
+    def __init__(self, dtype) -> None:
+        self._sorted = np.empty(0, dtype=dtype)
 
     def new_mask(self, codes: np.ndarray) -> np.ndarray:
         idx = np.searchsorted(self._sorted, codes)
@@ -690,7 +692,7 @@ def _is_projection(n: int, arity: int, table: tuple[int, ...]) -> bool:
     """Whether the table returns its argument at one fixed position.
 
     Such an operation maps members to members, so it never derives a
-    fresh one and the numpy engine leaves it out of its boxes.
+    fresh one and the closure leaves it out of its boxes.
     """
     values = np.asarray(table).reshape((n,) * arity)
     return any(
@@ -730,7 +732,9 @@ class _NumpyEngine:
     applications (argument tuples times operations), and its chunk
     indices, seen-set test, `np.unique` and provenance are computed once
     for all of them.  Operations whose table is a projection are left
-    out, since they derive nothing fresh.
+    out, since they derive nothing fresh.  Codes are int64 while n^m
+    fits 62 bits and Python ints in object arrays past that; numpy's
+    arithmetic, sorting and searching treat both alike.
     """
 
     def __init__(self, algebra: FiniteAlgebra, m: int, budget: int):
@@ -739,8 +743,10 @@ class _NumpyEngine:
         self.m = m
         self.budget = budget
         self.space = self.n ** m
-        self.seen = _BitmapSeen(self.space) if self.space <= _BITMAP_CAP else _SortedSeen()
-        self.ids = np.empty(0, dtype=np.int64)  # packed member codes, in member order
+        self.dtype = np.int64 if self.space <= 2 ** 62 else object
+        self.seen = (_BitmapSeen(self.space) if self.space <= _BITMAP_CAP
+                     else _SortedSeen(self.dtype))
+        self.ids = np.empty(0, dtype=self.dtype)  # packed member codes, in member order
         self.prov: list = []
         self.op_symbols = tuple(algebra.operations)
         self.tables = [tuple(algebra.operations[s]) for s in self.op_symbols]
@@ -796,7 +802,7 @@ class _NumpyEngine:
         if len(self.ids) + len(codes) > self.budget:
             raise BudgetExceededError(len(self.ids), self.rounds, self.budget)
         self.prov.extend(provs)
-        fresh = np.asarray(codes, dtype=np.int64)
+        fresh = np.asarray(codes, dtype=self.dtype)
         self.ids = np.concatenate([self.ids, fresh])
         for (shift, modulus), comp in self._comps.items():
             extra = ((fresh // shift) % modulus).astype(np.int32)
@@ -827,7 +833,7 @@ class _NumpyEngine:
             idx = idx.reshape(-1)
             rows = [table[idx] for table in spec.tables[lo:hi]]
             gathered = rows[0][None] if len(rows) == 1 else np.vstack(rows)
-            part = gathered.astype(np.int64) * spec.shift
+            part = gathered.astype(self.dtype) * spec.shift
             result = part if result is None else result + part
         return result
 
@@ -896,7 +902,7 @@ class _NumpyEngine:
         seeds = _seeds(self.algebra, generators, self.m)
         seed_codes = [_pack(member, self.n) for member, _ in seeds]
         if seeds:
-            self.seen.add(np.asarray(seed_codes, dtype=np.int64))
+            self.seen.add(np.asarray(seed_codes, dtype=self.dtype))
             self._append_members(seed_codes, [derivation for _, derivation in seeds])
 
         found = goal in seed_codes
@@ -921,101 +927,18 @@ class _NumpyEngine:
         )
 
 
-def _closure_python(
-    algebra: FiniteAlgebra, generators, m: int, budget: int, target: tuple[int, ...] | None
-) -> ClosureResult:
-    """Dict-based reference engine; also covers members too wide to pack."""
-    n = algebra.size
-    op_symbols = tuple(algebra.operations)
-    positions: dict[tuple[int, ...], int] = {}
-    order: list[tuple[int, ...]] = []
-    prov: list = []
-
-    def add(member: tuple[int, ...], derivation) -> bool:
-        if member in positions:
-            return False
-        if len(order) + 1 > budget:
-            raise BudgetExceededError(len(order), rounds, budget)
-        positions[member] = len(order)
-        order.append(member)
-        prov.append(derivation)
-        return True
-
-    rounds = applications = 0
-    for member, derivation in _seeds(algebra, generators, m):
-        add(member, derivation)
-
-    tables = {s: algebra.operations[s] for s in op_symbols}
-
-    def close_round(old: int, current: int, pending: list) -> bool:
-        """Collect the fresh members of one round; True once one is the target."""
-        nonlocal applications
-        pending_set: set[tuple[int, ...]] = set()
-        for op_index, symbol in enumerate(op_symbols):
-            k = symbol.arity
-            if k == 0:
-                continue
-            table = tables[symbol]
-            for axis in range(k):
-                ranges = (
-                    [range(0, old)] * axis
-                    + [range(old, current)]
-                    + [range(0, current)] * (k - 1 - axis)
-                )
-                for combo in product(*ranges):
-                    applications += 1
-                    rows = [order[i] for i in combo]
-                    value = []
-                    for j in range(m):
-                        index = 0
-                        for row in rows:
-                            index = index * n + row[j]
-                        value.append(table[index])
-                    member = tuple(value)
-                    if member not in positions and member not in pending_set:
-                        pending_set.add(member)
-                        pending.append((member, (op_index, *combo)))
-                        if len(order) + len(pending) > budget:
-                            raise BudgetExceededError(
-                                len(order) + len(pending), rounds, budget
-                            )
-                        if member == target:
-                            return True
-        return False
-
-    found = target in positions
-    old = 0
-    while old < len(order) and not found:
-        current = len(order)
-        pending: list[tuple[tuple[int, ...], tuple]] = []
-        found = close_round(old, current, pending)
-        old = current
-        if pending:
-            rounds += 1
-            for member, derivation in pending:
-                add(member, derivation)
-
-    ids = [_pack(member, n) for member in order]
-    return ClosureResult(
-        algebra, m, ids, prov, op_symbols,
-        ClosureStats(len(order), rounds, applications=applications),
-    )
-
-
 def _close(
     algebra: FiniteAlgebra,
     generators: Sequence[Sequence[int]],
     m: int | None,
     budget: int,
-    engine: str,
     target: tuple[int, ...] | None,
 ) -> ClosureResult:
-    """Validate a closure request and run the chosen engine.
+    """Validate a closure request and run it.
 
-    With a target, the engine stops right after the target's operation in
-    the box (numpy) or the application (python) that first derives it, or
-    before round 1 if a seed is the target; with None it computes the
-    whole closure.
+    With a target, the closure stops right after the target's operation in
+    the box that first derives it, or before round 1 if a seed is the
+    target; with None it computes the whole closure.
     """
     generators = [tuple(g) for g in generators]
     if m is None:
@@ -1031,13 +954,6 @@ def _close(
             raise ValueError(f"generator {g} leaves the universe")
     if budget < 1:
         raise ValueError("budget must be positive")
-    if engine not in ("auto", "numpy", "python"):
-        raise ValueError(f"unknown engine {engine!r}")
-    fits = algebra.size ** m <= 2 ** 62
-    if engine == "numpy" and not fits:
-        raise ValueError("packed codes do not fit the numpy engine")
-    if engine == "python" or not fits:
-        return _closure_python(algebra, generators, m, budget, target)
     return _NumpyEngine(algebra, m, budget).run(generators, target)
 
 
@@ -1047,7 +963,6 @@ def generate_subpower(
     *,
     m: int | None = None,
     budget: int = DEFAULT_BUDGET,
-    engine: str = "auto",
 ) -> ClosureResult:
     """Close the generators under all operations in the m-th power.
 
@@ -1055,7 +970,7 @@ def generate_subpower(
     argument members that produced it.  Raises BudgetExceededError once
     more than `budget` members appear.
     """
-    return _close(algebra, generators, m, budget, engine, None)
+    return _close(algebra, generators, m, budget, None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -1083,12 +998,9 @@ def smp_decide(
     the whole closure, whose counters `stats` then holds.  The witness is
     the one the full closure records.
     """
-    for t in instance.generators + (instance.target,):
-        if any(not 0 <= v < algebra.size for v in t):
-            raise ValueError(f"tuple {t} leaves the universe")
-    closure = _close(
-        algebra, instance.generators, instance.m, budget, "auto", instance.target
-    )
+    if any(not 0 <= v < algebra.size for v in instance.target):
+        raise ValueError(f"target {instance.target} leaves the universe")
+    closure = _close(algebra, instance.generators, instance.m, budget, instance.target)
     if instance.target in closure:
         return SmpAnswer(True, closure.witness_tree(instance.target), closure.stats)
     return SmpAnswer(False, None, closure.stats)

@@ -71,7 +71,6 @@ from .algebras import (
     SmpInstance,
     TermTree,
     _values_on_power,
-    evaluate_on_power,
     smp_decide,
     tree_symbols,
 )
@@ -318,7 +317,7 @@ def eliminate_H(
     target = tuple(target)
     if any(v == ext.absorbing for v in target):
         raise ValueError("the target must avoid the absorbing element")
-    values = _values_on_power(tree, ext.extended, generators)
+    values = _values_on_power(tree, ext.extended, generators, len(target))
     if values[id(tree)] != target:
         raise ValueError("the term does not evaluate to the target")
     h_symbols = set(ext.condition.signature)
@@ -398,10 +397,8 @@ def reduce_and_certify(
         )
         if tree_symbols(eliminated) & set(condition.signature):
             raise RuntimeError("elimination left an H symbol in the witness")
-        if (
-            evaluate_on_power(eliminated, algebra, instance.generators)
-            != instance.target
-        ):
+        values = _values_on_power(eliminated, algebra, instance.generators, instance.m)
+        if values[id(eliminated)] != instance.target:
             raise RuntimeError("the eliminated witness failed re-verification")
     return ReductionCertificate(
         instance=instance,

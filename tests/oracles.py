@@ -12,8 +12,9 @@ available, trading speed for obviousness:
     cube families are listed as frozensets of position sets, one
     closure lookup per member, and intersected as sets, rather than
     kept as the closure's bit vector;
-  * subpower members are grown by applying operations to all argument
-    combinations until nothing new appears, with no frontier bookkeeping;
+  * subpower members are grown round by round by applying operations to
+    all combinations of earlier members until nothing new appears, with
+    no frontier bookkeeping;
   * a lifted operation table is filled entry by entry, unpacking each
     block code into coordinates, applying the operation to each
     coordinate and packing the result, rather than by outer products;
@@ -308,18 +309,22 @@ def reference_truth_table(family: frozenset[frozenset[int]], k: int) -> tuple[in
     return tuple(table)
 
 
-def oracle_subpower(
+def oracle_rounds(
     algebra: FiniteAlgebra, generators, m: int
-) -> frozenset[tuple[int, ...]]:
-    """Naive fixpoint: apply every operation to every combination."""
-    members: set[tuple[int, ...]] = {tuple(g) for g in generators}
+) -> list[frozenset[tuple[int, ...]]]:
+    """Naive fixpoint, round by round: the seeds (generators and nullary
+    constants), then the members each round adds by applying every
+    operation to every combination of earlier members, up to the last
+    round that adds any."""
+    seeds = {tuple(g) for g in generators}
     for symbol, table in algebra.operations.items():
         if symbol.arity == 0:
-            members.add((table[0],) * m)
-    changed = True
-    while changed:
-        changed = False
+            seeds.add((table[0],) * m)
+    rounds = [frozenset(seeds)]
+    members = set(seeds)
+    while True:
         current = list(members)
+        fresh: set[tuple[int, ...]] = set()
         for symbol in algebra.operations:
             k = symbol.arity
             if k == 0:
@@ -329,9 +334,18 @@ def oracle_subpower(
                     algebra.value(symbol, [row[j] for row in combo]) for j in range(m)
                 )
                 if value not in members:
-                    members.add(value)
-                    changed = True
-    return frozenset(members)
+                    fresh.add(value)
+        if not fresh:
+            return rounds
+        rounds.append(frozenset(fresh))
+        members |= fresh
+
+
+def oracle_subpower(
+    algebra: FiniteAlgebra, generators, m: int
+) -> frozenset[tuple[int, ...]]:
+    """Naive fixpoint: apply every operation to every combination."""
+    return frozenset().union(*oracle_rounds(algebra, generators, m))
 
 
 def reference_lifted_table(

@@ -5,12 +5,15 @@ from random import Random
 
 import pytest
 
-from oracles import oracle_subpower
+from oracles import oracle_rounds, oracle_subpower
+from test_closure_differential import assert_wide_closure_matches, round_sets
 from maltcube.algebras import (
+    DEFAULT_BUDGET,
     AlgebraFormatError,
     BudgetExceededError,
     FiniteAlgebra,
     SmpInstance,
+    _NumpyEngine,
     evaluate,
     evaluate_on_power,
     generate_subpower,
@@ -275,16 +278,13 @@ CLOSURE_CASES = [
 
 @pytest.mark.parametrize("case", range(len(CLOSURE_CASES)))
 def test_closure_matches_oracle_and_engines_agree(case):
+    """The oracle's rounds over int64 codes, and the same closure over object codes."""
     algebra, generators = CLOSURE_CASES[case]
     m = len(generators[0]) if generators else 3
-    expected = oracle_subpower(algebra, generators, m)
-    fast = generate_subpower(algebra, generators, m=m, engine="numpy")
-    slow = generate_subpower(algebra, generators, m=m, engine="python")
-    assert fast.members == expected
-    assert slow.members == expected
-    # generators stay in front regardless of the engine
-    k = len(generators)
-    assert fast.member_list[:k] == slow.member_list[:k] == tuple(generators)
+    result = generate_subpower(algebra, generators, m=m)
+    assert round_sets(result) == oracle_rounds(algebra, generators, m)
+    assert result.member_list[: len(generators)] == tuple(generators)
+    assert_wide_closure_matches(algebra, generators, m, result)
 
 
 def test_closure_random_corpus_matches_oracle(algebra_corpus):
@@ -329,13 +329,6 @@ def test_witness_trees_reproduce_members():
         generate_subpower(LATTICE2, ((0, 0),)).witness_tree((1, 1))
 
 
-def test_witness_trees_python_engine():
-    generators = ((0, 1, 2), (1, 1, 0))
-    result = generate_subpower(Z3, generators, engine="python")
-    for member in result.member_list:
-        assert evaluate_on_power(result.witness_tree(member), Z3, generators) == member
-
-
 def test_nullary_only_closure():
     # no generators at all: the closure is everything built from constants
     result = generate_subpower(Z3, (), m=2)
@@ -356,22 +349,19 @@ def test_closure_argument_validation():
         generate_subpower(Z3, (), m=0)
     with pytest.raises(ValueError, match="budget"):
         generate_subpower(Z3, ((0,),), budget=0)
-    with pytest.raises(ValueError, match="engine"):
-        generate_subpower(Z3, ((0,),), engine="fortran")
 
 
 def test_budget_stops_the_closure():
     generators = ((0, 1, 2, 0), (1, 1, 0, 2))
     full = generate_subpower(Z3, generators)
     budget = len(full.member_list) - 1
-    for engine in ("numpy", "python"):
-        with pytest.raises(BudgetExceededError) as info:
-            generate_subpower(Z3, generators, budget=budget, engine=engine)
-        err = info.value
-        assert err.budget == budget
-        # block-wise engines may overshoot within one round; never undershoot
-        assert err.stats.members >= budget
-        assert f"budget of {budget} members" in str(err)
+    with pytest.raises(BudgetExceededError) as info:
+        generate_subpower(Z3, generators, budget=budget)
+    err = info.value
+    assert err.budget == budget
+    # the closure may overshoot within one round; never undershoot
+    assert err.stats.members >= budget
+    assert f"budget of {budget} members" in str(err)
 
 
 def test_budget_counts_members_up_to_the_target():
@@ -389,13 +379,16 @@ def test_budget_counts_members_up_to_the_target():
         smp_decide(LATTICE2, SmpInstance(3, ((0, 1, 1), (1, 0, 1)), (0, 0, 0)), budget=3)
 
 
-def test_wide_powers_fall_back_to_python():
+def test_wide_powers_close_with_object_codes():
     cyc = FiniteAlgebra(3, {NEG: (1, 2, 0)})
-    generators = (tuple(i % 3 for i in range(40)),)
-    result = generate_subpower(cyc, generators)  # 3**40 overflows packed codes
-    assert len(result.member_list) == 3
-    with pytest.raises(ValueError, match="do not fit"):
-        generate_subpower(cyc, generators, engine="numpy")
+    generator = tuple(i % 3 for i in range(40))
+    assert _NumpyEngine(cyc, 40, DEFAULT_BUDGET).dtype is object  # 3**40 > 2**62
+    shifted = [tuple((v + k) % 3 for v in generator) for k in (1, 2)]
+    result = generate_subpower(cyc, (generator,))
+    assert result.member_list == (generator, *shifted)
+    assert (result.stats.rounds, result.stats.boxes) == (2, 3)
+    answer = smp_decide(cyc, SmpInstance(40, (generator,), shifted[1]))
+    assert render_tree(answer.witness) == "neg(neg(x1))"
 
 
 # --- membership decisions ----------------------------------------------------
@@ -417,8 +410,10 @@ def test_smp_no_has_no_witness():
 
 
 def test_smp_validates_tuples():
-    with pytest.raises(ValueError, match="leaves the universe"):
+    with pytest.raises(ValueError, match="generator .* leaves the universe"):
         smp_decide(LATTICE2, SmpInstance(2, ((0, 2),), (0, 0)))
+    with pytest.raises(ValueError, match="target .* leaves the universe"):
+        smp_decide(LATTICE2, SmpInstance(2, ((0, 1),), (2, 0)))
 
 
 def test_smp_random_agreement(algebra_corpus):

@@ -449,6 +449,15 @@ def test_reduce_negative(capsys, tmp_path, lattice_file, cp3_file):
     assert out.splitlines() == ["base: no, extended: no, certificate OK"]
 
 
+def test_reduce_without_generators(capsys, tmp_path, cp3_file):
+    algebra = tmp_path / "const.alg"
+    algebra.write_text("universe: 2\nop c/0: 1\n")
+    inst = instance_file(tmp_path, "m: 2\ngenerators:\ntarget:\n1 1\n")
+    code, out, _ = run(capsys, "reduce", str(algebra), cp3_file, inst)
+    assert code == 0
+    assert out.splitlines() == ["base: yes, extended: yes, certificate OK", "witness: c()"]
+
+
 def test_reduce_machine(capsys, tmp_path, lattice_file, cp3_file):
     inst = instance_file(tmp_path, "m: 2\ngenerators:\n0 1\n1 0\ntarget:\n0 0\n")
     code, out, _ = run(capsys, "reduce", "--machine", lattice_file, cp3_file, inst)

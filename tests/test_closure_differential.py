@@ -1,12 +1,15 @@
-"""The numpy and python closure engines against each other and the naive oracle.
+"""The closure against the naive oracle, and over int64 against object codes.
 
-The engines agree on the member set, the counters and the seed members
-(distinct generators in position order, then the nullary constants).  The
-order within a round may differ: the numpy engine applies all operations
-of one arity in one box and orders its fresh members by (operation,
-code), the python engine keeps the order in which it meets them.  Over
-A_M, whose H-operations include projections that the numpy engine skips,
-the engines must also find the same members in each round.
+The closure finds the oracle's members in the oracle's rounds, seed
+members first (distinct generators in position order, then the nullary
+constants); over A_M, whose H-operations include projections that the
+closure skips, too.  The order within a round is the closure's own: it
+applies all operations of one arity in one box and orders a box's fresh
+members by (operation, code).  Packed codes are int64 while n^m fits 62
+bits and Python ints in object arrays past that.  With each coordinate
+repeated until n^m passes 2^62, the closure must find the same members,
+expanded, in the same order, by the same derivations and in the same
+boxes, since the expansion keeps the order of codes.
 """
 
 from itertools import product
@@ -17,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_subpower
+from oracles import oracle_rounds
 from maltcube import algebras
 from maltcube.algebras import (
     DEFAULT_BUDGET,
@@ -104,6 +107,41 @@ def member_rounds(result) -> list[int]:
     return rounds
 
 
+def round_sets(result) -> list[frozenset]:
+    """The members each round found, the seeds as round 0."""
+    sets = [set() for _ in range(result.stats.rounds + 1)]
+    for member, r in zip(result.member_list, member_rounds(result)):
+        sets[r].add(member)
+    return [frozenset(s) for s in sets]
+
+
+def repeats(n: int, m: int) -> int:
+    """Copies of each coordinate that take the power of an n-element
+    algebra (n > 1) past 2^62, where packed codes leave int64."""
+    r = 1
+    while n ** (m * r) <= 2 ** 62:
+        r += 1
+    return r
+
+
+def repeat_coordinates(row, r: int) -> tuple[int, ...]:
+    return tuple(v for v in row for _ in range(r))
+
+
+def assert_wide_closure_matches(algebra, generators, m, narrow):
+    """The closure with each coordinate repeated past 2^62 is `narrow`, expanded."""
+    r = repeats(algebra.size, m)
+    wide = generate_subpower(
+        algebra, [repeat_coordinates(g, r) for g in generators], m=m * r
+    )
+    assert wide.member_list == tuple(repeat_coordinates(x, r) for x in narrow.member_list)
+    assert wide._prov == narrow._prov
+    assert wide.stats == narrow.stats
+    assert (wide.stats.boxes, wide.stats.applications) == (
+        narrow.stats.boxes, narrow.stats.applications
+    )
+
+
 def seed_prefix(algebra, generators, m):
     prefix = list(dict.fromkeys(generators))
     for symbol, table in algebra.operations.items():
@@ -116,47 +154,34 @@ def seed_prefix(algebra, generators, m):
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
 @given(closures())
 def test_engines_match_the_oracle(case):
+    """Over int64 codes against the oracle, over object codes against int64 codes."""
     algebra, m, generators = case
-    expected = oracle_subpower(algebra, generators, m)
     prefix = seed_prefix(algebra, generators, m)
-    results = [
-        generate_subpower(algebra, generators, m=m, engine=engine)
-        for engine in ("numpy", "python")
-    ]
-    for result in results:
-        assert result.members == expected
-        assert len(result.member_list) == result.stats.members
-        assert list(result.member_list[: len(prefix)]) == prefix
-        for member in result.member_list:
-            tree = result.witness_tree(member)
-            if generators:
-                assert evaluate_on_power(tree, algebra, generators) == member
-            else:  # built from constants alone, so constant in every coordinate
-                assert member == (evaluate(tree, algebra, ()),) * m
-    assert results[0].stats == results[1].stats
+    result = generate_subpower(algebra, generators, m=m)
+    assert round_sets(result) == oracle_rounds(algebra, generators, m)
+    assert len(result.member_list) == result.stats.members
+    assert list(result.member_list[: len(prefix)]) == prefix
+    for member in result.member_list:
+        tree = result.witness_tree(member)
+        if generators:
+            assert evaluate_on_power(tree, algebra, generators) == member
+        else:  # built from constants alone, so constant in every coordinate
+            assert member == (evaluate(tree, algebra, ()),) * m
+    if algebra.size > 1:
+        assert_wide_closure_matches(algebra, generators, m, result)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(extended_closures())
 def test_engines_find_the_same_rounds_over_extensions(case):
+    """The oracle's rounds over int64 codes, and the same closure over object codes."""
     algebra, m, generators = case
-    results = [
-        generate_subpower(algebra, generators, m=m, engine=engine)
-        for engine in ("numpy", "python")
-    ]
-    assert results[0].members == oracle_subpower(algebra, generators, m)
-    by_round = []
-    for result in results:
-        rounds: dict[int, set] = {}
-        for member, r in zip(result.member_list, member_rounds(result)):
-            rounds.setdefault(r, set()).add(member)
-        by_round.append(rounds)
-    assert by_round[0] == by_round[1]
-    assert results[0].stats == results[1].stats
-    for member in results[0].member_list:
-        tree = results[0].witness_tree(member)
-        if generators:
-            assert evaluate_on_power(tree, algebra, generators) == member
+    result = generate_subpower(algebra, generators, m=m)
+    assert round_sets(result) == oracle_rounds(algebra, generators, m)
+    for member in result.member_list:
+        tree = result.witness_tree(member)
+        assert evaluate_on_power(tree, algebra, generators) == member
+    assert_wide_closure_matches(algebra, generators, m, result)
 
 
 def chain_lattice(n):
@@ -194,13 +219,10 @@ def test_sorted_seen_engine_matches_the_oracle(algebra, m):
     generators = [tuple(rng.randrange(algebra.size) for _ in range(m)) for _ in range(3)]
     engine = _NumpyEngine(algebra, m, DEFAULT_BUDGET)
     assert isinstance(engine.seen, _SortedSeen)
-    numpy_result = engine.run(generators)
-    python_result = generate_subpower(algebra, generators, engine="python")
-    expected = oracle_subpower(algebra, generators, m)
-    assert numpy_result.stats.rounds > 1
-    assert numpy_result.members == python_result.members == expected
-    assert numpy_result.stats == python_result.stats
-    assert generate_subpower(algebra, generators).member_list == numpy_result.member_list
+    result = engine.run(generators)
+    assert result.stats.rounds > 1
+    assert round_sets(result) == oracle_rounds(algebra, generators, m)
+    assert generate_subpower(algebra, generators).member_list == result.member_list
 
 
 def nand3():
@@ -245,11 +267,9 @@ def test_lead_axis_boxes_match_the_oracle(monkeypatch, algebra, generators, slac
 
     monkeypatch.setattr(algebras, "_boxes", spy)
     m = len(generators[0])
-    result = generate_subpower(algebra, generators, engine="numpy")
-    python_result = generate_subpower(algebra, generators, engine="python")
+    result = generate_subpower(algebra, generators)
     assert any(leads)
-    assert result.members == python_result.members == oracle_subpower(algebra, generators, m)
-    assert result.stats == python_result.stats
+    assert round_sets(result) == oracle_rounds(algebra, generators, m)
     for member in result.member_list:
         assert evaluate_on_power(result.witness_tree(member), algebra, generators) == member
 

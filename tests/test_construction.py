@@ -13,6 +13,7 @@ from maltcube.algebras import (
     generate_subpower,
     leaf,
     node,
+    render_tree,
     satisfies,
     smp_decide,
     tree_symbols,
@@ -412,6 +413,15 @@ def test_reduce_empty_generators():
     cert = reduce_and_certify(LATTICE2, CP3, instance)
     assert cert.ok
     assert not cert.answer_base
+
+
+def test_reduce_certifies_a_witness_over_constants_alone():
+    """With no generators the witness has no leaves; elimination and
+    re-verification evaluate it in A^m from the instance's m."""
+    constant = FiniteAlgebra(2, {OperationSymbol("c", 0): (1,)})
+    cert = reduce_and_certify(constant, CP3, SmpInstance(2, (), (1, 1)))
+    assert cert.ok and cert.answer_base and cert.answer_extended
+    assert render_tree(cert.eliminated_witness) == "c()"
 
 
 def test_reduce_validates_base_universe():

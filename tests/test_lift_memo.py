@@ -89,8 +89,8 @@ def test_equal_algebras_share_lifted_tables():
         return FiniteAlgebra(3, {maj: table, OperationSymbol("neg", 1): (2, 1, 0)})
 
     generators = [(0, 1, 2, 0, 1, 2, 0), (2, 2, 1, 0, 0, 1, 1), (1, 0, 0, 2, 2, 2, 1)]
-    first = generate_subpower(majority_algebra(), generators, engine="numpy")
-    second = generate_subpower(majority_algebra(), generators, engine="numpy")
+    first = generate_subpower(majority_algebra(), generators)
+    second = generate_subpower(majority_algebra(), generators)
     assert second.stats.lifts_built == 0
     assert second.stats.lifts_reused == first.stats.lifts_built + first.stats.lifts_reused
     assert second.stats.lifts_reused > 0

@@ -1,25 +1,32 @@
 """Membership closures stopped at the target against the full closure.
 
-`smp_decide` stops the closure right after the box (numpy engine) or the
-application (python engine) that first derives the target.  A member's
-recorded derivation is its first, made from members of earlier rounds, so
-the stopped closure's ids and derivations are a prefix of the full
-closure's and the witness is the same term; a non-member still runs the
-whole closure.  Over generated algebras, powers and generators (repeats
-and nullary constants included), with targets among the seeds, the
-constants, the first and the last round, and outside the subpower, both
-engines must keep that prefix and `smp_decide` must give the full
-closure's answer, witness and, for a non-member, counters.  The numpy
-engine's box spans all operations of one arity and keeps the fresh
-members of the operations up to the target's, so over A_M, whose
-H-operations share boxes, the budget must bound exactly those.
+`smp_decide` stops the closure right after the target's operation in the
+box that first derives the target.  A member's recorded derivation is its
+first, made from members of earlier rounds, so the stopped closure's ids
+and derivations are a prefix of the full closure's and the witness is the
+same term; a non-member still runs the whole closure.  Over generated
+algebras, powers and generators (repeats and nullary constants included),
+with targets among the seeds, the constants, the first and the last
+round, and outside the subpower, the closure must keep that prefix and
+`smp_decide` must give the full closure's answer, witness and, for a
+non-member, counters; with each coordinate repeated past 2^62, so over
+object codes, it must give the same answer, witness and counters.  A box
+spans all operations of one arity and keeps the fresh members of the
+operations up to the target's, so over A_M, whose H-operations share
+boxes, the budget must bound exactly those.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_closure_differential import closures, extended_closures, member_rounds
+from test_closure_differential import (
+    closures,
+    extended_closures,
+    member_rounds,
+    repeat_coordinates,
+    repeats,
+)
 from maltcube.algebras import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -49,20 +56,18 @@ def test_stopped_closure_is_a_prefix_of_the_full_closure():
     @given(closures(), st.integers(0, 10**6), st.booleans())
     def compare(case, pick, member):
         algebra, m, generators = case
-        target = pick_target(algebra, m, generate_subpower(algebra, generators, m=m),
-                             pick, member)
-        for engine in ("numpy", "python"):
-            full = generate_subpower(algebra, generators, m=m, engine=engine)
-            stopped = _close(algebra, generators, m, DEFAULT_BUDGET, engine, target)
-            count = stopped.stats.members
-            assert len(stopped._ids) == count
-            assert stopped._ids == full._ids[:count]
-            assert stopped._prov == full._prov[:count]
-            if target not in full:
-                assert target not in stopped
-                assert stopped.stats == full.stats
-                seen.add("non-member")
-                continue
+        full = generate_subpower(algebra, generators, m=m)
+        target = pick_target(algebra, m, full, pick, member)
+        stopped = _close(algebra, generators, m, DEFAULT_BUDGET, target)
+        count = stopped.stats.members
+        assert len(stopped._ids) == count
+        assert stopped._ids == full._ids[:count]
+        assert stopped._prov == full._prov[:count]
+        if target not in full:
+            assert target not in stopped
+            assert stopped.stats == full.stats
+            seen.add("non-member")
+        else:
             position = full.position(target)
             rounds = member_rounds(full)
             found_in = rounds[position]
@@ -77,22 +82,28 @@ def test_stopped_closure_is_a_prefix_of_the_full_closure():
                 seen.add("generator" if isinstance(derivation, int) else "constant")
             else:
                 seen.add("last round" if found_in == full.stats.rounds else "earlier round")
-                if engine == "python":  # one application at a time
-                    assert stopped._ids[-1] == _pack(target, algebra.size)
-                else:  # the target's box ran last, and its operation's fresh codes ascend
-                    code = _pack(target, algebra.size)
-                    assert all(c > code for c in stopped._ids[position + 1:])
-                    op_index = stopped._prov[position][0]
-                    assert all(d[0] == op_index for d in stopped._prov[position + 1:])
+                # the target's box ran last, and its operation's fresh codes ascend
+                code = _pack(target, algebra.size)
+                assert all(c > code for c in stopped._ids[position + 1:])
+                op_index = stopped._prov[position][0]
+                assert all(d[0] == op_index for d in stopped._prov[position + 1:])
 
         answer = smp_decide(algebra, SmpInstance(m, generators, target))
-        full = generate_subpower(algebra, generators, m=m)
         assert answer.answer == (target in full)
         if answer.answer:
             assert render_tree(answer.witness) == render_tree(full.witness_tree(target))
         else:
             assert answer.witness is None
             assert answer.stats == full.stats
+        if algebra.size > 1:
+            r = repeats(algebra.size, m)
+            wide = smp_decide(algebra, SmpInstance(
+                m * r, [repeat_coordinates(g, r) for g in generators],
+                repeat_coordinates(target, r),
+            ))
+            assert wide.answer == answer.answer and wide.stats == answer.stats
+            if answer.answer:
+                assert render_tree(wide.witness) == render_tree(answer.witness)
 
     compare()
     assert seen == {"generator", "constant", "earlier round", "last round", "non-member"}
@@ -105,31 +116,29 @@ def test_budget_bounds_the_members_up_to_the_target_over_extensions():
     @given(extended_closures(), st.integers(0, 10**6), st.booleans())
     def compare(case, pick, member):
         algebra, m, generators = case
-        target = pick_target(algebra, m, generate_subpower(algebra, generators, m=m),
-                             pick, member)
-        for engine in ("numpy", "python"):
-            full = generate_subpower(algebra, generators, m=m, engine=engine)
-            stopped = _close(algebra, generators, m, DEFAULT_BUDGET, engine, target)
-            count = stopped.stats.members
-            assert stopped._ids == full._ids[:count]
-            assert stopped._prov == full._prov[:count]
-            if target not in full:
-                assert stopped.stats == full.stats
-                seen.add("non-member")
-                continue
-            tight = _close(algebra, generators, m, count, engine, target)
-            assert tight._ids == stopped._ids and tight._prov == stopped._prov
-            if count > 1:
-                with pytest.raises(BudgetExceededError):
-                    _close(algebra, generators, m, count - 1, engine, target)
-            position = full.position(target)
-            if member_rounds(full)[position] and position < count - 1:
-                assert engine == "numpy"  # members after the target in its box
-                op_index = stopped._prov[position][0]
-                assert all(d[0] == op_index for d in stopped._prov[position + 1:])
-                seen.add("shared box")
-            if count < full.stats.members:
-                seen.add("stopped early")
+        full = generate_subpower(algebra, generators, m=m)
+        target = pick_target(algebra, m, full, pick, member)
+        stopped = _close(algebra, generators, m, DEFAULT_BUDGET, target)
+        count = stopped.stats.members
+        assert stopped._ids == full._ids[:count]
+        assert stopped._prov == full._prov[:count]
+        if target not in full:
+            assert stopped.stats == full.stats
+            seen.add("non-member")
+            return
+        tight = _close(algebra, generators, m, count, target)
+        assert tight._ids == stopped._ids and tight._prov == stopped._prov
+        if count > 1:
+            with pytest.raises(BudgetExceededError):
+                _close(algebra, generators, m, count - 1, target)
+        position = full.position(target)
+        if member_rounds(full)[position] and position < count - 1:
+            # members after the target in its box
+            op_index = stopped._prov[position][0]
+            assert all(d[0] == op_index for d in stopped._prov[position + 1:])
+            seen.add("shared box")
+        if count < full.stats.members:
+            seen.add("stopped early")
 
     compare()
     assert seen == {"non-member", "shared box", "stopped early"}
