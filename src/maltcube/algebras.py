@@ -1,7 +1,8 @@
 """Finite algebras, term evaluation, and subpower membership.
 
-Algebras live on universes {0, ..., n-1}; each operation is a flat table
-in row-major order over lexicographic argument tuples.  The text format:
+Algebras live on universes {0, ..., n-1}; each operation is a flat
+read-only int64 array in row-major order over lexicographic argument
+tuples.  The text format:
 
     universe: 3
     op f/2:
@@ -65,7 +66,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product, repeat
+from itertools import product
 from math import prod
 from random import Random
 from typing import Iterable, Mapping, Sequence
@@ -95,27 +96,38 @@ def _table_length_error(symbol: OperationSymbol, size: int, entries: int) -> str
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteAlgebra:
-    """A finite universe {0..size-1} with finitely many table operations."""
+    """A finite universe {0..size-1} with finitely many table operations.
+
+    Tables are stored as read-only int64 copies and compared by content.
+    """
 
     size: int
-    operations: Mapping[OperationSymbol, tuple[int, ...]]
+    operations: Mapping[OperationSymbol, np.ndarray]
 
     def __post_init__(self) -> None:
         if self.size < 1:
             raise ValueError("universe must be nonempty")
-        object.__setattr__(self, "operations", dict(self.operations))
+        operations = {}
         for symbol, table in self.operations.items():
             error = _table_length_error(symbol, self.size, len(table))
             if error:
                 raise ValueError(error)
             try:
-                values = np.fromiter(table, dtype=np.int64, count=len(table))
+                values = np.array(table, dtype=np.int64).reshape(len(table))  # flat, or raise
             except OverflowError:  # an entry beyond 64 bits
                 values = None
             if values is None or values.min() < 0 or values.max() >= self.size:
                 raise ValueError(f"table for {symbol} leaves the universe")
+            values.flags.writeable = False
+            operations[symbol] = values
+        object.__setattr__(self, "operations", operations)
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, FiniteAlgebra) and self.size == other.size
+                and self.operations.keys() == other.operations.keys()
+                and all(np.array_equal(t, other.operations[s]) for s, t in self.operations.items()))
 
     def value(self, symbol: OperationSymbol, args: Sequence[int]) -> int:
         try:
@@ -129,7 +141,7 @@ class FiniteAlgebra:
             if not 0 <= a < self.size:
                 raise ValueError(f"argument {a} outside the universe")
             index = index * self.size + a
-        return table[index]
+        return table.item(index)
 
     def symbol(self, name: str) -> OperationSymbol:
         for s in self.operations:
@@ -203,14 +215,7 @@ def _fold_tree(tree: TermTree, leaf_fn, apply_fn) -> dict[int, object]:
 
 def evaluate(tree: TermTree, algebra: FiniteAlgebra, args: Sequence[int]) -> int:
     """Value of the term at the given argument row."""
-
-    def leaf_fn(n: TermTree) -> int:
-        if n.position >= len(args):
-            raise ValueError(f"leaf x{n.position + 1} beyond {len(args)} arguments")
-        return args[n.position]
-
-    vals = _fold_tree(tree, leaf_fn, lambda n, vs: algebra.value(n.symbol, vs))
-    return vals[id(tree)]
+    return _values_on_power(tree, algebra, [(a,) for a in args], 1)[id(tree)][0]
 
 
 def _values_on_power(
@@ -253,18 +258,8 @@ def tree_size(tree: TermTree) -> int:
 
 
 def tree_symbols(tree: TermTree) -> frozenset[OperationSymbol]:
-    out: set[OperationSymbol] = set()
-    stack = [tree]
-    seen: set[int] = set()
-    while stack:
-        current = stack.pop()
-        if id(current) in seen:
-            continue
-        seen.add(id(current))
-        if current.symbol is not None:
-            out.add(current.symbol)
-            stack.extend(current.children)
-    return frozenset(out)
+    vals = _fold_tree(tree, lambda n: frozenset(), lambda n, vs: frozenset((n.symbol,)).union(*vs))
+    return vals[id(tree)]
 
 
 def render_tree(tree: TermTree) -> str:
@@ -346,7 +341,7 @@ def parse_algebra(text: str, source: str = "<string>") -> FiniteAlgebra:
         size = int(head[len("universe:"):].strip())
     except ValueError:
         raise AlgebraFormatError("universe wants an integer", source=source, line=lineno) from None
-    operations: dict[OperationSymbol, tuple[int, ...]] = {}
+    operations: dict[OperationSymbol, list[int]] = {}
     current: OperationSymbol | None = None
     values: list[int] = []
 
@@ -357,7 +352,7 @@ def parse_algebra(text: str, source: str = "<string>") -> FiniteAlgebra:
         error = _table_length_error(current, size, len(values))
         if error:
             raise AlgebraFormatError(error, source=source, line=at_line)
-        operations[current] = tuple(values)
+        operations[current] = values
         current, values = None, []
 
     for lineno, body in lines[1:]:
@@ -368,8 +363,7 @@ def parse_algebra(text: str, source: str = "<string>") -> FiniteAlgebra:
             if symbol in operations:
                 raise AlgebraFormatError(f"duplicate operation {symbol}", source=source, line=lineno)
             current = symbol
-            rest = m.group(3).strip()
-            body = rest
+            body = m.group(3).strip()
             if not body:
                 continue
         if current is None:
@@ -392,8 +386,7 @@ def render_algebra(algebra: FiniteAlgebra, comments: Iterable[str] = ()) -> str:
     for symbol, table in algebra.operations.items():
         lines.append(f"op {symbol.name}/{symbol.arity}:")
         width = algebra.size if symbol.arity else 1
-        for start in range(0, len(table), width):
-            lines.append(" ".join(str(v) for v in table[start:start + width]))
+        lines += (" ".join(map(str, row)) for row in table.reshape(-1, width).tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -485,14 +478,17 @@ class ClosureStats:
 
 
 class BudgetExceededError(RuntimeError):
-    """Closure grew past the member budget; membership stays undecided."""
+    """Closure grew past the member budget; membership stays undecided.
 
-    def __init__(self, members: int, rounds: int, budget: int):
-        self.stats = ClosureStats(members, rounds)
+    `stats` counts the members found so far, past the budget, and the rounds completed.
+    """
+
+    def __init__(self, stats: ClosureStats, budget: int):
+        self.stats = stats
         self.budget = budget
         super().__init__(
-            f"budget of {budget} members exhausted after {rounds} rounds "
-            f"({members} members found)"
+            f"budget of {budget} members exhausted after {stats.rounds} rounds "
+            f"({stats.members} members found)"
         )
 
 
@@ -516,7 +512,7 @@ def _seeds(algebra: FiniteAlgebra, generators, m: int) -> list[tuple[tuple[int, 
         seeds.setdefault(tuple(g), position)
     for op_index, symbol in enumerate(algebra.operations):
         if symbol.arity == 0:
-            seeds.setdefault((algebra.operations[symbol][0],) * m, (op_index,))
+            seeds.setdefault((algebra.operations[symbol].item(0),) * m, (op_index,))
     return list(seeds.items())
 
 
@@ -639,13 +635,13 @@ class _LiftMemo:
 _lift_memo = _LiftMemo()
 
 
-def _lift(n: int, arity: int, table: tuple[int, ...], length: int) -> np.ndarray:
+def _lift(n: int, arity: int, table: np.ndarray, length: int) -> np.ndarray:
     """The operation on blocks of `length` coordinates, over base-n block codes.
 
     Entry i_1 ... i_arity (each a block code, first coordinate most
     significant) is the code of the operation applied coordinatewise.
     """
-    base = np.asarray(table, dtype=np.int32).reshape((n,) * arity)
+    base = table.astype(np.int32).reshape((n,) * arity)  # half int64's memory traffic
     cur = base
     size = n
     perm = [axis for pair in zip(range(arity), range(arity, 2 * arity)) for axis in pair]
@@ -662,15 +658,15 @@ def _lift(n: int, arity: int, table: tuple[int, ...], length: int) -> np.ndarray
 
 
 def _lifted_table(
-    n: int, arity: int, table: tuple[int, ...], length: int
+    n: int, arity: int, table: np.ndarray, length: int
 ) -> tuple[np.ndarray, bool]:
     """The read-only lifted table, and whether this call had to build it.
 
-    Keyed on the table's contents, so equal operations of distinct
-    algebras share one entry.  After an insertion the least recently used
+    Keyed on the table's bytes, so equal operations of distinct algebras
+    share one entry.  After an insertion the least recently used
     tables are evicted until the memo holds at most `_LIFT_MEMO_BYTES`.
     """
-    key = (n, arity, table, length)
+    key = (n, arity, table.tobytes(), length)
     with _lift_memo.lock:
         lifted = _lift_memo.tables.get(key)
         if lifted is not None:
@@ -688,13 +684,13 @@ def _lifted_table(
 
 
 @lru_cache(maxsize=_PROJECTION_MEMO)
-def _is_projection(n: int, arity: int, table: tuple[int, ...]) -> bool:
-    """Whether the table returns its argument at one fixed position.
+def _is_projection(n: int, arity: int, table: bytes) -> bool:
+    """Whether the int64 table, as bytes, returns the argument at one position.
 
     Such an operation maps members to members, so it never derives a
     fresh one and the closure leaves it out of its boxes.
     """
-    values = np.asarray(table).reshape((n,) * arity)
+    values = np.frombuffer(table, dtype=np.int64).reshape((n,) * arity)
     return any(
         (values == np.arange(n).reshape((n,) + (1,) * (arity - 1 - i))).all()
         for i in range(arity)
@@ -749,12 +745,13 @@ class _NumpyEngine:
         self.ids = np.empty(0, dtype=self.dtype)  # packed member codes, in member order
         self.prov: list = []
         self.op_symbols = tuple(algebra.operations)
-        self.tables = [tuple(algebra.operations[s]) for s in self.op_symbols]
+        self.tables = list(algebra.operations.values())
         groups: dict[int, list[int]] = {}
         for i, s in enumerate(self.op_symbols):
-            if s.arity >= 1 and not _is_projection(self.n, s.arity, self.tables[i]):
+            if s.arity >= 1 and not _is_projection(self.n, s.arity, self.tables[i].tobytes()):
                 groups.setdefault(s.arity, []).append(i)
         self.groups = list(groups.items())  # (arity, operation indices)
+        self.rounds = 0
         self.lifts_built = 0
         self.lifts_reused = 0
         self.boxes = 0
@@ -798,9 +795,17 @@ class _NumpyEngine:
 
     # -- members --------------------------------------------------------
 
+    def _stats(self, members: int) -> ClosureStats:
+        return ClosureStats(members, self.rounds, self.lifts_built, self.lifts_reused,
+                            self.boxes, self.applications)
+
+    def _check_budget(self, members: int) -> None:
+        """Raise once `members` members, counted so far, pass the budget."""
+        if members > self.budget:
+            raise BudgetExceededError(self._stats(members), self.budget)
+
     def _append_members(self, codes: Sequence[int], provs: Sequence) -> None:
-        if len(self.ids) + len(codes) > self.budget:
-            raise BudgetExceededError(len(self.ids), self.rounds, self.budget)
+        self._check_budget(len(self.ids) + len(codes))
         self.prov.extend(provs)
         fresh = np.asarray(codes, dtype=self.dtype)
         self.ids = np.concatenate([self.ids, fresh])
@@ -869,27 +874,21 @@ class _NumpyEngine:
                         continue
                     fresh, first = np.unique(codes[mask], return_index=True)
                     found = goal is not None and goal in fresh
-                    at = np.flatnonzero(mask)[first]
-                    if width == 1:
-                        offsets = np.unravel_index(at, extents)
-                        op_list = repeat(ops[lo])
-                    else:
-                        op_at, *offsets = np.unravel_index(at, (width, *extents))
-                        order = np.argsort(op_at, kind="stable")
-                        if found:  # stop after the target's operation
-                            order = order[op_at[order] <= op_at[fresh == goal][0]]
-                        fresh, op_at = fresh[order], op_at[order]
-                        offsets = [o[order] for o in offsets]
-                        op_list = np.asarray(ops[lo:lo + width])[op_at].tolist()
+                    op_at, *offsets = np.unravel_index(
+                        np.flatnonzero(mask)[first], (width, *extents)
+                    )
+                    order = np.argsort(op_at, kind="stable")
+                    if found:  # stop after the target's operation
+                        order = order[op_at[order] <= op_at[fresh == goal][0]]
+                    fresh, op_at = fresh[order], op_at[order]
+                    offsets = [o[order] for o in offsets]
+                    op_list = np.asarray(ops[lo:lo + width])[op_at].tolist()
                     self.seen.add(fresh)
                     pending_codes.extend(fresh.tolist())
                     pending_provs.extend(
                         zip(op_list, *(p[o].tolist() for p, o in zip(positions, offsets)))
                     )
-                    if current + len(pending_codes) > self.budget:
-                        raise BudgetExceededError(
-                            current + len(pending_codes), self.rounds, self.budget
-                        )
+                    self._check_budget(current + len(pending_codes))
                     if found:
                         return True
         return False
@@ -897,7 +896,6 @@ class _NumpyEngine:
     def run(
         self, generators: Sequence[tuple[int, ...]], target: tuple[int, ...] | None = None
     ) -> ClosureResult:
-        self.rounds = 0
         goal = None if target is None else _pack(target, self.n)
         seeds = _seeds(self.algebra, generators, self.m)
         seed_codes = [_pack(member, self.n) for member, _ in seeds]
@@ -922,8 +920,7 @@ class _NumpyEngine:
             self.ids.tolist(),
             self.prov,
             self.op_symbols,
-            ClosureStats(len(self.ids), self.rounds, self.lifts_built, self.lifts_reused,
-                         self.boxes, self.applications),
+            self._stats(len(self.ids)),
         )
 
 

@@ -169,9 +169,10 @@ def _read_off(condition: MaltsevCondition, absorbing: int):
         hits = classes[labels] == term[:, None]
         # one past the leading underivable positions, k + 1 (none) wrapping to 0
         least = (((~hits).cumprod(axis=1).sum(axis=1) + 1) % (k + 1)).astype(patterns.dtype)
-        least.setflags(write=False)
         table = np.choose(least[numbers], [absorbing, *rows.T])
-        yield symbol, tuple(table.tolist()), patterns, reps, hits, least
+        for array in (least, table):
+            array.setflags(write=False)
+        yield symbol, table, patterns, reps, hits, least
 
 
 @lru_cache(maxsize=CONDITION_INDEX_MEMO)
@@ -193,11 +194,11 @@ def _build_extension(
     """Table construction alone; `extend` adds the precondition checks."""
     n = algebra.size
     absorbing = n
-    operations: dict[OperationSymbol, tuple[int, ...]] = {}
+    operations: dict[OperationSymbol, np.ndarray] = {}
     for symbol, table in algebra.operations.items():
-        padded = np.full((n + 1,) * symbol.arity, absorbing)
-        padded[(slice(n),) * symbol.arity] = np.reshape(table, (n,) * symbol.arity)
-        operations[symbol] = tuple(padded.ravel().tolist())
+        padded = np.full((n + 1,) * symbol.arity, absorbing, dtype=np.int64)
+        padded[(slice(n),) * symbol.arity] = table.reshape((n,) * symbol.arity)
+        operations[symbol] = padded.ravel()
     patterns: dict[int, np.ndarray] = {}
     representatives: dict[int, np.ndarray] = {}
     pattern_tables: dict[OperationSymbol, np.ndarray] = {}

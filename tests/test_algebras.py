@@ -3,6 +3,7 @@
 import time
 from random import Random
 
+import numpy as np
 import pytest
 
 from oracles import oracle_rounds, oracle_subpower
@@ -30,7 +31,9 @@ from maltcube.algebras import (
     tree_size,
     tree_symbols,
 )
-from maltcube.terms import OperationSymbol, parse_condition
+from maltcube.construction import extend
+from maltcube.interp import dual_implication_algebra, find_interpretation
+from maltcube.terms import OperationSymbol, hagemann_mitschke_condition, parse_condition
 
 PLUS = OperationSymbol("plus", 2)
 NEG = OperationSymbol("neg", 1)
@@ -65,15 +68,57 @@ def test_algebra_validation():
         FiniteAlgebra(0, {})
     with pytest.raises(ValueError):
         FiniteAlgebra(2, {MEET: (0, 0, 0)})
+    with pytest.raises(ValueError):  # four entries, but not flat
+        FiniteAlgebra(2, {MEET: [[0, 0], [0, 1], [0, 0], [1, 1]]})
     for table in ((0, 0, 0, 2), (0, -1, 0, 0), (0, 0, 2**64, 0)):
         with pytest.raises(ValueError, match="leaves the universe"):
             FiniteAlgebra(2, {MEET: table})
+
+
+def test_tables_are_read_only_copies():
+    given = [0, 0, 0, 1]
+    array = np.array(given)
+    for table in (given, array):
+        algebra = FiniteAlgebra(2, {MEET: table})
+        stored = algebra.operations[MEET]
+        assert stored.dtype == np.int64 and not stored.flags.writeable
+        with pytest.raises(ValueError):
+            stored[0] = 1
+        table[3] = 0
+        assert stored.tolist() == [0, 0, 0, 1]
+
+
+def test_algebras_compare_by_content():
+    meet = (0, 0, 0, 1)
+    forms = [FiniteAlgebra(2, {MEET: t}) for t in (meet, list(meet), np.array(meet, np.uint8))]
+    assert all(a == forms[0] for a in forms)
+    assert forms[0] != FiniteAlgebra(2, {MEET: (0, 0, 1, 1)})
+    assert forms[0] != FiniteAlgebra(2, {JOIN: meet})
+    assert forms[0] != FiniteAlgebra(2, {MEET: meet, JOIN: meet})
+    assert FiniteAlgebra(2, {ONE: (0,)}) != FiniteAlgebra(3, {ONE: (0,)})
+    assert forms[0] != meet
+
+
+def test_every_construction_path_stores_read_only_int64_tables():
+    cp3 = hagemann_mitschke_condition(3)
+    algebras = [
+        parse_algebra(render_algebra(Z3)),
+        random_algebra(Random(7)),
+        extend(LATTICE2, cp3).extended,
+        find_interpretation(cp3).as_algebra(),
+        dual_implication_algebra(),
+    ]
+    for algebra in algebras:
+        for table in algebra.operations.values():
+            assert type(table) is np.ndarray and table.dtype == np.int64
+            assert not table.flags.writeable
 
 
 def test_algebra_value_and_symbol():
     assert Z3.value(PLUS, (1, 2)) == 0
     assert Z3.value(NEG, (2,)) == 1
     assert Z3.value(ONE, ()) == 1
+    assert type(Z3.value(PLUS, (1, 2))) is int
     assert Z3.symbol("plus") is PLUS
     with pytest.raises(KeyError):
         Z3.symbol("times")
@@ -361,7 +406,15 @@ def test_budget_stops_the_closure():
     assert err.budget == budget
     # the closure may overshoot within one round; never undershoot
     assert err.stats.members >= budget
+    assert err.stats.boxes > 0 and err.stats.applications > 0
     assert f"budget of {budget} members" in str(err)
+
+
+def test_budget_counts_the_seeds():
+    with pytest.raises(BudgetExceededError) as info:
+        generate_subpower(LATTICE2, [(0, 1), (1, 0)], budget=1)
+    assert info.value.stats.members == 2
+    assert "(2 members found)" in str(info.value)
 
 
 def test_budget_counts_members_up_to_the_target():
@@ -389,6 +442,16 @@ def test_wide_powers_close_with_object_codes():
     assert (result.stats.rounds, result.stats.boxes) == (2, 3)
     answer = smp_decide(cyc, SmpInstance(40, (generator,), shifted[1]))
     assert render_tree(answer.witness) == "neg(neg(x1))"
+
+
+def test_wide_constant_seeds_the_closure():
+    """A constant's member packs past 2^62 only as a Python int."""
+    c = OperationSymbol("c", 0)
+    algebra = FiniteAlgebra(3, {c: (2,), NEG: (1, 2, 0)})
+    generator = tuple(i % 3 for i in range(40))
+    answer = smp_decide(algebra, SmpInstance(40, (generator,), (2,) * 40))
+    assert answer.answer
+    assert render_tree(answer.witness) == "c()"
 
 
 # --- membership decisions ----------------------------------------------------

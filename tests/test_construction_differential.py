@@ -73,12 +73,12 @@ def test_matches_the_row_by_row_reference():
             assert pattern_dict(ext, symbol) == expected
         memo = _condition_tables(condition, algebra.size)
         fresh = list(_read_off(condition, algebra.size))
-        assert [entry[:2] for entry in memo] == [entry[:2] for entry in fresh]
-        for (*_, patterns, reps, least), (*_, fresh_patterns, fresh_reps, _, fresh_least) in zip(
-            memo, fresh
-        ):
-            for array, again in ((patterns, fresh_patterns), (reps, fresh_reps),
-                                 (least, fresh_least)):
+        assert [entry[0] for entry in memo] == [entry[0] for entry in fresh]
+        for (_, table, patterns, reps, least), (
+            _, fresh_table, fresh_patterns, fresh_reps, _, fresh_least
+        ) in zip(memo, fresh):
+            for array, again in ((table, fresh_table), (patterns, fresh_patterns),
+                                 (reps, fresh_reps), (least, fresh_least)):
                 assert np.array_equal(array, again) and not array.flags.writeable
         report = check_condition(condition)
         if report.consistent:
