@@ -101,6 +101,7 @@ class FiniteAlgebra:
     """A finite universe {0..size-1} with finitely many table operations.
 
     Tables are stored as read-only int64 copies and compared by content.
+    Entries must be integers or bools; a float or a string is refused.
     """
 
     size: int
@@ -114,10 +115,13 @@ class FiniteAlgebra:
             error = _table_length_error(symbol, self.size, len(table))
             if error:
                 raise ValueError(error)
-            try:
-                values = np.array(table, dtype=np.int64).reshape(len(table))  # flat, or raise
-            except OverflowError:  # an entry beyond 64 bits
-                values = None
+            values = np.asarray(table)
+            if values.dtype.kind in "biu":
+                values = values.astype(np.int64).reshape(len(table))  # flat, or raise
+            elif all(isinstance(v, (int, np.integer, np.bool_)) for v in table):
+                values = None  # an int past int64 turned the array to float or object
+            else:
+                raise ValueError(f"table for {symbol} has an entry that is not an integer")
             if values is None or values.min() < 0 or values.max() >= self.size:
                 raise ValueError(f"table for {symbol} leaves the universe")
             values.flags.writeable = False

@@ -16,8 +16,13 @@ Condition files look like:
 
 The `signature:` line declares name/arity pairs, the `identities:` line
 opens one `term = term` entry per line, `#` starts a comment, and
-whitespace within a line is free.  Argument positions of an operation
-must be plain variables; nested applications are a reported error.
+whitespace within a line is free.  Each side is `NAME`, a variable, or
+`NAME ( inner )`, an application of a declared symbol, where `inner`
+splits on commas into plain variable names; anything else, nested
+applications included, is a reported error.  Variables are numbered
+once the whole file is read: canonical names keep their fixed index,
+and every other name takes the smallest index no name of the file uses,
+in order of first occurrence.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
+from itertools import count
 from typing import Iterable, Mapping, Sequence
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -162,21 +168,16 @@ class MaltsevCondition:
         return render_condition(self)
 
 
-def canonical_variable_set(
-    condition: MaltsevCondition, extra: Identity | None = None
-) -> int:
+def canonical_variable_set(condition: MaltsevCondition) -> int:
     """Size of the canonical variable set: large enough for every derivation.
 
     Takes the maximum of 2, every declared arity (whether or not the symbol
     occurs in an identity), and the number of distinct variables of any single
-    identity (including `extra` when given).  A set this large keeps the
-    closure's verdicts independent of the exact size chosen.
+    identity.  A set this large keeps the closure's verdicts independent of
+    the exact size chosen.
     """
     size = max(2, condition.max_arity())
-    idents: list[Identity] = list(condition.identities)
-    if extra is not None:
-        idents.append(extra)
-    for ident in idents:
+    for ident in condition.identities:
         size = max(size, len(ident.variables()))
     return size
 
@@ -313,11 +314,7 @@ class ConditionSyntaxError(ValueError):
         super().__init__(f"{where}: {message}")
 
 
-_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+|[(),]|\S")
-
-
-def _tokenize(text: str) -> list[str]:
-    return _TOKEN_RE.findall(text)
+_SIDE_RE = re.compile(rf"({_NAME_RE.pattern})\s*(?:\((.*)\))?")
 
 
 def _significant_lines(text: str) -> list[tuple[int, str]]:
@@ -360,83 +357,47 @@ def parse_condition(text: str, source: str = "<string>") -> MaltsevCondition:
     if len(lines) < 2 or lines[1][1] != "identities:":
         raise fail("expected an identities: line after the signature", lines[0][0])
 
-    # First pass: fix indices for canonical variable names, queue the others.
-    reserved: set[int] = set()
-    unknown_order: list[str] = []
-    entries: list[tuple[int, list[str], list[str]]] = []
+    def parse_side(side: str, lineno: int) -> tuple[OperationSymbol | None, list[str]]:
+        m = _SIDE_RE.fullmatch(side)
+        if m is None:
+            raise fail(f"cannot parse term {side!r}", lineno)
+        name, inner = m.groups()
+        if inner is None:
+            symbol, names = None, [name]
+        elif name not in by_name:
+            raise fail(f"unknown operation symbol {name}", lineno)
+        elif "(" in inner:
+            raise fail("nested terms are not linear", lineno)
+        else:
+            symbol = by_name[name]
+            names = [p.strip() for p in inner.split(",")] if inner.strip() else []
+        for arg in names:
+            if not arg:
+                raise fail("misplaced comma", lineno)
+            if not _NAME_RE.fullmatch(arg):
+                raise fail(f"expected a variable, found {arg!r}", lineno)
+            if arg in by_name:
+                raise fail(f"operation symbol {arg} used as a variable", lineno)
+        if symbol is not None and len(names) != symbol.arity:
+            raise fail(f"{symbol} applied to {len(names)} arguments", lineno)
+        return symbol, names
+
+    sides: list[tuple[OperationSymbol | None, list[str]]] = []
     for lineno, body in lines[2:]:
-        sides = body.split("=")
-        if len(sides) != 2:
+        pair = body.split("=")
+        if len(pair) != 2:
             raise fail("an identity needs exactly one =", lineno)
-        side_tokens = [_tokenize(s) for s in sides]
-        entries.append((lineno, side_tokens[0], side_tokens[1]))
-        for tokens in side_tokens:
-            for i, tok in enumerate(tokens):
-                is_call = i + 1 < len(tokens) and tokens[i + 1] == "("
-                if _NAME_RE.fullmatch(tok) and not is_call and tok not in by_name:
-                    fixed = variable_index(tok)
-                    if fixed is not None:
-                        reserved.add(fixed)
-                    elif tok not in unknown_order:
-                        unknown_order.append(tok)
-    name_to_index: dict[str, int] = {}
-    next_free = 0
-    for tok in unknown_order:
-        while next_free in reserved:
-            next_free += 1
-        name_to_index[tok] = next_free
-        reserved.add(next_free)
+        sides += [parse_side(side.strip(), lineno) for side in pair]
 
-    def resolve_variable(tok: str, lineno: int) -> int:
-        if not _NAME_RE.fullmatch(tok):
-            raise fail(f"expected a variable, found {tok!r}", lineno)
-        if tok in by_name:
-            raise fail(f"operation symbol {tok} used as a variable", lineno)
-        fixed = variable_index(tok)
-        return fixed if fixed is not None else name_to_index[tok]
-
-    def parse_term(tokens: list[str], lineno: int) -> LinearTerm:
-        if not tokens:
-            raise fail("missing term", lineno)
-        if len(tokens) == 1:
-            return var(resolve_variable(tokens[0], lineno))
-        name = tokens[0]
-        if name not in by_name:
-            if _NAME_RE.fullmatch(name) and tokens[1] == "(":
-                raise fail(f"unknown operation symbol {name}", lineno)
-            raise fail(f"cannot parse term starting at {name!r}", lineno)
-        if tokens[1] != "(" or tokens[-1] != ")":
-            raise fail(f"malformed application of {name}", lineno)
-        args: list[int] = []
-        inner = tokens[2:-1]
-        expect_value = True
-        for pos, tok in enumerate(inner):
-            if tok == "(":
-                raise fail("nested terms are not linear", lineno)
-            if tok == ",":
-                if expect_value:
-                    raise fail("misplaced comma", lineno)
-                expect_value = True
-                continue
-            if not expect_value:
-                raise fail(f"expected , or ) before {tok!r}", lineno)
-            if tok in by_name and pos + 1 < len(inner) and inner[pos + 1] == "(":
-                raise fail("nested terms are not linear", lineno)
-            args.append(resolve_variable(tok, lineno))
-            expect_value = False
-        if expect_value and args:
-            raise fail("trailing comma in argument list", lineno)
-        symbol = by_name[name]
-        if len(args) != symbol.arity:
-            raise fail(
-                f"{symbol} applied to {len(args)} arguments", lineno
-            )
-        return app(symbol, *args)
-
-    identities = [
-        Identity(parse_term(lhs, lineno), parse_term(rhs, lineno))
-        for lineno, lhs, rhs in entries
-    ]
+    # Canonical names keep their index; the others take the smallest free one.
+    index = {n: variable_index(n) for _, names in sides for n in names}
+    taken = set(index.values())
+    free = (i for i in count() if i not in taken)
+    for n, i in index.items():
+        if i is None:
+            index[n] = next(free)
+    terms = [LinearTerm(symbol, tuple(index[n] for n in names)) for symbol, names in sides]
+    identities = [Identity(lhs, rhs) for lhs, rhs in zip(terms[::2], terms[1::2])]
     return MaltsevCondition(tuple(symbols), tuple(identities))
 
 

@@ -30,7 +30,11 @@ available, trading speed for obviousness:
     bounded above by some projection;
   * the clone is enumerated by composing ->d breadth-first from the
     projections, and interpretations are found by backtracking over it,
-    rather than read off the cube families.
+    rather than read off the cube families;
+  * a condition file is read by tokenizing each side and walking the
+    tokens with a comma state machine, after a first pass over every
+    token that numbers the variables, rather than by matching each side
+    with one pattern.
 
 A k-ary violation of relation preservation needs only k rows: pick for
 each output coordinate one argument row where the function is 0, if one
@@ -40,6 +44,7 @@ and never violates.  Hence checking m up to the arity is complete.
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 from itertools import product
 from random import Random
@@ -59,6 +64,7 @@ from maltcube.construction import EliminationError, ExtendedAlgebra
 from maltcube.entailment import condition_index
 from maltcube.interp import DUAL_IMPLICATION, BooleanOperationEntry, Interpretation
 from maltcube.terms import (
+    ConditionSyntaxError,
     Identity,
     LinearTerm,
     MaltsevCondition,
@@ -69,6 +75,7 @@ from maltcube.terms import (
     pattern_representative,
     substitute,
     var,
+    variable_index,
 )
 
 
@@ -701,3 +708,136 @@ def reference_find_interpretation(condition: MaltsevCondition) -> Interpretation
     if not search(0):
         return None
     return Interpretation(condition, dict(assignment))
+
+
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+|[(),]|\S")
+
+
+def _tokenize(text: str) -> list[str]:
+    return _TOKEN_RE.findall(text)
+
+
+def _significant_lines(text: str) -> list[tuple[int, str]]:
+    out = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        body = raw.split("#", 1)[0].strip()
+        if body:
+            out.append((lineno, body))
+    return out
+
+
+def oracle_parse_condition(text: str, source: str = "<string>") -> MaltsevCondition:
+    """The token-walking condition parser that `parse_condition` replaced.
+
+    It may raise a bare KeyError for an unknown name in argument position,
+    such as `ug` in `f(ug(x),y)`: its first pass skips names followed by
+    `(`, so the second pass finds no index for them.
+    """
+
+    def fail(message: str, line: int | None = None) -> ConditionSyntaxError:
+        return ConditionSyntaxError(message, source=source, line=line)
+
+    lines = _significant_lines(text)
+    if not lines:
+        raise fail("empty condition file")
+    lineno, head = lines[0]
+    if not head.startswith("signature:"):
+        raise fail("expected a signature: line first", lineno)
+    symbols: list[OperationSymbol] = []
+    sig_body = head[len("signature:"):].strip()
+    if sig_body:
+        for part in sig_body.split(","):
+            part = part.strip()
+            m = re.fullmatch(r"([A-Za-z_][A-Za-z0-9_]*)\s*/\s*(\d+)", part)
+            if m is None:
+                raise fail(f"bad signature entry {part!r} (want name/arity)", lineno)
+            try:
+                symbols.append(OperationSymbol(m.group(1), int(m.group(2))))
+            except ValueError as exc:
+                raise fail(str(exc), lineno) from None
+    by_name = {s.name: s for s in symbols}
+    if len(by_name) != len(symbols):
+        raise fail("duplicate operation name in signature", lineno)
+
+    if len(lines) < 2 or lines[1][1] != "identities:":
+        raise fail("expected an identities: line after the signature", lines[0][0])
+
+    # First pass: fix indices for canonical variable names, queue the others.
+    reserved: set[int] = set()
+    unknown_order: list[str] = []
+    entries: list[tuple[int, list[str], list[str]]] = []
+    for lineno, body in lines[2:]:
+        sides = body.split("=")
+        if len(sides) != 2:
+            raise fail("an identity needs exactly one =", lineno)
+        side_tokens = [_tokenize(s) for s in sides]
+        entries.append((lineno, side_tokens[0], side_tokens[1]))
+        for tokens in side_tokens:
+            for i, tok in enumerate(tokens):
+                is_call = i + 1 < len(tokens) and tokens[i + 1] == "("
+                if _NAME_RE.fullmatch(tok) and not is_call and tok not in by_name:
+                    fixed = variable_index(tok)
+                    if fixed is not None:
+                        reserved.add(fixed)
+                    elif tok not in unknown_order:
+                        unknown_order.append(tok)
+    name_to_index: dict[str, int] = {}
+    next_free = 0
+    for tok in unknown_order:
+        while next_free in reserved:
+            next_free += 1
+        name_to_index[tok] = next_free
+        reserved.add(next_free)
+
+    def resolve_variable(tok: str, lineno: int) -> int:
+        if not _NAME_RE.fullmatch(tok):
+            raise fail(f"expected a variable, found {tok!r}", lineno)
+        if tok in by_name:
+            raise fail(f"operation symbol {tok} used as a variable", lineno)
+        fixed = variable_index(tok)
+        return fixed if fixed is not None else name_to_index[tok]
+
+    def parse_term(tokens: list[str], lineno: int) -> LinearTerm:
+        if not tokens:
+            raise fail("missing term", lineno)
+        if len(tokens) == 1:
+            return var(resolve_variable(tokens[0], lineno))
+        name = tokens[0]
+        if name not in by_name:
+            if _NAME_RE.fullmatch(name) and tokens[1] == "(":
+                raise fail(f"unknown operation symbol {name}", lineno)
+            raise fail(f"cannot parse term starting at {name!r}", lineno)
+        if tokens[1] != "(" or tokens[-1] != ")":
+            raise fail(f"malformed application of {name}", lineno)
+        args: list[int] = []
+        inner = tokens[2:-1]
+        expect_value = True
+        for pos, tok in enumerate(inner):
+            if tok == "(":
+                raise fail("nested terms are not linear", lineno)
+            if tok == ",":
+                if expect_value:
+                    raise fail("misplaced comma", lineno)
+                expect_value = True
+                continue
+            if not expect_value:
+                raise fail(f"expected , or ) before {tok!r}", lineno)
+            if tok in by_name and pos + 1 < len(inner) and inner[pos + 1] == "(":
+                raise fail("nested terms are not linear", lineno)
+            args.append(resolve_variable(tok, lineno))
+            expect_value = False
+        if expect_value and args:
+            raise fail("trailing comma in argument list", lineno)
+        symbol = by_name[name]
+        if len(args) != symbol.arity:
+            raise fail(
+                f"{symbol} applied to {len(args)} arguments", lineno
+            )
+        return app(symbol, *args)
+
+    identities = [
+        Identity(parse_term(lhs, lineno), parse_term(rhs, lineno))
+        for lineno, lhs, rhs in entries
+    ]
+    return MaltsevCondition(tuple(symbols), tuple(identities))

@@ -70,9 +70,20 @@ def test_algebra_validation():
         FiniteAlgebra(2, {MEET: (0, 0, 0)})
     with pytest.raises(ValueError):  # four entries, but not flat
         FiniteAlgebra(2, {MEET: [[0, 0], [0, 1], [0, 0], [1, 1]]})
-    for table in ((0, 0, 0, 2), (0, -1, 0, 0), (0, 0, 2**64, 0)):
+    for table in ((0, 0, 0, 2), (0, -1, 0, 0), (0, 0, 2**64, 0), (0, 0, 2**63, 0)):
         with pytest.raises(ValueError, match="leaves the universe"):
             FiniteAlgebra(2, {MEET: table})
+
+
+def test_table_entries_must_be_integers():
+    for table in ([0.5, 1, 1, 0], ["1", "0", "1", "1"], [1.0, 0, 1, 1], [0, 1, 1, None],
+                  np.array([0.0, 0, 0, 1])):
+        with pytest.raises(ValueError, match="not an integer"):
+            FiniteAlgebra(2, {MEET: table})
+    forms = [(0, 0, 0, 1), [0, 0, 0, 1], [False, False, False, True], [0, 0, 0, True]]
+    forms += [np.array([0, 0, 0, 1], dtype) for dtype in (np.uint8, np.int8, np.uint64, bool)]
+    for table in forms:
+        assert FiniteAlgebra(2, {MEET: table}).operations[MEET].tolist() == [0, 0, 0, 1]
 
 
 def test_tables_are_read_only_copies():

@@ -484,10 +484,11 @@ def test_missing_file(capsys, tmp_path):
 
 def test_malformed_condition_reports_location(capsys, tmp_path):
     path = tmp_path / "bad.cond"
-    path.write_text("signature: h/2\nidentities:\n  h(x = y\n")
-    code, _, err = run(capsys, "check", str(path))
-    assert code == 2
-    assert f"{path}:3" in err
+    for identity in ("h(x = y", "h(ug(x),y) = x"):
+        path.write_text(f"signature: h/2\nidentities:\n  {identity}\n")
+        code, _, err = run(capsys, "check", str(path))
+        assert code == 2
+        assert f"{path}:3" in err
 
 
 def test_malformed_algebra_reports_location(capsys, tmp_path, cp3_file):

@@ -1,0 +1,106 @@
+"""The condition parser against the token walker it replaced, and fuzzing of
+all three text formats.
+
+On generated identity lines both condition parsers accept with equal
+conditions or both reject; the oracle's bare KeyError counts as a
+rejection, while the parser under test may reject only with a located
+`ConditionSyntaxError`.  Rendered conditions, algebras and instances
+parse back to themselves, and line soups for algebra and instance files
+raise `AlgebraFormatError` and nothing else.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import oracle_parse_condition
+from test_closure_differential import closures
+from test_entailment_differential import conditions
+from maltcube.algebras import (
+    AlgebraFormatError,
+    SmpInstance,
+    parse_algebra,
+    parse_instance,
+    render_algebra,
+    render_instance,
+)
+from maltcube.terms import ConditionSyntaxError, parse_condition, render_condition
+
+HEAD = "signature: c/0, g/1, f/2\nidentities:\n"
+ARITY = {"c": 0, "g": 1, "f": 2, "ug": 1}
+NAMES = ("x", "y", "z", "w", "x0", "x7", "alpha", "beta", *ARITY)
+PIECES = NAMES + ("(", ")", ",", "=", " ")
+
+
+@st.composite
+def sides(draw) -> str:
+    """A name, or a name applied to names, mostly well formed."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.sampled_from(NAMES))
+    name = draw(st.sampled_from(("c", "g", "g", "f", "f", "ug")))
+    count = ARITY[name] + draw(st.sampled_from([0] * 6 + [1, -1]))
+    odd = st.sampled_from(("g(x)", "ug(y)", "", "f", "x y"))
+    arg = st.one_of(*[st.sampled_from(NAMES[:8])] * 7, odd)
+    args = [draw(arg) for _ in range(max(count, 0))]
+    joiner = draw(st.sampled_from([",", " , "]))
+    tail = draw(st.sampled_from([")"] * 6 + ["", ",)", "))"]))
+    return f"{name}{draw(st.sampled_from(['(', ' (']))}{joiner.join(args)}{tail}"
+
+
+soup_lines = st.lists(st.sampled_from(PIECES), min_size=1, max_size=12).map("".join)
+term_lines = st.builds(lambda lhs, eq, rhs: lhs + eq + rhs,
+                       sides(), st.sampled_from(["=", " = "] * 3 + ["==", ""]), sides())
+identity_lines = st.one_of(soup_lines, term_lines, term_lines, term_lines)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(st.lists(identity_lines, min_size=1, max_size=2))
+def test_parser_matches_the_token_walker(lines):
+    text = HEAD + "\n".join(lines) + "\n"
+    try:
+        expected = oracle_parse_condition(text)
+    except (ConditionSyntaxError, KeyError):
+        expected = None
+    try:
+        got = parse_condition(text)
+    except ConditionSyntaxError as exc:
+        assert exc.line is not None
+        got = None
+    assert got == expected
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(conditions())
+def test_condition_round_trip(condition):
+    assert parse_condition(render_condition(condition)) == condition
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(closures(), st.data())
+def test_algebra_and_instance_round_trip(case, data):
+    algebra, m, generators = case
+    assert parse_algebra(render_algebra(algebra)) == algebra
+    target = data.draw(st.tuples(*[st.integers(0, 12)] * m))
+    instance = SmpInstance(m, tuple(generators), target)
+    assert parse_instance(render_instance(instance)) == instance
+
+
+SOUP_LINES = (
+    "universe: 2", "universe: 0", "universe: q", "universe: 99999999999999999999",
+    "m: 2", "m: 0", "m: -1", "m: two", "generators:", "target:",
+    "op f/1:", "op f/2: 0 1", "op c/0:", "op g/70:", "op f/-1:", "op /1:",
+    "0 1", "0 1 1 0", "1", "2", "-1", "q", "18446744073709551616 0", "# note", "",
+)
+soups = st.lists(
+    st.one_of(st.sampled_from(SOUP_LINES), st.text(" 0129-:/#opfgmqx", max_size=8)),
+    max_size=8,
+).map("\n".join)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(soups)
+def test_line_soups_raise_only_format_errors(text):
+    for parse in (parse_algebra, parse_instance):
+        try:
+            parse(text)
+        except AlgebraFormatError:
+            pass

@@ -98,7 +98,7 @@ def test_canonical_variable_set():
     c = MaltsevCondition((f,), (Identity(app(f, 0, 0, 0), var(0)),))
     assert canonical_variable_set(c) == 3
     wide = Identity(app(f, 0, 1, 2), app(f, 3, 4, 5))
-    assert canonical_variable_set(c, wide) == 6
+    assert canonical_variable_set(MaltsevCondition((f,), c.identities + (wide,))) == 6
     empty = MaltsevCondition((), ())
     assert canonical_variable_set(empty) == 2
 
@@ -206,6 +206,8 @@ def test_parse_errors_carry_location():
         )
     with pytest.raises(ConditionSyntaxError, match="nested terms are not linear"):
         parse_condition("signature: f/2\nidentities:\n  f(f(x,y),z) = x\n")
+    with pytest.raises(ConditionSyntaxError, match="c.cond:3"):  # an unknown inner symbol
+        parse_condition("signature: f/2\nidentities:\n  f(ug(x),y) = x\n", source="c.cond")
     with pytest.raises(ConditionSyntaxError, match="unknown operation symbol"):
         parse_condition("signature: f/2\nidentities:\n  g(x,y) = x\n")
     with pytest.raises(ConditionSyntaxError, match="applied to 1 argument"):
