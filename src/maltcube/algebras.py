@@ -26,19 +26,26 @@ discovered in the previous round.  Members are packed into base-n
 integers and rounds run vectorized over numpy: the codes are int64 while
 n^m <= 2^62 and Python ints in object arrays past that, so every power
 takes the same path.  Operations are lifted to packed codes chunk by
-chunk (a chunk is a run of coordinates) so the hot loop is a handful of
-gathers into cache-sized tables.  The operations of one arity share
-their chunk layout, so they are applied together: each block of argument
-tuples, with the arity's operations as one more axis, is cut into boxes,
-one vectorized call each.  A box fixes one position on every axis before
-a lead axis, takes a run of rows on it and every position after it, and
-holds at most 64 * 2^16 applications (at most 2^16 unless one row alone
-is longer).  An operation whose table is a projection never derives a
-fresh member and is left out.  Lifted tables are memoized process-wide
-by their contents (universe size, arity, operation table, chunk length),
-so equal operations of different algebras, such as those of repeated
-extensions, share one read-only table; the memo evicts least recently
-used tables to stay within a fixed number of bytes.
+chunk (a chunk is a run of coordinates) into tables of at most 2^18
+entries.  The operations of one arity share their chunk layout, so they
+are applied together: each block of argument tuples, with the arity's
+operations as one more axis, is cut into boxes, one vectorized call
+each.  A box fixes one position on every axis before a lead axis, takes
+a run of rows on it and every position after it, and holds at most
+64 * 2^16 applications (at most 2^16 unless one row alone is longer).
+Its arguments are runs of members, so per chunk the box reads a lifted
+table, viewed as a matrix over the first k-1 arguments' codes and the
+last argument's, at a few rows and columns: the smaller of its rows and
+its columns is gathered, at most max(box applications, modulus^k)
+entries per operation, and one `np.take` fills the box from that
+sub-table.  Chunks add up in int64, past 2^62 in runs that are turned
+into Python ints once each.  An operation whose table is a projection
+never derives a fresh member and is left out.  Lifted tables are
+memoized process-wide by their contents (universe size, arity,
+operation table, chunk length), so equal operations of different
+algebras, such as those of repeated extensions, share one read-only
+table; the memo evicts least recently used tables to stay within a
+fixed number of bytes.
 
 Derivations are recorded per member (one operation plus argument member
 indices), and witness term trees are materialized from them on demand;
@@ -100,7 +107,8 @@ def _table_length_error(symbol: OperationSymbol, size: int, entries: int) -> str
 class FiniteAlgebra:
     """A finite universe {0..size-1} with finitely many table operations.
 
-    Tables are stored as read-only int64 copies and compared by content.
+    Tables are stored as read-only int64 copies and compared by content;
+    a flat read-only int64 array that owns its memory is kept as it is.
     Entries must be integers or bools; a float or a string is refused.
     """
 
@@ -116,7 +124,10 @@ class FiniteAlgebra:
             if error:
                 raise ValueError(error)
             values = np.asarray(table)
-            if values.dtype.kind in "biu":
+            if (values.dtype == np.int64 and values.ndim == 1 and values.flags.owndata
+                    and not values.flags.writeable):
+                pass  # read-only and its own memory, so nothing can change it: shared
+            elif values.dtype.kind in "biu":
                 values = values.astype(np.int64).reshape(len(table))  # flat, or raise
             elif all(isinstance(v, (int, np.integer, np.bool_)) for v in table):
                 values = None  # an int past int64 turned the array to float or object
@@ -624,7 +635,10 @@ class _SortedSeen:
 class _ChunkSpec:
     shift: int     # weight of this chunk's code in the packed member
     modulus: int   # number of codes for this chunk
-    tables: tuple[np.ndarray, ...]  # one lifted table per operation of the group
+    scale: int     # weight of this chunk's code within its run; fits int64
+    # one lifted table per operation of the group, as a matrix: a row per
+    # combination of the first k-1 arguments' codes, a column per last code
+    matrices: tuple[np.ndarray, ...]
 
 
 class _LiftMemo:
@@ -723,6 +737,27 @@ def _boxes(sizes: Sequence[int]):
             yield (*prefix, r0) + (0,) * len(after), (1,) * lead + (height,) + after
 
 
+def _sub_table(matrices: Sequence[np.ndarray], rows: np.ndarray, last: np.ndarray):
+    """The part of the operations' lifted tables that a box reads, as int64.
+
+    The box reads entry (r, c) of each matrix for r in `rows` and c in
+    `last`.  Gathering its rows takes len(rows) * modulus entries per
+    operation and gathering its columns modulus^(k-1) * len(last); the
+    smaller is taken, so a sub-table holds at most max(len(rows) *
+    len(last), modulus^k) entries per operation.  Returns the sub-table,
+    with a leading axis for the operations, and the index and axis along
+    which one `np.take` fills the box from it.
+    """
+    height, modulus = matrices[0].shape
+    if len(rows) * modulus <= height * len(last):
+        picked, index, axis = [t[rows] for t in matrices], last, 2
+    else:
+        picked, index, axis = [t[:, last] for t in matrices], rows, 1
+    if len(picked) == 1:
+        return picked[0].astype(np.int64)[None], index, axis
+    return np.stack(picked, dtype=np.int64), index, axis
+
+
 class _NumpyEngine:
     """Vectorized semi-naive closure over packed member codes.
 
@@ -732,9 +767,12 @@ class _NumpyEngine:
     applications (argument tuples times operations), and its chunk
     indices, seen-set test, `np.unique` and provenance are computed once
     for all of them.  Operations whose table is a projection are left
-    out, since they derive nothing fresh.  Codes are int64 while n^m
-    fits 62 bits and Python ints in object arrays past that; numpy's
-    arithmetic, sorting and searching treat both alike.
+    out, since they derive nothing fresh.  A box is filled per chunk
+    from a sub-table of the lifted matrices, the box's rows or its
+    columns, whichever is smaller (`_sub_table`), so no box-sized index
+    is built.  Codes are int64 while n^m fits 62 bits and Python ints in
+    object arrays past that; numpy's arithmetic, sorting and searching
+    treat both alike, and the chunks are added in int64 runs either way.
     """
 
     def __init__(self, algebra: FiniteAlgebra, m: int, budget: int):
@@ -778,24 +816,40 @@ class _NumpyEngine:
             start += step
         return out
 
-    def _plan(self, arity: int, ops: Sequence[int]) -> list[_ChunkSpec]:
-        """The chunks of one group; same-arity operations share the layout."""
+    def _plan(self, arity: int, ops: Sequence[int]) -> list[tuple[int, list[_ChunkSpec]]]:
+        """The chunks of one group, as runs whose codes add up in int64.
+
+        Same-arity operations share the layout.  A run is a maximal stretch
+        of chunks, most significant first, spanning at most 2^62 codes, and
+        comes with its weight in the packed member; while n^m fits 62 bits
+        that is one run of weight 1.
+        """
         if arity in self._plans:
             return self._plans[arity]
-        specs = []
+        runs: list[list[tuple[int, int]]] = []
         for start, length in self._chunk_lengths(arity):
-            tables = []
-            for op_index in ops:
-                table, built = _lifted_table(self.n, arity, self.tables[op_index], length)
-                if built:
-                    self.lifts_built += 1
-                else:
-                    self.lifts_reused += 1
-                tables.append(table)
-            specs.append(_ChunkSpec(self.n ** (self.m - start - length), self.n ** length,
-                                    tuple(tables)))
-        self._plans[arity] = specs
-        return specs
+            if not runs or self.n ** (start + length - runs[-1][0][0]) > 2 ** 62:
+                runs.append([])
+            runs[-1].append((start, length))
+        plan = []
+        for chunks in runs:
+            weight = self.n ** (self.m - sum(chunks[-1]))
+            specs = []
+            for start, length in chunks:
+                modulus = self.n ** length
+                matrices = []
+                for op_index in ops:
+                    table, built = _lifted_table(self.n, arity, self.tables[op_index], length)
+                    if built:
+                        self.lifts_built += 1
+                    else:
+                        self.lifts_reused += 1
+                    matrices.append(table.reshape(-1, modulus))
+                shift = self.n ** (self.m - start - length)
+                specs.append(_ChunkSpec(shift, modulus, shift // weight, tuple(matrices)))
+            plan.append((weight, specs))
+        self._plans[arity] = plan
+        return plan
 
     # -- members --------------------------------------------------------
 
@@ -827,23 +881,39 @@ class _NumpyEngine:
 
     # -- rounds ---------------------------------------------------------
 
-    def _apply(self, plan: list[_ChunkSpec], lo: int, hi: int,
-               positions: list[np.ndarray]) -> np.ndarray:
+    def _apply(self, plan: list[tuple[int, list[_ChunkSpec]]], lo: int, hi: int,
+               firsts: Sequence[int], extents: Sequence[int]) -> np.ndarray:
         """Codes of a group's operations lo..hi-1 on a box's argument tuples.
 
-        One row per operation, the tuples in row-major order along it.
+        Argument i runs over the members firsts[i] .. firsts[i] + extents[i]
+        - 1.  Returns one row per operation, the tuples in row-major order
+        along it.  Per chunk, the box's codes are slices of the chunk
+        codes; the first k-1 arguments' combine into row numbers of the
+        lifted matrices and the last argument's are column numbers.  The
+        chunk's sub-table (`_sub_table`) is cast and scaled, and one
+        `np.take` fills the box from it.  A run's chunks add up in int64;
+        past 2^62 each run is turned into Python ints once and weighted.
         """
         result = None
-        for spec in plan:
-            comp = self._comp(spec)
-            idx = comp[positions[0]].astype(np.int64)
-            for p in positions[1:]:
-                idx = idx[..., None] * spec.modulus + comp[p]
-            idx = idx.reshape(-1)
-            rows = [table[idx] for table in spec.tables[lo:hi]]
-            gathered = rows[0][None] if len(rows) == 1 else np.vstack(rows)
-            part = gathered.astype(self.dtype) * spec.shift
-            result = part if result is None else result + part
+        for weight, specs in plan:
+            total = None
+            for spec in specs:
+                comp = self._comp(spec)
+                *heads, last = [comp[f:f + e] for f, e in zip(firsts, extents)]
+                # row numbers stay below modulus^(k-1) <= _TABLE_CAP, so int32 holds them
+                rows = heads[0] if heads else np.zeros(1, dtype=np.int32)
+                for c in heads[1:]:
+                    rows = (rows[:, None] * spec.modulus + c).reshape(-1)
+                sub, index, axis = _sub_table(spec.matrices[lo:hi], rows, last)
+                if spec.scale != 1:
+                    sub *= spec.scale
+                part = sub.take(index, axis=axis)
+                total = part if total is None else np.add(total, part, out=total)
+            if self.dtype is object:
+                total = total.astype(object)
+                if weight != 1:
+                    total *= weight
+            result = total if result is None else np.add(result, total, out=result)
         return result
 
     def _round(self, old: int, current: int, goal: int | None, pending_codes: list,
@@ -866,11 +936,8 @@ class _NumpyEngine:
                 for starts, extents in _boxes([*sizes, len(ops)]):
                     *starts, lo = starts
                     *extents, width = extents
-                    positions = [
-                        np.arange(b + s, b + s + e, dtype=np.int64)
-                        for b, s, e in zip(bases, starts, extents)
-                    ]
-                    codes = self._apply(plan, lo, lo + width, positions).reshape(-1)
+                    firsts = [b + s for b, s in zip(bases, starts)]
+                    codes = self._apply(plan, lo, lo + width, firsts, extents).reshape(-1)
                     self.boxes += 1
                     self.applications += len(codes)
                     mask = self.seen.new_mask(codes)
@@ -890,7 +957,7 @@ class _NumpyEngine:
                     self.seen.add(fresh)
                     pending_codes.extend(fresh.tolist())
                     pending_provs.extend(
-                        zip(op_list, *(p[o].tolist() for p, o in zip(positions, offsets)))
+                        zip(op_list, *((f + o).tolist() for f, o in zip(firsts, offsets)))
                     )
                     self._check_budget(current + len(pending_codes))
                     if found:

@@ -31,7 +31,8 @@ seeded with all its instances, can push that closure over MAX_TERMS.
 The H-tables and pattern tables depend on M and |A| alone, so they are
 read off once per (M, |A|) and kept as read-only arrays for the
 CONDITION_INDEX_MEMO most recently used pairs; `extend` only pads A's
-tables around them.
+tables around them.  The H-tables are int64, so `FiniteAlgebra` keeps
+them as they are, with no copy.
 
 Consistency makes the position choice canonical: two derivable
 positions in different pattern blocks would merge two distinct
@@ -169,7 +170,7 @@ def _read_off(condition: MaltsevCondition, absorbing: int):
         hits = classes[labels] == term[:, None]
         # one past the leading underivable positions, k + 1 (none) wrapping to 0
         least = (((~hits).cumprod(axis=1).sum(axis=1) + 1) % (k + 1)).astype(patterns.dtype)
-        table = np.choose(least[numbers], [absorbing, *rows.T])
+        table = np.choose(least[numbers], [absorbing, *rows.T]).astype(np.int64)
         for array in (least, table):
             array.setflags(write=False)
         yield symbol, table, patterns, reps, hits, least

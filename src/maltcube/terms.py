@@ -155,6 +155,20 @@ class MaltsevCondition:
                 if s not in declared:
                     raise ValueError(f"identity {ident} uses undeclared symbol {s}")
 
+    def __hash__(self) -> int:
+        """The fields' hash, computed once: the memos keyed on a condition
+        hash it on every call."""
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            value = hash((self.signature, self.identities))
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    def __getstate__(self) -> dict:
+        # string hashes differ between processes, so the cached one stays behind
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
     def symbol(self, name: str) -> OperationSymbol:
         for s in self.signature:
             if s.name == name:

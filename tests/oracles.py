@@ -18,6 +18,11 @@ available, trading speed for obviousness:
   * a lifted operation table is filled entry by entry, unpacking each
     block code into coordinates, applying the operation to each
     coordinate and packing the result, rather than by outer products;
+  * a closure box's codes are gathered chunk by chunk through an index
+    of every argument tuple into the flat lifted table, each chunk
+    weighted in the engine's dtype, rather than taken from the smaller
+    of the box's rows and columns of the lifted matrix and added in
+    int64 runs;
   * the absorbing extension asks the canonical closure for every
     pattern's derivable positions with `same_class`, and looks up the
     equality pattern of every table row one at a time, rather than
@@ -49,6 +54,8 @@ from functools import lru_cache
 from itertools import product
 from random import Random
 from typing import Sequence
+
+import numpy as np
 
 from maltcube.algebras import (
     FiniteAlgebra,
@@ -383,6 +390,29 @@ def reference_lifted_table(
             value = value * n + table[index]
         out.append(value)
     return tuple(out)
+
+
+def reference_box_codes(engine, plan, lo: int, hi: int, firsts, extents):
+    """Codes of a group's operations lo..hi-1 on a closure box, one row each.
+
+    Argument i runs over the engine's members firsts[i] .. firsts[i] +
+    extents[i] - 1.  Per chunk, the chunk codes of every argument tuple
+    combine into one box-sized index into each flat lifted table; the
+    gathered codes are turned into the engine's dtype (Python ints past
+    2^62), weighted by the chunk's place in the packed member and added.
+    """
+    positions = [np.arange(f, f + e, dtype=np.int64) for f, e in zip(firsts, extents)]
+    result = None
+    for spec in (spec for _, specs in plan for spec in specs):
+        comp = engine._comp(spec)
+        idx = comp[positions[0]].astype(np.int64)
+        for p in positions[1:]:
+            idx = idx[..., None] * spec.modulus + comp[p]
+        idx = idx.reshape(-1)
+        rows = [matrix.reshape(-1)[idx] for matrix in spec.matrices[lo:hi]]
+        part = np.vstack(rows).astype(engine.dtype) * spec.shift
+        result = part if result is None else result + part
+    return result
 
 
 def reference_build_extension(algebra: FiniteAlgebra, condition: MaltsevCondition):

@@ -89,14 +89,27 @@ def test_table_entries_must_be_integers():
 def test_tables_are_read_only_copies():
     given = [0, 0, 0, 1]
     array = np.array(given)
-    for table in (given, array):
+    memory = np.array(given)
+    view = memory[:]  # read-only, but its memory is writable through `memory`
+    view.flags.writeable = False
+    for table, source in ((given, given), (array, array), (view, memory)):
         algebra = FiniteAlgebra(2, {MEET: table})
         stored = algebra.operations[MEET]
         assert stored.dtype == np.int64 and not stored.flags.writeable
         with pytest.raises(ValueError):
             stored[0] = 1
-        table[3] = 0
+        source[3] = 0
         assert stored.tolist() == [0, 0, 0, 1]
+
+
+def test_a_read_only_int64_table_is_shared_and_still_bounded():
+    table = np.array([0, 0, 0, 1], dtype=np.int64)
+    table.flags.writeable = False
+    assert FiniteAlgebra(2, {MEET: table}).operations[MEET] is table
+    outside = np.array([0, 0, 0, 2], dtype=np.int64)
+    outside.flags.writeable = False
+    with pytest.raises(ValueError, match="leaves the universe"):
+        FiniteAlgebra(2, {MEET: outside})
 
 
 def test_algebras_compare_by_content():

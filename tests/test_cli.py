@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from oracles import oracle_subpower
 from maltcube.algebras import FiniteAlgebra, parse_algebra, render_algebra
 from maltcube.cli import main
 from maltcube.entailment import condition_index
@@ -361,6 +362,28 @@ def test_smp_machine_keys(capsys, tmp_path, lattice_file):
     lines = out.splitlines()
     assert "answer=yes" in lines
     assert any(l.startswith("members=") for l in lines)
+
+
+def test_smp_machine_ternary_non_member_past_int64(capsys, tmp_path):
+    """The instance of the CI step that greps `members=18`: a ternary
+    operation on 3 elements in A^40, past 2^62, so in object codes.  Its
+    closure runs 14 chunks, gathers both rows and columns, and has as
+    many members as the oracle's over the generators' 5 distinct columns."""
+    text = "universe: 3\nop f/3:\n0 2 2 2 2 0 1 2 1\n1 2 0 2 1 1 1 2 1\n1 0 1 0 1 1 1 1 2\n"
+    columns = [(0, 1), (1, 2), (2, 0), (0, 0), (1, 1)]
+    generators = [[columns[i % 5][j] for i in range(40)] for j in range(2)]
+    alg = tmp_path / "ternary.alg"
+    alg.write_text(text)
+    inst = instance_file(tmp_path, "m: 40\ngenerators:\n"
+                         + "".join(" ".join(map(str, g)) + "\n" for g in generators)
+                         + "target:\n" + " ".join(["2"] * 40) + "\n")
+    narrow = oracle_subpower(parse_algebra(text), list(zip(*columns)), 5)
+    assert (2,) * 5 not in narrow and len(narrow) == 18
+    code, out, _ = run(capsys, "smp", "--machine", str(alg), inst)
+    assert code == 1
+    lines = out.splitlines()
+    assert "answer=no" in lines
+    assert f"members={len(narrow)}" in lines
 
 
 def test_smp_algebra_from_stdin(capsys, tmp_path, monkeypatch):

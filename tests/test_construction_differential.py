@@ -9,7 +9,8 @@ algebras of every size from 1 to 4, all tables and the absorbing element
 must agree, and the pattern tables, read as dicts through `pattern_dict`,
 must be the reference's restricted to the patterns A_M's rows have.  The
 tables `_build_extension` takes from the memo per (M, |A|) must equal a
-fresh read off the closure and be read-only.
+fresh read off the closure and be read-only, and A_M must hold the
+memo's int64 H-tables themselves, not copies.
 """
 
 import numpy as np
@@ -74,12 +75,14 @@ def test_matches_the_row_by_row_reference():
         memo = _condition_tables(condition, algebra.size)
         fresh = list(_read_off(condition, algebra.size))
         assert [entry[0] for entry in memo] == [entry[0] for entry in fresh]
-        for (_, table, patterns, reps, least), (
+        for (symbol, table, patterns, reps, least), (
             _, fresh_table, fresh_patterns, fresh_reps, _, fresh_least
         ) in zip(memo, fresh):
             for array, again in ((table, fresh_table), (patterns, fresh_patterns),
                                  (reps, fresh_reps), (least, fresh_least)):
                 assert np.array_equal(array, again) and not array.flags.writeable
+            assert table.dtype == np.int64
+            assert ext.extended.operations[symbol] is table  # shared, not copied
         report = check_condition(condition)
         if report.consistent:
             assert well_definedness_audit(ext)

@@ -1,9 +1,11 @@
 """Terms, conditions, generators, and the text format."""
 
+import pickle
 from random import Random
 
 import pytest
 
+from maltcube.cube import check_condition
 from maltcube.terms import (
     ConditionSyntaxError,
     Identity,
@@ -222,3 +224,18 @@ def test_parse_errors_carry_location():
         parse_condition("identities:\n  x = x\n")
     with pytest.raises(ConditionSyntaxError, match="empty"):
         parse_condition("# nothing\n")
+
+
+def test_equal_conditions_parsed_apart_hash_alike_and_share_one_memo_entry():
+    text = ("signature: hash_probe_a/3, hash_probe_b/2\nidentities:\n"
+            "  hash_probe_a(x,x,y) = hash_probe_b(y,x)\n  hash_probe_a(x,y,y) = x\n")
+    first, second = parse_condition(text), parse_condition(text)
+    assert first is not second and first == second
+    assert hash(first) == hash(second) == hash(first)
+    before = check_condition.cache_info()
+    report = check_condition(first)
+    assert check_condition(second) is report
+    after = check_condition.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+    again = pickle.loads(pickle.dumps(first))
+    assert again == first and hash(again) == hash(first)
