@@ -39,7 +39,11 @@ last argument's, at a few rows and columns: the smaller of its rows and
 its columns is gathered, at most max(box applications, modulus^k)
 entries per operation, and one `np.take` fills the box from that
 sub-table.  Chunks add up in int64, past 2^62 in runs that are turned
-into Python ints once each.  An operation whose table is a projection
+into Python ints once each.  The box's codes that pass the seen-set test
+are deduped by a stable radix argsort over their 16-bit digits, one pass
+per digit of n^m (one up to 2^16, four up to 2^62), which keeps each
+fresh code with its first occurrence; Python ints past 2^62 are sorted
+by `np.unique`.  An operation whose table is a projection
 never derives a fresh member and is left out.  Lifted tables are
 memoized process-wide by their contents (universe size, arity,
 operation table, chunk length), so equal operations of different
@@ -72,7 +76,7 @@ import re
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from math import prod
 from random import Random
@@ -480,8 +484,10 @@ class ClosureStats:
     they depend on what earlier closures left there.  `boxes` counts the
     vectorized calls and `applications` the operations applied to
     argument tuples, counted a whole box at a time and without the
-    projections the closure skips.  These four describe how the closure
-    worked, not what it found, so they take no part in equality.
+    projections the closure skips.  `unseen` counts the codes that passed
+    the seen-set test, repeats included: the input of the boxes' dedupe.
+    These five describe how the closure worked, not what it found, so they
+    take no part in equality.
     """
 
     members: int
@@ -490,6 +496,7 @@ class ClosureStats:
     lifts_reused: int = field(default=0, compare=False)
     boxes: int = field(default=0, compare=False)
     applications: int = field(default=0, compare=False)
+    unseen: int = field(default=0, compare=False)
 
 
 class BudgetExceededError(RuntimeError):
@@ -539,15 +546,20 @@ class ClosureResult:
     TermTree whose leaves name generator positions.
     """
 
-    def __init__(self, algebra, m, ids, prov, op_symbols, stats):
+    def __init__(self, algebra, m, codes, prov, op_symbols, stats):
         self.algebra: FiniteAlgebra = algebra
         self.m = m
-        self._ids = ids                      # packed base-size codes, python ints
+        self._codes = codes                  # packed base-size codes, the engine's array
         self._prov = prov                    # int leaf position | (op_index, *members)
         self._op_symbols = op_symbols
         self.stats: ClosureStats = stats
         self._members: frozenset[tuple[int, ...]] | None = None
         self._positions: dict[int, int] | None = None
+
+    @cached_property
+    def _ids(self) -> list[int]:
+        """The packed codes as Python ints, in member order."""
+        return self._codes.tolist()
 
     def _unpack(self, code: int) -> tuple[int, ...]:
         out = []
@@ -567,12 +579,19 @@ class ClosureResult:
         return self._members
 
     def position(self, member: Sequence[int]) -> int | None:
-        if self._positions is None:
-            self._positions = {c: i for i, c in enumerate(self._ids)}
+        """The member's index in member order, or None for a non-member.
+
+        One lookup compares the code with every member's at once; the
+        code-to-index dict is built only for bulk lookups (`witness_trees`).
+        """
         member = tuple(member)
         if len(member) != self.m or any(not 0 <= v < self.algebra.size for v in member):
             return None
-        return self._positions.get(_pack(member, self.algebra.size))
+        code = _pack(member, self.algebra.size)
+        if self._positions is not None:
+            return self._positions.get(code)
+        at = np.flatnonzero(self._codes == code)
+        return int(at[0]) if len(at) else None
 
     def __contains__(self, member: Sequence[int]) -> bool:
         return self.position(member) is not None
@@ -581,6 +600,9 @@ class ClosureResult:
         pos = self.position(member)
         if pos is None:
             raise KeyError(f"{tuple(member)} is not a member")
+        return self._witness_at(pos)
+
+    def _witness_at(self, pos: int) -> TermTree:
         memo: dict[int, TermTree] = {}
         stack = [pos]
         while stack:
@@ -602,6 +624,8 @@ class ClosureResult:
 
     def witness_trees(self) -> dict[tuple[int, ...], TermTree]:
         """Every member's witness; intended for small closures."""
+        if self._positions is None:
+            self._positions = {c: i for i, c in enumerate(self._ids)}
         return {member: self.witness_tree(member) for member in self.member_list}
 
 
@@ -758,6 +782,32 @@ def _sub_table(matrices: Sequence[np.ndarray], rows: np.ndarray, last: np.ndarra
     return np.stack(picked, dtype=np.int64), index, axis
 
 
+def _first_occurrences(codes: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct codes in ascending order and the index of each one's first occurrence.
+
+    Equals `np.unique(codes, return_index=True)` for codes in [0, space).
+    Int64 codes are ordered by a stable least-significant-digit radix
+    argsort over 16-bit digits, one pass per digit that `space` needs (one
+    up to 2^16, four up to 2^62): numpy sorts `uint16` keys stably by
+    counting.  Stability keeps each run of equal codes in index order, so
+    its head is the first occurrence.  Python ints past 2^62 keep
+    `np.unique`'s comparison sort.
+    """
+    if codes.dtype == object:
+        return np.unique(codes, return_index=True)
+    order = np.argsort(codes.astype(np.uint16), kind="stable")
+    shift = 16
+    while space > 1 << shift:
+        digit = (codes[order] >> shift).astype(np.uint16)
+        order = order[np.argsort(digit, kind="stable")]
+        shift += 16
+    ordered = codes[order]
+    head = np.empty(len(codes), dtype=bool)
+    head[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
+    return ordered[head], order[head]
+
+
 class _NumpyEngine:
     """Vectorized semi-naive closure over packed member codes.
 
@@ -765,14 +815,16 @@ class _NumpyEngine:
     and a box spans the whole group: the group's operations are the last
     axis of every block handed to `_boxes`, so a box is bounded by its
     applications (argument tuples times operations), and its chunk
-    indices, seen-set test, `np.unique` and provenance are computed once
-    for all of them.  Operations whose table is a projection are left
+    indices, seen-set test, dedupe and provenance are computed once for
+    all of them.  Operations whose table is a projection are left
     out, since they derive nothing fresh.  A box is filled per chunk
     from a sub-table of the lifted matrices, the box's rows or its
     columns, whichever is smaller (`_sub_table`), so no box-sized index
-    is built.  Codes are int64 while n^m fits 62 bits and Python ints in
-    object arrays past that; numpy's arithmetic, sorting and searching
-    treat both alike, and the chunks are added in int64 runs either way.
+    is built.  The codes that pass the seen-set test are deduped by
+    `_first_occurrences`, a radix argsort of their 16-bit digits.  Codes
+    are int64 while n^m fits 62 bits and Python ints in object arrays
+    past that; numpy's arithmetic, sorting and searching treat both
+    alike, and the chunks are added in int64 runs either way.
     """
 
     def __init__(self, algebra: FiniteAlgebra, m: int, budget: int):
@@ -798,6 +850,7 @@ class _NumpyEngine:
         self.lifts_reused = 0
         self.boxes = 0
         self.applications = 0
+        self.unseen = 0
         self._plans: dict[int, list[_ChunkSpec]] = {}
         self._comps: dict[tuple[int, int], np.ndarray] = {}
 
@@ -855,7 +908,7 @@ class _NumpyEngine:
 
     def _stats(self, members: int) -> ClosureStats:
         return ClosureStats(members, self.rounds, self.lifts_built, self.lifts_reused,
-                            self.boxes, self.applications)
+                            self.boxes, self.applications, self.unseen)
 
     def _check_budget(self, members: int) -> None:
         """Raise once `members` members, counted so far, pass the budget."""
@@ -940,14 +993,13 @@ class _NumpyEngine:
                     codes = self._apply(plan, lo, lo + width, firsts, extents).reshape(-1)
                     self.boxes += 1
                     self.applications += len(codes)
-                    mask = self.seen.new_mask(codes)
-                    if not mask.any():
+                    hits = np.flatnonzero(self.seen.new_mask(codes))
+                    if not len(hits):
                         continue
-                    fresh, first = np.unique(codes[mask], return_index=True)
+                    self.unseen += len(hits)
+                    fresh, first = _first_occurrences(codes[hits], self.space)
                     found = goal is not None and goal in fresh
-                    op_at, *offsets = np.unravel_index(
-                        np.flatnonzero(mask)[first], (width, *extents)
-                    )
+                    op_at, *offsets = np.unravel_index(hits[first], (width, *extents))
                     order = np.argsort(op_at, kind="stable")
                     if found:  # stop after the target's operation
                         order = order[op_at[order] <= op_at[fresh == goal][0]]
@@ -988,7 +1040,7 @@ class _NumpyEngine:
         return ClosureResult(
             self.algebra,
             self.m,
-            self.ids.tolist(),
+            self.ids,
             self.prov,
             self.op_symbols,
             self._stats(len(self.ids)),
@@ -1069,6 +1121,7 @@ def smp_decide(
     if any(not 0 <= v < algebra.size for v in instance.target):
         raise ValueError(f"target {instance.target} leaves the universe")
     closure = _close(algebra, instance.generators, instance.m, budget, instance.target)
-    if instance.target in closure:
-        return SmpAnswer(True, closure.witness_tree(instance.target), closure.stats)
+    position = closure.position(instance.target)
+    if position is not None:
+        return SmpAnswer(True, closure._witness_at(position), closure.stats)
     return SmpAnswer(False, None, closure.stats)

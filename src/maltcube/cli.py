@@ -187,6 +187,7 @@ def _cmd_smp(args) -> int:
             f"lifts_reused={answer.stats.lifts_reused}",
             f"boxes={answer.stats.boxes}",
             f"applications={answer.stats.applications}",
+            f"unseen={answer.stats.unseen}",
         ]
     if args.witness and answer.witness is not None:
         lines.append(f"witness{sep}{_render_witness(answer.witness)}")

@@ -23,6 +23,10 @@ available, trading speed for obviousness:
     weighted in the engine's dtype, rather than taken from the smaller
     of the box's rows and columns of the lifted matrix and added in
     int64 runs;
+  * a closure round finds each box's fresh codes, and where each first
+    occurs, with `np.unique`'s comparison sort over the codes that pass
+    the seen-set test, rather than with a radix argsort of their 16-bit
+    digits;
   * the absorbing extension asks the canonical closure for every
     pattern's derivable positions with `same_class`, and looks up the
     equality pattern of every table row one at a time, rather than
@@ -60,6 +64,7 @@ import numpy as np
 from maltcube.algebras import (
     FiniteAlgebra,
     TermTree,
+    _boxes,
     _fold_tree,
     evaluate_on_power,
     leaf,
@@ -413,6 +418,55 @@ def reference_box_codes(engine, plan, lo: int, hi: int, firsts, extents):
         part = np.vstack(rows).astype(engine.dtype) * spec.shift
         result = part if result is None else result + part
     return result
+
+
+def reference_round(engine, old: int, current: int, goal, pending_codes: list,
+                    pending_provs: list) -> bool:
+    """One round of the engine's closure, deduping each box with `np.unique`.
+
+    A drop-in for `_NumpyEngine._round`: the same boxes, seen-set test,
+    member order, provenance and counters, but a box's fresh codes and
+    their first occurrences come from `np.unique(..., return_index=True)`
+    over the codes the seen-set test passes.
+    """
+    for k, ops in engine.groups:
+        plan = engine._plan(k, ops)
+        for axis in range(k):
+            sizes = [old] * axis + [current - old] + [current] * (k - 1 - axis)
+            if any(s == 0 for s in sizes):
+                continue
+            bases = [0] * axis + [old] + [0] * (k - 1 - axis)
+            for starts, extents in _boxes([*sizes, len(ops)]):
+                *starts, lo = starts
+                *extents, width = extents
+                firsts = [b + s for b, s in zip(bases, starts)]
+                codes = engine._apply(plan, lo, lo + width, firsts, extents).reshape(-1)
+                engine.boxes += 1
+                engine.applications += len(codes)
+                mask = engine.seen.new_mask(codes)
+                if not mask.any():
+                    continue
+                engine.unseen += int(mask.sum())
+                fresh, first = np.unique(codes[mask], return_index=True)
+                found = goal is not None and goal in fresh
+                op_at, *offsets = np.unravel_index(
+                    np.flatnonzero(mask)[first], (width, *extents)
+                )
+                order = np.argsort(op_at, kind="stable")
+                if found:  # stop after the target's operation
+                    order = order[op_at[order] <= op_at[fresh == goal][0]]
+                fresh, op_at = fresh[order], op_at[order]
+                offsets = [o[order] for o in offsets]
+                op_list = np.asarray(ops[lo:lo + width])[op_at].tolist()
+                engine.seen.add(fresh)
+                pending_codes.extend(fresh.tolist())
+                pending_provs.extend(
+                    zip(op_list, *((f + o).tolist() for f, o in zip(firsts, offsets)))
+                )
+                engine._check_budget(current + len(pending_codes))
+                if found:
+                    return True
+    return False
 
 
 def reference_build_extension(algebra: FiniteAlgebra, condition: MaltsevCondition):

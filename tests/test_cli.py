@@ -364,26 +364,44 @@ def test_smp_machine_keys(capsys, tmp_path, lattice_file):
     assert any(l.startswith("members=") for l in lines)
 
 
-def test_smp_machine_ternary_non_member_past_int64(capsys, tmp_path):
-    """The instance of the CI step that greps `members=18`: a ternary
-    operation on 3 elements in A^40, past 2^62, so in object codes.  Its
-    closure runs 14 chunks, gathers both rows and columns, and has as
-    many members as the oracle's over the generators' 5 distinct columns."""
-    text = "universe: 3\nop f/3:\n0 2 2 2 2 0 1 2 1\n1 2 0 2 1 1 1 2 1\n1 0 1 0 1 1 1 1 2\n"
-    columns = [(0, 1), (1, 2), (2, 0), (0, 0), (1, 1)]
-    generators = [[columns[i % 5][j] for i in range(40)] for j in range(2)]
+TERNARY_TEXT = "universe: 3\nop f/3:\n0 2 2 2 2 0 1 2 1\n1 2 0 2 1 1 1 2 1\n1 0 1 0 1 1 1 1 2\n"
+TERNARY_COLUMNS = [(0, 1), (1, 2), (2, 0), (0, 0), (1, 1)]
+
+
+def run_ternary_non_member(capsys, tmp_path, m):
+    """`smp --machine` on the ternary instance of the CI steps in A^m: two
+    generators repeating 5 distinct columns, and the constant-2 target,
+    which lies outside the 18 members of the oracle's closure over the
+    distinct columns; the closure must find as many."""
+    generators = [[TERNARY_COLUMNS[i % 5][j] for i in range(m)] for j in range(2)]
     alg = tmp_path / "ternary.alg"
-    alg.write_text(text)
-    inst = instance_file(tmp_path, "m: 40\ngenerators:\n"
+    alg.write_text(TERNARY_TEXT)
+    inst = instance_file(tmp_path, f"m: {m}\ngenerators:\n"
                          + "".join(" ".join(map(str, g)) + "\n" for g in generators)
-                         + "target:\n" + " ".join(["2"] * 40) + "\n")
-    narrow = oracle_subpower(parse_algebra(text), list(zip(*columns)), 5)
+                         + "target:\n" + " ".join(["2"] * m) + "\n")
+    narrow = oracle_subpower(parse_algebra(TERNARY_TEXT), list(zip(*TERNARY_COLUMNS)), 5)
     assert (2,) * 5 not in narrow and len(narrow) == 18
     code, out, _ = run(capsys, "smp", "--machine", str(alg), inst)
     assert code == 1
     lines = out.splitlines()
     assert "answer=no" in lines
     assert f"members={len(narrow)}" in lines
+    return dict(l.split("=") for l in lines)
+
+
+def test_smp_machine_ternary_non_member_past_int64(capsys, tmp_path):
+    """The instance of the CI step that greps `members=18` in A^40, past
+    2^62, so in object codes.  Its closure runs 14 chunks and gathers
+    both rows and columns."""
+    run_ternary_non_member(capsys, tmp_path, 40)
+
+
+def test_smp_machine_ternary_non_member_in_wide_int64(capsys, tmp_path):
+    """The same instance in A^35: 3^35 is past 2^48, so its int64 codes
+    take four 16-bit digit passes to dedupe, and past the byte map's cap,
+    so the seen-set is sorted; it reports the codes that were unseen."""
+    stats = run_ternary_non_member(capsys, tmp_path, 35)
+    assert 0 < int(stats["unseen"]) <= int(stats["applications"])
 
 
 def test_smp_algebra_from_stdin(capsys, tmp_path, monkeypatch):
@@ -549,8 +567,12 @@ def test_smp_machine_reports_lift_reuse(capsys, tmp_path, lattice_file):
     assert "lifts_built=0" in lines
     assert any(l.startswith("lifts_reused=") and l != "lifts_reused=0" for l in lines)
     # meet and join share one box per block: 2 applications per argument pair
-    stats = dict(l.split("=") for l in lines if l.startswith(("boxes=", "applications=")))
+    stats = dict(l.split("=") for l in lines
+                 if l.startswith(("boxes=", "applications=", "unseen=")))
     assert int(stats["boxes"]) >= 1
     assert int(stats["applications"]) % 2 == 0
+    # at least the target's code passed the seen test, and no more than were applied
+    assert 1 <= int(stats["unseen"]) <= int(stats["applications"])
     code, out, _ = run(capsys, "smp", lattice_file, inst)
-    assert not any(l.startswith(("lifts_", "boxes", "applications")) for l in out.splitlines())
+    assert not any(l.startswith(("lifts_", "boxes", "applications", "unseen"))
+                   for l in out.splitlines())
