@@ -65,7 +65,6 @@ from .entailment import (
     entails,
     is_consistent,
     normalize_identity,
-    render_classes,
     weak_closure,
 )
 from .interp import (

@@ -95,18 +95,6 @@ _LIFT_MEMO_BYTES = 1 << 24  # resident bytes kept by the lifted-table memo
 _PROJECTION_MEMO = 256      # tables whose projection test is remembered
 
 
-def _table_length_error(symbol: OperationSymbol, size: int, entries: int) -> str | None:
-    """The error for `entries` values as the symbol's table, or None.
-
-    A size ** arity with far more bits than `entries` is not computed.
-    """
-    huge = symbol.arity * (size.bit_length() - 1) > entries.bit_length() + 64
-    expected = f"{size}^{symbol.arity}" if huge else size**symbol.arity
-    if huge or expected != entries:
-        return f"table for {symbol} has {entries} entries, expected {expected}"
-    return None
-
-
 @dataclass(frozen=True, eq=False)
 class FiniteAlgebra:
     """A finite universe {0..size-1} with finitely many table operations.
@@ -124,15 +112,17 @@ class FiniteAlgebra:
             raise ValueError("universe must be nonempty")
         operations = {}
         for symbol, table in self.operations.items():
-            error = _table_length_error(symbol, self.size, len(table))
-            if error:
-                raise ValueError(error)
+            # a size ** arity with far more bits than the entry count is not computed
+            huge = symbol.arity * (self.size.bit_length() - 1) > len(table).bit_length() + 64
+            expected = f"{self.size}^{symbol.arity}" if huge else self.size**symbol.arity
+            if huge or expected != len(table):
+                raise ValueError(f"table for {symbol} has {len(table)} entries, expected {expected}")
             values = np.asarray(table)
             if (values.dtype == np.int64 and values.ndim == 1 and values.flags.owndata
                     and not values.flags.writeable):
                 pass  # read-only and its own memory, so nothing can change it: shared
             elif values.dtype.kind in "biu":
-                values = values.astype(np.int64).reshape(len(table))  # flat, or raise
+                values = values.reshape(len(table)).astype(np.int64)  # flat, or raise
             elif all(isinstance(v, (int, np.integer, np.bool_)) for v in table):
                 values = None  # an int past int64 turned the array to float or object
             else:
@@ -343,9 +333,11 @@ def satisfies(algebra: FiniteAlgebra, condition: MaltsevCondition) -> ModelCheck
 
 
 class AlgebraFormatError(ValueError):
-    """Raised for malformed algebra or instance files."""
+    """Raised for malformed algebra or instance files; carries source name and line."""
 
     def __init__(self, message: str, *, source: str = "<string>", line: int | None = None):
+        self.source = source
+        self.line = line
         where = source if line is None else f"{source}:{line}"
         super().__init__(f"{where}: {message}")
 
@@ -360,28 +352,35 @@ def parse_algebra(text: str, source: str = "<string>") -> FiniteAlgebra:
         size = int(head[len("universe:"):].strip())
     except ValueError:
         raise AlgebraFormatError("universe wants an integer", source=source, line=lineno) from None
-    operations: dict[OperationSymbol, list[int]] = {}
+
+    def build(tables: dict, at_line: int) -> FiniteAlgebra:
+        """FiniteAlgebra's checks, with a failure located at `at_line`."""
+        try:
+            return FiniteAlgebra(size, tables)
+        except ValueError as exc:
+            raise AlgebraFormatError(str(exc), source=source, line=at_line) from None
+
+    build({}, lineno)
+    operations: dict[OperationSymbol, np.ndarray] = {}
     current: OperationSymbol | None = None
+    header = lineno
     values: list[int] = []
 
-    def finish(at_line: int) -> None:
+    def finish() -> None:
+        """Check the current table on its own, so an error names its header line."""
         nonlocal current, values
-        if current is None:
-            return
-        error = _table_length_error(current, size, len(values))
-        if error:
-            raise AlgebraFormatError(error, source=source, line=at_line)
-        operations[current] = values
+        if current is not None:
+            operations[current] = build({current: values}, header).operations[current]
         current, values = None, []
 
     for lineno, body in lines[1:]:
         m = re.fullmatch(r"op\s+([A-Za-z_][A-Za-z0-9_]*)\s*/\s*(\d+)\s*:(.*)", body)
         if m is not None:
-            finish(lineno)
+            finish()
             symbol = OperationSymbol(m.group(1), int(m.group(2)))
             if symbol in operations:
                 raise AlgebraFormatError(f"duplicate operation {symbol}", source=source, line=lineno)
-            current = symbol
+            current, header = symbol, lineno
             body = m.group(3).strip()
             if not body:
                 continue
@@ -392,11 +391,8 @@ def parse_algebra(text: str, source: str = "<string>") -> FiniteAlgebra:
                 values.append(int(token))
             except ValueError:
                 raise AlgebraFormatError(f"bad table entry {token!r}", source=source, line=lineno) from None
-    finish(lines[-1][0])
-    try:
-        return FiniteAlgebra(size, operations)
-    except ValueError as exc:
-        raise AlgebraFormatError(str(exc), source=source) from None
+    finish()
+    return FiniteAlgebra(size, operations)  # every table checked, so it shares them
 
 
 def render_algebra(algebra: FiniteAlgebra, comments: Iterable[str] = ()) -> str:
@@ -435,15 +431,21 @@ def parse_instance(text: str, source: str = "<string>") -> SmpInstance:
     try:
         m = int(lines[0][1][len("m:"):].strip())
     except ValueError:
-        raise AlgebraFormatError("m wants an integer", source=source, line=lines[0][0]) from None
+        m = 0
+    if m < 1:
+        raise AlgebraFormatError("m wants a positive integer", source=source, line=lines[0][0])
     if len(lines) < 2 or lines[1][1] != "generators:":
         raise AlgebraFormatError("expected a generators: line", source=source, line=lines[0][0])
 
     def parse_tuple(body: str, lineno: int) -> tuple[int, ...]:
         try:
-            return tuple(int(tok) for tok in body.split())
+            values = tuple(int(tok) for tok in body.split())
         except ValueError:
             raise AlgebraFormatError(f"bad tuple line {body!r}", source=source, line=lineno) from None
+        if len(values) != m:
+            raise AlgebraFormatError(f"tuple {values} does not have length {m}",
+                                     source=source, line=lineno)
+        return values
 
     generators = []
     rest = lines[2:]
@@ -452,13 +454,9 @@ def parse_instance(text: str, source: str = "<string>") -> SmpInstance:
         generators.append(parse_tuple(rest[i][1], rest[i][0]))
         i += 1
     if i == len(rest) or i + 1 != len(rest) - 1:
-        raise AlgebraFormatError("expected target: followed by one tuple line",
-                                 source=source, line=rest[i][0] if i < len(rest) else None)
-    target = parse_tuple(rest[i + 1][1], rest[i + 1][0])
-    try:
-        return SmpInstance(m, tuple(generators), target)
-    except ValueError as exc:
-        raise AlgebraFormatError(str(exc), source=source) from None
+        raise AlgebraFormatError("expected target: followed by one tuple line", source=source,
+                                 line=rest[i][0] if i < len(rest) else lines[-1][0])
+    return SmpInstance(m, tuple(generators), parse_tuple(rest[i + 1][1], rest[i + 1][0]))
 
 
 def render_instance(instance: SmpInstance) -> str:
@@ -541,9 +539,10 @@ def _seeds(algebra: FiniteAlgebra, generators, m: int) -> list[tuple[tuple[int, 
 class ClosureResult:
     """Members of a generated subpower plus per-member derivations.
 
-    Immutable once returned.  `members` materializes the tuple set
-    lazily; `witness_tree` rebuilds one member's derivation as a
-    TermTree whose leaves name generator positions.
+    Immutable once returned, and a view over the engine's packed codes:
+    `member_list` and `members` unpack them once, on first use;
+    `witness_tree` rebuilds one member's derivation as a TermTree whose
+    leaves name generator positions.
     """
 
     def __init__(self, algebra, m, codes, prov, op_symbols, stats):
@@ -553,44 +552,30 @@ class ClosureResult:
         self._prov = prov                    # int leaf position | (op_index, *members)
         self._op_symbols = op_symbols
         self.stats: ClosureStats = stats
-        self._members: frozenset[tuple[int, ...]] | None = None
-        self._positions: dict[int, int] | None = None
 
     @cached_property
-    def _ids(self) -> list[int]:
-        """The packed codes as Python ints, in member order."""
-        return self._codes.tolist()
-
-    def _unpack(self, code: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.m):
-            code, digit = divmod(code, self.algebra.size)
-            out.append(digit)
-        return tuple(reversed(out))
-
-    @property
     def member_list(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self._unpack(c) for c in self._ids)
+        """The members in member order, their digits read off the codes by
+        vectorized `//` and `%` (int64 and object codes alike)."""
+        n = self.algebra.size
+        digits = np.empty((len(self._codes), self.m), dtype=np.int64)
+        codes = self._codes
+        for j in reversed(range(self.m)):
+            digits[:, j] = codes % n
+            codes = codes // n
+        return tuple(map(tuple, digits.tolist()))
 
-    @property
+    @cached_property
     def members(self) -> frozenset[tuple[int, ...]]:
-        if self._members is None:
-            self._members = frozenset(self.member_list)
-        return self._members
+        return frozenset(self.member_list)
 
     def position(self, member: Sequence[int]) -> int | None:
-        """The member's index in member order, or None for a non-member.
-
-        One lookup compares the code with every member's at once; the
-        code-to-index dict is built only for bulk lookups (`witness_trees`).
-        """
+        """The member's index in member order, or None for a non-member;
+        one lookup compares the code with every member's at once."""
         member = tuple(member)
         if len(member) != self.m or any(not 0 <= v < self.algebra.size for v in member):
             return None
-        code = _pack(member, self.algebra.size)
-        if self._positions is not None:
-            return self._positions.get(code)
-        at = np.flatnonzero(self._codes == code)
+        at = np.flatnonzero(self._codes == _pack(member, self.algebra.size))
         return int(at[0]) if len(at) else None
 
     def __contains__(self, member: Sequence[int]) -> bool:
@@ -602,8 +587,10 @@ class ClosureResult:
             raise KeyError(f"{tuple(member)} is not a member")
         return self._witness_at(pos)
 
-    def _witness_at(self, pos: int) -> TermTree:
-        memo: dict[int, TermTree] = {}
+    def _witness_at(self, pos: int, memo: dict[int, TermTree] | None = None) -> TermTree:
+        """The witness of the member at `pos`; `memo` keeps the trees built
+        so far, keyed by position, and may be shared between calls."""
+        memo = {} if memo is None else memo
         stack = [pos]
         while stack:
             p = stack.pop()
@@ -623,10 +610,10 @@ class ClosureResult:
         return memo[pos]
 
     def witness_trees(self) -> dict[tuple[int, ...], TermTree]:
-        """Every member's witness; intended for small closures."""
-        if self._positions is None:
-            self._positions = {c: i for i, c in enumerate(self._ids)}
-        return {member: self.witness_tree(member) for member in self.member_list}
+        """Every member's witness, built in member order over one memo, so
+        each derivation's arguments are already built when it is reached."""
+        memo: dict[int, TermTree] = {}
+        return {member: self._witness_at(p, memo) for p, member in enumerate(self.member_list)}
 
 
 class _BitmapSeen:

@@ -1,9 +1,11 @@
 """Command line front end.
 
 Thin adapters over the library: parse inputs, call one entry point,
-print a plain-text report.  Any file argument accepts "-" for standard
-input, and -o accepts "-" for standard output.  The --machine flag
-switches reports to line-oriented key=value pairs.
+print a report.  Any file argument accepts "-" for standard input, and
+-o accepts "-" for standard output.  Each report command builds one
+list of (key, value) pairs and prints it through `_report`: `key: value`
+lines, or `key=value` lines with --machine, so both styles carry the
+same keys in the same order.  `gen` and `extend` write files instead.
 
 Exit codes: 0 for success or a "yes" decision, 1 for a "no"-type
 decision (inconsistent or cube-entailing condition, failed model check,
@@ -35,7 +37,7 @@ from .algebras import (
 )
 from .construction import ConstructionError, extend, reduce_and_certify
 from .cube import check_condition
-from .entailment import TermUniverseError, condition_index, render_classes
+from .entailment import TermUniverseError, condition_index
 from .interp import find_interpretation
 from .terms import (
     cube_condition,
@@ -75,6 +77,10 @@ def _render_witness(tree) -> str:
     return render_tree(tree)
 
 
+def _yes(flag: bool) -> str:
+    return "yes" if flag else "no"
+
+
 def _reason(report) -> str:
     """Why a condition is not applicable."""
     if not report.consistent:
@@ -82,47 +88,32 @@ def _reason(report) -> str:
     return "cube identities for " + ", ".join(s.name for s in report.cube_symbols)
 
 
+def _report(args, pairs, exit_code: int) -> int:
+    """Print each (key, value) pair as `key: value`, or `key=value` with --machine."""
+    sep = "=" if args.machine else ": "
+    print("\n".join(f"{key}{sep}{value}" for key, value in pairs))
+    return exit_code
+
+
 def _cmd_check(args) -> int:
     report = check_condition(_load(parse_condition, args.condition))
-    cubes = [sub for sub in report.reports if sub.entails_cube]
-    names = [sub.symbol.name for sub in cubes]
-    consistent = "yes" if report.consistent else "no"
-    if args.machine:
-        out = [f"consistent={consistent}"]
-        if report.consistent:
-            out.append(f"cube={','.join(names) or 'none'}")
-            out += [f"witness.{sub.symbol.name}={','.join(sub.witness)}" for sub in cubes]
-        out.append(f"applicable={'yes' if report.applicable else 'no'}")
-        if not report.applicable:
-            out.append(f"reason={_reason(report)}")
-    else:
-        out = [f"consistent: {consistent}"]
-        if report.consistent:
-            out.append(f"cube: {', '.join(names) or 'none'}")
-            out += [f"witness {sub.symbol.name}: {' '.join(sub.witness)}" for sub in cubes]
-        out.append("applicable: " + ("yes" if report.applicable else f"no ({_reason(report)})"))
-    print("\n".join(out))
-    return 0 if report.applicable else 1
+    pairs = [("consistent", _yes(report.consistent))]
+    if report.consistent:
+        cubes = [sub for sub in report.reports if sub.entails_cube]
+        pairs.append(("cube", ",".join(sub.symbol.name for sub in cubes) or "none"))
+        pairs += [(f"witness.{sub.symbol.name}", ",".join(sub.witness)) for sub in cubes]
+    pairs.append(("applicable", _yes(report.applicable)))
+    if not report.applicable:
+        pairs.append(("reason", _reason(report)))
+    return _report(args, pairs, 0 if report.applicable else 1)
 
 
 def _cmd_closure(args) -> int:
-    condition = _load(parse_condition, args.condition)
-    index = condition_index(condition, args.vars)
-    lines = []
-    classes = index.classes()
-    if args.machine:
-        lines.append(f"variables={index.nvars}")
-        lines.append(f"inconsistent={'yes' if index.inconsistent else 'no'}")
-        lines += [f"{k}={v}" for k, v in asdict(index.stats).items()]
-        for cls in classes:
-            lines.append("class=" + ",".join(render_term(t) for t in cls))
-    else:
-        lines.append(f"variables: {index.nvars}")
-        lines.append(f"inconsistent: {'yes' if index.inconsistent else 'no'}")
-        lines.append(f"classes: {len(classes)}")
-        lines.append(render_classes(index).rstrip("\n"))
-    print("\n".join(lines))
-    return 0
+    index = condition_index(_load(parse_condition, args.condition), args.vars)
+    pairs = [("variables", index.nvars), ("inconsistent", _yes(index.inconsistent))]
+    pairs += asdict(index.stats).items()
+    pairs += [("class", ",".join(map(render_term, cls))) for cls in index.classes()]
+    return _report(args, pairs, 0)
 
 
 def _cmd_gen(args) -> int:
@@ -156,90 +147,51 @@ def _cmd_extend(args) -> int:
 
 
 def _cmd_model_check(args) -> int:
-    algebra = _load(parse_algebra, args.algebra)
-    condition = _load(parse_condition, args.condition)
-    result = satisfies(algebra, condition)
-    sep, comma = ("=", ",") if args.machine else (": ", " ")
-    lines = [f"satisfies{sep}{'yes' if result.holds else 'no'}"]
+    result = satisfies(_load(parse_algebra, args.algebra), _load(parse_condition, args.condition))
+    pairs = [("satisfies", _yes(result.holds))]
     if not result.holds:
-        assignment = sorted(result.assignment.items())
-        lines += [
-            f"identity{sep}{render_identity(result.identity)}",
-            f"assignment{sep}" + comma.join(f"{variable_name(v)}={x}" for v, x in assignment),
-        ]
-    print("\n".join(lines))
-    return 0 if result.holds else 1
+        values = sorted(result.assignment.items())
+        pairs += [("identity", render_identity(result.identity)),
+                  ("assignment", ",".join(f"{variable_name(v)}={x}" for v, x in values))]
+    return _report(args, pairs, 0 if result.holds else 1)
 
 
 def _cmd_smp(args) -> int:
     algebra = _load(parse_algebra, args.algebra)
     instance = _load(parse_instance, args.instance)
     answer = smp_decide(algebra, instance, budget=args.budget)
-    sep = "=" if args.machine else ": "
-    lines = [
-        f"members{sep}{answer.stats.members}",
-        f"rounds{sep}{answer.stats.rounds}",
-        f"answer{sep}{'yes' if answer.answer else 'no'}",
-    ]
-    if args.machine:
-        lines += [
-            f"lifts_built={answer.stats.lifts_built}",
-            f"lifts_reused={answer.stats.lifts_reused}",
-            f"boxes={answer.stats.boxes}",
-            f"applications={answer.stats.applications}",
-            f"unseen={answer.stats.unseen}",
-        ]
+    stats = asdict(answer.stats)
+    pairs = [(key, stats.pop(key)) for key in ("members", "rounds")]
+    pairs.append(("answer", _yes(answer.answer)))
+    pairs += stats.items()
     if args.witness and answer.witness is not None:
-        lines.append(f"witness{sep}{_render_witness(answer.witness)}")
-    print("\n".join(lines))
-    return 0 if answer.answer else 1
+        pairs.append(("witness", _render_witness(answer.witness)))
+    return _report(args, pairs, 0 if answer.answer else 1)
 
 
 def _cmd_interpret(args) -> int:
     condition = _load(parse_condition, args.condition)
     interpretation = find_interpretation(condition)
     if interpretation is None:
-        reason = _reason(check_condition(condition))
-        if args.machine:
-            print(f"interpretation=none\nreason={reason}")
-        else:
-            print(f"interpretation: none ({reason})")
-        return 1
-    lines = ["interpretation=yes" if args.machine else "interpretation: yes"]
-    for symbol in condition.signature:
-        term = render_tree(interpretation.assignment[symbol].defining_term)
-        if args.machine:
-            lines.append(f"term.{symbol.name}={term}")
-        else:
-            lines.append(f"{symbol.name} = {term}")
-    print("\n".join(lines))
-    return 0
+        pairs = [("interpretation", "none"), ("reason", _reason(check_condition(condition)))]
+        return _report(args, pairs, 1)
+    pairs = [("interpretation", "yes")]
+    pairs += [(f"term.{s.name}", render_tree(interpretation.assignment[s].defining_term))
+              for s in condition.signature]
+    return _report(args, pairs, 0)
 
 
 def _cmd_reduce(args) -> int:
     algebra = _load(parse_algebra, args.algebra)
     condition = _load(parse_condition, args.condition)
     instance = _load(parse_instance, args.instance)
-    certificate = reduce_and_certify(
-        algebra, condition, instance, budget=args.budget
-    )
-    base = "yes" if certificate.answer_base else "no"
-    extended = "yes" if certificate.answer_extended else "no"
-    if args.machine:
-        lines = [
-            f"base={base}",
-            f"extended={extended}",
-            f"certificate={'ok' if certificate.ok else 'violated'}",
-        ]
-        if certificate.eliminated_witness is not None:
-            lines.append(f"witness={_render_witness(certificate.eliminated_witness)}")
-    else:
-        status = "certificate OK" if certificate.ok else "certificate VIOLATED"
-        lines = [f"base: {base}, extended: {extended}, {status}"]
-        if certificate.eliminated_witness is not None:
-            lines.append(f"witness: {_render_witness(certificate.eliminated_witness)}")
-    print("\n".join(lines))
-    return 0 if certificate.ok else 1
+    certificate = reduce_and_certify(algebra, condition, instance, budget=args.budget)
+    pairs = [("base", _yes(certificate.answer_base)),
+             ("extended", _yes(certificate.answer_extended)),
+             ("certificate", "ok" if certificate.ok else "violated")]
+    if certificate.eliminated_witness is not None:
+        pairs.append(("witness", _render_witness(certificate.eliminated_witness)))
+    return _report(args, pairs, 0 if certificate.ok else 1)
 
 
 def _build_parser() -> argparse.ArgumentParser:

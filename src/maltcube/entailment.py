@@ -340,10 +340,3 @@ def is_consistent(condition: MaltsevCondition) -> bool:
     """True when the condition does not entail x = y for distinct variables."""
     return not condition_index(condition, 2).inconsistent
 
-
-def render_classes(index: EntailmentIndex) -> str:
-    """One line per class, members space-separated, sorted by representative."""
-    lines = [
-        " ".join(render_term(t) for t in cls) for cls in index.classes()
-    ]
-    return "\n".join(lines) + "\n"

@@ -301,8 +301,13 @@ def test_parse_algebra_errors_carry_location():
         parse_algebra("universe: 2\nop f/1:\n0 q\n")
     with pytest.raises(AlgebraFormatError, match="unexpected line"):
         parse_algebra("universe: 2\nwhat\n")
-    with pytest.raises(AlgebraFormatError):
-        parse_algebra("universe: 2\nop f/2:\n0 1\n")  # half a table
+    # a table's errors, and a universe's, name the line of its header
+    for text, line in (("universe: 2\nop f/2:\n0 1\n", 2),  # half a table
+                       ("universe: 2\nop g/0: 1\nop f/1:\n0\n2\n", 3),
+                       ("universe: 0\nop f/1:\n", 1)):
+        with pytest.raises(AlgebraFormatError) as caught:
+            parse_algebra(text, source="a.alg")
+        assert (caught.value.source, caught.value.line) == ("a.alg", line)
 
 
 def test_huge_arity_fails_without_computing_the_table_size():
@@ -326,6 +331,12 @@ def test_instance_round_trip():
         parse_instance("m: 2\ngenerators:\n0 1\n")
     with pytest.raises(AlgebraFormatError, match="bad tuple"):
         parse_instance("m: 2\ngenerators:\n0 x\ntarget:\n0 1\n")
+    for text, line in (("m: 2\ngenerators:\n0 1\n0 1 1\ntarget:\n0 0\n", 4),
+                       ("m: 2\ngenerators:\ntarget:\n0\n", 4),
+                       ("m: 0\ngenerators:\ntarget:\n0\n", 1)):
+        with pytest.raises(AlgebraFormatError) as caught:
+            parse_instance(text)
+        assert caught.value.line == line
 
 
 def test_instance_validation():

@@ -61,7 +61,9 @@ def test_check_cube_entailing(capsys, tmp_path):
     capsys.readouterr()
     code, out, _ = run(capsys, "check", str(path))
     assert code == 1
-    assert "applicable: no (cube identities for p_1)" in out.splitlines()
+    lines = out.splitlines()
+    assert lines[-2:] == ["applicable: no", "reason: cube identities for p_1"]
+    assert "witness.p_1: yxx,xxy" in lines
     code, out, _ = run(capsys, "check", "--machine", str(path))
     assert code == 1
     lines = out.splitlines()
@@ -78,9 +80,7 @@ def test_check_inconsistent(capsys, tmp_path):
     capsys.readouterr()
     code, out, _ = run(capsys, "check", str(path))
     assert code == 1
-    lines = out.splitlines()
-    assert "consistent: no" in lines
-    assert "applicable: no (inconsistent)" in lines
+    assert out.splitlines() == ["consistent: no", "applicable: no", "reason: inconsistent"]
 
 
 def test_check_reads_stdin(capsys, monkeypatch):
@@ -124,7 +124,12 @@ def test_closure_vars_override(capsys, tmp_path):
     path.write_text("signature: h/2\nidentities:\n  h(x,y) = h(y,x)\n")
     code, out, _ = run(capsys, "closure", "--vars", "4", str(path))
     assert code == 0
-    assert "variables: 4" in out.splitlines()
+    lines = out.splitlines()
+    assert "variables: 4" in lines
+    # one line per class, sorted by representative, terms joined by commas
+    classes = [l for l in lines if l.startswith("class: ")]
+    assert classes[0] == "class: x"
+    assert "class: h(x,y),h(y,x)" in classes
     for nvars in ("1", "0"):
         code, _, err = run(capsys, "closure", "--vars", nvars, str(path))
         assert code == 2
@@ -176,7 +181,7 @@ def test_extend_model_check_and_reduce_arity_nine(capsys, tmp_path, lattice_file
         assert code == 0
         outputs.append(out)
     assert "satisfies: yes" in outputs[1].splitlines()
-    assert "certificate OK" in outputs[2]
+    assert "certificate: ok" in outputs[2].splitlines()
 
 
 def test_check_refuses_too_many_seed_pairs(capsys, tmp_path):
@@ -207,7 +212,7 @@ def test_check_and_interpret_arity_seventeen(capsys, tmp_path):
     code, out, _ = run(capsys, "interpret", str(path))
     assert time.perf_counter() - start < 2.0
     assert code == 0
-    assert out.splitlines() == ["interpretation: yes", "g = x17"]
+    assert out.splitlines() == ["interpretation: yes", "term.g: x17"]
 
 
 # --- gen ---------------------------------------------------------------------
@@ -343,9 +348,11 @@ def test_smp_target_within_budget(capsys, tmp_path, lattice_file):
     inst = instance_file(tmp_path, "m: 2\ngenerators:\n0 1\n1 0\ntarget:\n0 0\n")
     code, out, _ = run(capsys, "smp", "--budget", "3", "--witness", lattice_file, inst)
     assert code == 0
-    assert out.splitlines() == [
-        "members: 3", "rounds: 1", "answer: yes", "witness: meet(x1,x2)",
-    ]
+    lines = out.splitlines()
+    assert lines[:3] == ["members: 3", "rounds: 1", "answer: yes"]
+    assert lines[-1] == "witness: meet(x1,x2)"
+    keys = [line.split(": ")[0] for line in lines[3:-1]]
+    assert keys == ["lifts_built", "lifts_reused", "boxes", "applications", "unseen"]
 
 
 def test_smp_budget_exit(capsys, tmp_path, lattice_file):
@@ -421,7 +428,7 @@ def test_interpret_yes(capsys, cp3_file):
     lines = out.splitlines()
     assert lines[0] == "interpretation: yes"
     for name in ("p_0", "p_1", "p_2", "p_3"):
-        assert any(l.startswith(f"{name} = ") for l in lines)
+        assert any(l.startswith(f"term.{name}: ") for l in lines)
     code, out, _ = run(capsys, "interpret", "--machine", cp3_file)
     assert any(l.startswith("term.p_1=") for l in out.splitlines())
 
@@ -431,13 +438,13 @@ def test_interpret_none_reasons(capsys, tmp_path):
     maltsev.write_text("signature: p/3\nidentities:\n  p(x,y,y) = x\n  p(x,x,y) = y\n")
     code, out, _ = run(capsys, "interpret", str(maltsev))
     assert code == 1
-    assert "interpretation: none (cube identities for p)" in out
+    assert out.splitlines() == ["interpretation: none", "reason: cube identities for p"]
     hm1 = tmp_path / "hm1.cond"
     main(["gen", "hm", "1", "-o", str(hm1)])
     capsys.readouterr()
     code, out, _ = run(capsys, "interpret", str(hm1))
     assert code == 1
-    assert "interpretation: none (inconsistent)" in out
+    assert out.splitlines() == ["interpretation: none", "reason: inconsistent"]
 
 
 # two arity-4 symbols that derive y = z; a search over the clone tried every
@@ -457,7 +464,7 @@ def test_interpret_inconsistent_arity_four_pair_is_fast(capsys, tmp_path):
     code, out, _ = run(capsys, "interpret", str(path))
     assert time.perf_counter() - start < 1.0
     assert code == 1
-    assert "interpretation: none (inconsistent)" in out
+    assert out.splitlines() == ["interpretation: none", "reason: inconsistent"]
 
 
 def test_interpret_arity_five(capsys, tmp_path):
@@ -468,7 +475,7 @@ def test_interpret_arity_five(capsys, tmp_path):
     code, out, _ = run(capsys, "interpret", str(path))
     assert code == 0
     assert out.splitlines()[0] == "interpretation: yes"
-    assert any(l.startswith("h = impd(") for l in out.splitlines())
+    assert any(l.startswith("term.h: impd(") for l in out.splitlines())
 
 
 # --- reduce ------------------------------------------------------------------
@@ -479,15 +486,15 @@ def test_reduce_positive(capsys, tmp_path, lattice_file, cp3_file):
     code, out, _ = run(capsys, "reduce", lattice_file, cp3_file, inst)
     assert code == 0
     lines = out.splitlines()
-    assert lines[0] == "base: yes, extended: yes, certificate OK"
-    assert lines[1].startswith("witness: ")
+    assert lines[:3] == ["base: yes", "extended: yes", "certificate: ok"]
+    assert lines[3].startswith("witness: ")
 
 
 def test_reduce_negative(capsys, tmp_path, lattice_file, cp3_file):
     inst = instance_file(tmp_path, "m: 2\ngenerators:\n0 0\n1 1\ntarget:\n0 1\n")
     code, out, _ = run(capsys, "reduce", lattice_file, cp3_file, inst)
     assert code == 0
-    assert out.splitlines() == ["base: no, extended: no, certificate OK"]
+    assert out.splitlines() == ["base: no", "extended: no", "certificate: ok"]
 
 
 def test_reduce_without_generators(capsys, tmp_path, cp3_file):
@@ -496,7 +503,7 @@ def test_reduce_without_generators(capsys, tmp_path, cp3_file):
     inst = instance_file(tmp_path, "m: 2\ngenerators:\ntarget:\n1 1\n")
     code, out, _ = run(capsys, "reduce", str(algebra), cp3_file, inst)
     assert code == 0
-    assert out.splitlines() == ["base: yes, extended: yes, certificate OK", "witness: c()"]
+    assert out.splitlines() == ["base: yes", "extended: yes", "certificate: ok", "witness: c()"]
 
 
 def test_reduce_machine(capsys, tmp_path, lattice_file, cp3_file):
@@ -507,6 +514,56 @@ def test_reduce_machine(capsys, tmp_path, lattice_file, cp3_file):
     assert "base=yes" in lines
     assert "extended=yes" in lines
     assert "certificate=ok" in lines
+
+
+# --- one report path ---------------------------------------------------------
+
+MALTSEV_TEXT = "signature: p/3\nidentities:\n  p(x,y,y) = x\n  p(x,x,y) = y\n"
+COMM_TEXT = "signature: h/2\nidentities:\n  h(x,y) = h(y,x)\n"
+
+REPORTS = {
+    "check-yes": ("check", "cp3.cond"),
+    "check-cube": ("check", "hm2.cond"),
+    "check-inconsistent": ("check", "hm1.cond"),
+    "closure-cp3": ("closure", "cp3.cond"),
+    "closure-maltsev": ("closure", "maltsev.cond"),
+    "closure-vars": ("closure", "--vars", "4", "comm.cond"),
+    "model-check-yes": ("model-check", "and.alg", "comm.cond"),
+    "model-check-no": ("model-check", "imp.alg", "comm.cond"),
+    "smp-yes": ("smp", "--witness", "lattice.alg", "yes.smp"),
+    "smp-no": ("smp", "--witness", "lattice.alg", "no.smp"),
+    "interpret-yes": ("interpret", "cp3.cond"),
+    "interpret-cube": ("interpret", "maltsev.cond"),
+    "interpret-inconsistent": ("interpret", "hm1.cond"),
+    "reduce-yes": ("reduce", "lattice.alg", "cp3.cond", "yes.smp"),
+    "reduce-no": ("reduce", "lattice.alg", "cp3.cond", "no.smp"),
+}
+
+
+@pytest.mark.parametrize("name", REPORTS)
+def test_human_report_is_the_machine_report_with_another_separator(capsys, tmp_path, name):
+    files = {
+        "cp3.cond": CP3_TEXT,
+        "hm2.cond": render_condition(hagemann_mitschke_condition(2)),
+        "hm1.cond": render_condition(hagemann_mitschke_condition(1)),
+        "maltsev.cond": MALTSEV_TEXT,
+        "comm.cond": COMM_TEXT,
+        "lattice.alg": LATTICE_TEXT,
+        "and.alg": "universe: 2\nop h/2:\n0 0\n0 1\n",
+        "imp.alg": "universe: 2\nop h/2:\n1 1\n0 1\n",
+        "yes.smp": "m: 2\ngenerators:\n0 1\n1 0\ntarget:\n0 0\n",
+        "no.smp": "m: 2\ngenerators:\n0 0\n1 1\ntarget:\n0 1\n",
+    }
+    for file_name, text in files.items():
+        (tmp_path / file_name).write_text(text)
+    command, *rest = [str(tmp_path / a) if a in files else a for a in REPORTS[name]]
+    # a first run fills the lifted-table memo, so both styles count the same lifts
+    run(capsys, command, "--machine", *rest)
+    machine_code, machine, _ = run(capsys, command, "--machine", *rest)
+    human_code, human, _ = run(capsys, command, *rest)
+    assert human_code == machine_code
+    assert machine and human
+    assert human.splitlines() == [l.replace("=", ": ", 1) for l in machine.splitlines()]
 
 
 # --- errors ------------------------------------------------------------------
@@ -537,7 +594,14 @@ def test_malformed_algebra_reports_location(capsys, tmp_path, cp3_file):
     path.write_text("universe: 2\nop f/1:\n0 9\n")
     code, _, err = run(capsys, "model-check", str(path), cp3_file)
     assert code == 2
-    assert "error:" in err
+    assert err == f"error: {path}:2: table for f/1 leaves the universe\n"
+
+
+def test_malformed_instance_reports_location(capsys, tmp_path, lattice_file):
+    inst = instance_file(tmp_path, "m: 2\ngenerators:\n0 1 1\ntarget:\n0 0\n")
+    code, _, err = run(capsys, "smp", lattice_file, inst)
+    assert code == 2
+    assert err == f"error: {inst}:3: tuple (0, 1, 1) does not have length 2\n"
 
 
 def test_huge_arity_in_an_algebra_fails_fast(capsys, tmp_path):
@@ -559,20 +623,17 @@ def test_help_exits_zero(capsys):
 
 
 def test_smp_machine_reports_lift_reuse(capsys, tmp_path, lattice_file):
+    """Both styles print the closure's counters, as `key=value` or `key: value`."""
     inst = instance_file(tmp_path, "m: 3\ngenerators:\n0 1 1\n1 0 1\ntarget:\n0 0 1\n")
     run(capsys, "smp", "--machine", lattice_file, inst)
-    code, out, _ = run(capsys, "smp", "--machine", lattice_file, inst)
-    assert code == 0
-    lines = out.splitlines()
-    assert "lifts_built=0" in lines
-    assert any(l.startswith("lifts_reused=") and l != "lifts_reused=0" for l in lines)
-    # meet and join share one box per block: 2 applications per argument pair
-    stats = dict(l.split("=") for l in lines
-                 if l.startswith(("boxes=", "applications=", "unseen=")))
-    assert int(stats["boxes"]) >= 1
-    assert int(stats["applications"]) % 2 == 0
-    # at least the target's code passed the seen test, and no more than were applied
-    assert 1 <= int(stats["unseen"]) <= int(stats["applications"])
-    code, out, _ = run(capsys, "smp", lattice_file, inst)
-    assert not any(l.startswith(("lifts_", "boxes", "applications", "unseen"))
-                   for l in out.splitlines())
+    for style, sep in ((["--machine"], "="), ([], ": ")):
+        code, out, _ = run(capsys, "smp", *style, lattice_file, inst)
+        assert code == 0
+        stats = dict(l.split(sep, 1) for l in out.splitlines())
+        assert stats["lifts_built"] == "0"
+        assert int(stats["lifts_reused"]) > 0
+        # meet and join share one box per block: 2 applications per argument pair
+        assert int(stats["boxes"]) >= 1
+        assert int(stats["applications"]) % 2 == 0
+        # at least the target's code passed the seen test, and no more than were applied
+        assert 1 <= int(stats["unseen"]) <= int(stats["applications"])

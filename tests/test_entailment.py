@@ -18,7 +18,6 @@ from maltcube.entailment import (
     entails,
     is_consistent,
     normalize_identity,
-    render_classes,
     universe_size,
     weak_closure,
 )
@@ -236,14 +235,6 @@ def test_term_ids_follow_enumeration_order(condition_corpus):
     d0 = condition.symbol("d_0")
     assert index.term_id(app(d0, 0, 0, 0)) == 3
     assert index.term_id(app(d0, 2, 1, 0)) == 3 + 2 * 9 + 1 * 3
-
-
-def test_render_classes_layout():
-    comm = parse_condition("signature: f/2\nidentities:\n  f(x,y) = f(y,x)\n")
-    text = render_classes(condition_index(comm))
-    lines = text.strip().split("\n")
-    assert lines[0].startswith("x")
-    assert any("f(x,y) f(y,x)" in line for line in lines)
 
 
 def test_condition_index_cached():

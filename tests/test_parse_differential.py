@@ -90,17 +90,26 @@ SOUP_LINES = (
     "op f/1:", "op f/2: 0 1", "op c/0:", "op g/70:", "op f/-1:", "op /1:",
     "0 1", "0 1 1 0", "1", "2", "-1", "q", "18446744073709551616 0", "# note", "",
 )
-soups = st.lists(
-    st.one_of(st.sampled_from(SOUP_LINES), st.text(" 0129-:/#opfgmqx", max_size=8)),
-    max_size=8,
-).map("\n".join)
+# a well-formed head, or none, before the soup, so that table and tuple lines get parsed
+SOUP_HEADS = ("", "universe: 2\n", "universe: 2\nop f/1:\n", "universe: 2\nop f/1:\n0\n",
+              "m: 2\ngenerators:\n", "m: 2\ngenerators:\n0 1\ntarget:\n")
+soups = st.builds(
+    str.__add__,
+    st.sampled_from(SOUP_HEADS),
+    st.lists(
+        st.one_of(st.sampled_from(SOUP_LINES), st.text(" 0129-:/#opfgmqx", max_size=8)),
+        max_size=8,
+    ).map("\n".join),
+)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(soups)
 def test_line_soups_raise_only_format_errors(text):
+    """Any error is an `AlgebraFormatError`, located at a line when the text has one."""
+    significant = any(line.split("#", 1)[0].strip() for line in text.splitlines())
     for parse in (parse_algebra, parse_instance):
         try:
             parse(text)
-        except AlgebraFormatError:
-            pass
+        except AlgebraFormatError as exc:
+            assert exc.line is not None or not significant

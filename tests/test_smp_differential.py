@@ -60,8 +60,8 @@ def test_stopped_closure_is_a_prefix_of_the_full_closure():
         target = pick_target(algebra, m, full, pick, member)
         stopped = _close(algebra, generators, m, DEFAULT_BUDGET, target)
         count = stopped.stats.members
-        assert len(stopped._ids) == count
-        assert stopped._ids == full._ids[:count]
+        assert len(stopped._codes) == count
+        assert stopped._codes.tolist() == full._codes.tolist()[:count]
         assert stopped._prov == full._prov[:count]
         if target not in full:
             assert target not in stopped
@@ -84,7 +84,7 @@ def test_stopped_closure_is_a_prefix_of_the_full_closure():
                 seen.add("last round" if found_in == full.stats.rounds else "earlier round")
                 # the target's box ran last, and its operation's fresh codes ascend
                 code = _pack(target, algebra.size)
-                assert all(c > code for c in stopped._ids[position + 1:])
+                assert all(c > code for c in stopped._codes.tolist()[position + 1:])
                 op_index = stopped._prov[position][0]
                 assert all(d[0] == op_index for d in stopped._prov[position + 1:])
 
@@ -120,14 +120,14 @@ def test_budget_bounds_the_members_up_to_the_target_over_extensions():
         target = pick_target(algebra, m, full, pick, member)
         stopped = _close(algebra, generators, m, DEFAULT_BUDGET, target)
         count = stopped.stats.members
-        assert stopped._ids == full._ids[:count]
+        assert stopped._codes.tolist() == full._codes.tolist()[:count]
         assert stopped._prov == full._prov[:count]
         if target not in full:
             assert stopped.stats == full.stats
             seen.add("non-member")
             return
         tight = _close(algebra, generators, m, count, target)
-        assert tight._ids == stopped._ids and tight._prov == stopped._prov
+        assert tight._codes.tolist() == stopped._codes.tolist() and tight._prov == stopped._prov
         if count > 1:
             with pytest.raises(BudgetExceededError):
                 _close(algebra, generators, m, count - 1, target)
