@@ -66,8 +66,19 @@ box that yields it, by its first operation there, and its arguments are
 members of earlier rounds; the full closure runs the same boxes in the
 same order up to that point, so the stopped closure's ids and
 derivations are a prefix of the full closure's and the target's
-derivation tree is the same.  A non-member target still runs the whole
-closure.
+derivation tree is the same.
+
+Every closure also stops right after the box that brings its members to
+n^d, where d counts the distinct generator columns (1 without
+generators), or before round 1 if the seeds already number n^d.  Terms
+act coordinatewise and a nullary constant is a constant column, so two
+coordinates with equal generator columns are equal in every member: the
+subpower lies inside the n^d tuples constant on each class of equal
+columns, and once it holds n^d members every later box yields only seen
+codes.  The stop thus changes no member, order, derivation, witness,
+`members` or `rounds`, only the boxes left unrun.  A non-member target
+runs the closure up to that stop or to the last round that finds a
+member, so its `members` is the whole subpower's.
 """
 
 from __future__ import annotations
@@ -423,7 +434,9 @@ class SmpInstance:
                 raise ValueError(f"tuple {t} does not have length {self.m}")
 
 
-def parse_instance(text: str, source: str = "<string>") -> SmpInstance:
+def parse_instance(text: str, source: str = "<string>", size: int | None = None) -> SmpInstance:
+    """Parse an instance; given the algebra's `size`, a generator or target
+    with a value outside {0..size-1} is an error located at its line."""
     lines = _significant_lines(text)
     if not lines or not lines[0][1].startswith("m:"):
         raise AlgebraFormatError("expected an m: line first", source=source,
@@ -437,7 +450,7 @@ def parse_instance(text: str, source: str = "<string>") -> SmpInstance:
     if len(lines) < 2 or lines[1][1] != "generators:":
         raise AlgebraFormatError("expected a generators: line", source=source, line=lines[0][0])
 
-    def parse_tuple(body: str, lineno: int) -> tuple[int, ...]:
+    def parse_tuple(body: str, lineno: int, role: str) -> tuple[int, ...]:
         try:
             values = tuple(int(tok) for tok in body.split())
         except ValueError:
@@ -445,18 +458,21 @@ def parse_instance(text: str, source: str = "<string>") -> SmpInstance:
         if len(values) != m:
             raise AlgebraFormatError(f"tuple {values} does not have length {m}",
                                      source=source, line=lineno)
+        if size is not None and any(not 0 <= v < size for v in values):
+            raise AlgebraFormatError(f"{role} {values} leaves the universe",
+                                     source=source, line=lineno)
         return values
 
     generators = []
     rest = lines[2:]
     i = 0
     while i < len(rest) and rest[i][1] != "target:":
-        generators.append(parse_tuple(rest[i][1], rest[i][0]))
+        generators.append(parse_tuple(rest[i][1], rest[i][0], "generator"))
         i += 1
     if i == len(rest) or i + 1 != len(rest) - 1:
         raise AlgebraFormatError("expected target: followed by one tuple line", source=source,
                                  line=rest[i][0] if i < len(rest) else lines[-1][0])
-    return SmpInstance(m, tuple(generators), parse_tuple(rest[i + 1][1], rest[i + 1][0]))
+    return SmpInstance(m, tuple(generators), parse_tuple(rest[i + 1][1], rest[i + 1][0], "target"))
 
 
 def render_instance(instance: SmpInstance) -> str:
@@ -484,7 +500,10 @@ class ClosureStats:
     argument tuples, counted a whole box at a time and without the
     projections the closure skips.  `unseen` counts the codes that passed
     the seen-set test, repeats included: the input of the boxes' dedupe.
-    These five describe how the closure worked, not what it found, so they
+    `columns` is d, the number of distinct generator columns (1 without
+    generators): a closure stops once it holds n^d members, all it can
+    hold, so the boxes after that one are not run or counted.
+    These six describe how the closure worked, not what it found, so they
     take no part in equality.
     """
 
@@ -495,6 +514,7 @@ class ClosureStats:
     boxes: int = field(default=0, compare=False)
     applications: int = field(default=0, compare=False)
     unseen: int = field(default=0, compare=False)
+    columns: int = field(default=0, compare=False)
 
 
 class BudgetExceededError(RuntimeError):
@@ -811,7 +831,10 @@ class _NumpyEngine:
     `_first_occurrences`, a radix argsort of their 16-bit digits.  Codes
     are int64 while n^m fits 62 bits and Python ints in object arrays
     past that; numpy's arithmetic, sorting and searching treat both
-    alike, and the chunks are added in int64 runs either way.
+    alike, and the chunks are added in int64 runs either way.  `run`
+    computes the ceiling n^d once from the d distinct generator columns,
+    and the closure ends right after the box that brings the members to
+    it (`_saturated`): later boxes could only yield seen codes.
     """
 
     def __init__(self, algebra: FiniteAlgebra, m: int, budget: int):
@@ -895,7 +918,17 @@ class _NumpyEngine:
 
     def _stats(self, members: int) -> ClosureStats:
         return ClosureStats(members, self.rounds, self.lifts_built, self.lifts_reused,
-                            self.boxes, self.applications, self.unseen)
+                            self.boxes, self.applications, self.unseen, self.columns)
+
+    def _saturated(self, members: int) -> bool:
+        """Whether `members` members fill the ceiling n^d, so no box can find more.
+
+        Each operation acts coordinatewise and a constant is a constant
+        column, so coordinates with equal generator columns stay equal in
+        every member; there are n^d tuples that respect those classes, and
+        n^d distinct members are all of them.
+        """
+        return members == self.ceiling
 
     def _check_budget(self, members: int) -> None:
         """Raise once `members` members, counted so far, pass the budget."""
@@ -958,13 +991,15 @@ class _NumpyEngine:
 
     def _round(self, old: int, current: int, goal: int | None, pending_codes: list,
                pending_provs: list) -> bool:
-        """Collect the fresh members of one round; True once a box yields `goal`.
+        """Collect the fresh members of one round; True once the closure is done.
 
         The round applies every operation to the argument tuples that touch
         a member found since `old`.  A box's fresh members come ordered by
         (operation, code), each credited to the first operation and then
         the first tuple that yields it; the box that yields `goal` keeps
-        only those of the operations up to `goal`'s.
+        only those of the operations up to `goal`'s.  The closure is done
+        after the box that yields `goal` or brings the members to the
+        ceiling, tested after that box's budget check.
         """
         for k, ops in self.groups:
             plan = self._plan(k, ops)
@@ -999,7 +1034,7 @@ class _NumpyEngine:
                         zip(op_list, *((f + o).tolist() for f, o in zip(firsts, offsets)))
                     )
                     self._check_budget(current + len(pending_codes))
-                    if found:
+                    if found or self._saturated(current + len(pending_codes)):
                         return True
         return False
 
@@ -1007,19 +1042,21 @@ class _NumpyEngine:
         self, generators: Sequence[tuple[int, ...]], target: tuple[int, ...] | None = None
     ) -> ClosureResult:
         goal = None if target is None else _pack(target, self.n)
+        self.columns = len(set(zip(*generators))) or 1
+        self.ceiling = self.n ** self.columns
         seeds = _seeds(self.algebra, generators, self.m)
         seed_codes = [_pack(member, self.n) for member, _ in seeds]
         if seeds:
             self.seen.add(np.asarray(seed_codes, dtype=self.dtype))
             self._append_members(seed_codes, [derivation for _, derivation in seeds])
 
-        found = goal in seed_codes
+        done = goal in seed_codes or self._saturated(len(self.ids))
         old = 0
-        while old < len(self.ids) and not found:
+        while old < len(self.ids) and not done:
             current = len(self.ids)
             pending_codes: list[int] = []
             pending_provs: list = []
-            found = self._round(old, current, goal, pending_codes, pending_provs)
+            done = self._round(old, current, goal, pending_codes, pending_provs)
             old = current
             if pending_codes:
                 self.rounds += 1
@@ -1045,7 +1082,8 @@ def _close(
 
     With a target, the closure stops right after the target's operation in
     the box that first derives it, or before round 1 if a seed is the
-    target; with None it computes the whole closure.
+    target; with None it computes the whole closure.  Either way it ends
+    once the members reach n^d for d distinct generator columns.
     """
     generators = [tuple(g) for g in generators]
     if m is None:
@@ -1101,9 +1139,11 @@ def smp_decide(
     first derives the target; a box spans all operations of one arity,
     and its fresh members of later operations are dropped.  So for a
     member target `stats` counts the members and rounds up to that
-    operation and the budget bounds only those; a non-member target runs
-    the whole closure, whose counters `stats` then holds.  The witness is
-    the one the full closure records.
+    operation and the budget bounds only those.  A non-member target
+    runs the closure until it holds all n^d tuples its d distinct
+    generator columns allow (`stats.columns`), or to its last round when
+    it holds fewer, so `stats.members` is the whole subpower's.  The
+    witness is the one the full closure records.
     """
     if any(not 0 <= v < algebra.size for v in instance.target):
         raise ValueError(f"target {instance.target} leaves the universe")

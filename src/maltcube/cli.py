@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import asdict
+from functools import partial
 from random import Random
 
 from .algebras import (
@@ -158,7 +159,7 @@ def _cmd_model_check(args) -> int:
 
 def _cmd_smp(args) -> int:
     algebra = _load(parse_algebra, args.algebra)
-    instance = _load(parse_instance, args.instance)
+    instance = _load(partial(parse_instance, size=algebra.size), args.instance)
     answer = smp_decide(algebra, instance, budget=args.budget)
     stats = asdict(answer.stats)
     pairs = [(key, stats.pop(key)) for key in ("members", "rounds")]
@@ -184,7 +185,7 @@ def _cmd_interpret(args) -> int:
 def _cmd_reduce(args) -> int:
     algebra = _load(parse_algebra, args.algebra)
     condition = _load(parse_condition, args.condition)
-    instance = _load(parse_instance, args.instance)
+    instance = _load(partial(parse_instance, size=algebra.size), args.instance)
     certificate = reduce_and_certify(algebra, condition, instance, budget=args.budget)
     pairs = [("base", _yes(certificate.answer_base)),
              ("extended", _yes(certificate.answer_extended)),

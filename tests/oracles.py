@@ -425,9 +425,10 @@ def reference_round(engine, old: int, current: int, goal, pending_codes: list,
     """One round of the engine's closure, deduping each box with `np.unique`.
 
     A drop-in for `_NumpyEngine._round`: the same boxes, seen-set test,
-    member order, provenance and counters, but a box's fresh codes and
-    their first occurrences come from `np.unique(..., return_index=True)`
-    over the codes the seen-set test passes.
+    member order, provenance, counters and stops (at the goal's box, or
+    at the box whose members fill the ceiling n^d), but a box's fresh
+    codes and their first occurrences come from `np.unique(...,
+    return_index=True)` over the codes the seen-set test passes.
     """
     for k, ops in engine.groups:
         plan = engine._plan(k, ops)
@@ -464,7 +465,7 @@ def reference_round(engine, old: int, current: int, goal, pending_codes: list,
                     zip(op_list, *((f + o).tolist() for f, o in zip(firsts, offsets)))
                 )
                 engine._check_budget(current + len(pending_codes))
-                if found:
+                if found or engine._saturated(current + len(pending_codes)):
                     return True
     return False
 

@@ -352,7 +352,7 @@ def test_smp_target_within_budget(capsys, tmp_path, lattice_file):
     assert lines[:3] == ["members: 3", "rounds: 1", "answer: yes"]
     assert lines[-1] == "witness: meet(x1,x2)"
     keys = [line.split(": ")[0] for line in lines[3:-1]]
-    assert keys == ["lifts_built", "lifts_reused", "boxes", "applications", "unseen"]
+    assert keys == ["lifts_built", "lifts_reused", "boxes", "applications", "unseen", "columns"]
 
 
 def test_smp_budget_exit(capsys, tmp_path, lattice_file):
@@ -602,6 +602,26 @@ def test_malformed_instance_reports_location(capsys, tmp_path, lattice_file):
     code, _, err = run(capsys, "smp", lattice_file, inst)
     assert code == 2
     assert err == f"error: {inst}:3: tuple (0, 1, 1) does not have length 2\n"
+
+
+@pytest.mark.parametrize("command", ["smp", "reduce"])
+def test_generator_outside_the_universe_reports_location(capsys, tmp_path, lattice_file,
+                                                         cp3_file, command):
+    inst = instance_file(tmp_path, "m: 2\ngenerators:\n0 1\n0 5\ntarget:\n0 0\n")
+    conditions = [cp3_file] if command == "reduce" else []
+    code, _, err = run(capsys, command, lattice_file, *conditions, inst)
+    assert code == 2
+    assert err == f"error: {inst}:4: generator (0, 5) leaves the universe\n"
+
+
+@pytest.mark.parametrize("command", ["smp", "reduce"])
+def test_target_outside_the_universe_reports_location(capsys, tmp_path, lattice_file,
+                                                      cp3_file, command):
+    inst = instance_file(tmp_path, "m: 2\ngenerators:\n0 1\n\ntarget:\n2 0\n")
+    conditions = [cp3_file] if command == "reduce" else []
+    code, _, err = run(capsys, command, lattice_file, *conditions, inst)
+    assert code == 2
+    assert err == f"error: {inst}:6: target (2, 0) leaves the universe\n"
 
 
 def test_huge_arity_in_an_algebra_fails_fast(capsys, tmp_path):

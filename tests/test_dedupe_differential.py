@@ -78,12 +78,12 @@ WIDE_POWERS = ((3, 20), (2, 40), (3, 35), (4, 30), (2, 62))
 
 
 @st.composite
-def wide_closures(draw):
+def layout_closures(draw, powers):
     """An algebra of 2-4 elements with 1-3 operations of each of one or two
-    arities in 1..3, and a power past the byte map's cap whose codes fit
-    int64; the 1-3 generators repeat at most 3 distinct columns, so the
-    closure has at most 64 members."""
-    n, m = draw(st.sampled_from(WIDE_POWERS))
+    arities in 1..3, and a power (n, m) from `powers`; the 1-3 generators
+    repeat at most 3 distinct columns, so the closure has at most 64
+    members."""
+    n, m = draw(st.sampled_from(powers))
     value = st.integers(0, n - 1)
     operations = {}
     for arity in draw(st.lists(st.integers(1, 3), min_size=1, max_size=2, unique=True)):
@@ -159,7 +159,7 @@ def compare(case, pick, member, budget, seen):
 @pytest.mark.parametrize("strategy,examples,seen_space", [
     (closures(), 200, "bitmap"),
     (extended_closures(), 120, "bitmap"),
-    (wide_closures(), 200, "sorted"),
+    (layout_closures(WIDE_POWERS), 200, "sorted"),
 ], ids=["small", "extended", "wide int64"])
 def test_engine_matches_the_np_unique_rounds(strategy, examples, seen_space):
     seen = set()
