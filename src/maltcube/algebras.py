@@ -51,10 +51,21 @@ algebras, such as those of repeated extensions, share one read-only
 table; the memo evicts least recently used tables to stay within a
 fixed number of bytes.
 
-Derivations are recorded per member (one operation plus argument member
-indices), and witness term trees are materialized from them on demand;
-trees share subterm objects, so a witness is linear in the member count
-even when its unfolding is not.
+Derivations are kept in the arrays each box already holds: a seed's is
+its generator position or its constant, and a box that finds members
+adds one block, the operation (one index for the box's members, or one
+per member) and an array of argument member positions per argument.
+No per-member Python object is built while the closure runs.  Witness
+term trees are materialized from the blocks on demand; trees share
+subterm objects, so a witness is linear in the member count even when
+its unfolding is not.
+
+A round's applications are known before it runs: current^k - old^k
+argument tuples per operation of arity k, for members old..current-1
+found in the previous round.  A round that would take the closure past
+`MAX_APPLICATIONS` is refused before any of its boxes runs, as the
+member budget refuses a round that finds too many members; both raise
+`BudgetExceededError`.
 
 `smp_decide` stops the closure right after the target's operation in the
 box that first derives the target, or before round 1 when a seed is the
@@ -85,10 +96,11 @@ from __future__ import annotations
 
 import re
 import threading
+from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import product, repeat
 from math import prod
 from random import Random
 from typing import Iterable, Mapping, Sequence
@@ -98,6 +110,7 @@ import numpy as np
 from .terms import Identity, MaltsevCondition, OperationSymbol, _significant_lines
 
 DEFAULT_BUDGET = 1_000_000
+MAX_APPLICATIONS = 10**9  # operations applied to argument tuples per closure (~10 ns each)
 _TABLE_CAP = 1 << 18      # max entries in a lifted chunk table
 _CHUNK_TARGET = 1 << 16   # argument tuples per box, one vectorized call
 _BOX_SLACK = 64           # no box holds more than _BOX_SLACK * _CHUNK_TARGET tuples
@@ -502,9 +515,12 @@ class ClosureStats:
     the seen-set test, repeats included: the input of the boxes' dedupe.
     `columns` is d, the number of distinct generator columns (1 without
     generators): a closure stops once it holds n^d members, all it can
-    hold, so the boxes after that one are not run or counted.
-    These six describe how the closure worked, not what it found, so they
-    take no part in equality.
+    hold, so the boxes after that one are not run or counted.  `fresh`
+    has one entry per counted round, the members it found (kept, for a
+    stopped round), so its entries sum to `members` minus the seeds.
+    `seen` names the seen-set: "bitmap" up to 2^26 codes, else "sorted".
+    These eight describe how the closure worked, not what it found, so
+    they take no part in equality.
     """
 
     members: int
@@ -515,21 +531,33 @@ class ClosureStats:
     applications: int = field(default=0, compare=False)
     unseen: int = field(default=0, compare=False)
     columns: int = field(default=0, compare=False)
+    fresh: tuple[int, ...] = field(default=(), compare=False)
+    seen: str = field(default="", compare=False)
 
 
 class BudgetExceededError(RuntimeError):
-    """Closure grew past the member budget; membership stays undecided.
+    """Closure grew past the member budget, or would pass `MAX_APPLICATIONS`;
+    membership stays undecided.
 
-    `stats` counts the members found so far, past the budget, and the rounds completed.
+    Past the member budget, `stats` counts the members found so far, past
+    the budget, and the rounds completed, and `refused` is None.  At the
+    application bound, `refused` is the applications of the round that was
+    refused before any of its boxes ran, and `stats` counts the rounds
+    before it.
     """
 
-    def __init__(self, stats: ClosureStats, budget: int):
+    def __init__(self, stats: ClosureStats, budget: int, refused: int | None = None):
         self.stats = stats
         self.budget = budget
-        super().__init__(
-            f"budget of {budget} members exhausted after {stats.rounds} rounds "
-            f"({stats.members} members found)"
-        )
+        self.refused = refused
+        if refused is None:
+            message = (f"budget of {budget} members exhausted after {stats.rounds} rounds "
+                       f"({stats.members} members found)")
+        else:
+            message = (f"bound of {MAX_APPLICATIONS} applications reached after {stats.rounds} "
+                       f"rounds: {stats.applications} applied, and the next round would "
+                       f"apply {refused} ({stats.members} members found)")
+        super().__init__(message)
 
 
 def _pack(member: Sequence[int], n: int) -> int:
@@ -557,21 +585,47 @@ def _seeds(algebra: FiniteAlgebra, generators, m: int) -> list[tuple[tuple[int, 
 
 
 class ClosureResult:
-    """Members of a generated subpower plus per-member derivations.
+    """Members of a generated subpower plus their derivations.
 
-    Immutable once returned, and a view over the engine's packed codes:
-    `member_list` and `members` unpack them once, on first use;
+    Immutable once returned, and a view over the engine's arrays.  The
+    packed codes: `member_list` and `members` unpack them once, on first
+    use.  The derivations: the seeds' come first, each an int generator
+    position or (op_index,) for a nullary constant; then one block
+    (start, ops, args) per box that found members, covering the members
+    from position `start` to the next block's start.  `ops` is one
+    operation index for all of them, or an array with one per member, and
+    `args` holds one array of argument member positions per argument.
     `witness_tree` rebuilds one member's derivation as a TermTree whose
-    leaves name generator positions.
+    leaves name generator positions; `derivations` lists them all, each
+    an int or (op_index, *argument positions), on first use.
     """
 
-    def __init__(self, algebra, m, codes, prov, op_symbols, stats):
+    def __init__(self, algebra, m, codes, seeds, blocks, op_symbols, stats):
         self.algebra: FiniteAlgebra = algebra
         self.m = m
         self._codes = codes                  # packed base-size codes, the engine's array
-        self._prov = prov                    # int leaf position | (op_index, *members)
+        self._seeds = seeds                  # int leaf position | (op_index,) per seed
+        self._blocks = blocks                # (start, ops, args) per box, in member order
+        self._starts = [start for start, _, _ in blocks]
         self._op_symbols = op_symbols
         self.stats: ClosureStats = stats
+
+    def _derivation(self, pos: int):
+        """The derivation of the member at `pos`, found in its block by bisection."""
+        if pos < len(self._seeds):
+            return self._seeds[pos]
+        start, ops, args = self._blocks[bisect_right(self._starts, pos) - 1]
+        at = pos - start
+        return (ops if isinstance(ops, int) else ops.item(at), *(a.item(at) for a in args))
+
+    @cached_property
+    def derivations(self) -> list:
+        """Every member's derivation in member order, built from the blocks."""
+        out = list(self._seeds)
+        for _, ops, args in self._blocks:
+            column = repeat(ops) if isinstance(ops, int) else ops.tolist()
+            out.extend(zip(column, *(a.tolist() for a in args)))
+        return out
 
     @cached_property
     def member_list(self) -> tuple[tuple[int, ...], ...]:
@@ -607,16 +661,15 @@ class ClosureResult:
             raise KeyError(f"{tuple(member)} is not a member")
         return self._witness_at(pos)
 
-    def _witness_at(self, pos: int, memo: dict[int, TermTree] | None = None) -> TermTree:
-        """The witness of the member at `pos`; `memo` keeps the trees built
-        so far, keyed by position, and may be shared between calls."""
-        memo = {} if memo is None else memo
+    def _witness_at(self, pos: int) -> TermTree:
+        """The witness of the member at `pos`, built over a memo keyed by position."""
+        memo: dict[int, TermTree] = {}
         stack = [pos]
         while stack:
             p = stack.pop()
             if p in memo:
                 continue
-            derivation = self._prov[p]
+            derivation = self._derivation(p)
             if isinstance(derivation, int):
                 memo[p] = leaf(derivation)
                 continue
@@ -630,24 +683,44 @@ class ClosureResult:
         return memo[pos]
 
     def witness_trees(self) -> dict[tuple[int, ...], TermTree]:
-        """Every member's witness, built in member order over one memo, so
-        each derivation's arguments are already built when it is reached."""
-        memo: dict[int, TermTree] = {}
-        return {member: self._witness_at(p, memo) for p, member in enumerate(self.member_list)}
+        """Every member's witness, built in member order from `derivations`:
+        a derivation's arguments are members of earlier rounds, so their
+        trees are built first."""
+        trees: list[TermTree] = []
+        for derivation in self.derivations:
+            if isinstance(derivation, int):
+                trees.append(leaf(derivation))
+            else:
+                op_index, *args = derivation
+                trees.append(TermTree(self._op_symbols[op_index], tuple(trees[a] for a in args)))
+        return dict(zip(self.member_list, trees))
 
 
 class _BitmapSeen:
+    """A byte per code of the power, set once the code is seen.
+
+    The map starts zeroed, so its pages cost no time or memory until a
+    code on them is seen; a map of unseen codes, filled with ones, would
+    touch every page up front (64 MB at `_BITMAP_CAP`).  A box's mask is
+    one `take`, inverted in place.
+    """
+
+    kind = "bitmap"
+
     def __init__(self, space: int):
         self._seen = np.zeros(space, dtype=bool)
 
     def new_mask(self, codes: np.ndarray) -> np.ndarray:
-        return ~self._seen[codes]
+        mask = self._seen.take(codes)
+        return np.logical_not(mask, out=mask)
 
     def add(self, codes: np.ndarray) -> None:
         self._seen[codes] = True
 
 
 class _SortedSeen:
+    kind = "sorted"
+
     def __init__(self, dtype) -> None:
         self._sorted = np.empty(0, dtype=dtype)
 
@@ -831,10 +904,13 @@ class _NumpyEngine:
     `_first_occurrences`, a radix argsort of their 16-bit digits.  Codes
     are int64 while n^m fits 62 bits and Python ints in object arrays
     past that; numpy's arithmetic, sorting and searching treat both
-    alike, and the chunks are added in int64 runs either way.  `run`
-    computes the ceiling n^d once from the d distinct generator columns,
-    and the closure ends right after the box that brings the members to
-    it (`_saturated`): later boxes could only yield seen codes.
+    alike, and the chunks are added in int64 runs either way.  The chunk
+    codes of the members are kept as `np.intp`, so they index the lifted
+    tables with no cast.  `run` computes the ceiling n^d once from the d
+    distinct generator columns, and the closure ends right after the box
+    that brings the members to it (`_saturated`): later boxes could only
+    yield seen codes.  Before each round `run` refuses the round if it
+    would take the closure's applications past `MAX_APPLICATIONS`.
     """
 
     def __init__(self, algebra: FiniteAlgebra, m: int, budget: int):
@@ -847,7 +923,7 @@ class _NumpyEngine:
         self.seen = (_BitmapSeen(self.space) if self.space <= _BITMAP_CAP
                      else _SortedSeen(self.dtype))
         self.ids = np.empty(0, dtype=self.dtype)  # packed member codes, in member order
-        self.prov: list = []
+        self.blocks: list = []  # (start, ops, args) per box that found members
         self.op_symbols = tuple(algebra.operations)
         self.tables = list(algebra.operations.values())
         groups: dict[int, list[int]] = {}
@@ -861,6 +937,7 @@ class _NumpyEngine:
         self.boxes = 0
         self.applications = 0
         self.unseen = 0
+        self.fresh: list[int] = []
         self._plans: dict[int, list[_ChunkSpec]] = {}
         self._comps: dict[tuple[int, int], np.ndarray] = {}
 
@@ -918,7 +995,8 @@ class _NumpyEngine:
 
     def _stats(self, members: int) -> ClosureStats:
         return ClosureStats(members, self.rounds, self.lifts_built, self.lifts_reused,
-                            self.boxes, self.applications, self.unseen, self.columns)
+                            self.boxes, self.applications, self.unseen, self.columns,
+                            tuple(self.fresh), self.seen.kind)
 
     def _saturated(self, members: int) -> bool:
         """Whether `members` members fill the ceiling n^d, so no box can find more.
@@ -935,20 +1013,31 @@ class _NumpyEngine:
         if members > self.budget:
             raise BudgetExceededError(self._stats(members), self.budget)
 
-    def _append_members(self, codes: Sequence[int], provs: Sequence) -> None:
+    def _check_applications(self, old: int, current: int) -> None:
+        """Refuse the round over members old..current-1 before any of its
+        boxes runs, if it would take the closure past `MAX_APPLICATIONS`.
+
+        On axis i the round applies a group's operations to old^i *
+        (current - old) * current^(k-1-i) argument tuples, the block that
+        `_boxes` cuts; over the k axes these add up to current^k - old^k.
+        """
+        refused = sum((current**k - old**k) * len(ops) for k, ops in self.groups)
+        if self.applications + refused > MAX_APPLICATIONS:
+            raise BudgetExceededError(self._stats(current), self.budget, refused)
+
+    def _append_members(self, codes: np.ndarray) -> None:
+        """Add packed codes of the engine's dtype, and their chunk codes."""
         self._check_budget(len(self.ids) + len(codes))
-        self.prov.extend(provs)
-        fresh = np.asarray(codes, dtype=self.dtype)
-        self.ids = np.concatenate([self.ids, fresh])
+        self.ids = np.concatenate([self.ids, codes])
         for (shift, modulus), comp in self._comps.items():
-            extra = ((fresh // shift) % modulus).astype(np.int32)
+            extra = ((codes // shift) % modulus).astype(np.intp, copy=False)
             self._comps[(shift, modulus)] = np.concatenate([comp, extra])
 
     def _comp(self, spec: _ChunkSpec) -> np.ndarray:
         key = (spec.shift, spec.modulus)
         comp = self._comps.get(key)
         if comp is None:
-            comp = ((self.ids // spec.shift) % spec.modulus).astype(np.int32)
+            comp = ((self.ids // spec.shift) % spec.modulus).astype(np.intp, copy=False)
             self._comps[key] = comp
         return comp
 
@@ -973,8 +1062,7 @@ class _NumpyEngine:
             for spec in specs:
                 comp = self._comp(spec)
                 *heads, last = [comp[f:f + e] for f, e in zip(firsts, extents)]
-                # row numbers stay below modulus^(k-1) <= _TABLE_CAP, so int32 holds them
-                rows = heads[0] if heads else np.zeros(1, dtype=np.int32)
+                rows = heads[0] if heads else np.zeros(1, dtype=np.intp)
                 for c in heads[1:]:
                     rows = (rows[:, None] * spec.modulus + c).reshape(-1)
                 sub, index, axis = _sub_table(spec.matrices[lo:hi], rows, last)
@@ -989,18 +1077,21 @@ class _NumpyEngine:
             result = total if result is None else np.add(result, total, out=result)
         return result
 
-    def _round(self, old: int, current: int, goal: int | None, pending_codes: list,
-               pending_provs: list) -> bool:
+    def _round(self, old: int, current: int, goal: int | None, found: list) -> bool:
         """Collect the fresh members of one round; True once the closure is done.
 
         The round applies every operation to the argument tuples that touch
         a member found since `old`.  A box's fresh members come ordered by
         (operation, code), each credited to the first operation and then
         the first tuple that yields it; the box that yields `goal` keeps
-        only those of the operations up to `goal`'s.  The closure is done
-        after the box that yields `goal` or brings the members to the
-        ceiling, tested after that box's budget check.
+        only those of the operations up to `goal`'s.  Each box that finds
+        members appends (codes, ops, args) to `found`: its fresh codes, the
+        operation index (an int for a box of one operation, else one per
+        member) and one array of argument member positions per argument.
+        The closure is done after the box that yields `goal` or brings the
+        members to the ceiling, tested after that box's budget check.
         """
+        members = current
         for k, ops in self.groups:
             plan = self._plan(k, ops)
             for axis in range(k):
@@ -1020,21 +1111,23 @@ class _NumpyEngine:
                         continue
                     self.unseen += len(hits)
                     fresh, first = _first_occurrences(codes[hits], self.space)
-                    found = goal is not None and goal in fresh
-                    op_at, *offsets = np.unravel_index(hits[first], (width, *extents))
-                    order = np.argsort(op_at, kind="stable")
-                    if found:  # stop after the target's operation
-                        order = order[op_at[order] <= op_at[fresh == goal][0]]
-                    fresh, op_at = fresh[order], op_at[order]
-                    offsets = [o[order] for o in offsets]
-                    op_list = np.asarray(ops[lo:lo + width])[op_at].tolist()
+                    reached = goal is not None and goal in fresh
+                    if width == 1:  # fresh is in code order, all of one operation
+                        op = ops[lo]
+                        offsets = np.unravel_index(hits[first], extents)
+                    else:
+                        op_at, *offsets = np.unravel_index(hits[first], (width, *extents))
+                        order = np.argsort(op_at, kind="stable")
+                        if reached:  # stop after the target's operation
+                            order = order[op_at[order] <= op_at[fresh == goal][0]]
+                        fresh = fresh[order]
+                        op = np.asarray(ops[lo:lo + width])[op_at[order]]
+                        offsets = [o[order] for o in offsets]
                     self.seen.add(fresh)
-                    pending_codes.extend(fresh.tolist())
-                    pending_provs.extend(
-                        zip(op_list, *((f + o).tolist() for f, o in zip(firsts, offsets)))
-                    )
-                    self._check_budget(current + len(pending_codes))
-                    if found or self._saturated(current + len(pending_codes)):
+                    found.append((fresh, op, tuple(f + o for f, o in zip(firsts, offsets))))
+                    members += len(fresh)
+                    self._check_budget(members)
+                    if reached or self._saturated(members):
                         return True
         return False
 
@@ -1047,25 +1140,32 @@ class _NumpyEngine:
         seeds = _seeds(self.algebra, generators, self.m)
         seed_codes = [_pack(member, self.n) for member, _ in seeds]
         if seeds:
-            self.seen.add(np.asarray(seed_codes, dtype=self.dtype))
-            self._append_members(seed_codes, [derivation for _, derivation in seeds])
+            codes = np.asarray(seed_codes, dtype=self.dtype)
+            self.seen.add(codes)
+            self._append_members(codes)
 
         done = goal in seed_codes or self._saturated(len(self.ids))
         old = 0
         while old < len(self.ids) and not done:
             current = len(self.ids)
-            pending_codes: list[int] = []
-            pending_provs: list = []
-            done = self._round(old, current, goal, pending_codes, pending_provs)
+            self._check_applications(old, current)
+            found: list = []
+            done = self._round(old, current, goal, found)
             old = current
-            if pending_codes:
+            if found:
                 self.rounds += 1
-                self._append_members(pending_codes, pending_provs)
+                start = current
+                for codes, op, args in found:
+                    self.blocks.append((start, op, args))
+                    start += len(codes)
+                self.fresh.append(start - current)
+                self._append_members(np.concatenate([codes for codes, _, _ in found]))
         return ClosureResult(
             self.algebra,
             self.m,
             self.ids,
-            self.prov,
+            [derivation for _, derivation in seeds],
+            self.blocks,
             self.op_symbols,
             self._stats(len(self.ids)),
         )

@@ -11,10 +11,13 @@ Exit codes: 0 for success or a "yes" decision, 1 for a "no"-type
 decision (inconsistent or cube-entailing condition, failed model check,
 non-member target, no interpretation, violated certificate), 2 for
 usage, parse, or I/O errors, 3 for an exhausted subpower closure budget
-or a weak closure whose terms plus seed pairs exceed MAX_TERMS: from
-arity 21 for `check` and `interpret` (over {x, y}), arity 8 for
-`closure` (over the canonical set, as for `extend` and `reduce` once
-|A| + 1 reaches it), and arity 14 for `extend` over a 2-element algebra.
+(more members than --budget, or a round that would take the closure past
+MAX_APPLICATIONS, 10^9 operations applied to argument tuples, refused
+before it runs) or a weak closure whose terms plus seed pairs exceed
+MAX_TERMS: from arity 21 for `check` and `interpret` (over {x, y}),
+arity 8 for `closure` (over the canonical set, as for `extend` and
+`reduce` once |A| + 1 reaches it), and arity 14 for `extend` over a
+2-element algebra.
 """
 
 from __future__ import annotations
@@ -162,6 +165,7 @@ def _cmd_smp(args) -> int:
     instance = _load(partial(parse_instance, size=algebra.size), args.instance)
     answer = smp_decide(algebra, instance, budget=args.budget)
     stats = asdict(answer.stats)
+    stats["fresh"] = ",".join(map(str, stats["fresh"])) or "none"
     pairs = [(key, stats.pop(key)) for key in ("members", "rounds")]
     pairs.append(("answer", _yes(answer.answer)))
     pairs += stats.items()

@@ -55,6 +55,36 @@ diagnostic.  A value-equal replacement never changes an ancestor value,
 so one fold serves the whole walk.  The walk must go top-down: a kept
 node never takes the absorbing value, but an H-node inside a discarded
 child may, with no child sharing it, and a bottom-up pass would raise.
+
+Lemma.  Write ⊥ for the absorbing element, and R_r(B) for the members
+the breadth-first closure of G in B^m holds after r rounds: R_0(B) is G
+and the values of the nullary operations, and R_{r+1}(B) adds every
+operation applied to members of R_r(B).  If G lies in A^m, then the
+⊥-free members of A_M's closure are A's, round for round:
+R_r(A_M) ∩ A^m = R_r(A) for every r.  Proof, by induction on r.
+
+  * r = 0: G is ⊥-free, an F-constant keeps its base value, and an
+    H-constant has no argument position to derive, so its value is ⊥.
+  * R_{r+1}(A) ⊆ R_{r+1}(A_M): an F-operation applied to ⊥-free
+    members takes its base values, and R_r(A) ⊆ R_r(A_M).
+  * R_{r+1}(A_M) ∩ A^m ⊆ R_{r+1}(A): let u = f(t_1, ..., t_k) be
+    ⊥-free, with every t_i in R_r(A_M).  If f is in F, it absorbs ⊥
+    coordinatewise, so every t_i is ⊥-free, hence in R_r(A), and u is
+    in R_{r+1}(A).  If f = h is in H, u is already one of the t_i, so it
+    lies in R_r(A_M) ∩ A^m = R_r(A).  At coordinate j, u_j is not ⊥, so
+    M derives h(x-bar) = x_l for the canonical variables x-bar of the
+    pattern of (t_1[j], ..., t_k[j]), with u_j the value at x_l's block.
+    Substituting y for x_l and x for every other variable, M derives
+    h(w_{B_j}) = y, where B_j is the set of positions i with t_i[j] = u_j
+    and w_B carries y on B and x elsewhere (`maltcube.cube`).  So every
+    B_j lies in the family F(h).  A cube-free M has no subfamily of F(h)
+    with empty intersection, so some position i lies in every B_j:
+    t_i = u.
+
+So an H-operation never adds a ⊥-free member, and every ⊥-free member
+of A_M's closure has a derivation over F alone, in the same round as
+over A.  `eliminate_H`'s step from a kept H-node to a child with the
+same value is the last case applied to one node of a witness.
 """
 
 from __future__ import annotations

@@ -420,16 +420,17 @@ def reference_box_codes(engine, plan, lo: int, hi: int, firsts, extents):
     return result
 
 
-def reference_round(engine, old: int, current: int, goal, pending_codes: list,
-                    pending_provs: list) -> bool:
+def reference_round(engine, old: int, current: int, goal, found: list) -> bool:
     """One round of the engine's closure, deduping each box with `np.unique`.
 
     A drop-in for `_NumpyEngine._round`: the same boxes, seen-set test,
     member order, provenance, counters and stops (at the goal's box, or
     at the box whose members fill the ceiling n^d), but a box's fresh
     codes and their first occurrences come from `np.unique(...,
-    return_index=True)` over the codes the seen-set test passes.
+    return_index=True)` over the codes the seen-set test passes, and every
+    box is sorted by operation and records one operation per member.
     """
+    members = current
     for k, ops in engine.groups:
         plan = engine._plan(k, ops)
         for axis in range(k):
@@ -449,23 +450,21 @@ def reference_round(engine, old: int, current: int, goal, pending_codes: list,
                     continue
                 engine.unseen += int(mask.sum())
                 fresh, first = np.unique(codes[mask], return_index=True)
-                found = goal is not None and goal in fresh
+                reached = goal is not None and goal in fresh
                 op_at, *offsets = np.unravel_index(
                     np.flatnonzero(mask)[first], (width, *extents)
                 )
                 order = np.argsort(op_at, kind="stable")
-                if found:  # stop after the target's operation
+                if reached:  # stop after the target's operation
                     order = order[op_at[order] <= op_at[fresh == goal][0]]
                 fresh, op_at = fresh[order], op_at[order]
                 offsets = [o[order] for o in offsets]
-                op_list = np.asarray(ops[lo:lo + width])[op_at].tolist()
                 engine.seen.add(fresh)
-                pending_codes.extend(fresh.tolist())
-                pending_provs.extend(
-                    zip(op_list, *((f + o).tolist() for f, o in zip(firsts, offsets)))
-                )
-                engine._check_budget(current + len(pending_codes))
-                if found or engine._saturated(current + len(pending_codes)):
+                found.append((fresh, np.asarray(ops[lo:lo + width])[op_at],
+                              tuple(f + o for f, o in zip(firsts, offsets))))
+                members += len(fresh)
+                engine._check_budget(members)
+                if reached or engine._saturated(members):
                     return True
     return False
 

@@ -105,7 +105,7 @@ def assert_same(got, want):
     assert got.stats.columns == want.stats.columns
     if hasattr(got, "_codes"):
         assert got._codes.tolist() == want._codes.tolist()
-        assert got._prov == want._prov
+        assert got.derivations == want.derivations
     else:
         assert got.answer == want.answer
         assert (got.witness is None) == (want.witness is None)

@@ -352,7 +352,10 @@ def test_smp_target_within_budget(capsys, tmp_path, lattice_file):
     assert lines[:3] == ["members: 3", "rounds: 1", "answer: yes"]
     assert lines[-1] == "witness: meet(x1,x2)"
     keys = [line.split(": ")[0] for line in lines[3:-1]]
-    assert keys == ["lifts_built", "lifts_reused", "boxes", "applications", "unseen", "columns"]
+    assert keys == ["lifts_built", "lifts_reused", "boxes", "applications", "unseen", "columns",
+                    "fresh", "seen"]
+    # 2 seeds and the 1 member of round 1, found in 4 bytes of a byte map
+    assert lines[-3:-1] == ["fresh: 1", "seen: bitmap"]
 
 
 def test_smp_budget_exit(capsys, tmp_path, lattice_file):
@@ -409,6 +412,17 @@ def test_smp_machine_ternary_non_member_in_wide_int64(capsys, tmp_path):
     so the seen-set is sorted; it reports the codes that were unseen."""
     stats = run_ternary_non_member(capsys, tmp_path, 35)
     assert 0 < int(stats["unseen"]) <= int(stats["applications"])
+    assert stats["seen"] == "sorted"
+    fresh = [int(count) for count in stats["fresh"].split(",")]
+    assert len(fresh) == int(stats["rounds"]) and sum(fresh) == 18 - 2
+
+
+def test_smp_prints_no_fresh_members_for_a_seed_target(capsys, tmp_path, lattice_file):
+    inst = instance_file(tmp_path, "m: 2\ngenerators:\n0 1\ntarget:\n0 1\n")
+    code, out, _ = run(capsys, "smp", "--machine", lattice_file, inst)
+    assert code == 0
+    lines = out.splitlines()
+    assert "rounds=0" in lines and "fresh=none" in lines
 
 
 def test_smp_algebra_from_stdin(capsys, tmp_path, monkeypatch):

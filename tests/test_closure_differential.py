@@ -101,7 +101,7 @@ def member_rounds(result) -> list[int]:
     member comes one round after its latest argument (each round applies
     the operations to tuples touching the previous round's members)."""
     rounds = []
-    for derivation in result._prov:
+    for derivation in result.derivations:
         args = () if isinstance(derivation, int) else derivation[1:]
         rounds.append(1 + max(rounds[a] for a in args) if args else 0)
     return rounds
@@ -135,7 +135,7 @@ def assert_wide_closure_matches(algebra, generators, m, narrow):
         algebra, [repeat_coordinates(g, r) for g in generators], m=m * r
     )
     assert wide.member_list == tuple(repeat_coordinates(x, r) for x in narrow.member_list)
-    assert wide._prov == narrow._prov
+    assert wide.derivations == narrow.derivations
     assert wide.stats == narrow.stats
     assert (wide.stats.boxes, wide.stats.applications) == (
         narrow.stats.boxes, narrow.stats.applications

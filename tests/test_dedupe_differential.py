@@ -8,8 +8,10 @@ boundaries, and for one code or all codes equal.  Over whole closures,
 `reference_round` dedupes each box with `np.unique`; the engine must give
 the same ids, provenance and counters, budget errors included, and the
 same stopped closures, answers and witnesses, over small powers, A_M's
-groups of several operations, and int64 spaces past the byte map's cap
-that take two to four digit passes.
+groups of several operations, int64 spaces past the byte map's cap that
+take two to four digit passes, and object codes past 2^62.  The engine
+keeps a box of one operation as one block with one operation index, the
+reference as one index per member; the derivations they list must agree.
 """
 
 import numpy as np
@@ -75,6 +77,8 @@ def test_first_occurrences_of_python_ints_past_2_62():
 
 # int64 spaces past the byte map's cap: 2, 3 and 4 digit passes
 WIDE_POWERS = ((3, 20), (2, 40), (3, 35), (4, 30), (2, 62))
+# spaces past 2^62, in object codes
+OBJECT_POWERS = ((3, 40), (2, 63), (4, 32))
 
 
 @st.composite
@@ -99,7 +103,8 @@ def layout_closures(draw, powers):
 
 def counters(stats):
     """Everything a closure counts but the lifted tables, which depend on the memo."""
-    return stats.members, stats.rounds, stats.boxes, stats.applications, stats.unseen
+    return (stats.members, stats.rounds, stats.boxes, stats.applications, stats.unseen,
+            stats.fresh, stats.seen)
 
 
 def both(run):
@@ -121,7 +126,7 @@ def assert_same_closure(got, want):
     assert counters(got.stats) == counters(want.stats)
     if not isinstance(got, BudgetExceededError):
         assert got._codes.tolist() == want._codes.tolist()
-        assert got._prov == want._prov
+        assert got.derivations == want.derivations
 
 
 def compare(case, pick, member, budget, seen):
@@ -160,7 +165,8 @@ def compare(case, pick, member, budget, seen):
     (closures(), 200, "bitmap"),
     (extended_closures(), 120, "bitmap"),
     (layout_closures(WIDE_POWERS), 200, "sorted"),
-], ids=["small", "extended", "wide int64"])
+    (layout_closures(OBJECT_POWERS), 100, "sorted"),
+], ids=["small", "extended", "wide int64", "object"])
 def test_engine_matches_the_np_unique_rounds(strategy, examples, seen_space):
     seen = set()
 

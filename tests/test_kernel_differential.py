@@ -24,7 +24,7 @@ from maltcube.terms import OperationSymbol
 
 def engine_holding(n, operations, m, codes):
     engine = _NumpyEngine(FiniteAlgebra(n, operations), m, DEFAULT_BUDGET)
-    engine._append_members(codes, [0] * len(codes))
+    engine._append_members(np.asarray(codes, dtype=engine.dtype))
     return engine
 
 

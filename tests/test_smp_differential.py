@@ -62,7 +62,7 @@ def test_stopped_closure_is_a_prefix_of_the_full_closure():
         count = stopped.stats.members
         assert len(stopped._codes) == count
         assert stopped._codes.tolist() == full._codes.tolist()[:count]
-        assert stopped._prov == full._prov[:count]
+        assert stopped.derivations == full.derivations[:count]
         if target not in full:
             assert target not in stopped
             assert stopped.stats == full.stats
@@ -78,15 +78,15 @@ def test_stopped_closure_is_a_prefix_of_the_full_closure():
             )
             if found_in == 0:
                 assert count == rounds.count(0)
-                derivation = full._prov[position]
+                derivation = full.derivations[position]
                 seen.add("generator" if isinstance(derivation, int) else "constant")
             else:
                 seen.add("last round" if found_in == full.stats.rounds else "earlier round")
                 # the target's box ran last, and its operation's fresh codes ascend
                 code = _pack(target, algebra.size)
                 assert all(c > code for c in stopped._codes.tolist()[position + 1:])
-                op_index = stopped._prov[position][0]
-                assert all(d[0] == op_index for d in stopped._prov[position + 1:])
+                op_index = stopped.derivations[position][0]
+                assert all(d[0] == op_index for d in stopped.derivations[position + 1:])
 
         answer = smp_decide(algebra, SmpInstance(m, generators, target))
         assert answer.answer == (target in full)
@@ -121,21 +121,22 @@ def test_budget_bounds_the_members_up_to_the_target_over_extensions():
         stopped = _close(algebra, generators, m, DEFAULT_BUDGET, target)
         count = stopped.stats.members
         assert stopped._codes.tolist() == full._codes.tolist()[:count]
-        assert stopped._prov == full._prov[:count]
+        assert stopped.derivations == full.derivations[:count]
         if target not in full:
             assert stopped.stats == full.stats
             seen.add("non-member")
             return
         tight = _close(algebra, generators, m, count, target)
-        assert tight._codes.tolist() == stopped._codes.tolist() and tight._prov == stopped._prov
+        assert tight._codes.tolist() == stopped._codes.tolist()
+        assert tight.derivations == stopped.derivations
         if count > 1:
             with pytest.raises(BudgetExceededError):
                 _close(algebra, generators, m, count - 1, target)
         position = full.position(target)
         if member_rounds(full)[position] and position < count - 1:
             # members after the target in its box
-            op_index = stopped._prov[position][0]
-            assert all(d[0] == op_index for d in stopped._prov[position + 1:])
+            op_index = stopped.derivations[position][0]
+            assert all(d[0] == op_index for d in stopped.derivations[position + 1:])
             seen.add("shared box")
         if count < full.stats.members:
             seen.add("stopped early")
