@@ -79,6 +79,7 @@ from .terms import (
     ConditionSyntaxError,
     Identity,
     LinearTerm,
+    LocatedInputError,
     MaltsevCondition,
     OperationSymbol,
     app,

@@ -22,34 +22,32 @@ Subpower-membership instances pair generator tuples with a target tuple:
 `generate_subpower` computes the subalgebra of the m-th power generated
 by the given tuples with a semi-naive (frontier) closure: each round
 applies every operation to argument tuples touching at least one member
-discovered in the previous round.  Members are packed into base-n
-integers and rounds run vectorized over numpy: the codes are int64 while
-n^m <= 2^62 and Python ints in object arrays past that, so every power
-takes the same path.  Operations are lifted to packed codes chunk by
-chunk (a chunk is a run of coordinates) into tables of at most 2^18
-entries.  The operations of one arity share their chunk layout, so they
-are applied together: each block of argument tuples, with the arity's
-operations as one more axis, is cut into boxes, one vectorized call
-each.  A box fixes one position on every axis before a lead axis, takes
-a run of rows on it and every position after it, and holds at most
-64 * 2^16 applications (at most 2^16 unless one row alone is longer).
-Its arguments are runs of members, so per chunk the box reads a lifted
-table, viewed as a matrix over the first k-1 arguments' codes and the
-last argument's, at a few rows and columns: the smaller of its rows and
-its columns is gathered, at most max(box applications, modulus^k)
-entries per operation, and one `np.take` fills the box from that
-sub-table.  Chunks add up in int64, past 2^62 in runs that are turned
-into Python ints once each.  The box's codes that pass the seen-set test
-are deduped by a stable radix argsort over their 16-bit digits, one pass
-per digit of n^m (one up to 2^16, four up to 2^62), which keeps each
-fresh code with its first occurrence; Python ints past 2^62 are sorted
-by `np.unique`.  An operation whose table is a projection
-never derives a fresh member and is left out.  Lifted tables are
-memoized process-wide by their contents (universe size, arity,
-operation table, chunk length), so equal operations of different
-algebras, such as those of repeated extensions, share one read-only
-table; the memo evicts least recently used tables to stay within a
-fixed number of bytes.
+discovered in the previous round.  A member is packed into int64 words,
+the base-n codes of runs of W coordinates, W the most whose code fits 62
+bits; while n^m <= 2^62 that is one word, the member's code.  Operations
+are lifted to packed codes chunk by chunk (a chunk is a run of
+coordinates inside one word) into tables of at most 2^18 entries.  The
+operations of one arity share their chunk layout, so they are applied
+together: each block of argument tuples, with the arity's operations as
+one more axis, is cut into boxes, one vectorized call each.  A box fixes
+one position on every axis before a lead axis, takes a run of rows on it
+and every position after it, and holds at most 64 * 2^16 applications
+(at most 2^16 unless one row alone is longer).  Its arguments are runs
+of members, so per chunk the box reads a lifted table, viewed as a
+matrix over the first k-1 arguments' codes and the last argument's, at a
+few rows and columns: the smaller of its rows and its columns is
+gathered, at most max(box applications, modulus^k) entries per
+operation, and one `np.take` fills the box from that sub-table.  A
+word's chunks add up in int64.  The box's members that pass the seen-set
+test are deduped by a stable radix argsort over their words' 16-bit
+digits, last word first (one pass per word up to 2^16, four up to 2^62),
+which keeps each fresh member with its first occurrence.  An operation
+whose table is a projection never derives a fresh member and is left
+out.  Lifted tables are memoized process-wide by their contents
+(universe size, arity, operation table, chunk length), so equal
+operations of different algebras, such as those of repeated extensions,
+share one read-only table; the memo evicts least recently used tables to
+stay within a fixed number of bytes.
 
 Derivations are kept in the arrays each box already holds: a seed's is
 its generator position or its constant, and a box that finds members
@@ -99,7 +97,7 @@ import threading
 from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import product, repeat
 from math import prod
 from random import Random
@@ -107,7 +105,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .terms import Identity, MaltsevCondition, OperationSymbol, _significant_lines
+from .terms import Identity, LocatedInputError, MaltsevCondition, OperationSymbol
+from .terms import _significant_lines
 
 DEFAULT_BUDGET = 1_000_000
 MAX_APPLICATIONS = 10**9  # operations applied to argument tuples per closure (~10 ns each)
@@ -201,7 +200,12 @@ def random_algebra(
 
 @dataclass(frozen=True)
 class TermTree:
-    """A term over an algebra's signature; leaves name argument positions."""
+    """A term over an algebra's signature; leaves name argument positions.
+
+    Terms compare and hash by structure, in time linear in their DAGs:
+    subterm objects are shared, so an unfolding can be exponentially
+    larger, and a chain can be deeper than the recursion limit.
+    """
 
     symbol: OperationSymbol | None
     children: tuple["TermTree", ...] = ()
@@ -213,6 +217,41 @@ class TermTree:
                 raise ValueError("a leaf carries just an argument position")
         elif len(self.children) != self.symbol.arity or self.position is not None:
             raise ValueError(f"malformed node for {self.symbol}")
+
+    def __eq__(self, other: object) -> bool:
+        """Equal structure, found by interning both terms' nodes in one
+        table: linear in their DAGs, however large their unfoldings."""
+        if not isinstance(other, TermTree):
+            return NotImplemented
+        table: dict = {}
+
+        def interned(tree: TermTree) -> int:
+            return _fold_tree(
+                tree,
+                lambda n: table.setdefault(n.position, len(table)),
+                lambda n, ids: table.setdefault((n.symbol, *ids), len(table)),
+            )[id(tree)]
+
+        return self is other or interned(self) == interned(other)
+
+    def __hash__(self) -> int:
+        """The structure's hash, computed bottom-up once per node and cached
+        on it, so shared subterms are hashed once."""
+        stack = [self]
+        while "_hash" not in self.__dict__:
+            current = stack[-1]
+            waiting = [c for c in current.children if "_hash" not in c.__dict__]
+            if waiting:
+                stack.extend(waiting)
+            else:
+                stack.pop()
+                key = (current.symbol, current.position, *(c._hash for c in current.children))
+                object.__setattr__(current, "_hash", hash(key))
+        return self._hash
+
+    def __getstate__(self) -> dict:
+        # string hashes differ between processes, so the cached one stays behind
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
 
 def leaf(position: int) -> TermTree:
@@ -356,14 +395,8 @@ def satisfies(algebra: FiniteAlgebra, condition: MaltsevCondition) -> ModelCheck
 # --- text formats -----------------------------------------------------------
 
 
-class AlgebraFormatError(ValueError):
-    """Raised for malformed algebra or instance files; carries source name and line."""
-
-    def __init__(self, message: str, *, source: str = "<string>", line: int | None = None):
-        self.source = source
-        self.line = line
-        where = source if line is None else f"{source}:{line}"
-        super().__init__(f"{where}: {message}")
+class AlgebraFormatError(LocatedInputError):
+    """Raised for malformed algebra or instance files."""
 
 
 def parse_algebra(text: str, source: str = "<string>") -> FiniteAlgebra:
@@ -518,7 +551,7 @@ class ClosureStats:
     hold, so the boxes after that one are not run or counted.  `fresh`
     has one entry per counted round, the members it found (kept, for a
     stopped round), so its entries sum to `members` minus the seeds.
-    `seen` names the seen-set: "bitmap" up to 2^26 codes, else "sorted".
+    `seen` names the seen-set: "bitmap" for one word up to 2^26, else "sorted".
     These eight describe how the closure worked, not what it found, so
     they take no part in equality.
     """
@@ -560,12 +593,28 @@ class BudgetExceededError(RuntimeError):
         super().__init__(message)
 
 
-def _pack(member: Sequence[int], n: int) -> int:
-    """The base-n code of a member, first coordinate most significant."""
-    code = 0
-    for digit in member:
-        code = code * n + digit
-    return code
+def _word_width(n: int, m: int) -> int:
+    """W, the coordinates of one word: the largest L <= m with n^L <= 2^62, at least 1."""
+    width = max(1, min(m, 62 // n.bit_length()))  # a start at or below W: n < 2^bits
+    while width < m and n ** (width + 1) <= 1 << 62:
+        width += 1
+    return width
+
+
+def _pack(member: Sequence[int], n: int, width: int) -> tuple[int, ...]:
+    """The member's words: base-n codes of runs of `width` coordinates, first most significant."""
+    words = []
+    for start in range(0, len(member), width):
+        code = 0
+        for digit in member[start:start + width]:
+            code = code * n + digit
+        words.append(code)
+    return tuple(words)
+
+
+def _rows_equal(words: Sequence[np.ndarray], key: tuple[int, ...]) -> np.ndarray:
+    """Which rows of the words equal the packed member `key`."""
+    return reduce(np.logical_and, map(np.equal, words, key))
 
 
 def _seeds(algebra: FiniteAlgebra, generators, m: int) -> list[tuple[tuple[int, ...], object]]:
@@ -588,7 +637,7 @@ class ClosureResult:
     """Members of a generated subpower plus their derivations.
 
     Immutable once returned, and a view over the engine's arrays.  The
-    packed codes: `member_list` and `members` unpack them once, on first
+    packed words: `member_list` and `members` unpack them once, on first
     use.  The derivations: the seeds' come first, each an int generator
     position or (op_index,) for a nullary constant; then one block
     (start, ops, args) per box that found members, covering the members
@@ -600,10 +649,10 @@ class ClosureResult:
     an int or (op_index, *argument positions), on first use.
     """
 
-    def __init__(self, algebra, m, codes, seeds, blocks, op_symbols, stats):
+    def __init__(self, algebra, m, words, seeds, blocks, op_symbols, stats):
         self.algebra: FiniteAlgebra = algebra
         self.m = m
-        self._codes = codes                  # packed base-size codes, the engine's array
+        self._words = words                  # one int64 array per word, the engine's
         self._seeds = seeds                  # int leaf position | (op_index,) per seed
         self._blocks = blocks                # (start, ops, args) per box, in member order
         self._starts = [start for start, _, _ in blocks]
@@ -629,14 +678,15 @@ class ClosureResult:
 
     @cached_property
     def member_list(self) -> tuple[tuple[int, ...], ...]:
-        """The members in member order, their digits read off the codes by
-        vectorized `//` and `%` (int64 and object codes alike)."""
+        """The members in member order, their digits read off each word by
+        vectorized `//` and `%`."""
         n = self.algebra.size
-        digits = np.empty((len(self._codes), self.m), dtype=np.int64)
-        codes = self._codes
-        for j in reversed(range(self.m)):
-            digits[:, j] = codes % n
-            codes = codes // n
+        digits = np.empty((len(self._words[0]), self.m), dtype=np.int64)
+        width = _word_width(n, self.m)
+        for start, word in zip(range(0, self.m, width), self._words):
+            for j in reversed(range(start, min(start + width, self.m))):
+                digits[:, j] = word % n
+                word = word // n
         return tuple(map(tuple, digits.tolist()))
 
     @cached_property
@@ -645,11 +695,12 @@ class ClosureResult:
 
     def position(self, member: Sequence[int]) -> int | None:
         """The member's index in member order, or None for a non-member;
-        one lookup compares the code with every member's at once."""
+        one lookup per word compares its code with every member's at once."""
         member = tuple(member)
         if len(member) != self.m or any(not 0 <= v < self.algebra.size for v in member):
             return None
-        at = np.flatnonzero(self._codes == _pack(member, self.algebra.size))
+        key = _pack(member, self.algebra.size, _word_width(self.algebra.size, self.m))
+        at = np.flatnonzero(_rows_equal(self._words, key))
         return int(at[0]) if len(at) else None
 
     def __contains__(self, member: Sequence[int]) -> bool:
@@ -697,7 +748,7 @@ class ClosureResult:
 
 
 class _BitmapSeen:
-    """A byte per code of the power, set once the code is seen.
+    """A byte per code of the power, set once the code is seen; one word only.
 
     The map starts zeroed, so its pages cost no time or memory until a
     code on them is seen; a map of unseen codes, filled with ones, would
@@ -710,36 +761,47 @@ class _BitmapSeen:
     def __init__(self, space: int):
         self._seen = np.zeros(space, dtype=bool)
 
-    def new_mask(self, codes: np.ndarray) -> np.ndarray:
-        mask = self._seen.take(codes)
+    def new_mask(self, words: Sequence[np.ndarray]) -> np.ndarray:
+        mask = self._seen.take(words[0])
         return np.logical_not(mask, out=mask)
 
-    def add(self, codes: np.ndarray) -> None:
-        self._seen[codes] = True
+    def add(self, words: Sequence[np.ndarray]) -> None:
+        self._seen[words[0]] = True
 
 
 class _SortedSeen:
+    """Seen members as sorted keys: a lone word's codes, else the words' big-endian bytes."""
+
     kind = "sorted"
 
-    def __init__(self, dtype) -> None:
-        self._sorted = np.empty(0, dtype=dtype)
+    def __init__(self, count: int) -> None:
+        self._sorted = np.empty(0, dtype=np.int64 if count == 1 else (np.void, 8 * count))
 
-    def new_mask(self, codes: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self._sorted, codes)
+    def _keys(self, words: Sequence[np.ndarray]) -> np.ndarray:
+        if len(words) == 1:  # a lone word searches faster as int64 than as bytes
+            return words[0]
+        keys = np.empty((len(words[0]), len(words)), dtype=">i8")
+        for j, word in enumerate(words):
+            keys[:, j] = word
+        return keys.view(self._sorted.dtype).reshape(-1)
+
+    def new_mask(self, words: Sequence[np.ndarray]) -> np.ndarray:
+        keys = self._keys(words)
+        idx = np.searchsorted(self._sorted, keys)
         inside = idx < len(self._sorted)
-        mask = np.ones(len(codes), dtype=bool)
-        mask[inside] = self._sorted[idx[inside]] != codes[inside]
+        mask = np.ones(len(keys), dtype=bool)
+        mask[inside] = self._sorted[idx[inside]] != keys[inside]
         return mask
 
-    def add(self, codes: np.ndarray) -> None:
-        self._sorted = np.union1d(self._sorted, codes)
+    def add(self, words: Sequence[np.ndarray]) -> None:
+        self._sorted = np.union1d(self._sorted, self._keys(words))
 
 
 @dataclass(frozen=True)
 class _ChunkSpec:
-    shift: int     # weight of this chunk's code in the packed member
+    word: int      # the word this chunk's coordinates lie in
+    scale: int     # weight of this chunk's code within its word
     modulus: int   # number of codes for this chunk
-    scale: int     # weight of this chunk's code within its run; fits int64
     # one lifted table per operation of the group, as a matrix: a row per
     # combination of the first k-1 arguments' codes, a column per last code
     matrices: tuple[np.ndarray, ...]
@@ -862,55 +924,46 @@ def _sub_table(matrices: Sequence[np.ndarray], rows: np.ndarray, last: np.ndarra
     return np.stack(picked, dtype=np.int64), index, axis
 
 
-def _first_occurrences(codes: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct codes in ascending order and the index of each one's first occurrence.
+def _first_occurrences(words: list, spaces: list) -> tuple[list, np.ndarray]:
+    """The distinct rows of the words, word j in [0, spaces[j]), in
+    ascending order, and the index of each one's first occurrence.
 
-    Equals `np.unique(codes, return_index=True)` for codes in [0, space).
-    Int64 codes are ordered by a stable least-significant-digit radix
-    argsort over 16-bit digits, one pass per digit that `space` needs (one
-    up to 2^16, four up to 2^62): numpy sorts `uint16` keys stably by
-    counting.  Stability keeps each run of equal codes in index order, so
-    its head is the first occurrence.  Python ints past 2^62 keep
-    `np.unique`'s comparison sort.
+    A stable radix argsort orders the rows by the 16-bit digits of every
+    word, last word first, one pass per digit of its space (one up to 2^16,
+    four up to 2^62): `np.lexsort` sorts by each `uint16` key in turn,
+    stably by counting.  Each run of equal rows keeps index order, so its
+    head, where any word differs from the row before, is the first
+    occurrence.
     """
-    if codes.dtype == object:
-        return np.unique(codes, return_index=True)
-    order = np.argsort(codes.astype(np.uint16), kind="stable")
-    shift = 16
-    while space > 1 << shift:
-        digit = (codes[order] >> shift).astype(np.uint16)
-        order = order[np.argsort(digit, kind="stable")]
-        shift += 16
-    ordered = codes[order]
-    head = np.empty(len(codes), dtype=bool)
+    keys = [(words[j] >> shift if shift else words[j]).astype(np.uint16)
+            for j in range(len(words) - 1, -1, -1)
+            for shift in range(0, max(spaces[j] - 1, 1).bit_length(), 16)]
+    # a lone key: `argsort` gives the same order with less overhead per call
+    order = np.lexsort(keys) if len(keys) > 1 else np.argsort(keys[0], kind="stable")
+    ordered = [word[order] for word in words]
+    head = np.empty(len(order), dtype=bool)
     head[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
-    return ordered[head], order[head]
+    np.not_equal(ordered[0][1:], ordered[0][:-1], out=head[1:])
+    for word in ordered[1:]:
+        head[1:] |= word[1:] != word[:-1]
+    return [word[head] for word in ordered], order[head]
 
 
 class _NumpyEngine:
-    """Vectorized semi-naive closure over packed member codes.
+    """Vectorized semi-naive closure over members kept as int64 words.
 
-    The operations of one arity form a group, in first-occurrence order,
-    and a box spans the whole group: the group's operations are the last
-    axis of every block handed to `_boxes`, so a box is bounded by its
-    applications (argument tuples times operations), and its chunk
-    indices, seen-set test, dedupe and provenance are computed once for
-    all of them.  Operations whose table is a projection are left
-    out, since they derive nothing fresh.  A box is filled per chunk
-    from a sub-table of the lifted matrices, the box's rows or its
-    columns, whichever is smaller (`_sub_table`), so no box-sized index
-    is built.  The codes that pass the seen-set test are deduped by
-    `_first_occurrences`, a radix argsort of their 16-bit digits.  Codes
-    are int64 while n^m fits 62 bits and Python ints in object arrays
-    past that; numpy's arithmetic, sorting and searching treat both
-    alike, and the chunks are added in int64 runs either way.  The chunk
-    codes of the members are kept as `np.intp`, so they index the lifted
-    tables with no cast.  `run` computes the ceiling n^d once from the d
-    distinct generator columns, and the closure ends right after the box
-    that brings the members to it (`_saturated`): later boxes could only
-    yield seen codes.  Before each round `run` refuses the round if it
-    would take the closure's applications past `MAX_APPLICATIONS`.
+    `words` holds one array per word, in member order: one word while
+    n^m <= 2^62.  The operations of one arity form a group, in
+    first-occurrence order, and a box spans the whole group (the last axis
+    of every block handed to `_boxes`), so its chunk indices, seen-set
+    test, dedupe and provenance are computed once for all of them;
+    projections are left out.  A box is filled per chunk from a sub-table
+    of the lifted matrices (`_sub_table`), a word's chunks added in int64,
+    and the rows that pass the seen-set test are deduped by
+    `_first_occurrences`.  Chunk codes are kept as `np.intp`, so they
+    index the lifted tables with no cast.  The closure ends right after
+    the box that brings the members to the ceiling n^d (`_saturated`), and
+    `run` refuses a round that would pass `MAX_APPLICATIONS` before it runs.
     """
 
     def __init__(self, algebra: FiniteAlgebra, m: int, budget: int):
@@ -918,11 +971,12 @@ class _NumpyEngine:
         self.n = algebra.size
         self.m = m
         self.budget = budget
-        self.space = self.n ** m
-        self.dtype = np.int64 if self.space <= 2 ** 62 else object
-        self.seen = (_BitmapSeen(self.space) if self.space <= _BITMAP_CAP
-                     else _SortedSeen(self.dtype))
-        self.ids = np.empty(0, dtype=self.dtype)  # packed member codes, in member order
+        self.width = _word_width(self.n, m)
+        self.bounds = [(s, min(s + self.width, m)) for s in range(0, m, self.width)]
+        self.spaces = [self.n ** (end - start) for start, end in self.bounds]
+        self.seen = (_BitmapSeen(self.spaces[0]) if self.spaces[0] <= _BITMAP_CAP  # then one word
+                     else _SortedSeen(len(self.spaces)))
+        self.words = [np.empty(0, dtype=np.int64) for _ in self.bounds]  # in member order
         self.blocks: list = []  # (start, ops, args) per box that found members
         self.op_symbols = tuple(algebra.operations)
         self.tables = list(algebra.operations.values())
@@ -938,56 +992,35 @@ class _NumpyEngine:
         self.applications = 0
         self.unseen = 0
         self.fresh: list[int] = []
-        self._plans: dict[int, list[_ChunkSpec]] = {}
-        self._comps: dict[tuple[int, int], np.ndarray] = {}
+        self._plans: dict[int, list[list[_ChunkSpec]]] = {}
+        self._comps: dict[tuple[int, int, int], np.ndarray] = {}
 
     # -- lifted tables --------------------------------------------------
 
-    def _chunk_lengths(self, arity: int) -> list[tuple[int, int]]:
-        """(start, length) chunks of the m coordinates for one arity."""
-        length = 1
-        while length < self.m and (self.n ** (length + 1)) ** arity <= _TABLE_CAP:
-            length += 1
-        out = []
-        start = 0
-        while start < self.m:
-            step = min(length, self.m - start)
-            out.append((start, step))
-            start += step
-        return out
-
-    def _plan(self, arity: int, ops: Sequence[int]) -> list[tuple[int, list[_ChunkSpec]]]:
-        """The chunks of one group, as runs whose codes add up in int64.
-
-        Same-arity operations share the layout.  A run is a maximal stretch
-        of chunks, most significant first, spanning at most 2^62 codes, and
-        comes with its weight in the packed member; while n^m fits 62 bits
-        that is one run of weight 1.
-        """
+    def _plan(self, arity: int, ops: Sequence[int]) -> list[list[_ChunkSpec]]:
+        """The chunks of one group, per word: each word's coordinates cut into
+        chunks whose lifted tables have at most `_TABLE_CAP` entries (the last
+        of a word shorter); same-arity operations share the layout."""
         if arity in self._plans:
             return self._plans[arity]
-        runs: list[list[tuple[int, int]]] = []
-        for start, length in self._chunk_lengths(arity):
-            if not runs or self.n ** (start + length - runs[-1][0][0]) > 2 ** 62:
-                runs.append([])
-            runs[-1].append((start, length))
-        plan = []
-        for chunks in runs:
-            weight = self.n ** (self.m - sum(chunks[-1]))
-            specs = []
-            for start, length in chunks:
-                modulus = self.n ** length
+        length = 1
+        while length < self.width and (self.n ** (length + 1)) ** arity <= _TABLE_CAP:
+            length += 1
+        plan: list[list[_ChunkSpec]] = [[] for _ in self.bounds]
+        for word, (first, end) in enumerate(self.bounds):
+            for start in range(first, end, length):
+                step = min(length, end - start)
+                modulus = self.n ** step
                 matrices = []
                 for op_index in ops:
-                    table, built = _lifted_table(self.n, arity, self.tables[op_index], length)
+                    table, built = _lifted_table(self.n, arity, self.tables[op_index], step)
                     if built:
                         self.lifts_built += 1
                     else:
                         self.lifts_reused += 1
                     matrices.append(table.reshape(-1, modulus))
-                shift = self.n ** (self.m - start - length)
-                specs.append(_ChunkSpec(shift, modulus, shift // weight, tuple(matrices)))
-            plan.append((weight, specs))
+                plan[word].append(_ChunkSpec(word, self.n ** (end - start - step), modulus,
+                                             tuple(matrices)))
         self._plans[arity] = plan
         return plan
 
@@ -1025,39 +1058,39 @@ class _NumpyEngine:
         if self.applications + refused > MAX_APPLICATIONS:
             raise BudgetExceededError(self._stats(current), self.budget, refused)
 
-    def _append_members(self, codes: np.ndarray) -> None:
-        """Add packed codes of the engine's dtype, and their chunk codes."""
-        self._check_budget(len(self.ids) + len(codes))
-        self.ids = np.concatenate([self.ids, codes])
-        for (shift, modulus), comp in self._comps.items():
-            extra = ((codes // shift) % modulus).astype(np.intp, copy=False)
-            self._comps[(shift, modulus)] = np.concatenate([comp, extra])
+    def _append_members(self, words: Sequence[np.ndarray]) -> None:
+        """Add members, given as one int64 array per word, and their chunk codes."""
+        self._check_budget(len(self.words[0]) + len(words[0]))
+        self.words = [np.concatenate(pair) for pair in zip(self.words, words)]
+        for (word, scale, modulus), comp in self._comps.items():
+            extra = ((words[word] // scale) % modulus).astype(np.intp, copy=False)
+            self._comps[(word, scale, modulus)] = np.concatenate([comp, extra])
 
     def _comp(self, spec: _ChunkSpec) -> np.ndarray:
-        key = (spec.shift, spec.modulus)
+        key = (spec.word, spec.scale, spec.modulus)
         comp = self._comps.get(key)
         if comp is None:
-            comp = ((self.ids // spec.shift) % spec.modulus).astype(np.intp, copy=False)
+            comp = (self.words[spec.word] // spec.scale) % spec.modulus
+            comp = comp.astype(np.intp, copy=False)
             self._comps[key] = comp
         return comp
 
     # -- rounds ---------------------------------------------------------
 
-    def _apply(self, plan: list[tuple[int, list[_ChunkSpec]]], lo: int, hi: int,
-               firsts: Sequence[int], extents: Sequence[int]) -> np.ndarray:
-        """Codes of a group's operations lo..hi-1 on a box's argument tuples.
+    def _apply(self, plan: list[list[_ChunkSpec]], lo: int, hi: int,
+               firsts: Sequence[int], extents: Sequence[int]) -> list[np.ndarray]:
+        """Words of a group's operations lo..hi-1 on a box's argument tuples.
 
         Argument i runs over the members firsts[i] .. firsts[i] + extents[i]
-        - 1.  Returns one row per operation, the tuples in row-major order
-        along it.  Per chunk, the box's codes are slices of the chunk
-        codes; the first k-1 arguments' combine into row numbers of the
-        lifted matrices and the last argument's are column numbers.  The
-        chunk's sub-table (`_sub_table`) is cast and scaled, and one
-        `np.take` fills the box from it.  A run's chunks add up in int64;
-        past 2^62 each run is turned into Python ints once and weighted.
+        - 1.  Returns one flat array per word, by operation, then the tuples
+        in row-major order.  Per chunk, the box's codes are slices of the
+        chunk codes; the first k-1 arguments' combine into row numbers of
+        the lifted matrices and the last argument's are column numbers.
+        The chunk's sub-table (`_sub_table`) is cast and scaled, one
+        `np.take` fills the box from it, and a word's chunks add up in int64.
         """
-        result = None
-        for weight, specs in plan:
+        result = []
+        for specs in plan:
             total = None
             for spec in specs:
                 comp = self._comp(spec)
@@ -1070,14 +1103,10 @@ class _NumpyEngine:
                     sub *= spec.scale
                 part = sub.take(index, axis=axis)
                 total = part if total is None else np.add(total, part, out=total)
-            if self.dtype is object:
-                total = total.astype(object)
-                if weight != 1:
-                    total *= weight
-            result = total if result is None else np.add(result, total, out=result)
+            result.append(total.reshape(-1))
         return result
 
-    def _round(self, old: int, current: int, goal: int | None, found: list) -> bool:
+    def _round(self, old: int, current: int, goal: tuple | None, found: list) -> bool:
         """Collect the fresh members of one round; True once the closure is done.
 
         The round applies every operation to the argument tuples that touch
@@ -1085,11 +1114,12 @@ class _NumpyEngine:
         (operation, code), each credited to the first operation and then
         the first tuple that yields it; the box that yields `goal` keeps
         only those of the operations up to `goal`'s.  Each box that finds
-        members appends (codes, ops, args) to `found`: its fresh codes, the
-        operation index (an int for a box of one operation, else one per
-        member) and one array of argument member positions per argument.
-        The closure is done after the box that yields `goal` or brings the
-        members to the ceiling, tested after that box's budget check.
+        members appends (words, ops, args) to `found`: its fresh members'
+        words, the operation index (an int for a box of one operation, else
+        one per member) and one array of argument member positions per
+        argument.  The closure is done after the box that yields `goal` or
+        brings the members to the ceiling, tested after that box's budget
+        check.
         """
         members = current
         for k, ops in self.groups:
@@ -1103,15 +1133,15 @@ class _NumpyEngine:
                     *starts, lo = starts
                     *extents, width = extents
                     firsts = [b + s for b, s in zip(bases, starts)]
-                    codes = self._apply(plan, lo, lo + width, firsts, extents).reshape(-1)
+                    words = self._apply(plan, lo, lo + width, firsts, extents)
                     self.boxes += 1
-                    self.applications += len(codes)
-                    hits = np.flatnonzero(self.seen.new_mask(codes))
+                    self.applications += len(words[0])
+                    hits = np.flatnonzero(self.seen.new_mask(words))
                     if not len(hits):
                         continue
                     self.unseen += len(hits)
-                    fresh, first = _first_occurrences(codes[hits], self.space)
-                    reached = goal is not None and goal in fresh
+                    fresh, first = _first_occurrences([w[hits] for w in words], self.spaces)
+                    reached = goal is not None and goal[0] in fresh[0] and _rows_equal(fresh, goal).any()
                     if width == 1:  # fresh is in code order, all of one operation
                         op = ops[lo]
                         offsets = np.unravel_index(hits[first], extents)
@@ -1119,13 +1149,13 @@ class _NumpyEngine:
                         op_at, *offsets = np.unravel_index(hits[first], (width, *extents))
                         order = np.argsort(op_at, kind="stable")
                         if reached:  # stop after the target's operation
-                            order = order[op_at[order] <= op_at[fresh == goal][0]]
-                        fresh = fresh[order]
+                            order = order[op_at[order] <= op_at[_rows_equal(fresh, goal)][0]]
+                        fresh = [f[order] for f in fresh]
                         op = np.asarray(ops[lo:lo + width])[op_at[order]]
                         offsets = [o[order] for o in offsets]
                     self.seen.add(fresh)
                     found.append((fresh, op, tuple(f + o for f, o in zip(firsts, offsets))))
-                    members += len(fresh)
+                    members += len(fresh[0])
                     self._check_budget(members)
                     if reached or self._saturated(members):
                         return True
@@ -1134,20 +1164,20 @@ class _NumpyEngine:
     def run(
         self, generators: Sequence[tuple[int, ...]], target: tuple[int, ...] | None = None
     ) -> ClosureResult:
-        goal = None if target is None else _pack(target, self.n)
+        goal = None if target is None else _pack(target, self.n, self.width)
         self.columns = len(set(zip(*generators))) or 1
         self.ceiling = self.n ** self.columns
         seeds = _seeds(self.algebra, generators, self.m)
-        seed_codes = [_pack(member, self.n) for member, _ in seeds]
+        seed_codes = [_pack(member, self.n, self.width) for member, _ in seeds]
         if seeds:
-            codes = np.asarray(seed_codes, dtype=self.dtype)
-            self.seen.add(codes)
-            self._append_members(codes)
+            words = [np.array(column, dtype=np.int64) for column in zip(*seed_codes)]
+            self.seen.add(words)
+            self._append_members(words)
 
-        done = goal in seed_codes or self._saturated(len(self.ids))
+        done = goal in seed_codes or self._saturated(len(self.words[0]))
         old = 0
-        while old < len(self.ids) and not done:
-            current = len(self.ids)
+        while old < len(self.words[0]) and not done:
+            current = len(self.words[0])
             self._check_applications(old, current)
             found: list = []
             done = self._round(old, current, goal, found)
@@ -1155,20 +1185,32 @@ class _NumpyEngine:
             if found:
                 self.rounds += 1
                 start = current
-                for codes, op, args in found:
+                for words, op, args in found:
                     self.blocks.append((start, op, args))
-                    start += len(codes)
+                    start += len(words[0])
                 self.fresh.append(start - current)
-                self._append_members(np.concatenate([codes for codes, _, _ in found]))
+                self._append_members([np.concatenate(column)
+                                      for column in zip(*(words for words, _, _ in found))])
         return ClosureResult(
             self.algebra,
             self.m,
-            self.ids,
+            self.words,
             [derivation for _, derivation in seeds],
             self.blocks,
             self.op_symbols,
-            self._stats(len(self.ids)),
+            self._stats(len(self.words[0])),
         )
+
+
+def _check_entries(role: str, values: tuple, size: int) -> None:
+    """Refuse a generator or target with an entry that is not an integer
+    (an int, a numpy integer or a bool) or that leaves {0..size-1}."""
+    integers = (int, np.integer, np.bool_)
+    for v in values:
+        if not isinstance(v, integers):
+            raise ValueError(f"{role} {values} has an entry that is not an integer")
+        if not 0 <= v < size:
+            raise ValueError(f"{role} {values} leaves the universe")
 
 
 def _close(
@@ -1192,11 +1234,12 @@ def _close(
         m = len(generators[0])
     if m < 1:
         raise ValueError("power must be at least 1")
+    if algebra.size > 1 << 62:
+        raise ValueError("the closure's int64 words hold universes of at most 2^62 elements")
     for g in generators:
         if len(g) != m:
             raise ValueError(f"generator {g} does not have length {m}")
-        if any(not 0 <= v < algebra.size for v in g):
-            raise ValueError(f"generator {g} leaves the universe")
+        _check_entries("generator", g, algebra.size)
     if budget < 1:
         raise ValueError("budget must be positive")
     return _NumpyEngine(algebra, m, budget).run(generators, target)
@@ -1245,8 +1288,7 @@ def smp_decide(
     it holds fewer, so `stats.members` is the whole subpower's.  The
     witness is the one the full closure records.
     """
-    if any(not 0 <= v < algebra.size for v in instance.target):
-        raise ValueError(f"target {instance.target} leaves the universe")
+    _check_entries("target", instance.target, algebra.size)
     closure = _close(algebra, instance.generators, instance.m, budget, instance.target)
     position = closure.position(instance.target)
     if position is not None:

@@ -76,8 +76,9 @@ def _write(path: str | None, text: str) -> None:
 
 
 def _render_witness(tree) -> str:
-    if tree_size(tree) > _WITNESS_RENDER_CAP:
-        return f"(too large to render: {tree_size(tree)} nodes)"
+    size = tree_size(tree)
+    if size > _WITNESS_RENDER_CAP:
+        return f"(too large to render: {size} nodes)"
     return render_tree(tree)
 
 

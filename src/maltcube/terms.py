@@ -318,14 +318,18 @@ def random_condition(
 # --- text format ------------------------------------------------------------
 
 
-class ConditionSyntaxError(ValueError):
-    """Raised for malformed condition files; carries source name and line."""
+class LocatedInputError(ValueError):
+    """Raised for malformed input text; carries source name and line."""
 
     def __init__(self, message: str, *, source: str = "<string>", line: int | None = None):
         self.source = source
         self.line = line
         where = source if line is None else f"{source}:{line}"
         super().__init__(f"{where}: {message}")
+
+
+class ConditionSyntaxError(LocatedInputError):
+    """Raised for malformed condition files."""
 
 
 _SIDE_RE = re.compile(rf"({_NAME_RE.pattern})\s*(?:\((.*)\))?")

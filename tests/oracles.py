@@ -20,13 +20,13 @@ available, trading speed for obviousness:
     coordinate and packing the result, rather than by outer products;
   * a closure box's codes are gathered chunk by chunk through an index
     of every argument tuple into the flat lifted table, each chunk
-    weighted in the engine's dtype, rather than taken from the smaller
-    of the box's rows and columns of the lifted matrix and added in
-    int64 runs;
-  * a closure round finds each box's fresh codes, and where each first
-    occurs, with `np.unique`'s comparison sort over the codes that pass
-    the seen-set test, rather than with a radix argsort of their 16-bit
-    digits;
+    weighted as a Python int by its place in the whole member, rather
+    than taken from the smaller of the box's rows and columns of the
+    lifted matrix and added in int64 per word;
+  * a closure round finds each box's fresh members, and where each first
+    occurs, with `np.unique`'s comparison sort over the rows of words
+    that pass the seen-set test, rather than with a radix argsort of
+    their words' 16-bit digits;
   * the absorbing extension asks the canonical closure for every
     pattern's derivable positions with `same_class`, and looks up the
     equality pattern of every table row one at a time, rather than
@@ -398,24 +398,27 @@ def reference_lifted_table(
 
 
 def reference_box_codes(engine, plan, lo: int, hi: int, firsts, extents):
-    """Codes of a group's operations lo..hi-1 on a closure box, one row each.
+    """Base-n codes of the whole members that a group's operations lo..hi-1
+    give on a closure box, as Python ints, one row per operation.
 
     Argument i runs over the engine's members firsts[i] .. firsts[i] +
     extents[i] - 1.  Per chunk, the chunk codes of every argument tuple
     combine into one box-sized index into each flat lifted table; the
-    gathered codes are turned into the engine's dtype (Python ints past
-    2^62), weighted by the chunk's place in the packed member and added.
+    gathered codes are turned into Python ints, weighted by the chunk's
+    place in the whole member (its scale in its word times the word's
+    weight, n to the coordinates after the word) and added.
     """
     positions = [np.arange(f, f + e, dtype=np.int64) for f, e in zip(firsts, extents)]
     result = None
-    for spec in (spec for _, specs in plan for spec in specs):
+    for spec in (spec for specs in plan for spec in specs):
         comp = engine._comp(spec)
         idx = comp[positions[0]].astype(np.int64)
         for p in positions[1:]:
             idx = idx[..., None] * spec.modulus + comp[p]
         idx = idx.reshape(-1)
         rows = [matrix.reshape(-1)[idx] for matrix in spec.matrices[lo:hi]]
-        part = np.vstack(rows).astype(engine.dtype) * spec.shift
+        after = engine.m - engine.bounds[spec.word][1]
+        part = np.vstack(rows).astype(object) * (spec.scale * engine.n**after)
         result = part if result is None else result + part
     return result
 
@@ -426,9 +429,10 @@ def reference_round(engine, old: int, current: int, goal, found: list) -> bool:
     A drop-in for `_NumpyEngine._round`: the same boxes, seen-set test,
     member order, provenance, counters and stops (at the goal's box, or
     at the box whose members fill the ceiling n^d), but a box's fresh
-    codes and their first occurrences come from `np.unique(...,
-    return_index=True)` over the codes the seen-set test passes, and every
-    box is sorted by operation and records one operation per member.
+    members and their first occurrences come from `np.unique(...,
+    axis=0, return_index=True)` over the rows of words the seen-set test
+    passes, and every box is sorted by operation and records one
+    operation per member.
     """
     members = current
     for k, ops in engine.groups:
@@ -442,27 +446,30 @@ def reference_round(engine, old: int, current: int, goal, found: list) -> bool:
                 *starts, lo = starts
                 *extents, width = extents
                 firsts = [b + s for b, s in zip(bases, starts)]
-                codes = engine._apply(plan, lo, lo + width, firsts, extents).reshape(-1)
+                words = engine._apply(plan, lo, lo + width, firsts, extents)
                 engine.boxes += 1
-                engine.applications += len(codes)
-                mask = engine.seen.new_mask(codes)
+                engine.applications += len(words[0])
+                mask = engine.seen.new_mask(words)
                 if not mask.any():
                     continue
                 engine.unseen += int(mask.sum())
-                fresh, first = np.unique(codes[mask], return_index=True)
-                reached = goal is not None and goal in fresh
+                rows, first = np.unique(np.stack([w[mask] for w in words], 1), axis=0,
+                                        return_index=True)
+                fresh = [np.ascontiguousarray(column) for column in rows.T]
+                at_goal = np.zeros(len(rows), dtype=bool) if goal is None else (rows == goal).all(1)
+                reached = at_goal.any()
                 op_at, *offsets = np.unravel_index(
                     np.flatnonzero(mask)[first], (width, *extents)
                 )
                 order = np.argsort(op_at, kind="stable")
                 if reached:  # stop after the target's operation
-                    order = order[op_at[order] <= op_at[fresh == goal][0]]
-                fresh, op_at = fresh[order], op_at[order]
+                    order = order[op_at[order] <= op_at[at_goal][0]]
+                fresh, op_at = [f[order] for f in fresh], op_at[order]
                 offsets = [o[order] for o in offsets]
                 engine.seen.add(fresh)
                 found.append((fresh, np.asarray(ops[lo:lo + width])[op_at],
                               tuple(f + o for f, o in zip(firsts, offsets))))
-                members += len(fresh)
+                members += len(op_at)
                 engine._check_budget(members)
                 if reached or engine._saturated(members):
                     return True

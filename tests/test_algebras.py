@@ -1,5 +1,6 @@
 """Finite algebras, term trees, subpower closure, and the membership solver."""
 
+import pickle
 import time
 from random import Random
 
@@ -33,7 +34,13 @@ from maltcube.algebras import (
 )
 from maltcube.construction import extend
 from maltcube.interp import dual_implication_algebra, find_interpretation
-from maltcube.terms import OperationSymbol, hagemann_mitschke_condition, parse_condition
+from maltcube.terms import (
+    ConditionSyntaxError,
+    LocatedInputError,
+    OperationSymbol,
+    hagemann_mitschke_condition,
+    parse_condition,
+)
 
 PLUS = OperationSymbol("plus", 2)
 NEG = OperationSymbol("neg", 1)
@@ -221,6 +228,38 @@ def test_shared_subtrees_count_unfolded():
     assert tree_symbols(t) == frozenset({PLUS})
 
 
+def test_trees_compare_and_hash_by_structure_in_dag_time():
+    """A depth-60 term t = plus(t, t) unfolds to 2^61 nodes, and a chain
+    of 3,000 successors from two closure runs is deeper than the recursion
+    limit; both compare and hash in time linear in their DAGs."""
+    def doubled(depth, position=0):
+        t = leaf(position)
+        for _ in range(depth):
+            t = node(PLUS, t, t)
+        return t
+
+    assert doubled(60) == doubled(60) and hash(doubled(60)) == hash(doubled(60))
+    assert doubled(60) != doubled(60, 1) and doubled(60) != doubled(59)
+    assert node(PLUS, doubled(3), leaf(0)) != node(PLUS, leaf(0), doubled(3))
+    assert node(ONE) == node(ONE) != leaf(0)
+    assert leaf(0) != (leaf(0),) and {doubled(40): 1}[doubled(40)] == 1
+    n = 3000
+    successor = OperationSymbol("s", 1)
+    cycle = FiniteAlgebra(n, {successor: tuple((x + 1) % n for x in range(n))})
+    first, second = (smp_decide(cycle, SmpInstance(1, ((0,),), (n - 1,))).witness
+                     for _ in range(2))
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    assert first != node(successor, second)
+
+
+def test_pickled_trees_leave_the_cached_hash_behind():
+    t = node(PLUS, leaf(0), leaf(1))
+    hash(t)
+    copy = pickle.loads(pickle.dumps(t))
+    assert "_hash" not in copy.__dict__ and copy == t and hash(copy) == hash(t)
+
+
 def test_render_tree_shapes():
     assert render_tree(leaf(0)) == "x1"
     assert render_tree(node(ONE)) == "one()"
@@ -310,6 +349,20 @@ def test_parse_algebra_errors_carry_location():
         assert (caught.value.source, caught.value.line) == ("a.alg", line)
 
 
+def test_algebra_and_condition_errors_share_one_located_base():
+    errors = []
+    for parse, text in ((parse_algebra, "universe: 2\nwhat\n"),
+                        (parse_condition, "signature: f/2\nidentities:\n  f(x) = x\n")):
+        with pytest.raises(LocatedInputError) as caught:
+            parse(text, source="in.txt")
+        errors.append(caught.value)
+    assert isinstance(errors[0], AlgebraFormatError)
+    assert isinstance(errors[1], ConditionSyntaxError)
+    assert [(e.source, e.line) for e in errors] == [("in.txt", 2), ("in.txt", 3)]
+    assert str(AlgebraFormatError("m", source="s")) == str(ConditionSyntaxError("m", source="s"))
+    assert str(AlgebraFormatError("m", line=4)) == "<string>:4: m"
+
+
 def test_huge_arity_fails_without_computing_the_table_size():
     start = time.perf_counter()
     with pytest.raises(AlgebraFormatError, match=r"a\.alg:2: table for f/300000 has 1 entries"):
@@ -358,7 +411,7 @@ CLOSURE_CASES = [
 
 @pytest.mark.parametrize("case", range(len(CLOSURE_CASES)))
 def test_closure_matches_oracle_and_engines_agree(case):
-    """The oracle's rounds over int64 codes, and the same closure over object codes."""
+    """The oracle's rounds in one word, and the same closure in two or more."""
     algebra, generators = CLOSURE_CASES[case]
     m = len(generators[0]) if generators else 3
     result = generate_subpower(algebra, generators, m=m)
@@ -467,10 +520,11 @@ def test_budget_counts_members_up_to_the_target():
         smp_decide(LATTICE2, SmpInstance(3, ((0, 1, 1), (1, 0, 1)), (0, 0, 0)), budget=3)
 
 
-def test_wide_powers_close_with_object_codes():
+def test_wide_powers_close_in_words():
     cyc = FiniteAlgebra(3, {NEG: (1, 2, 0)})
     generator = tuple(i % 3 for i in range(40))
-    assert _NumpyEngine(cyc, 40, DEFAULT_BUDGET).dtype is object  # 3**40 > 2**62
+    # 3**40 > 2**62 >= 3**39: a word of 39 coordinates and a word of 1
+    assert _NumpyEngine(cyc, 40, DEFAULT_BUDGET).bounds == [(0, 39), (39, 40)]
     shifted = [tuple((v + k) % 3 for v in generator) for k in (1, 2)]
     result = generate_subpower(cyc, (generator,))
     assert result.member_list == (generator, *shifted)
@@ -480,7 +534,7 @@ def test_wide_powers_close_with_object_codes():
 
 
 def test_wide_constant_seeds_the_closure():
-    """A constant's member packs past 2^62 only as a Python int."""
+    """A constant's member packs past 2^62 into two words."""
     c = OperationSymbol("c", 0)
     algebra = FiniteAlgebra(3, {c: (2,), NEG: (1, 2, 0)})
     generator = tuple(i % 3 for i in range(40))
@@ -512,6 +566,27 @@ def test_smp_validates_tuples():
         smp_decide(LATTICE2, SmpInstance(2, ((0, 2),), (0, 0)))
     with pytest.raises(ValueError, match="target .* leaves the universe"):
         smp_decide(LATTICE2, SmpInstance(2, ((0, 1),), (2, 0)))
+
+
+@pytest.mark.parametrize("entry", [1.5, 1.0, "1", None, np.float64(1)])
+def test_closure_refuses_entries_that_are_not_integers(entry):
+    """A float is not truncated to the closure of its integer part."""
+    with pytest.raises(ValueError, match=r"generator \(0, .*\) has an entry that is not an integer"):
+        generate_subpower(Z3, [(0, entry)])
+    with pytest.raises(ValueError, match=r"target \(0, .*\) has an entry that is not an integer"):
+        smp_decide(Z3, SmpInstance(2, ((0, 1),), (0, entry)))
+
+
+def test_closure_takes_numpy_integers_and_bools():
+    generators = [(np.int8(0), True), (np.uint64(1), np.int64(2))]
+    assert generate_subpower(Z3, generators).member_list == generate_subpower(
+        Z3, [(0, 1), (1, 2)]).member_list
+    assert smp_decide(Z3, SmpInstance(2, generators, (False, np.int32(0)))).answer
+
+
+def test_closure_refuses_a_universe_past_2_62():
+    with pytest.raises(ValueError, match="at most 2\\^62 elements"):
+        generate_subpower(FiniteAlgebra(2**70, {}), [(2**65,)])
 
 
 def test_smp_random_agreement(algebra_corpus):

@@ -31,9 +31,9 @@ from maltcube.algebras import (
 )
 from maltcube.terms import OperationSymbol
 
-# byte-map powers, and one past 2^62 whose codes are Python ints
+# byte-map powers, and powers past 2^62 whose members take two words
 SMALL_POWERS = ((2, 3), (2, 7), (3, 4), (3, 9), (4, 5))
-OBJECT_POWERS = ((3, 41), (2, 64))
+TWO_WORD_POWERS = ((3, 41), (2, 64))
 
 NAND = FiniteAlgebra(2, {OperationSymbol("nand", 2): (1, 1, 1, 0)})
 
@@ -103,8 +103,8 @@ def assert_same(got, want):
     assert got.stats.applications <= want.stats.applications
     assert got.stats.unseen <= want.stats.unseen
     assert got.stats.columns == want.stats.columns
-    if hasattr(got, "_codes"):
-        assert got._codes.tolist() == want._codes.tolist()
+    if hasattr(got, "_words"):
+        assert [w.tolist() for w in got._words] == [w.tolist() for w in want._words]
         assert got.derivations == want.derivations
     else:
         assert got.answer == want.answer
@@ -143,8 +143,8 @@ def compare(case, pick, member, budget, seen):
     else:
         seen.add("budget")
     everything = _close(algebra, generators, m, DEFAULT_BUDGET, None)
-    if member and len(everything._codes):
-        target = everything.member_list[pick % len(everything._codes)]
+    if member and everything.member_list:
+        target = everything.member_list[pick % len(everything.member_list)]
     else:
         target = tuple((pick // algebra.size**j) % algebra.size for j in range(m))
     (stopped, _), (want, _) = both(lambda: _close(algebra, generators, m, budget, target))
@@ -171,9 +171,9 @@ EVERY_STOP = {"before round 1", "mid-round", "between rounds", "saturated", "bel
 @pytest.mark.parametrize("strategy,examples,want", [
     (with_constant(layout_closures(SMALL_POWERS)), 200, EVERY_STOP | {"constant"}),
     (layout_closures(WIDE_POWERS), 60, EVERY_STOP),
-    (layout_closures(OBJECT_POWERS), 30, EVERY_STOP),
+    (layout_closures(TWO_WORD_POWERS), 30, EVERY_STOP),
     (nand_closures(), 150, EVERY_STOP - {"below the ceiling"}),
-], ids=["small", "wide int64", "object codes", "nand"])
+], ids=["small", "wide int64", "two words", "nand"])
 def test_stop_at_the_ceiling_matches_the_whole_closure(strategy, examples, want):
     seen = set()
 

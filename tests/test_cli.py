@@ -401,8 +401,8 @@ def run_ternary_non_member(capsys, tmp_path, m):
 
 def test_smp_machine_ternary_non_member_past_int64(capsys, tmp_path):
     """The instance of the CI step that greps `members=18` in A^40, past
-    2^62, so in object codes.  Its closure runs 14 chunks and gathers
-    both rows and columns."""
+    2^62, so in two words, of 39 coordinates and of 1.  Its closure runs
+    14 chunks and gathers both rows and columns."""
     run_ternary_non_member(capsys, tmp_path, 40)
 
 

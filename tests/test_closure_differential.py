@@ -1,15 +1,17 @@
-"""The closure against the naive oracle, and over int64 against object codes.
+"""The closure against the naive oracle, in one int64 word and in several.
 
 The closure finds the oracle's members in the oracle's rounds, seed
 members first (distinct generators in position order, then the nullary
 constants); over A_M, whose H-operations include projections that the
 closure skips, too.  The order within a round is the closure's own: it
 applies all operations of one arity in one box and orders a box's fresh
-members by (operation, code).  Packed codes are int64 while n^m fits 62
-bits and Python ints in object arrays past that.  With each coordinate
-repeated until n^m passes 2^62, the closure must find the same members,
-expanded, in the same order, by the same derivations and in the same
-boxes, since the expansion keeps the order of codes.
+members by (operation, code).  A member is one int64 word while n^m fits
+62 bits and several past that.  With each coordinate repeated until n^m
+passes 2^62, the closure must find the same members, expanded, in the
+same order, by the same derivations and in the same boxes, since the
+expansion keeps the order of codes.  In powers of two and three words,
+with more distinct generator columns than one word holds coordinates,
+it must find the oracle's rounds, answers and witnesses.
 """
 
 from itertools import product
@@ -24,12 +26,16 @@ from oracles import oracle_rounds
 from maltcube import algebras
 from maltcube.algebras import (
     DEFAULT_BUDGET,
+    BudgetExceededError,
     FiniteAlgebra,
+    SmpInstance,
     _NumpyEngine,
     _SortedSeen,
     evaluate,
     evaluate_on_power,
     generate_subpower,
+    render_tree,
+    smp_decide,
 )
 from maltcube.construction import extend
 from maltcube.terms import (
@@ -117,7 +123,7 @@ def round_sets(result) -> list[frozenset]:
 
 def repeats(n: int, m: int) -> int:
     """Copies of each coordinate that take the power of an n-element
-    algebra (n > 1) past 2^62, where packed codes leave int64."""
+    algebra (n > 1) past 2^62, where members take two or more words."""
     r = 1
     while n ** (m * r) <= 2 ** 62:
         r += 1
@@ -154,7 +160,7 @@ def seed_prefix(algebra, generators, m):
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
 @given(closures())
 def test_engines_match_the_oracle(case):
-    """Over int64 codes against the oracle, over object codes against int64 codes."""
+    """In one word against the oracle, in two or more against one."""
     algebra, m, generators = case
     prefix = seed_prefix(algebra, generators, m)
     result = generate_subpower(algebra, generators, m=m)
@@ -174,7 +180,7 @@ def test_engines_match_the_oracle(case):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(extended_closures())
 def test_engines_find_the_same_rounds_over_extensions(case):
-    """The oracle's rounds over int64 codes, and the same closure over object codes."""
+    """The oracle's rounds in one word, and the same closure in two or more."""
     algebra, m, generators = case
     result = generate_subpower(algebra, generators, m=m)
     assert round_sets(result) == oracle_rounds(algebra, generators, m)
@@ -285,3 +291,74 @@ def test_boxes_cover_the_block_once_in_row_major_order(monkeypatch, sizes):
         assert prod(extents) <= algebras._BOX_SLACK * 4
         covered += product(*(range(s, s + e) for s, e in zip(starts, extents)))
     assert covered == list(product(*map(range, sizes)))
+
+
+# max and min of the chain 0 < 1 < 2, whose closures stay small
+CHAIN_OPERATIONS = (
+    (OperationSymbol("max", 2), tuple(max(r) for r in product(range(3), repeat=2))),
+    (OperationSymbol("min", 2), tuple(min(r) for r in product(range(3), repeat=2))),
+)
+WORD_BUDGET = 40
+
+
+@st.composite
+def many_column_closures(draw):
+    """An algebra on 3 elements and 4 or 5 generators in A^m of two or
+    three words, with 40 or more distinct generator columns.
+
+    A word of a 3-element power holds 39 coordinates, so no word holds
+    every distinct column.  The 1-2 operations are random unary or binary
+    tables, or max or min, which keep closures small.
+    """
+    rng = draw(st.randoms(use_true_random=False))
+    count = draw(st.integers(4, 5))
+    m = draw(st.sampled_from([40, 78, 79, 117]))
+    columns = list(product(range(3), repeat=count))
+    rng.shuffle(columns)
+    columns = columns[:draw(st.integers(40, min(m, len(columns))))]
+    layout = columns + [rng.choice(columns) for _ in range(m - len(columns))]
+    rng.shuffle(layout)
+    operations = {}
+    for i in range(draw(st.integers(1, 2))):
+        kind = draw(st.integers(0, 3))
+        if kind < 2:
+            arity = kind + 1
+            table = tuple(rng.randrange(3) for _ in range(3**arity))
+            operations[OperationSymbol(f"f{i}", arity)] = table
+        else:
+            symbol, table = CHAIN_OPERATIONS[kind - 2]
+            operations[symbol] = table
+    generators = [tuple(column[j] for column in layout) for j in range(count)]
+    return FiniteAlgebra(3, operations), m, generators
+
+
+def test_word_closures_match_the_oracle():
+    """Members, rounds, answers and witnesses in powers of two and three words."""
+    seen = set()
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(many_column_closures(), st.integers(0, 10**6), st.booleans())
+    def check(case, pick, member):
+        algebra, m, generators = case
+        try:
+            result = generate_subpower(algebra, generators, m=m, budget=WORD_BUDGET)
+        except BudgetExceededError:
+            seen.add("budget")
+            return
+        assert result.stats.columns >= 40
+        assert round_sets(result) == oracle_rounds(algebra, generators, m)
+        seen.add(f"{-(-m // 39)} words, {min(result.stats.rounds, 2)}+ rounds")
+        if member:
+            target = result.member_list[pick % len(result.member_list)]
+        else:
+            target = tuple((pick >> j) % 3 for j in range(m))
+        answer = smp_decide(algebra, SmpInstance(m, generators, target), budget=WORD_BUDGET)
+        assert answer.answer == (target in result)
+        seen.add("member" if answer.answer else "non-member")
+        if answer.answer:
+            assert evaluate_on_power(answer.witness, algebra, generators) == target
+            assert render_tree(answer.witness) == render_tree(result.witness_tree(target))
+
+    check()
+    assert seen >= {"2 words, 2+ rounds", "3 words, 2+ rounds", "member", "non-member",
+                    "budget"}, seen

@@ -1,17 +1,20 @@
 """A closure box's dedupe against `np.unique`.
 
-`_first_occurrences` finds a box's distinct codes, and where each first
-occurs, by a stable radix argsort over 16-bit digits, one pass per digit
-the code space needs.  It must return exactly what `np.unique(...,
-return_index=True)` returns, for every space up to 2^62, at the digit
-boundaries, and for one code or all codes equal.  Over whole closures,
+`_first_occurrences` finds a box's distinct members, rows of one to three
+int64 words, and where each first occurs, by a stable radix argsort over
+the words' 16-bit digits, last word first, one pass per digit each
+word's space needs.  It must return exactly what `np.unique(np.stack(words,
+1), axis=0, return_index=True)` returns, for every space up to 2^62, at
+the digit boundaries, for the word layouts of powers just short of and
+just past 2^62, and for one row or all rows equal.  Over whole closures,
 `reference_round` dedupes each box with `np.unique`; the engine must give
-the same ids, provenance and counters, budget errors included, and the
-same stopped closures, answers and witnesses, over small powers, A_M's
-groups of several operations, int64 spaces past the byte map's cap that
-take two to four digit passes, and object codes past 2^62.  The engine
-keeps a box of one operation as one block with one operation index, the
-reference as one index per member; the derivations they list must agree.
+the same members, provenance and counters, budget errors included, and
+the same stopped closures, answers and witnesses, over small powers,
+A_M's groups of several operations, one-word spaces past the byte map's
+cap that take two to four digit passes, and powers of two and three
+words.  The engine keeps a box of one operation as one block with one
+operation index, the reference as one index per member; the derivations
+they list must agree.
 """
 
 import numpy as np
@@ -30,55 +33,81 @@ from maltcube.algebras import (
     _first_occurrences,
     _NumpyEngine,
     _SortedSeen,
+    _word_width,
     render_tree,
     smp_decide,
 )
 from maltcube.terms import OperationSymbol
 
-BOUNDARIES = (1, 2, 2**16 - 1, 2**16, 2**16 + 1, 2**32, 2**32 + 1, 2**48, 2**48 + 1, 2**62)
+BOUNDARIES = (1, 2, 2**16 - 1, 2**16, 2**16 + 1, 2**32, 2**32 + 1, 2**48, 2**48 + 1,
+              2**62 - 1, 2**62)
+# powers (n, m) with n^m just short of or just past 2^62, and two of three words
+LAYOUTS = ((2, 62), (2, 63), (4, 31), (4, 32), (3, 39), (3, 40), (2, 125), (3, 117))
+
+
+def word_spaces(n, m):
+    """The spaces of the words of A^m for |A| = n, most significant first."""
+    width = _word_width(n, m)
+    return [n ** (min(start + width, m) - start) for start in range(0, m, width)]
 
 
 @st.composite
-def code_arrays(draw):
-    """A space of at most 2^62 codes and int64 codes in it, with repeats.
+def word_arrays(draw):
+    """One to three words, each with a space of at most 2^62, and rows of them.
 
-    The codes are drawn from a few values, among them the space's largest
-    code and the codes on either side of each 16-bit digit boundary.
+    The spaces are one space, or the word spaces of a power in `LAYOUTS`,
+    or two or three spaces; each from `BOUNDARIES` or any up to 2^62.
+    Each word takes a few values, among them its space's largest code and
+    the codes on either side of each 16-bit digit boundary, and a row
+    picks each word's value on its own, so rows repeat and rows that
+    differ in one word only are common.
     """
-    space = draw(st.one_of(st.sampled_from(BOUNDARIES), st.integers(1, 2**62)))
-    edges = [c for b in (1 << 16, 1 << 32, 1 << 48) for c in (b - 1, b) if c < space]
-    value = st.one_of(st.integers(0, space - 1), st.sampled_from([0, space - 1, *edges]))
-    values = draw(st.lists(value, min_size=1, max_size=12))
-    codes = draw(st.lists(st.sampled_from(values), min_size=1, max_size=300))
-    return np.array(codes, dtype=np.int64), space
+    space = st.one_of(st.sampled_from(BOUNDARIES), st.integers(1, 2**62))
+    spaces = draw(st.one_of(
+        st.lists(space, min_size=1, max_size=1),
+        st.sampled_from(LAYOUTS).map(lambda layout: word_spaces(*layout)),
+        st.lists(space, min_size=2, max_size=3),
+    ))
+    columns = []
+    for s in spaces:
+        edges = [c for b in (1 << 16, 1 << 32, 1 << 48) for c in (b - 1, b) if c < s]
+        value = st.one_of(st.integers(0, s - 1), st.sampled_from([0, s - 1, *edges]))
+        values = draw(st.lists(value, min_size=1, max_size=4))
+        columns.append(draw(st.lists(st.sampled_from(values), min_size=1, max_size=300)))
+    rows = min(map(len, columns))
+    return [np.array(c[:rows], dtype=np.int64) for c in columns], spaces
 
 
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
-@given(code_arrays())
-@example((np.array([5], dtype=np.int64), 6))
-@example((np.full(40, 2**16, dtype=np.int64), 2**16 + 1))
-@example((np.array([2**48, 0, 2**48, 1, 0], dtype=np.int64), 2**48 + 1))
-@example((np.array([2**62 - 1, 2**32, 2**62 - 1, 2**32 - 1], dtype=np.int64), 2**62))
+@given(word_arrays())
+@example(([np.array([5], dtype=np.int64)], [6]))
+@example(([np.full(40, 2**16, dtype=np.int64)], [2**16 + 1]))
+@example(([np.array([2**48, 0, 2**48, 1, 0], dtype=np.int64)], [2**48 + 1]))
+@example(([np.array([2**62 - 1, 2**32, 2**62 - 1, 2**32 - 1], dtype=np.int64)], [2**62]))
+@example(([np.array([7, 7, 7, 2**16, 7]), np.array([1, 0, 1, 0, 0])], word_spaces(3, 40)))
 def test_first_occurrences_match_np_unique(case):
-    codes, space = case
-    fresh, first = _first_occurrences(codes, space)
-    want_fresh, want_first = np.unique(codes, return_index=True)
-    assert fresh.dtype == want_fresh.dtype and first.dtype == want_first.dtype
-    assert fresh.tolist() == want_fresh.tolist()
+    words, spaces = case
+    fresh, first = _first_occurrences(words, spaces)
+    want_rows, want_first = np.unique(np.stack(words, 1), axis=0, return_index=True)
+    assert len(fresh) == len(words)
+    assert all(w.dtype == np.int64 for w in fresh) and first.dtype == want_first.dtype
+    assert np.stack(fresh, 1).tolist() == want_rows.tolist()
     assert first.tolist() == want_first.tolist()
 
 
-def test_first_occurrences_of_python_ints_past_2_62():
-    codes = np.array([3**41 - 1, 2**63, 5, 2**63, 3**41 - 1], dtype=object)
-    fresh, first = _first_occurrences(codes, 3**41)
-    assert fresh.tolist() == [5, 2**63, 3**41 - 1]
+def test_first_occurrences_of_words_past_2_62():
+    """Codes of A^41 for |A| = 3, each split into a word of 39 coordinates and one of 2."""
+    codes = [3**41 - 1, 2**63, 5, 2**63, 3**41 - 1]
+    words = [np.array([c // 9 for c in codes]), np.array([c % 9 for c in codes])]
+    fresh, first = _first_occurrences(words, word_spaces(3, 41))
+    assert [hi * 9 + lo for hi, lo in zip(*(w.tolist() for w in fresh))] == [5, 2**63, 3**41 - 1]
     assert first.tolist() == [2, 1, 0]
 
 
-# int64 spaces past the byte map's cap: 2, 3 and 4 digit passes
+# one-word spaces past the byte map's cap: 2, 3 and 4 digit passes
 WIDE_POWERS = ((3, 20), (2, 40), (3, 35), (4, 30), (2, 62))
-# spaces past 2^62, in object codes
-OBJECT_POWERS = ((3, 40), (2, 63), (4, 32))
+# powers of two and three words
+WORD_POWERS = ((3, 40), (2, 63), (4, 32), (3, 80), (2, 130))
 
 
 @st.composite
@@ -125,7 +154,7 @@ def assert_same_closure(got, want):
     assert type(got) is type(want)
     assert counters(got.stats) == counters(want.stats)
     if not isinstance(got, BudgetExceededError):
-        assert got._codes.tolist() == want._codes.tolist()
+        assert [w.tolist() for w in got._words] == [w.tolist() for w in want._words]
         assert got.derivations == want.derivations
 
 
@@ -133,8 +162,8 @@ def compare(case, pick, member, budget, seen):
     algebra, m, generators = case
     assert_same_closure(*both(lambda: _close(algebra, generators, m, budget, None)))
     full = _close(algebra, generators, m, DEFAULT_BUDGET, None)
-    if member and len(full._codes):
-        target = full.member_list[pick % len(full._codes)]
+    if member and full.member_list:
+        target = full.member_list[pick % len(full.member_list)]
     else:
         target = tuple((pick // algebra.size**j) % algebra.size for j in range(m))
     stopped, reference = both(lambda: _close(algebra, generators, m, budget, target))
@@ -165,8 +194,8 @@ def compare(case, pick, member, budget, seen):
     (closures(), 200, "bitmap"),
     (extended_closures(), 120, "bitmap"),
     (layout_closures(WIDE_POWERS), 200, "sorted"),
-    (layout_closures(OBJECT_POWERS), 100, "sorted"),
-], ids=["small", "extended", "wide int64", "object"])
+    (layout_closures(WORD_POWERS), 100, "sorted"),
+], ids=["small", "extended", "wide int64", "words"])
 def test_engine_matches_the_np_unique_rounds(strategy, examples, seen_space):
     seen = set()
 

@@ -2,12 +2,13 @@
 
 `_NumpyEngine._apply` fills a box from a sub-table of each lifted
 matrix, the box's rows or its columns, whichever is smaller, and adds a
-run of chunks in int64.  `reference_box_codes` gathers every argument
-tuple through one flat index per chunk.  Both must give the same codes
-in the same order, over int64 and over object codes, for boxes of every
-shape: each gather order with the last argument's extent below and above
-the chunk's modulus, and the lead-axis boxes that `_boxes` cuts when a
-box holds 4 applications.
+word's chunks in int64.  `reference_box_codes` gathers every argument
+tuple through one flat index per chunk and adds the chunks as Python
+ints.  The engine's words, joined into whole codes, must give the same
+codes in the same order, over one word and over several, for boxes of
+every shape: each gather order with the last argument's extent below
+and above the chunk's modulus, and the lead-axis boxes that `_boxes`
+cuts when a box holds 4 applications.
 """
 
 from math import prod
@@ -23,15 +24,25 @@ from maltcube.terms import OperationSymbol
 
 
 def engine_holding(n, operations, m, codes):
+    """An engine of A^m holding the members with the given base-n codes."""
     engine = _NumpyEngine(FiniteAlgebra(n, operations), m, DEFAULT_BUDGET)
-    engine._append_members(np.asarray(codes, dtype=engine.dtype))
+    engine._append_members([
+        np.array([(c // n ** (m - end)) % n ** (end - start) for c in codes], dtype=np.int64)
+        for start, end in engine.bounds
+    ])
     return engine
+
+
+def joined(engine, words):
+    """Whole base-n codes, as Python ints, from the engine's words."""
+    return sum(w.astype(object) * engine.n ** (engine.m - end)
+               for w, (_, end) in zip(words, engine.bounds))
 
 
 def two_sided_boxes(m):
     """A binary operation on 2 elements in A^m with 30 members, and boxes
     that gather rows and columns with the last extent above and below 8
-    (A^3's modulus) and 2 (the modulus of A^64's last chunk)."""
+    (A^3's modulus) and 4 (the modulus of A^64's second word)."""
     engine = engine_holding(2, {OperationSymbol("f", 2): (0, 1, 1, 1)}, m,
                             [(37 * i) % 2**m for i in range(30)])
     shapes = [(30, 20), (20, 30), (30, 5), (5, 30), (1, 1)]
@@ -43,9 +54,9 @@ def kernel_cases(draw):
     """An engine holding random member codes, a group of it, and its boxes.
 
     The algebra has n <= 4 elements and 1-3 operations of each of one or
-    two arities in 1..4; the power is small or just past 2^62.  The boxes
-    are one drawn at random or, with 4 applications per box, some of
-    those `_boxes` cuts from one block of a round.
+    two arities in 1..4; the power is small, or takes two or three words.
+    The boxes are one drawn at random or, with 4 applications per box,
+    some of those `_boxes` cuts from one block of a round.
     """
     rng = draw(st.randoms(use_true_random=False))
     n = draw(st.integers(2, 4))
@@ -55,10 +66,10 @@ def kernel_cases(draw):
             table = tuple(rng.randrange(n) for _ in range(n**arity))
             operations[OperationSymbol(f"f{arity}_{i}", arity)] = table
     if draw(st.booleans()):
-        m = 1
-        while n**m <= 2**62:
-            m += 1
-        m += draw(st.integers(0, 8))
+        width = 1
+        while n ** (width + 1) <= 2**62:
+            width += 1
+        m = draw(st.sampled_from([width + 1, width + 8, 2 * width + 1, 2 * width + 5]))
     else:
         m = draw(st.integers(1, 5))
     count = draw(st.integers(1, 30))
@@ -111,21 +122,22 @@ def test_box_kernel_matches_the_full_index(monkeypatch):
     @example(two_sided_boxes(64))
     def check(case):
         engine, k, ops, boxes = case
-        dtype = "int64" if engine.dtype is np.int64 else "object"
+        layout = "one word" if len(engine.bounds) == 1 else "words"
         for firsts, extents, lo, width, lead in boxes:
             plan = engine._plan(k, ops)
             got = engine._apply(plan, lo, lo + width, firsts, extents)
+            assert all(w.dtype == np.int64 for w in got)
+            assert all(((w >= 0) & (w < space)).all() for w, space in zip(got, engine.spaces))
             want = reference_box_codes(engine, plan, lo, lo + width, firsts, extents)
-            assert got.dtype == want.dtype
-            assert got.reshape(-1).tolist() == want.reshape(-1).tolist()
-            taken.update((*g, dtype) for g in gathers)
+            assert joined(engine, got).tolist() == want.reshape(-1).tolist()
+            taken.update((*g, layout) for g in gathers)
             gathers.clear()
             if lead:
-                taken.add(("lead axis", dtype))
+                taken.add(("lead axis", layout))
 
     check()
-    for dtype in ("int64", "object"):
+    for layout in ("one word", "words"):
         for order in ("rows", "columns"):
-            assert (order, "below", dtype) in taken
-            assert (order, "above", dtype) in taken
-        assert ("lead axis", dtype) in taken
+            assert (order, "below", layout) in taken
+            assert (order, "above", layout) in taken
+        assert ("lead axis", layout) in taken

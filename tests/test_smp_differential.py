@@ -10,7 +10,7 @@ with targets among the seeds, the constants, the first and the last
 round, and outside the subpower, the closure must keep that prefix and
 `smp_decide` must give the full closure's answer, witness and, for a
 non-member, counters; with each coordinate repeated past 2^62, so over
-object codes, it must give the same answer, witness and counters.  A box
+two or more words, it must give the same answer, witness and counters.  A box
 spans all operations of one arity and keeps the fresh members of the
 operations up to the target's, so over A_M, whose H-operations share
 boxes, the budget must bound exactly those.
@@ -33,10 +33,16 @@ from maltcube.algebras import (
     SmpInstance,
     _close,
     _pack,
+    _word_width,
     generate_subpower,
     render_tree,
     smp_decide,
 )
+
+
+def rows(result):
+    """The closure's members as tuples of their words, in member order."""
+    return list(zip(*(w.tolist() for w in result._words)))
 
 
 def pick_target(algebra, m, full, pick, member):
@@ -60,8 +66,8 @@ def test_stopped_closure_is_a_prefix_of_the_full_closure():
         target = pick_target(algebra, m, full, pick, member)
         stopped = _close(algebra, generators, m, DEFAULT_BUDGET, target)
         count = stopped.stats.members
-        assert len(stopped._codes) == count
-        assert stopped._codes.tolist() == full._codes.tolist()[:count]
+        assert len(stopped.member_list) == count
+        assert rows(stopped) == rows(full)[:count]
         assert stopped.derivations == full.derivations[:count]
         if target not in full:
             assert target not in stopped
@@ -83,8 +89,8 @@ def test_stopped_closure_is_a_prefix_of_the_full_closure():
             else:
                 seen.add("last round" if found_in == full.stats.rounds else "earlier round")
                 # the target's box ran last, and its operation's fresh codes ascend
-                code = _pack(target, algebra.size)
-                assert all(c > code for c in stopped._codes.tolist()[position + 1:])
+                code = _pack(target, algebra.size, _word_width(algebra.size, m))
+                assert all(c > code for c in rows(stopped)[position + 1:])
                 op_index = stopped.derivations[position][0]
                 assert all(d[0] == op_index for d in stopped.derivations[position + 1:])
 
@@ -120,14 +126,14 @@ def test_budget_bounds_the_members_up_to_the_target_over_extensions():
         target = pick_target(algebra, m, full, pick, member)
         stopped = _close(algebra, generators, m, DEFAULT_BUDGET, target)
         count = stopped.stats.members
-        assert stopped._codes.tolist() == full._codes.tolist()[:count]
+        assert rows(stopped) == rows(full)[:count]
         assert stopped.derivations == full.derivations[:count]
         if target not in full:
             assert stopped.stats == full.stats
             seen.add("non-member")
             return
         tight = _close(algebra, generators, m, count, target)
-        assert tight._codes.tolist() == stopped._codes.tolist()
+        assert rows(tight) == rows(stopped)
         assert tight.derivations == stopped.derivations
         if count > 1:
             with pytest.raises(BudgetExceededError):
