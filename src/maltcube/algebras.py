@@ -24,39 +24,37 @@ by the given tuples with a semi-naive (frontier) closure: each round
 applies every operation to argument tuples touching at least one member
 discovered in the previous round.  A member is packed into int64 words,
 the base-n codes of runs of W coordinates, W the most whose code fits 62
-bits; while n^m <= 2^62 that is one word, the member's code.  Operations
-are lifted to packed codes chunk by chunk (a chunk is a run of
-coordinates inside one word) into tables of at most 2^18 entries.  The
-operations of one arity share their chunk layout, so they are applied
-together: each block of argument tuples, with the arity's operations as
-one more axis, is cut into boxes, one vectorized call each.  A box fixes
-one position on every axis before a lead axis, takes a run of rows on it
-and every position after it, and holds at most 64 * 2^16 applications
-(at most 2^16 unless one row alone is longer).  Its arguments are runs
-of members, so per chunk the box reads a lifted table, viewed as a
-matrix over the first k-1 arguments' codes and the last argument's, at a
-few rows and columns: the smaller of its rows and its columns is
-gathered, at most max(box applications, modulus^k) entries per
-operation, and one `np.take` fills the box from that sub-table.  A
-word's chunks add up in int64.  The box's members that pass the seen-set
-test are deduped by a stable radix argsort over their words' 16-bit
-digits, last word first (one pass per word up to 2^16, four up to 2^62),
-which keeps each fresh member with its first occurrence.  An operation
-whose table is a projection never derives a fresh member and is left
-out.  Lifted tables are memoized process-wide by their contents
-(universe size, arity, operation table, chunk length), so equal
-operations of different algebras, such as those of repeated extensions,
-share one read-only table; the memo evicts least recently used tables to
-stay within a fixed number of bytes.
+bits; while n^m <= 2^62 that is one word, the member's code.  The
+operations of one arity form a group, left out if a projection (it never
+derives a fresh member), and a group is lifted to packed codes chunk by
+chunk (a chunk is a run of coordinates inside one word) into one array
+that stacks its operations, at most 2^18 entries each.  Each block of
+argument tuples, with the group's operations as one more axis, is cut
+into boxes, one vectorized call each, of at most 64 * 2^16 applications
+(2^16 unless one row alone is longer).  A box's arguments are runs of
+members, so per chunk it reads each lifted table, a matrix over the first
+k-1 arguments' codes and the last argument's, at a few rows and columns:
+the smaller of the two is gathered for the whole group, and one
+`np.take` fills the box from it; a word's chunks add up in int64.  The
+box's members that pass the seen-set test are deduped by a stable radix
+argsort over their words' 16-bit digits, which keeps each fresh member
+with its first occurrence.
+
+A closure's layout (the words, the groups and their chunks' arrays)
+depends on the tables and m alone, so it is memoized process-wide by
+their contents, and each lifted array by its group's tables: equal
+algebras, such as the extensions that `reduce` rebuilds, share a layout,
+and the H-groups of every A_M over one M and |A| share their arrays.
+The memo evicts least recently used entries, a layout before its arrays,
+to stay within a fixed number of bytes.
 
 Derivations are kept in the arrays each box already holds: a seed's is
 its generator position or its constant, and a box that finds members
 adds one block, the operation (one index for the box's members, or one
 per member) and an array of argument member positions per argument.
-No per-member Python object is built while the closure runs.  Witness
-term trees are materialized from the blocks on demand; trees share
-subterm objects, so a witness is linear in the member count even when
-its unfolding is not.
+Witness term trees are materialized from the blocks on demand; trees
+share subterm objects, so a witness is linear in the member count even
+when its unfolding is not.
 
 A round's applications are known before it runs: current^k - old^k
 argument tuples per operation of arity k, for members old..current-1
@@ -67,27 +65,21 @@ member budget refuses a round that finds too many members; both raise
 
 `smp_decide` stops the closure right after the target's operation in the
 box that first derives the target, or before round 1 when a seed is the
-target, keeping the members found so far in that round.  A box's fresh
-members come ordered by (operation, code), so those of the operations up
-to the target's come first.  The witness is the one the full closure
-gives: a member's recorded derivation is its first, made in the first
-box that yields it, by its first operation there, and its arguments are
-members of earlier rounds; the full closure runs the same boxes in the
-same order up to that point, so the stopped closure's ids and
-derivations are a prefix of the full closure's and the target's
-derivation tree is the same.
+target, and takes the target's position from there.  A box's fresh
+members come ordered by (operation, code), and a member's recorded
+derivation is its first, from members of earlier rounds; the full
+closure runs the same boxes in the same order up to that point, so the
+stopped closure's members and derivations are a prefix of the full
+closure's and the witness is the same.
 
 Every closure also stops right after the box that brings its members to
 n^d, where d counts the distinct generator columns (1 without
 generators), or before round 1 if the seeds already number n^d.  Terms
-act coordinatewise and a nullary constant is a constant column, so two
-coordinates with equal generator columns are equal in every member: the
-subpower lies inside the n^d tuples constant on each class of equal
-columns, and once it holds n^d members every later box yields only seen
-codes.  The stop thus changes no member, order, derivation, witness,
-`members` or `rounds`, only the boxes left unrun.  A non-member target
-runs the closure up to that stop or to the last round that finds a
-member, so its `members` is the whole subpower's.
+act coordinatewise and a nullary constant is a constant column, so the
+subpower lies inside the n^d tuples that are constant on each class of
+equal columns, and once it holds n^d members every later box yields only
+seen codes.  The stop thus changes no member, order, derivation, witness,
+`members` or `rounds`, only the boxes left unrun.
 """
 
 from __future__ import annotations
@@ -97,7 +89,7 @@ import threading
 from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce
 from itertools import product, repeat
 from math import prod
 from random import Random
@@ -115,7 +107,6 @@ _CHUNK_TARGET = 1 << 16   # argument tuples per box, one vectorized call
 _BOX_SLACK = 64           # no box holds more than _BOX_SLACK * _CHUNK_TARGET tuples
 _BITMAP_CAP = 1 << 26     # largest packed-id space tracked by a byte map
 _LIFT_MEMO_BYTES = 1 << 24  # resident bytes kept by the lifted-table memo
-_PROJECTION_MEMO = 256      # tables whose projection test is remembered
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,7 +115,9 @@ class FiniteAlgebra:
 
     Tables are stored as read-only int64 copies and compared by content;
     a flat read-only int64 array that owns its memory is kept as it is.
-    Entries must be integers or bools; a float or a string is refused.
+    Entries must be integers or bools; a float or a string is refused, and
+    one reduction checks the range.  The tables never change, so their
+    content key for the closure's layout memo is computed once.
     """
 
     size: int
@@ -150,11 +143,18 @@ class FiniteAlgebra:
                 values = None  # an int past int64 turned the array to float or object
             else:
                 raise ValueError(f"table for {symbol} has an entry that is not an integer")
-            if values is None or values.min() < 0 or values.max() >= self.size:
+            # one reduction: viewed as uint64, a negative entry wraps to 2^63 or more
+            if values is None or int(values.view(np.uint64).max()) >= min(self.size, 1 << 63):
                 raise ValueError(f"table for {symbol} leaves the universe")
             values.flags.writeable = False
             operations[symbol] = values
         object.__setattr__(self, "operations", operations)
+
+    @cached_property
+    def _key(self) -> tuple:
+        """The tables' contents, for the lift memo; read-only tables, so computed once."""
+        return (self.size, tuple(s.arity for s in self.operations),
+                b"".join(t.tobytes() for t in self.operations.values()))
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, FiniteAlgebra) and self.size == other.size
@@ -539,21 +539,20 @@ class ClosureStats:
     `members` and `rounds` count the members found and the rounds that
     found any.  For a closure stopped at a member target (`smp_decide`)
     they count up to the target's operation in the stopping box, whose
-    round is counted.  `lifts_built` and `lifts_reused` count the lifted
-    chunk tables the closure built and took from the process-wide memo;
-    they depend on what earlier closures left there.  `boxes` counts the
+    round is counted.  `lifts_built` and `lifts_reused` count the group
+    chunks (one stacked lifted array each) the closure built and took from
+    the process-wide memo, all of a memoized layout's as reused; they
+    depend on what earlier closures left there.  `boxes` counts the
     vectorized calls and `applications` the operations applied to
-    argument tuples, counted a whole box at a time and without the
-    projections the closure skips.  `unseen` counts the codes that passed
-    the seen-set test, repeats included: the input of the boxes' dedupe.
-    `columns` is d, the number of distinct generator columns (1 without
-    generators): a closure stops once it holds n^d members, all it can
-    hold, so the boxes after that one are not run or counted.  `fresh`
-    has one entry per counted round, the members it found (kept, for a
-    stopped round), so its entries sum to `members` minus the seeds.
-    `seen` names the seen-set: "bitmap" for one word up to 2^26, else "sorted".
-    These eight describe how the closure worked, not what it found, so
-    they take no part in equality.
+    argument tuples, a whole box at a time, projections left out.
+    `unseen` counts the codes that passed the seen-set test, repeats
+    included.  `columns` is d, the number of distinct generator columns (1
+    without generators): no box after the one that brings the members to
+    n^d is run or counted.  `fresh` has one entry per counted round, the
+    members it found (or kept), summing to `members` minus the seeds.
+    `seen` names the seen-set: "bitmap" for one word up to 2^26, else
+    "sorted".  These eight describe how the closure worked, not what it
+    found, so they take no part in equality.
     """
 
     members: int
@@ -612,9 +611,10 @@ def _pack(member: Sequence[int], n: int, width: int) -> tuple[int, ...]:
     return tuple(words)
 
 
-def _rows_equal(words: Sequence[np.ndarray], key: tuple[int, ...]) -> np.ndarray:
-    """Which rows of the words equal the packed member `key`."""
-    return reduce(np.logical_and, map(np.equal, words, key))
+def _find(words: Sequence[np.ndarray], key: tuple[int, ...]) -> int | None:
+    """The first row of the words that equals the packed member `key`, or None."""
+    at = reduce(np.logical_and, map(np.equal, words, key)).nonzero()[0]
+    return int(at[0]) if len(at) else None
 
 
 def _seeds(algebra: FiniteAlgebra, generators, m: int) -> list[tuple[tuple[int, ...], object]]:
@@ -638,18 +638,18 @@ class ClosureResult:
 
     Immutable once returned, and a view over the engine's arrays.  The
     packed words: `member_list` and `members` unpack them once, on first
-    use.  The derivations: the seeds' come first, each an int generator
-    position or (op_index,) for a nullary constant; then one block
-    (start, ops, args) per box that found members, covering the members
-    from position `start` to the next block's start.  `ops` is one
-    operation index for all of them, or an array with one per member, and
-    `args` holds one array of argument member positions per argument.
+    use; `target_position` is the index of the target a closure stopped
+    at.  The derivations: the seeds' first, each an int generator position
+    or (op_index,) for a nullary constant; then one block (start, ops,
+    args) per box that found members, from position `start` to the next
+    block's start: `ops` is one operation index, or one per member, and
+    `args` one array of argument member positions per argument.
     `witness_tree` rebuilds one member's derivation as a TermTree whose
     leaves name generator positions; `derivations` lists them all, each
     an int or (op_index, *argument positions), on first use.
     """
 
-    def __init__(self, algebra, m, words, seeds, blocks, op_symbols, stats):
+    def __init__(self, algebra, m, words, seeds, blocks, op_symbols, stats, target_position):
         self.algebra: FiniteAlgebra = algebra
         self.m = m
         self._words = words                  # one int64 array per word, the engine's
@@ -658,6 +658,7 @@ class ClosureResult:
         self._starts = [start for start, _, _ in blocks]
         self._op_symbols = op_symbols
         self.stats: ClosureStats = stats
+        self.target_position: int | None = target_position
 
     def _derivation(self, pos: int):
         """The derivation of the member at `pos`, found in its block by bisection."""
@@ -699,9 +700,8 @@ class ClosureResult:
         member = tuple(member)
         if len(member) != self.m or any(not 0 <= v < self.algebra.size for v in member):
             return None
-        key = _pack(member, self.algebra.size, _word_width(self.algebra.size, self.m))
-        at = np.flatnonzero(_rows_equal(self._words, key))
-        return int(at[0]) if len(at) else None
+        n = self.algebra.size
+        return _find(self._words, _pack(member, n, _word_width(n, self.m)))
 
     def __contains__(self, member: Sequence[int]) -> bool:
         return self.position(member) is not None
@@ -749,12 +749,9 @@ class ClosureResult:
 
 class _BitmapSeen:
     """A byte per code of the power, set once the code is seen; one word only.
-
-    The map starts zeroed, so its pages cost no time or memory until a
-    code on them is seen; a map of unseen codes, filled with ones, would
-    touch every page up front (64 MB at `_BITMAP_CAP`).  A box's mask is
-    one `take`, inverted in place.
-    """
+    Zeroed, so its pages cost nothing until a code on them is seen (a map
+    of ones would touch 64 MB at `_BITMAP_CAP`); a box's mask is one
+    `take`, inverted in place."""
 
     kind = "bitmap"
 
@@ -802,83 +799,142 @@ class _ChunkSpec:
     word: int      # the word this chunk's coordinates lie in
     scale: int     # weight of this chunk's code within its word
     modulus: int   # number of codes for this chunk
-    # one lifted table per operation of the group, as a matrix: a row per
-    # combination of the first k-1 arguments' codes, a column per last code
-    matrices: tuple[np.ndarray, ...]
+    # the group's lifted tables, read-only, as (operation, row, column): a
+    # row per combination of the first k-1 arguments' codes, a column per last code
+    lifted: np.ndarray
 
 
 class _LiftMemo:
-    """Lifted chunk tables by contents, least recently used first."""
+    """Lifted group chunks and closure layouts by contents, least recently
+    used first, within `_LIFT_MEMO_BYTES`.  An entry is (value, bytes
+    charged, follow): `follow` lists the keys of a layout's arrays, which
+    move behind it whenever it is used, so it is evicted before them."""
 
     def __init__(self) -> None:
-        self.tables: OrderedDict[tuple, np.ndarray] = OrderedDict()
+        self.tables: OrderedDict[tuple, tuple] = OrderedDict()
         self.nbytes = 0
-        self.lock = threading.Lock()
+        self.lock = threading.RLock()  # held while an entry is looked up or made
+
+    def get(self, key: tuple):
+        """The value under `key`, now most recently used, or None."""
+        entry = self.tables.get(key)
+        for k in () if entry is None else (key, *entry[2]):
+            self.tables.move_to_end(k)
+        return None if entry is None else entry[0]
+
+    def put(self, key: tuple, value, charge: int, follow: tuple = ()) -> None:
+        """Add an entry, then evict the least recently used down to the bound."""
+        self.tables[key] = (value, charge, follow)
+        self.nbytes += charge
+        self.get(key)
+        while self.nbytes > _LIFT_MEMO_BYTES:
+            self.nbytes -= self.tables.popitem(last=False)[1][1]
 
 
 _lift_memo = _LiftMemo()
 
 
-def _lift(n: int, arity: int, table: np.ndarray, length: int) -> np.ndarray:
-    """The operation on blocks of `length` coordinates, over base-n block codes.
-
-    Entry i_1 ... i_arity (each a block code, first coordinate most
-    significant) is the code of the operation applied coordinatewise.
-    """
-    base = table.astype(np.int32).reshape((n,) * arity)  # half int64's memory traffic
-    cur = base
-    size = n
+def _lift(n: int, arity: int, tables: np.ndarray, length: int) -> np.ndarray:
+    """A group's operations, one int64 table per row of `tables`, on blocks
+    of `length` coordinates, over base-n block codes: entry (o, i_1 ...
+    i_arity), each i a block code with its first coordinate most
+    significant, is the code of operation o applied coordinatewise.
+    Read-only, shaped (operations, modulus^(arity-1), modulus), written in
+    place one operation at a time, and held, like the work, in the
+    narrowest of uint8, uint16 and int32 that holds the n^length codes."""
+    modulus = n**length
+    dtype = np.uint8 if modulus <= 1 << 8 else np.uint16 if modulus <= 1 << 16 else np.int32
+    lifted = np.empty((len(tables), modulus ** (arity - 1), modulus), dtype=dtype)
     perm = [axis for pair in zip(range(arity), range(arity, 2 * arity)) for axis in pair]
-    for _ in range(length - 1):
-        outer = np.add.outer(cur.ravel() * np.int32(n), base.ravel())
-        outer = outer.reshape((size,) * arity + (n,) * arity)
-        outer = np.ascontiguousarray(outer.transpose(perm))
-        size *= n
-        cur = outer.reshape((size,) * arity)
-    dtype = np.uint16 if n ** length <= 1 << 16 else np.int32
-    flat = np.ascontiguousarray(cur.reshape(-1), dtype=dtype)
-    flat.flags.writeable = False
-    return flat
+    for out, table in zip(lifted, tables):
+        base = table.astype(dtype)
+        cur, size = base.reshape((n,) * arity), n
+        for _ in range(length - 1):
+            outer = np.add.outer(cur.reshape(-1) * n, base)
+            cur = outer.reshape((size,) * arity + (n,) * arity).transpose(perm)
+            size *= n
+        out.reshape(cur.shape)[...] = cur
+    lifted.flags.writeable = False
+    return lifted
 
 
-def _lifted_table(
-    n: int, arity: int, table: np.ndarray, length: int
-) -> tuple[np.ndarray, bool]:
-    """The read-only lifted table, and whether this call had to build it.
-
-    Keyed on the table's bytes, so equal operations of distinct algebras
-    share one entry.  After an insertion the least recently used
-    tables are evicted until the memo holds at most `_LIFT_MEMO_BYTES`.
-    """
-    key = (n, arity, table.tobytes(), length)
+def _lifted_group(key: tuple) -> tuple[np.ndarray, bool]:
+    """The stacked lifted tables under key = (n, arity, length, the group's
+    int64 tables as bytes), and whether this call had to build them.  Equal
+    groups of distinct algebras, such as the H-operations of every A_M
+    over one M and |A|, share one entry."""
     with _lift_memo.lock:
-        lifted = _lift_memo.tables.get(key)
+        lifted = _lift_memo.get(key)
         if lifted is not None:
-            _lift_memo.tables.move_to_end(key)
             return lifted, False
-    lifted = _lift(n, arity, table, length)
-    with _lift_memo.lock:
-        if key not in _lift_memo.tables:
-            _lift_memo.tables[key] = lifted
-            _lift_memo.nbytes += lifted.nbytes
-            while _lift_memo.nbytes > _LIFT_MEMO_BYTES:
-                _, evicted = _lift_memo.tables.popitem(last=False)
-                _lift_memo.nbytes -= evicted.nbytes
-    return lifted, True
+        n, arity, length, tables = key
+        lifted = _lift(n, arity, np.frombuffer(tables, np.int64).reshape(-1, n**arity), length)
+        _lift_memo.put(key, lifted, lifted.nbytes)
+        return lifted, True
 
 
-@lru_cache(maxsize=_PROJECTION_MEMO)
-def _is_projection(n: int, arity: int, table: bytes) -> bool:
-    """Whether the int64 table, as bytes, returns the argument at one position.
-
-    Such an operation maps members to members, so it never derives a
-    fresh one and the closure leaves it out of its boxes.
-    """
-    values = np.frombuffer(table, dtype=np.int64).reshape((n,) * arity)
+def _is_projection(n: int, arity: int, table: np.ndarray) -> bool:
+    """Whether the table returns one argument, so derives nothing fresh and is left out."""
+    values = table.reshape((n,) * arity)
     return any(
         (values == np.arange(n).reshape((n,) + (1,) * (arity - 1 - i))).all()
         for i in range(arity)
     )
+
+
+class _Layout:
+    """A closure's view of A's tables in A^m: the words' `bounds` and
+    `spaces`, the `groups` (arity, operation indices) of the operations
+    that are not projections, and per group a plan, each word's chunks as
+    `_ChunkSpec`s of at most `_TABLE_CAP` entries per operation.  `lifts`
+    pairs each chunk's memo key with its array, and `built` counts the
+    chunks lifted to make the layout."""
+
+    def __init__(self, algebra: FiniteAlgebra, m: int):
+        n = algebra.size
+        self.width = _word_width(n, m)
+        self.bounds = [(s, min(s + self.width, m)) for s in range(0, m, self.width)]
+        self.spaces = [n ** (end - start) for start, end in self.bounds]
+        tables = list(algebra.operations.values())
+        groups: dict[int, list[int]] = {}
+        for i, s in enumerate(algebra.operations):
+            if s.arity >= 1 and not _is_projection(n, s.arity, tables[i]):
+                groups.setdefault(s.arity, []).append(i)
+        self.groups = list(groups.items())
+        self.plans: list[list[list[_ChunkSpec]]] = []  # per group, per word
+        self.lifts: list[tuple[tuple, np.ndarray]] = []
+        self.built = 0
+        for arity, ops in self.groups:
+            length = 1
+            while length < self.width and (n ** (length + 1)) ** arity <= _TABLE_CAP:
+                length += 1
+            data = b"".join(tables[i].tobytes() for i in ops)
+            self.plans.append([[] for _ in self.bounds])
+            for word, (first, end) in enumerate(self.bounds):
+                for start in range(first, end, length):
+                    step = min(length, end - start)
+                    key = (n, arity, step, data)
+                    lifted, built = _lifted_group(key)
+                    self.built += built
+                    self.lifts.append((key, lifted))
+                    spec = _ChunkSpec(word, n ** (end - start - step), n**step, lifted)
+                    self.plans[-1][word].append(spec)
+
+
+def _layout(algebra: FiniteAlgebra, m: int) -> tuple[_Layout, int]:
+    """The layout of A^m, from the memo or made, and the chunks lifted for it.
+    A layout is charged its tables' bytes, and kept only if the memo still
+    holds every array it took, so it never keeps an evicted one alive."""
+    key = (algebra._key, m)
+    with _lift_memo.lock:
+        layout = _lift_memo.get(key)
+        if layout is not None:
+            return layout, 0
+        layout = _Layout(algebra, m)
+        if layout.lifts and all(_lift_memo.tables.get(k, (None,))[0] is lifted
+                                for k, lifted in layout.lifts):
+            _lift_memo.put(key, layout, len(key[0][2]), tuple(k for k, _ in layout.lifts))
+        return layout, layout.built
 
 
 def _boxes(sizes: Sequence[int]):
@@ -888,9 +944,13 @@ def _boxes(sizes: Sequence[int]):
     run of rows on the lead axis and every position after it.  The lead
     axis is the first whose trailing product is at most
     _BOX_SLACK * _CHUNK_TARGET, which bounds every box; the boxes come in
-    row-major order and cover the block once.
+    row-major order and cover the block once.  A block of at most
+    _CHUNK_TARGET tuples is one box.
     """
     trailing = prod(sizes)
+    if trailing <= _CHUNK_TARGET:
+        yield (0,) * len(sizes), tuple(sizes)
+        return
     for lead, size in enumerate(sizes):
         trailing //= size
         if trailing <= _BOX_SLACK * _CHUNK_TARGET:
@@ -903,36 +963,28 @@ def _boxes(sizes: Sequence[int]):
             yield (*prefix, r0) + (0,) * len(after), (1,) * lead + (height,) + after
 
 
-def _sub_table(matrices: Sequence[np.ndarray], rows: np.ndarray, last: np.ndarray):
-    """The part of the operations' lifted tables that a box reads, as int64.
-
-    The box reads entry (r, c) of each matrix for r in `rows` and c in
-    `last`.  Gathering its rows takes len(rows) * modulus entries per
-    operation and gathering its columns modulus^(k-1) * len(last); the
-    smaller is taken, so a sub-table holds at most max(len(rows) *
-    len(last), modulus^k) entries per operation.  Returns the sub-table,
-    with a leading axis for the operations, and the index and axis along
-    which one `np.take` fills the box from it.
-    """
-    height, modulus = matrices[0].shape
+def _sub_table(lifted: np.ndarray, lo: int, hi: int, rows: np.ndarray, last: np.ndarray):
+    """What a box reads of operations lo..hi-1's stacked lifted tables, entry
+    (r, c) of each matrix for r in `rows` and c in `last`, with one gather
+    and one cast to int64 for all of them: its rows (len(rows) * modulus
+    entries per operation) or its columns (modulus^(k-1) * len(last)),
+    whichever is smaller, so at most max(len(rows) * len(last), modulus^k).
+    Returns the sub-table, its first axis the operations', and the index
+    and axis along which one `np.take` fills the box from it."""
+    _, height, modulus = lifted.shape
     if len(rows) * modulus <= height * len(last):
-        picked, index, axis = [t[rows] for t in matrices], last, 2
-    else:
-        picked, index, axis = [t[:, last] for t in matrices], rows, 1
-    if len(picked) == 1:
-        return picked[0].astype(np.int64)[None], index, axis
-    return np.stack(picked, dtype=np.int64), index, axis
+        return lifted[lo:hi].take(rows, axis=1).astype(np.int64), last, 2
+    return lifted[lo:hi, :, last].astype(np.int64), rows, 1
 
 
 def _first_occurrences(words: list, spaces: list) -> tuple[list, np.ndarray]:
     """The distinct rows of the words, word j in [0, spaces[j]), in
     ascending order, and the index of each one's first occurrence.
 
-    A stable radix argsort orders the rows by the 16-bit digits of every
-    word, last word first, one pass per digit of its space (one up to 2^16,
-    four up to 2^62): `np.lexsort` sorts by each `uint16` key in turn,
-    stably by counting.  Each run of equal rows keeps index order, so its
-    head, where any word differs from the row before, is the first
+    A stable radix argsort (`np.lexsort` over `uint16` keys) orders the
+    rows by the 16-bit digits of every word, last word first, one pass
+    per digit of its space; each run of equal rows keeps index order, so
+    its head, where any word differs from the row before, is the first
     occurrence.
     """
     keys = [(words[j] >> shift if shift else words[j]).astype(np.uint16)
@@ -952,18 +1004,18 @@ def _first_occurrences(words: list, spaces: list) -> tuple[list, np.ndarray]:
 class _NumpyEngine:
     """Vectorized semi-naive closure over members kept as int64 words.
 
-    `words` holds one array per word, in member order: one word while
-    n^m <= 2^62.  The operations of one arity form a group, in
-    first-occurrence order, and a box spans the whole group (the last axis
-    of every block handed to `_boxes`), so its chunk indices, seen-set
-    test, dedupe and provenance are computed once for all of them;
-    projections are left out.  A box is filled per chunk from a sub-table
-    of the lifted matrices (`_sub_table`), a word's chunks added in int64,
-    and the rows that pass the seen-set test are deduped by
-    `_first_occurrences`.  Chunk codes are kept as `np.intp`, so they
-    index the lifted tables with no cast.  The closure ends right after
-    the box that brings the members to the ceiling n^d (`_saturated`), and
-    `run` refuses a round that would pass `MAX_APPLICATIONS` before it runs.
+    `words` holds one array per word, in member order.  The words' bounds,
+    the groups and their plans come from the memoized `_Layout` of A^m,
+    looked up once.  A box spans a whole group (the last axis of every
+    block handed to `_boxes`), so its chunk indices, seen-set test, dedupe
+    and provenance are computed once for all its operations.  A box is
+    filled per chunk from a sub-table (`_sub_table`), and the rows that
+    pass the seen-set test are deduped by `_first_occurrences`.  Chunk
+    codes are `np.intp`, so they index the lifted tables with no cast.
+    The closure ends right after the box that brings the members to n^d
+    (`_saturated`) or derives the target, whose position it records in
+    `target_position`; `run` refuses a round that would pass
+    `MAX_APPLICATIONS` before it runs.
     """
 
     def __init__(self, algebra: FiniteAlgebra, m: int, budget: int):
@@ -971,58 +1023,22 @@ class _NumpyEngine:
         self.n = algebra.size
         self.m = m
         self.budget = budget
-        self.width = _word_width(self.n, m)
-        self.bounds = [(s, min(s + self.width, m)) for s in range(0, m, self.width)]
-        self.spaces = [self.n ** (end - start) for start, end in self.bounds]
+        layout, built = _layout(algebra, m)
+        self.width, self.bounds, self.spaces = layout.width, layout.bounds, layout.spaces
+        self.groups, self.plans = layout.groups, layout.plans  # read-only, shared
+        self.lifts_built, self.lifts_reused = built, len(layout.lifts) - built
         self.seen = (_BitmapSeen(self.spaces[0]) if self.spaces[0] <= _BITMAP_CAP  # then one word
                      else _SortedSeen(len(self.spaces)))
         self.words = [np.empty(0, dtype=np.int64) for _ in self.bounds]  # in member order
         self.blocks: list = []  # (start, ops, args) per box that found members
         self.op_symbols = tuple(algebra.operations)
-        self.tables = list(algebra.operations.values())
-        groups: dict[int, list[int]] = {}
-        for i, s in enumerate(self.op_symbols):
-            if s.arity >= 1 and not _is_projection(self.n, s.arity, self.tables[i].tobytes()):
-                groups.setdefault(s.arity, []).append(i)
-        self.groups = list(groups.items())  # (arity, operation indices)
         self.rounds = 0
-        self.lifts_built = 0
-        self.lifts_reused = 0
         self.boxes = 0
         self.applications = 0
         self.unseen = 0
         self.fresh: list[int] = []
-        self._plans: dict[int, list[list[_ChunkSpec]]] = {}
+        self.target_position: int | None = None
         self._comps: dict[tuple[int, int, int], np.ndarray] = {}
-
-    # -- lifted tables --------------------------------------------------
-
-    def _plan(self, arity: int, ops: Sequence[int]) -> list[list[_ChunkSpec]]:
-        """The chunks of one group, per word: each word's coordinates cut into
-        chunks whose lifted tables have at most `_TABLE_CAP` entries (the last
-        of a word shorter); same-arity operations share the layout."""
-        if arity in self._plans:
-            return self._plans[arity]
-        length = 1
-        while length < self.width and (self.n ** (length + 1)) ** arity <= _TABLE_CAP:
-            length += 1
-        plan: list[list[_ChunkSpec]] = [[] for _ in self.bounds]
-        for word, (first, end) in enumerate(self.bounds):
-            for start in range(first, end, length):
-                step = min(length, end - start)
-                modulus = self.n ** step
-                matrices = []
-                for op_index in ops:
-                    table, built = _lifted_table(self.n, arity, self.tables[op_index], step)
-                    if built:
-                        self.lifts_built += 1
-                    else:
-                        self.lifts_reused += 1
-                    matrices.append(table.reshape(-1, modulus))
-                plan[word].append(_ChunkSpec(word, self.n ** (end - start - step), modulus,
-                                             tuple(matrices)))
-        self._plans[arity] = plan
-        return plan
 
     # -- members --------------------------------------------------------
 
@@ -1032,13 +1048,9 @@ class _NumpyEngine:
                             tuple(self.fresh), self.seen.kind)
 
     def _saturated(self, members: int) -> bool:
-        """Whether `members` members fill the ceiling n^d, so no box can find more.
-
-        Each operation acts coordinatewise and a constant is a constant
-        column, so coordinates with equal generator columns stay equal in
-        every member; there are n^d tuples that respect those classes, and
-        n^d distinct members are all of them.
-        """
+        """Whether `members` members fill the ceiling n^d, all the tuples
+        that agree on coordinates with equal generator columns, so no box
+        can find more (module docstring)."""
         return members == self.ceiling
 
     def _check_budget(self, members: int) -> None:
@@ -1049,11 +1061,8 @@ class _NumpyEngine:
     def _check_applications(self, old: int, current: int) -> None:
         """Refuse the round over members old..current-1 before any of its
         boxes runs, if it would take the closure past `MAX_APPLICATIONS`.
-
-        On axis i the round applies a group's operations to old^i *
-        (current - old) * current^(k-1-i) argument tuples, the block that
-        `_boxes` cuts; over the k axes these add up to current^k - old^k.
-        """
+        On axis i it applies a group to old^i * (current - old) *
+        current^(k-1-i) argument tuples, current^k - old^k over the k axes."""
         refused = sum((current**k - old**k) * len(ops) for k, ops in self.groups)
         if self.applications + refused > MAX_APPLICATIONS:
             raise BudgetExceededError(self._stats(current), self.budget, refused)
@@ -1068,27 +1077,21 @@ class _NumpyEngine:
 
     def _comp(self, spec: _ChunkSpec) -> np.ndarray:
         key = (spec.word, spec.scale, spec.modulus)
-        comp = self._comps.get(key)
-        if comp is None:
+        if key not in self._comps:
             comp = (self.words[spec.word] // spec.scale) % spec.modulus
-            comp = comp.astype(np.intp, copy=False)
-            self._comps[key] = comp
-        return comp
+            self._comps[key] = comp.astype(np.intp, copy=False)
+        return self._comps[key]
 
     # -- rounds ---------------------------------------------------------
 
     def _apply(self, plan: list[list[_ChunkSpec]], lo: int, hi: int,
                firsts: Sequence[int], extents: Sequence[int]) -> list[np.ndarray]:
-        """Words of a group's operations lo..hi-1 on a box's argument tuples.
-
-        Argument i runs over the members firsts[i] .. firsts[i] + extents[i]
-        - 1.  Returns one flat array per word, by operation, then the tuples
-        in row-major order.  Per chunk, the box's codes are slices of the
-        chunk codes; the first k-1 arguments' combine into row numbers of
-        the lifted matrices and the last argument's are column numbers.
-        The chunk's sub-table (`_sub_table`) is cast and scaled, one
-        `np.take` fills the box from it, and a word's chunks add up in int64.
-        """
+        """Words of a group's operations lo..hi-1 on a box's argument tuples,
+        argument i the members firsts[i] .. firsts[i] + extents[i] - 1: one
+        flat array per word, by operation, then tuples in row-major order.
+        Per chunk, the first k-1 arguments' code slices combine into row
+        numbers of the lifted matrices, the last one's are column numbers,
+        and one `np.take` fills the box from the scaled `_sub_table`."""
         result = []
         for specs in plan:
             total = None
@@ -1098,7 +1101,7 @@ class _NumpyEngine:
                 rows = heads[0] if heads else np.zeros(1, dtype=np.intp)
                 for c in heads[1:]:
                     rows = (rows[:, None] * spec.modulus + c).reshape(-1)
-                sub, index, axis = _sub_table(spec.matrices[lo:hi], rows, last)
+                sub, index, axis = _sub_table(spec.lifted, lo, hi, rows, last)
                 if spec.scale != 1:
                     sub *= spec.scale
                 part = sub.take(index, axis=axis)
@@ -1114,16 +1117,14 @@ class _NumpyEngine:
         (operation, code), each credited to the first operation and then
         the first tuple that yields it; the box that yields `goal` keeps
         only those of the operations up to `goal`'s.  Each box that finds
-        members appends (words, ops, args) to `found`: its fresh members'
-        words, the operation index (an int for a box of one operation, else
-        one per member) and one array of argument member positions per
-        argument.  The closure is done after the box that yields `goal` or
-        brings the members to the ceiling, tested after that box's budget
-        check.
+        members appends (words, ops, args) to `found`: its fresh words, the
+        operation (one int, or one per member) and one array of argument
+        member positions per argument.  The closure is done after the box
+        that yields `goal` or brings the members to the ceiling, tested
+        after that box's budget check.
         """
         members = current
-        for k, ops in self.groups:
-            plan = self._plan(k, ops)
+        for (k, ops), plan in zip(self.groups, self.plans):
             for axis in range(k):
                 sizes = [old] * axis + [current - old] + [current] * (k - 1 - axis)
                 if any(s == 0 for s in sizes):
@@ -1136,28 +1137,31 @@ class _NumpyEngine:
                     words = self._apply(plan, lo, lo + width, firsts, extents)
                     self.boxes += 1
                     self.applications += len(words[0])
-                    hits = np.flatnonzero(self.seen.new_mask(words))
+                    hits = self.seen.new_mask(words).nonzero()[0]
                     if not len(hits):
                         continue
                     self.unseen += len(hits)
                     fresh, first = _first_occurrences([w[hits] for w in words], self.spaces)
-                    reached = goal is not None and goal[0] in fresh[0] and _rows_equal(fresh, goal).any()
+                    at = _find(fresh, goal) if goal is not None and goal[0] in fresh[0] else None
                     if width == 1:  # fresh is in code order, all of one operation
                         op = ops[lo]
                         offsets = np.unravel_index(hits[first], extents)
                     else:
                         op_at, *offsets = np.unravel_index(hits[first], (width, *extents))
                         order = np.argsort(op_at, kind="stable")
-                        if reached:  # stop after the target's operation
-                            order = order[op_at[order] <= op_at[_rows_equal(fresh, goal)][0]]
+                        if at is not None:  # stop after the target's operation
+                            order = order[op_at[order] <= op_at[at]]
+                            at = int((order == at).argmax())
                         fresh = [f[order] for f in fresh]
                         op = np.asarray(ops[lo:lo + width])[op_at[order]]
                         offsets = [o[order] for o in offsets]
+                    if at is not None:
+                        self.target_position = members + at
                     self.seen.add(fresh)
                     found.append((fresh, op, tuple(f + o for f, o in zip(firsts, offsets))))
                     members += len(fresh[0])
                     self._check_budget(members)
-                    if reached or self._saturated(members):
+                    if at is not None or self._saturated(members):
                         return True
         return False
 
@@ -1174,7 +1178,9 @@ class _NumpyEngine:
             self.seen.add(words)
             self._append_members(words)
 
-        done = goal in seed_codes or self._saturated(len(self.words[0]))
+        if goal in seed_codes:
+            self.target_position = seed_codes.index(goal)
+        done = self.target_position is not None or self._saturated(len(self.words[0]))
         old = 0
         while old < len(self.words[0]) and not done:
             current = len(self.words[0])
@@ -1199,6 +1205,7 @@ class _NumpyEngine:
             self.blocks,
             self.op_symbols,
             self._stats(len(self.words[0])),
+            self.target_position,
         )
 
 
@@ -1220,13 +1227,8 @@ def _close(
     budget: int,
     target: tuple[int, ...] | None,
 ) -> ClosureResult:
-    """Validate a closure request and run it.
-
-    With a target, the closure stops right after the target's operation in
-    the box that first derives it, or before round 1 if a seed is the
-    target; with None it computes the whole closure.  Either way it ends
-    once the members reach n^d for d distinct generator columns.
-    """
+    """Validate a closure request and run it, stopped at the target, if
+    one is given, or once the members reach n^d (module docstring)."""
     generators = [tuple(g) for g in generators]
     if m is None:
         if not generators:
@@ -1279,18 +1281,16 @@ def smp_decide(
     """Decide whether the target lies in the subpower the generators generate.
 
     The closure stops right after the target's operation in the box that
-    first derives the target; a box spans all operations of one arity,
-    and its fresh members of later operations are dropped.  So for a
-    member target `stats` counts the members and rounds up to that
-    operation and the budget bounds only those.  A non-member target
-    runs the closure until it holds all n^d tuples its d distinct
-    generator columns allow (`stats.columns`), or to its last round when
-    it holds fewer, so `stats.members` is the whole subpower's.  The
-    witness is the one the full closure records.
+    first derives it, which gives the target's position, so for a member
+    `stats` counts the members and rounds up to that operation and the
+    budget bounds only those.  A non-member runs the closure until it
+    holds all n^d tuples its d distinct generator columns allow
+    (`stats.columns`), or to its last round, so `stats.members` is the
+    whole subpower's.  The witness is the one the full closure records.
     """
     _check_entries("target", instance.target, algebra.size)
     closure = _close(algebra, instance.generators, instance.m, budget, instance.target)
-    position = closure.position(instance.target)
+    position = closure.target_position
     if position is not None:
         return SmpAnswer(True, closure._witness_at(position), closure.stats)
     return SmpAnswer(False, None, closure.stats)

@@ -416,7 +416,7 @@ def reference_box_codes(engine, plan, lo: int, hi: int, firsts, extents):
         for p in positions[1:]:
             idx = idx[..., None] * spec.modulus + comp[p]
         idx = idx.reshape(-1)
-        rows = [matrix.reshape(-1)[idx] for matrix in spec.matrices[lo:hi]]
+        rows = [matrix.reshape(-1)[idx] for matrix in spec.lifted[lo:hi]]
         after = engine.m - engine.bounds[spec.word][1]
         part = np.vstack(rows).astype(object) * (spec.scale * engine.n**after)
         result = part if result is None else result + part
@@ -431,12 +431,12 @@ def reference_round(engine, old: int, current: int, goal, found: list) -> bool:
     at the box whose members fill the ceiling n^d), but a box's fresh
     members and their first occurrences come from `np.unique(...,
     axis=0, return_index=True)` over the rows of words the seen-set test
-    passes, and every box is sorted by operation and records one
-    operation per member.
+    passes, every box is sorted by operation and records one
+    operation per member, and the goal's position is found by comparing
+    every kept row with it.
     """
     members = current
-    for k, ops in engine.groups:
-        plan = engine._plan(k, ops)
+    for (k, ops), plan in zip(engine.groups, engine.plans):
         for axis in range(k):
             sizes = [old] * axis + [current - old] + [current] * (k - 1 - axis)
             if any(s == 0 for s in sizes):
@@ -466,6 +466,8 @@ def reference_round(engine, old: int, current: int, goal, found: list) -> bool:
                     order = order[op_at[order] <= op_at[at_goal][0]]
                 fresh, op_at = [f[order] for f in fresh], op_at[order]
                 offsets = [o[order] for o in offsets]
+                if reached:
+                    engine.target_position = members + int(at_goal[order].argmax())
                 engine.seen.add(fresh)
                 found.append((fresh, np.asarray(ops[lo:lo + width])[op_at],
                               tuple(f + o for f, o in zip(firsts, offsets))))

@@ -93,6 +93,36 @@ def test_table_entries_must_be_integers():
         assert FiniteAlgebra(2, {MEET: table}).operations[MEET].tolist() == [0, 0, 0, 1]
 
 
+def test_one_reduction_refuses_every_entry_outside_the_universe():
+    """The range check views the int64 table as uint64, where a negative
+    entry wraps to 2^63 or more; the messages are the two-sided check's."""
+    refused = f"table for {MEET} leaves the universe"
+
+    def read_only(values, dtype=np.int64):
+        table = np.array(values, dtype=dtype)
+        table.flags.writeable = False
+        return table
+
+    tables = [(0, -1, 0, 0), (0, -2**63, 0, 1), (0, 0, 2, 0), read_only([0, -2**63, 0, 0]),
+              read_only([0, 0, 0, 2]), read_only([-1, 0, 0, 0])]
+    tables += [read_only([0, 0, 0, v], np.uint64) for v in (2**63, 2**63 + 1, 2**64 - 1)]
+    tables += [np.array([0, 2, 0, 0], np.uint8), np.array([0, -1, 0, 0], np.int8)]
+    for table in tables:
+        with pytest.raises(ValueError) as error:
+            FiniteAlgebra(2, {MEET: table})
+        assert str(error.value) == refused
+    # past 2^63 no int64 entry is outside the universe's top, but a negative one still is
+    for size in (2**63, 2**64 + 5):
+        assert FiniteAlgebra(size, {ONE: (2**63 - 1,)}).operations[ONE].tolist() == [2**63 - 1]
+        for entry in (-1, 2**63, np.uint64(2**63)):
+            with pytest.raises(ValueError, match=f"^table for {ONE} leaves the universe$"):
+                FiniteAlgebra(size, {ONE: (entry,)})
+    accepted = [np.array([0, 0, 0, 1], bool), [np.int64(0), np.uint8(0), np.int16(0), np.uint16(1)],
+                [np.bool_(False), False, 0, np.True_], read_only([0, 0, 0, 1], np.uint64)]
+    for table in accepted:
+        assert FiniteAlgebra(2, {MEET: table}).operations[MEET].tolist() == [0, 0, 0, 1]
+
+
 def test_tables_are_read_only_copies():
     given = [0, 0, 0, 1]
     array = np.array(given)

@@ -1,8 +1,9 @@
 """The closure's box kernel against a box-sized index into the lifted tables.
 
-`_NumpyEngine._apply` fills a box from a sub-table of each lifted
-matrix, the box's rows or its columns, whichever is smaller, and adds a
-word's chunks in int64.  `reference_box_codes` gathers every argument
+`_NumpyEngine._apply` fills a box from a sub-table of its group's stacked
+lifted matrices, the box's rows or its columns, whichever is smaller,
+gathered for all the box's operations at once, and adds a word's chunks
+in int64.  `reference_box_codes` gathers every argument
 tuple through one flat index per chunk and adds the chunks as Python
 ints.  The engine's words, joined into whole codes, must give the same
 codes in the same order, over one word and over several, for boxes of
@@ -101,12 +102,12 @@ def test_box_kernel_matches_the_full_index(monkeypatch):
     gathers = []
     sub_table = algebras._sub_table
 
-    def spy(matrices, rows, last):
-        sub, index, axis = sub_table(matrices, rows, last)
-        height, modulus = matrices[0].shape
+    def spy(lifted, lo, hi, rows, last):
+        sub, index, axis = sub_table(lifted, lo, hi, rows, last)
+        _, height, modulus = lifted.shape
         assert height * modulus <= algebras._TABLE_CAP
         assert sub.dtype == np.int64
-        assert sub.size <= len(matrices) * max(len(rows) * len(last), height * modulus)
+        assert sub.size <= (hi - lo) * max(len(rows) * len(last), height * modulus)
         if len(last) != modulus:
             side = "above" if len(last) > modulus else "below"
             gathers.append(("rows" if axis == 2 else "columns", side))
@@ -124,7 +125,7 @@ def test_box_kernel_matches_the_full_index(monkeypatch):
         engine, k, ops, boxes = case
         layout = "one word" if len(engine.bounds) == 1 else "words"
         for firsts, extents, lo, width, lead in boxes:
-            plan = engine._plan(k, ops)
+            plan = engine.plans[engine.groups.index((k, ops))]
             got = engine._apply(plan, lo, lo + width, firsts, extents)
             assert all(w.dtype == np.int64 for w in got)
             assert all(((w >= 0) & (w < space)).all() for w, space in zip(got, engine.spaces))

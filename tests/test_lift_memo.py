@@ -1,11 +1,24 @@
-"""The process-wide memo of lifted operation tables.
+"""The process-wide memo of lifted group tables and closure layouts.
 
-Memoized tables are checked against `reference_lifted_table`, which fills
-each entry from the definition; the memo is checked for read-only
-entries, its byte bound, rebuilding after eviction, and reuse across
-equal but distinct tables and algebras.  Tables are int64 arrays, the
-form `FiniteAlgebra` stores.
+A group's stacked lifted tables are checked against
+`reference_lifted_table`, which fills each operation's entries from the
+definition; the memo is checked for read-only entries, its byte bound,
+rebuilding after eviction, and reuse across equal but distinct tables
+and algebras.  A closure takes its layout (word bounds, operation groups
+and the chunks' lifted arrays) from the memo, so it must not depend on
+what the memo holds: a closure run warm and again with the memo cleared
+must agree on everything but `lifts_built` and `lifts_reused`.  A layout
+is evicted before its arrays, so an evicted array is freed; a group too
+large for the bound still closes; threads closing over one algebra
+agree.  Tables are int64 arrays, the form `FiniteAlgebra` stores.
 """
+
+import gc
+import sys
+import threading
+import weakref
+from dataclasses import astuple
+from random import Random
 
 import numpy as np
 import pytest
@@ -13,8 +26,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import reference_lifted_table
+from test_closure_differential import (
+    EXTENSION_CONDITIONS,
+    closures,
+    extended_closures,
+    repeat_coordinates,
+    repeats,
+)
 from maltcube import algebras
-from maltcube.algebras import FiniteAlgebra, generate_subpower
+from maltcube.algebras import FiniteAlgebra, SmpInstance, generate_subpower, render_tree, smp_decide
+from maltcube.construction import extend
 from maltcube.terms import OperationSymbol
 
 
@@ -22,65 +43,97 @@ def ints(*values: int) -> np.ndarray:
     return np.array(values, dtype=np.int64)
 
 
+def lift(n, arity, tables, length):
+    """The memo's entry point for a group: its int64 tables as one bytes key."""
+    return algebras._lifted_group((n, arity, length, b"".join(t.tobytes() for t in tables)))
+
+
+def clear_memo():
+    with algebras._lift_memo.lock:
+        algebras._lift_memo.tables.clear()
+        algebras._lift_memo.nbytes = 0
+
+
+def check_memo(bound):
+    """Charges add up, stay within the bound, and count each resident array
+    once; every layout's arrays are in the memo, after it."""
+    memo = algebras._lift_memo
+    keys = list(memo.tables)
+    assert memo.nbytes == sum(charge for _, charge, _ in memo.tables.values()) <= bound
+    arrays = {id(v): v for v, _, _ in memo.tables.values() if isinstance(v, np.ndarray)}
+    assert sum(a.nbytes for a in arrays.values()) <= memo.nbytes
+    for key, (value, _, follow) in memo.tables.items():
+        if isinstance(value, algebras._Layout):
+            assert all(keys.index(k) > keys.index(key) for k in follow)
+            assert all(memo.tables[k][0] is lifted for k, lifted in value.lifts)
+
+
 @st.composite
 def operations(draw):
-    """A universe size at most 3, an arity 1 to 3, a table, a chunk length 1 to 3."""
+    """A universe size at most 3, an arity 1 to 3, a group of 1 to 3 tables,
+    a chunk length 1 to 3."""
     n = draw(st.integers(1, 3))
     arity = draw(st.integers(1, 3))
-    table = draw(st.lists(st.integers(0, n - 1), min_size=n**arity, max_size=n**arity))
+    table = st.lists(st.integers(0, n - 1), min_size=n**arity, max_size=n**arity)
+    tables = draw(st.lists(table, min_size=1, max_size=3))
     length = draw(st.integers(1, 3))
-    return n, arity, np.array(table, dtype=np.int64), length
+    return n, arity, [np.array(t, dtype=np.int64) for t in tables], length
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(operations())
 def test_memoized_tables_match_the_definition(case):
-    n, arity, table, length = case
-    lifted, _ = algebras._lifted_table(n, arity, table, length)
-    assert lifted.dtype == np.uint16
-    assert tuple(lifted.tolist()) == reference_lifted_table(n, arity, table.tolist(), length)
-    again, built = algebras._lifted_table(n, arity, table.copy(), length)
+    n, arity, tables, length = case
+    lifted, _ = lift(n, arity, tables, length)
+    modulus = n**length
+    assert lifted.dtype == (np.uint8 if modulus <= 256 else np.uint16)
+    assert lifted.shape == (len(tables), modulus ** (arity - 1), modulus)
+    for matrix, table in zip(lifted, tables):
+        want = reference_lifted_table(n, arity, table.tolist(), length)
+        assert tuple(matrix.reshape(-1).tolist()) == want
+    again, built = lift(n, arity, [t.copy() for t in tables], length)
     assert not built and again is lifted
 
 
 def test_memoized_tables_are_read_only():
-    lifted, _ = algebras._lifted_table(2, 2, ints(0, 1, 1, 0), 2)
+    lifted, _ = lift(2, 2, [ints(0, 1, 1, 0)], 2)
     assert not lifted.flags.writeable
     with pytest.raises(ValueError):
-        lifted[0] = 1
+        lifted[0, 0, 0] = 1
 
 
 def test_wide_blocks_are_stored_in_int32():
-    # 2**17 block codes no longer fit uint16
-    lifted, _ = algebras._lifted_table(2, 1, ints(1, 0), 17)
+    # 2**17 block codes no longer fit uint16, nor 2**9 uint8
+    lifted, _ = lift(2, 1, [ints(1, 0)], 17)
     assert lifted.dtype == np.int32
-    assert lifted[0] == (1 << 17) - 1 and lifted[-1] == 0
+    assert lifted[0, 0, 0] == (1 << 17) - 1 and lifted[0, 0, -1] == 0
+    assert lift(2, 1, [ints(1, 0)], 8)[0].dtype == np.uint8
+    lifted, _ = lift(2, 2, [ints(0, 1, 1, 1)], 9)
+    assert lifted.dtype == np.uint16 and lifted[0, -1, 0] == (1 << 9) - 1
 
 
 def test_memo_stays_within_its_byte_bound(monkeypatch):
     bound = 4096
     monkeypatch.setattr(algebras, "_LIFT_MEMO_BYTES", bound)
-    memo = algebras._lift_memo
     built_bytes = 0
     for value in range(3):
         for length in range(1, 7):
-            lifted, built = algebras._lifted_table(3, 1, ints(value, 1, 2 - value), length)
+            lifted, built = lift(3, 1, [ints(value, 1, 2 - value)], length)
             if built:  # only an insertion evicts
                 built_bytes += lifted.nbytes
-                assert memo.nbytes <= bound
-                assert memo.nbytes == sum(t.nbytes for t in memo.tables.values())
+                check_memo(bound)
     assert built_bytes > bound
 
 
 def test_rebuilt_table_equals_the_evicted_one(monkeypatch):
     monkeypatch.setattr(algebras, "_LIFT_MEMO_BYTES", 2048)
     majority = ints(0, 0, 0, 1, 0, 1, 1, 1)
-    first, _ = algebras._lifted_table(2, 3, majority, 2)
+    first, _ = lift(2, 3, [majority], 2)
     for value in range(2):
         for length in range(1, 10):  # together about twice the bound
-            algebras._lifted_table(2, 1, ints(value, 1 - value), length)
-    assert (2, 3, majority.tobytes(), 2) not in algebras._lift_memo.tables
-    rebuilt, built = algebras._lifted_table(2, 3, majority, 2)
+            lift(2, 1, [ints(value, 1 - value)], length)
+    assert (2, 3, 2, majority.tobytes()) not in algebras._lift_memo.tables
+    rebuilt, built = lift(2, 3, [majority], 2)
     assert built and rebuilt is not first
     assert np.array_equal(rebuilt, first) and rebuilt.dtype == first.dtype
 
@@ -101,3 +154,152 @@ def test_equal_algebras_share_lifted_tables():
     assert second.stats.lifts_reused > 0
     assert second.member_list == first.member_list
     assert second.stats == first.stats
+
+
+def test_extensions_by_one_condition_share_their_h_group():
+    """Two algebras of one size, with binary operations only: their A_M by
+    CD(3) with CP(3) hold the same ternary H-group, one memo entry."""
+    condition = EXTENSION_CONDITIONS[0]
+    lattice = FiniteAlgebra(3, {OperationSymbol("meet", 2): tuple(min(a, b) for a in range(3)
+                                                                  for b in range(3))})
+    groupoid = random_algebra(3)
+    groupoid = FiniteAlgebra(3, {s: t for s, t in groupoid.operations.items() if s.arity == 2})
+    generators = [(0, 1, 2), (2, 0, 1)]
+    clear_memo()
+    chunks = []
+    for base in (lattice, groupoid):
+        extended = extend(base, condition).extended
+        generate_subpower(extended, generators)
+        layout = algebras._lift_memo.tables[(extended._key, 3)][0]
+        (arity, ops), = [g for g in layout.groups if g[0] == 3]
+        symbols = list(extended.operations)
+        assert [symbols[i].name for i in ops] == ["d_1", "d_2", "p_1", "p_2"]
+        plan = layout.plans[layout.groups.index((arity, ops))]
+        chunks.append([spec.lifted for specs in plan for spec in specs])
+    assert all(a is b for a, b in zip(*chunks)) and chunks[0]
+
+
+def outcome(algebra, generators, m, target):
+    """Everything a closure and an answer give, but the lift counters."""
+    full = generate_subpower(algebra, generators, m=m)
+    answer = smp_decide(algebra, SmpInstance(m, generators, target))
+    return (
+        full.member_list,
+        full.derivations,
+        [render_tree(t) for t in full.witness_trees().values()],
+        [astuple(r.stats)[:2] + astuple(r.stats)[4:] for r in (full, answer)],
+        answer.answer,
+        answer.witness and render_tree(answer.witness),
+    )
+
+
+def test_closures_agree_warm_and_with_the_memo_cleared():
+    """Small powers, A_M and two-word powers, each run warm and then cold."""
+    seen = set()
+    cases = st.one_of(closures().map(lambda c: ("small", c)),
+                      extended_closures().map(lambda c: ("A_M", c)))
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(cases, st.integers(0, 10**6), st.booleans())
+    def compare(kind_case, pick, wide):
+        kind, (algebra, m, generators) = kind_case
+        if wide and algebra.size > 1:
+            r = repeats(algebra.size, m)
+            generators = [repeat_coordinates(g, r) for g in generators]
+            m *= r
+        rng = Random(pick)
+        target = tuple(rng.randrange(algebra.size) for _ in range(m))
+        outcome(algebra, generators, m, target)
+        warm = outcome(algebra, generators, m, target)
+        clear_memo()
+        assert outcome(algebra, generators, m, target) == warm
+        seen.update((kind, "words" if m > algebras._word_width(algebra.size, m) else "one word"))
+
+    compare()
+    assert seen == {"small", "A_M", "one word", "words"}
+
+
+def random_algebra(seed):
+    rng = Random(seed)
+    ops = {OperationSymbol("f", 2): tuple(rng.randrange(3) for _ in range(9)),
+           OperationSymbol("g", 3): tuple(rng.randrange(3) for _ in range(27))}
+    return FiniteAlgebra(3, ops)
+
+
+def test_many_distinct_algebras_stay_within_the_bound(monkeypatch):
+    bound = 1 << 18
+    monkeypatch.setattr(algebras, "_LIFT_MEMO_BYTES", bound)
+    clear_memo()
+    generators = [(0, 1, 2, 0), (2, 2, 1, 0)]
+    for seed in range(40):
+        generate_subpower(random_algebra(seed), generators)
+        check_memo(bound)
+    assert any(isinstance(v, algebras._Layout) for v, _, _ in algebras._lift_memo.tables.values())
+
+
+def test_an_evicted_array_is_freed(monkeypatch):
+    monkeypatch.setattr(algebras, "_LIFT_MEMO_BYTES", 1 << 18)
+    clear_memo()
+    generators = [(0, 1, 2, 0), (2, 2, 1, 0)]
+    generate_subpower(random_algebra(0), generators)
+    layout = algebras._lift_memo.tables[(random_algebra(0)._key, 4)][0]
+    key, lifted = layout.lifts[0]
+    ref = weakref.ref(lifted)
+    del layout, lifted
+    seed = 1
+    while key in algebras._lift_memo.tables:
+        generate_subpower(random_algebra(seed), generators)
+        seed += 1
+    gc.collect()
+    assert ref() is None
+
+
+def test_a_group_larger_than_the_bound_still_closes(monkeypatch):
+    """A ternary chunk of 3^9 entries outgrows a bound of 1,000 bytes: the
+    closure lifts it each time and keeps no layout, with the same result."""
+    algebra = FiniteAlgebra(3, {OperationSymbol("f", 3): tuple(Random(5).randrange(3)
+                                                                for _ in range(27))})
+    generators = [(0, 1, 2, 0), (1, 1, 0, 2)]
+    clear_memo()
+    want = generate_subpower(algebra, generators)
+    monkeypatch.setattr(algebras, "_LIFT_MEMO_BYTES", 1000)
+    clear_memo()
+    for _ in range(2):
+        got = generate_subpower(algebra, generators)
+        assert got.stats.lifts_built > 0
+        assert (got.member_list, got.derivations, got.stats) == (
+            want.member_list, want.derivations, want.stats)
+        assert algebras._lift_memo.nbytes <= 1000
+
+
+def test_threads_closing_over_one_algebra_agree():
+    """More threads than cores, switching often, close over equal algebras
+    from an empty memo: every result is the lone thread's, and the memo's
+    charges still add up (a lost update would break them)."""
+    algebra = random_algebra(7)
+    generators = [(0, 1, 2, 2, 0), (2, 2, 1, 0, 1), (1, 1, 2, 2, 0)]
+    want = generate_subpower(algebra, generators)
+    clear_memo()
+    barrier = threading.Barrier(4)
+    results = [None] * 4
+
+    def close(i):
+        barrier.wait(timeout=10)
+        for _ in range(3):
+            results[i] = generate_subpower(FiniteAlgebra(3, dict(algebra.operations)), generators)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=close, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got in results:
+        assert (got.member_list, got.derivations, got.stats) == (
+            want.member_list, want.derivations, want.stats)
+    check_memo(algebras._LIFT_MEMO_BYTES)

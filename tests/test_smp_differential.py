@@ -13,14 +13,18 @@ non-member, counters; with each coordinate repeated past 2^62, so over
 two or more words, it must give the same answer, witness and counters.  A box
 spans all operations of one arity and keeps the fresh members of the
 operations up to the target's, so over A_M, whose H-operations share
-boxes, the budget must bound exactly those.
+boxes, the budget must bound exactly those.  The engine reports the
+target's position from the box that derives it (or from the seeds), and
+it must be the one `ClosureResult.position` finds, in one word and in
+several.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from test_closure_differential import (
+    EXTENSION_CONDITIONS,
     closures,
     extended_closures,
     member_rounds,
@@ -30,6 +34,7 @@ from test_closure_differential import (
 from maltcube.algebras import (
     DEFAULT_BUDGET,
     BudgetExceededError,
+    FiniteAlgebra,
     SmpInstance,
     _close,
     _pack,
@@ -38,6 +43,8 @@ from maltcube.algebras import (
     render_tree,
     smp_decide,
 )
+from maltcube.construction import extend
+from maltcube.terms import OperationSymbol
 
 
 def rows(result):
@@ -66,6 +73,7 @@ def test_stopped_closure_is_a_prefix_of_the_full_closure():
         target = pick_target(algebra, m, full, pick, member)
         stopped = _close(algebra, generators, m, DEFAULT_BUDGET, target)
         count = stopped.stats.members
+        assert stopped.target_position == stopped.position(target)
         assert len(stopped.member_list) == count
         assert rows(stopped) == rows(full)[:count]
         assert stopped.derivations == full.derivations[:count]
@@ -103,10 +111,12 @@ def test_stopped_closure_is_a_prefix_of_the_full_closure():
             assert answer.stats == full.stats
         if algebra.size > 1:
             r = repeats(algebra.size, m)
-            wide = smp_decide(algebra, SmpInstance(
-                m * r, [repeat_coordinates(g, r) for g in generators],
-                repeat_coordinates(target, r),
-            ))
+            instance = SmpInstance(m * r, [repeat_coordinates(g, r) for g in generators],
+                                   repeat_coordinates(target, r))
+            words = _close(algebra, instance.generators, m * r, DEFAULT_BUDGET, instance.target)
+            assert words.target_position == words.position(instance.target)
+            assert words.target_position == stopped.target_position
+            wide = smp_decide(algebra, instance)
             assert wide.answer == answer.answer and wide.stats == answer.stats
             if answer.answer:
                 assert render_tree(wide.witness) == render_tree(answer.witness)
@@ -118,8 +128,14 @@ def test_stopped_closure_is_a_prefix_of_the_full_closure():
 def test_budget_bounds_the_members_up_to_the_target_over_extensions():
     seen = set()
 
+    # a box shared by f0 and the commutative h: the target (0, 0) is f0's
+    # first fresh member there, and f0 finds (2, 0) after it
+    shared = extend(FiniteAlgebra(3, {OperationSymbol("f0", 2): (0, 2, 0) * 3}),
+                    EXTENSION_CONDITIONS[2]).extended
+
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(extended_closures(), st.integers(0, 10**6), st.booleans())
+    @example((shared, 2, [(1, 2), (0, 2), (1, 2)]), 0, False)
     def compare(case, pick, member):
         algebra, m, generators = case
         full = generate_subpower(algebra, generators, m=m)
