@@ -43,10 +43,11 @@ with its first occurrence.
 A closure's layout (the words, the groups and their chunks' arrays)
 depends on the tables and m alone, so it is memoized process-wide by
 their contents, and each lifted array by its group's tables: equal
-algebras, such as the extensions that `reduce` rebuilds, share a layout,
-and the H-groups of every A_M over one M and |A| share their arrays.
+algebras share a layout, and the H-groups of every A_M over one M and |A|
+share their arrays.
 The memo evicts least recently used entries, a layout before its arrays,
-to stay within a fixed number of bytes.
+to stay within a fixed number of bytes, and keeps no entry larger than
+that bound, so a single large one never empties it.
 
 Derivations are kept in the arrays each box already holds: a seed's is
 its generator position or its constant, and a box that finds members
@@ -134,6 +135,11 @@ class FiniteAlgebra:
             if huge or expected != len(table):
                 raise ValueError(f"table for {symbol} has {len(table)} entries, expected {expected}")
             values = np.asarray(table)
+            if values.dtype.kind == "f" and not isinstance(table, np.ndarray) and all(
+                    isinstance(v, (int, np.integer, np.bool_)) for v in table):
+                # signed and unsigned numpy integers together make floats; every
+                # entry is an integer, so `int` is exact
+                values = np.asarray([int(v) for v in table])
             if (values.dtype == np.int64 and values.ndim == 1 and values.flags.owndata
                     and not values.flags.writeable):
                 pass  # read-only and its own memory, so nothing can change it: shared
@@ -823,7 +829,11 @@ class _LiftMemo:
         return None if entry is None else entry[0]
 
     def put(self, key: tuple, value, charge: int, follow: tuple = ()) -> None:
-        """Add an entry, then evict the least recently used down to the bound."""
+        """Add an entry, then evict the least recently used down to the bound.
+        An entry charged more than the whole bound is not kept, so it never
+        evicts the others."""
+        if charge > _LIFT_MEMO_BYTES:
+            return
         self.tables[key] = (value, charge, follow)
         self.nbytes += charge
         self.get(key)

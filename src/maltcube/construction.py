@@ -34,6 +34,19 @@ CONDITION_INDEX_MEMO most recently used pairs; `extend` only pads A's
 tables around them.  The H-tables are int64, so `FiniteAlgebra` keeps
 them as they are, with no copy.
 
+`extend` keeps each A_M it builds in the byte-bounded lift memo of
+`maltcube.algebras`, charged A_M's table bytes and the bytes of A's
+content key; the copy of A_M's tables in its own content key is charged
+to the layouts made over A_M, which hold it too.  The key is A's table
+contents (`FiniteAlgebra._key`), A's symbol names in order and M: the
+contents alone leave the names out, and a lattice and a groupoid with
+equal tables take different extensions.  A repeat call
+returns the same A_M `FiniteAlgebra`, whose content key and closure
+layouts are then already made, in a fresh `ExtendedAlgebra` whose `base`
+is the caller's algebra; only A_M and the read-only arrays are shared.
+A failed precondition raises before the memo is consulted, so it leaves
+nothing there.
+
 Consistency makes the position choice canonical: two derivable
 positions in different pattern blocks would merge two distinct
 variables in the closure.  `well_definedness_audit` checks that fact
@@ -101,6 +114,7 @@ from .algebras import (
     SmpAnswer,
     SmpInstance,
     TermTree,
+    _lift_memo,
     _values_on_power,
     smp_decide,
     tree_symbols,
@@ -253,7 +267,8 @@ def extend(algebra: FiniteAlgebra, condition: MaltsevCondition) -> ExtendedAlgeb
     """Build the absorbing extension of the algebra by the condition.
 
     Requires name-disjoint signatures and a consistent condition none of
-    whose symbols entails cube identities.
+    whose symbols entails cube identities.  The extension is memoized
+    (module docstring); the result's `base` is always `algebra`.
     """
     base_names = {s.name for s in algebra.operations}
     clashes = [s for s in condition.signature if s.name in base_names]
@@ -267,7 +282,17 @@ def extend(algebra: FiniteAlgebra, condition: MaltsevCondition) -> ExtendedAlgeb
     if not report.applicable:
         bad = ", ".join(s.name for s in report.cube_symbols)
         raise ConstructionError(f"the condition entails cube identities for {bad}")
-    return _build_extension(algebra, condition)
+    key = (algebra._key, tuple(s.name for s in algebra.operations), condition)
+    with _lift_memo.lock:
+        parts = _lift_memo.get(key)
+        if parts is None:
+            ext = _build_extension(algebra, condition)
+            parts = (ext.extended, ext.absorbing, ext.patterns, ext.representatives,
+                     ext.pattern_tables)
+            tables = sum(t.nbytes for t in ext.extended.operations.values())
+            _lift_memo.put(key, parts, tables + len(key[0][2]))
+    extended, absorbing, *arrays = parts
+    return ExtendedAlgebra(algebra, condition, extended, absorbing, *map(dict, arrays))
 
 
 @dataclass(frozen=True)

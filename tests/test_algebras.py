@@ -107,6 +107,8 @@ def test_one_reduction_refuses_every_entry_outside_the_universe():
               read_only([0, 0, 0, 2]), read_only([-1, 0, 0, 0])]
     tables += [read_only([0, 0, 0, v], np.uint64) for v in (2**63, 2**63 + 1, 2**64 - 1)]
     tables += [np.array([0, 2, 0, 0], np.uint8), np.array([0, -1, 0, 0], np.int8)]
+    tables += [[np.int64(-1), np.uint64(0), np.int16(0), np.uint8(0)],
+               [np.uint64(2), np.int64(0), 0, 0]]
     for table in tables:
         with pytest.raises(ValueError) as error:
             FiniteAlgebra(2, {MEET: table})
@@ -117,7 +119,10 @@ def test_one_reduction_refuses_every_entry_outside_the_universe():
         for entry in (-1, 2**63, np.uint64(2**63)):
             with pytest.raises(ValueError, match=f"^table for {ONE} leaves the universe$"):
                 FiniteAlgebra(size, {ONE: (entry,)})
+    # a list mixing signed and unsigned numpy integers, which `np.asarray` makes floats
     accepted = [np.array([0, 0, 0, 1], bool), [np.int64(0), np.uint8(0), np.int16(0), np.uint16(1)],
+                [np.int64(0), np.uint8(0), np.int16(0), np.uint64(1)],
+                [np.bool_(False), np.uint64(0), np.int16(0), np.True_],
                 [np.bool_(False), False, 0, np.True_], read_only([0, 0, 0, 1], np.uint64)]
     for table in accepted:
         assert FiniteAlgebra(2, {MEET: table}).operations[MEET].tolist() == [0, 0, 0, 1]

@@ -13,10 +13,10 @@ and that round's count.
 from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from test_closure_differential import closures, extended_closures
+from test_closure_differential import EXTENSION_CONDITIONS, closures, extended_closures
 from maltcube import algebras
 from maltcube.algebras import (
     DEFAULT_BUDGET,
@@ -26,6 +26,7 @@ from maltcube.algebras import (
     _NumpyEngine,
 )
 from maltcube.cli import main
+from maltcube.construction import extend
 from maltcube.terms import OperationSymbol
 
 # a random ternary operation on 3 elements and two generators with 9
@@ -106,6 +107,13 @@ def check(case, pick, target_pick, seen):
     seen.add("refused in round 1" if refused == 0 else "refused later")
 
 
+# A_M of a meet by q(x,x,y) = x, whose round 1 applies f0 to 4 pairs and q
+# to 8 triples: a bound of 0 refuses round 1, one of 12 round 2, and a pick
+# of -1 sets the bound past the total
+AM_CASE = (extend(FiniteAlgebra(2, {OperationSymbol("f0", 2): (0, 0, 0, 1)}),
+                 EXTENSION_CONDITIONS[1]).extended, 2, [(0, 1), (1, 0)])
+
+
 @pytest.mark.parametrize("strategy", [closures(), extended_closures()],
                          ids=["small", "extended"])
 def test_closure_stops_before_the_round_that_passes_the_bound(strategy):
@@ -113,6 +121,9 @@ def test_closure_stops_before_the_round_that_passes_the_bound(strategy):
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(strategy, st.integers(0, 10**6), st.one_of(st.none(), st.integers(0, 10**6)))
+    @example(AM_CASE, -1, None)
+    @example(AM_CASE, 0, None)
+    @example(AM_CASE, 12, None)
     def run(case, pick, target_pick):
         check(case, pick, target_pick, seen)
 

@@ -14,7 +14,7 @@ memo's int64 H-tables themselves, not copies.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import reference_build_extension
@@ -28,7 +28,7 @@ from maltcube.construction import (
     well_definedness_audit,
 )
 from maltcube.cube import check_condition
-from maltcube.terms import OperationSymbol
+from maltcube.terms import Identity, MaltsevCondition, OperationSymbol, app, var
 
 
 def pattern_dict(ext: ExtendedAlgebra, symbol: OperationSymbol) -> dict:
@@ -53,6 +53,8 @@ def algebras(draw) -> FiniteAlgebra:
 
 
 cube_matrices = st.builds(seeded_cube_matrix, st.integers(2, 4), st.integers(0, 99))
+G0, C, U, H, Q = (OperationSymbol(name, k) for name, k in (("g0", 1), ("c", 0), ("u", 1),
+                                                          ("h", 2), ("q", 3)))
 
 
 def test_matches_the_row_by_row_reference():
@@ -60,6 +62,15 @@ def test_matches_the_row_by_row_reference():
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(algebras(), st.one_of(conditions(), cube_matrices))
+    # sizes 1 to 4: commutative h with a constant, an inconsistent h beside a
+    # unary u, a 4-ary cube matrix and q(x,x,y) = x
+    @example(FiniteAlgebra(1, {G0: (0,)}), MaltsevCondition((C, H), (Identity(app(H, 0, 1),
+                                                                          app(H, 1, 0)),)))
+    @example(FiniteAlgebra(2, {G0: (0, 1)}), MaltsevCondition(
+        (U, H), (Identity(app(H, 0, 1), var(0)), Identity(app(H, 0, 1), var(1)))))
+    @example(FiniteAlgebra(3, {G0: (2, 0, 1)}), seeded_cube_matrix(4, 8))
+    @example(FiniteAlgebra(4, {G0: (1, 2, 3, 0)}), MaltsevCondition(
+        (Q,), (Identity(app(Q, 0, 0, 1), var(0)),)))
     def compare(algebra, condition):
         ext = _build_extension(algebra, condition)
         extended, reference_tables = reference_build_extension(algebra, condition)

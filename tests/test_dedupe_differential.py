@@ -23,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import reference_round
-from test_closure_differential import closures, extended_closures
+from test_closure_differential import EXTENSION_CONDITIONS, closures, extended_closures
 from maltcube.algebras import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -37,6 +37,7 @@ from maltcube.algebras import (
     render_tree,
     smp_decide,
 )
+from maltcube.construction import extend
 from maltcube.terms import OperationSymbol
 
 BOUNDARIES = (1, 2, 2**16 - 1, 2**16, 2**16 + 1, 2**32, 2**32 + 1, 2**48, 2**48 + 1,
@@ -190,13 +191,34 @@ def compare(case, pick, member, budget, seen):
         seen.add("repeated codes")
 
 
-@pytest.mark.parametrize("strategy,examples,seen_space", [
-    (closures(), 200, "bitmap"),
-    (extended_closures(), 120, "bitmap"),
-    (layout_closures(WIDE_POWERS), 200, "sorted"),
-    (layout_closures(WORD_POWERS), 100, "sorted"),
+def two_operations(first, second, m):
+    """Two binary operations on 3 elements, and two generators in A^m that
+    repeat the columns (0, 1) and (1, 2)."""
+    algebra = FiniteAlgebra(3, {OperationSymbol("f2_0", 2): first,
+                                OperationSymbol("f2_1", 2): second})
+    columns = [((0, 1), (1, 2))[i % 2] for i in range(m)]
+    return algebra, m, [tuple(c[j] for c in columns) for j in range(2)]
+
+
+# per strategy, one case and (pick, member, budget) triples that give each
+# kind of closure in `seen`, whatever hypothesis draws
+SMALL = two_operations((0, 0, 2, 2, 2, 1, 2, 2, 1), (2, 0, 0, 2, 2, 1, 2, 1, 1), 2)
+EXTENDED = (extend(FiniteAlgebra(2, {OperationSymbol("f0", 2): (0, 0, 0, 1)}),
+                   EXTENSION_CONDITIONS[0]).extended, 2, [(0, 1), (1, 0)])
+WIDE = two_operations((1, 2, 2, 2, 1, 0, 1, 2, 0), (1, 2, 2, 1, 0, 0, 0, 2, 1), 20)
+WORDS = two_operations((0, 2, 0, 1, 0, 1, 1, 0, 0), (0, 2, 0, 0, 2, 2, 2, 2, 2), 40)
+
+
+@pytest.mark.parametrize("strategy,examples,seen_space,explicit", [
+    (closures(), 200, "bitmap", (SMALL, (0, True, 4), (2, True, 4), (0, False, DEFAULT_BUDGET))),
+    (extended_closures(), 120, "bitmap",
+     (EXTENDED, (0, True, 4), (4, True, 4), (4, False, DEFAULT_BUDGET))),
+    (layout_closures(WIDE_POWERS), 200, "sorted",
+     (WIDE, (0, True, 4), (2, True, 4), (1, False, DEFAULT_BUDGET))),
+    (layout_closures(WORD_POWERS), 100, "sorted",
+     (WORDS, (0, True, 4), (2, True, 4), (1, False, DEFAULT_BUDGET))),
 ], ids=["small", "extended", "wide int64", "words"])
-def test_engine_matches_the_np_unique_rounds(strategy, examples, seen_space):
+def test_engine_matches_the_np_unique_rounds(strategy, examples, seen_space, explicit):
     seen = set()
 
     @settings(max_examples=examples, deadline=None, derandomize=True, database=None)
@@ -204,6 +226,9 @@ def test_engine_matches_the_np_unique_rounds(strategy, examples, seen_space):
     def check(case, pick, member, budget):
         compare(case, pick, member, budget, seen)
 
+    case, *picks = explicit
+    for pick in picks:
+        check = example(case, *pick)(check)
     check()
     assert seen == {seen_space, "budget", "non-member", "stopped, several operations",
                     "repeated codes"}

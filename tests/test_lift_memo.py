@@ -22,7 +22,7 @@ from random import Random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import reference_lifted_table
@@ -199,8 +199,13 @@ def test_closures_agree_warm_and_with_the_memo_cleared():
     cases = st.one_of(closures().map(lambda c: ("small", c)),
                       extended_closures().map(lambda c: ("A_M", c)))
 
+    meet = FiniteAlgebra(2, {OperationSymbol("f0", 2): (0, 0, 0, 1)})
+    pair = [(0, 1), (1, 0)]
+
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(cases, st.integers(0, 10**6), st.booleans())
+    @example(("small", (meet, 2, pair)), 0, False)
+    @example(("A_M", (extend(meet, EXTENSION_CONDITIONS[0]).extended, 2, pair)), 0, True)
     def compare(kind_case, pick, wide):
         kind, (algebra, m, generators) = kind_case
         if wide and algebra.size > 1:

@@ -9,7 +9,7 @@ among their operations; M is CD(3) ∪ CP(3), CP(k) or CD(k) for k = 3..5.
 
 from itertools import product
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from test_closure_differential import round_sets
@@ -53,6 +53,11 @@ def test_bottom_free_members_of_A_M_are_A_round_for_round():
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(instances())
+    # a constant and a meet: the closure over A_M by CD(3) ∪ CP(3) finds
+    # members with ⊥ and runs a round past A's
+    @example((FiniteAlgebra(2, {OperationSymbol("c", 0): (1,),
+                                OperationSymbol("f0", 2): (0, 0, 0, 1)}),
+              CONDITIONS[0], 3, [(0, 1, 0), (1, 1, 0)]))
     def check(case):
         algebra, condition, m, generators = case
         ext = extend(algebra, condition)

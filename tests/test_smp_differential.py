@@ -65,8 +65,20 @@ def pick_target(algebra, m, full, pick, member):
 def test_stopped_closure_is_a_prefix_of_the_full_closure():
     seen = set()
 
+    # a constant and a binary operation on 3 elements closing in two rounds
+    # to fewer than 27 members: a pick among the sorted members finds the
+    # first of each kind of target, and digits 1, 1, 0 are a non-member
+    case = (FiniteAlgebra(3, {OperationSymbol("c", 0): (2,),
+                              OperationSymbol("f0", 2): (0, 0, 2, 2, 1, 0, 2, 1, 2)}),
+            3, [(0, 1, 0), (1, 0, 0)])
+
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(closures(), st.integers(0, 10**6), st.booleans())
+    @example(case, 0, True)
+    @example(case, 2, True)
+    @example(case, 8, True)
+    @example(case, 15, True)
+    @example(case, 4, False)
     def compare(case, pick, member):
         algebra, m, generators = case
         full = generate_subpower(algebra, generators, m=m)
@@ -136,6 +148,7 @@ def test_budget_bounds_the_members_up_to_the_target_over_extensions():
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(extended_closures(), st.integers(0, 10**6), st.booleans())
     @example((shared, 2, [(1, 2), (0, 2), (1, 2)]), 0, False)
+    @example((shared, 2, [(1, 2), (0, 2), (1, 2)]), 1, False)  # (1, 0), a non-member
     def compare(case, pick, member):
         algebra, m, generators = case
         full = generate_subpower(algebra, generators, m=m)
