@@ -135,10 +135,12 @@ class FiniteAlgebra:
             if huge or expected != len(table):
                 raise ValueError(f"table for {symbol} has {len(table)} entries, expected {expected}")
             values = np.asarray(table)
-            if values.dtype.kind == "f" and not isinstance(table, np.ndarray) and all(
-                    isinstance(v, (int, np.integer, np.bool_)) for v in table):
-                # signed and unsigned numpy integers together make floats; every
-                # entry is an integer, so `int` is exact
+            # signed and unsigned numpy integers together make floats, and an
+            # object array may hold integers of any kind; when every entry is an
+            # integer, `int` is exact, and one past int64 leaves an object array
+            mixed = values.dtype.kind == "O" or (
+                values.dtype.kind == "f" and not isinstance(table, np.ndarray))
+            if mixed and all(isinstance(v, (int, np.integer, np.bool_)) for v in table):
                 values = np.asarray([int(v) for v in table])
             if (values.dtype == np.int64 and values.ndim == 1 and values.flags.owndata
                     and not values.flags.writeable):

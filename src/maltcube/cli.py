@@ -103,6 +103,7 @@ def _report(args, pairs, exit_code: int) -> int:
 def _cmd_check(args) -> int:
     report = check_condition(_load(parse_condition, args.condition))
     pairs = [("consistent", _yes(report.consistent))]
+    pairs += [(f"closure.{key}", value) for key, value in asdict(report.closure).items()]
     if report.consistent:
         cubes = [sub for sub in report.reports if sub.entails_cube]
         pairs.append(("cube", ",".join(sub.symbol.name for sub in cubes) or "none"))

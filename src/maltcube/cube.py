@@ -31,19 +31,42 @@ bit vector that closure gives, over the row numbers p of the w_B (bit
 k-i of p set exactly when i lies in B): an intersection is the AND of
 row numbers, and the position sets are built only on request
 (`CubeReport.y_family`).
+
+The test needs no list of rows.  Let mask_i be the rows whose B holds
+position i + 1, the table of x_{i+1} (`_variable_mask(i, k)`).  The
+intersection misses that position exactly when some member lacks it, a
+hit outside mask_i.  So h entails cube identities exactly when
+
+    hits != 0  and  hits & ~mask_i != 0  for every i < k,
+
+on Python ints.  The closure's comparison with the class of y is packed
+into one int once per condition, and each symbol's `hits` is a shift
+and a mask of it; only a witness unpacks its rows into numpy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .entailment import CONDITION_INDEX_MEMO, EntailmentIndex, condition_index
+from .entailment import CONDITION_INDEX_MEMO, EntailmentStats, condition_index
 from .terms import MaltsevCondition, OperationSymbol
 
 _XY = str.maketrans("01", "xy")
+
+
+def _variable_mask(i: int, k: int) -> int:
+    """Table of x_{i+1} packed little-endian over the lexicographic rows.
+
+    Bit p is bit k-1-i of p: runs of `run` zeros then `run` ones, repeated.
+    """
+    run = 1 << (k - 1 - i)
+    mask = ((1 << run) - 1) << run
+    while mask.bit_length() < 1 << k:
+        mask |= mask << mask.bit_length()
+    return mask
 
 
 def pack_bits(bits: np.ndarray) -> int:
@@ -81,11 +104,15 @@ class CubeReport:
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Consistency plus per-symbol cube decisions for a whole condition."""
+    """Consistency plus per-symbol cube decisions for a whole condition.
+
+    `closure` counts the work of the closure over {x, y} they were read off.
+    """
 
     condition: MaltsevCondition
     consistent: bool
     reports: tuple[CubeReport, ...]
+    closure: EntailmentStats = field(compare=False)
 
     @property
     def applicable(self) -> bool:
@@ -140,33 +167,39 @@ def entails_cube(condition: MaltsevCondition, symbol: OperationSymbol) -> CubeRe
     return report.reports[condition.signature.index(symbol)]
 
 
-def _cube_report(index: EntailmentIndex, symbol: OperationSymbol) -> CubeReport:
-    """`entails_cube` against the condition's consistent closure over {x, y}.
-
-    Id offset + p of that closure is h(w_B) for the B of row number p,
-    so one comparison against the class of y gives the whole family.
-    """
+def _cube_report(symbol: OperationSymbol, hits: int, masks: list[int]) -> CubeReport:
+    """The report for one symbol of a consistent condition, from its row
+    bits and `masks[i] = _variable_mask(i, k)`, by the module's test."""
     k = symbol.arity
-    offset = index._offsets[symbol]
-    hit = index._rep[offset : offset + 2**k] == index._rep[1]
-    rows = np.flatnonzero(hit)
     witness: tuple[str, ...] | None = None
-    if rows.size and not np.bitwise_and.reduce(rows):
+    if hits and all(hits & ~mask for mask in masks):
+        rows = np.flatnonzero(unpack_bits(hits, 1 << k))
         witness = tuple(
             format(p, f"0{k}b").translate(_XY) for p in _minimal_subfamily(rows, k)
         )
-    return CubeReport(symbol, witness is not None, pack_bits(hit), witness)
+    return CubeReport(symbol, witness is not None, hits, witness)
 
 
 @lru_cache(maxsize=CONDITION_INDEX_MEMO)
 def check_condition(condition: MaltsevCondition) -> ConditionReport:
     """Consistency, per-symbol cube decisions, and overall applicability.
 
-    Decided on the closure over {x, y} alone.  Memoized per condition,
-    like its closure; the frozen report is shared.
+    Decided on the closure over {x, y} alone.  Id offset + p of that
+    closure is h(w_B) for the B of row number p, so one comparison
+    against the class of y, packed into one int, holds every symbol's
+    family.  Memoized per condition, like its closure; the frozen report
+    is shared.
     """
     index = condition_index(condition, 2)
     if index.inconsistent:
-        return ConditionReport(condition, False, ())
-    reports = tuple(_cube_report(index, s) for s in condition.signature)
-    return ConditionReport(condition, True, reports)
+        return ConditionReport(condition, False, (), index.stats)
+    bits = pack_bits(index._rep == index._rep[1])
+    masks: dict[int, list[int]] = {}
+    reports = []
+    for symbol, offset in index._offsets.items():
+        k = symbol.arity
+        if k not in masks:
+            masks[k] = [_variable_mask(i, k) for i in range(k)]
+        hits = bits >> offset & (1 << (1 << k)) - 1
+        reports.append(_cube_report(symbol, hits, masks[k]))
+    return ConditionReport(condition, True, tuple(reports), index.stats)

@@ -19,9 +19,13 @@ identity; so the terms over X fall into the same classes whatever
 larger set the derivation used.
 
 Seeds are those instances.  An identity whose w distinct variables fit
-in X is seeded by its normalized instance alone, since substitution
-stability reaches every other instance; a wider identity is seeded with
-each of its |X|^w instances.
+in X is seeded by its normalized instance alone (variables renamed 0, 1,
+... by first occurrence), since substitution stability reaches every
+other instance; a wider identity is seeded with each of its |X|^w
+instances.  The renaming is read straight into ids, with no renamed
+terms built.  A side's id under a map of the w variables is linear in
+the map's digits, so both sides' ids over every map are built together,
+one variable at a time, with memory linear in the instance count.
 
 Saturation runs over a generating set of the full transformation monoid
 on X (a transposition, the full cycle, one rank-collapsing map) rather
@@ -31,13 +35,17 @@ under arbitrary composites, so the fixpoint is the same.
 Terms are never built as objects during saturation.  Each term is an
 integer id (variables first, then each symbol's argument tuples in
 lexicographic order), and the image of every id under each generator is
-computed by numpy digit maps.  A worklist of id pairs, seeded as above,
-drives a union-find: popping a pair whose ends lie in different classes
-unions them and pushes the pair's image under every generator, as in
-congruence closure.  Each union thereby forces the images of its two
-ends together, so the image of every class is connected and the result
-is the least stable partition.  `LinearTerm`s are decoded only when
-`classes()` lists the partition.
+computed by numpy, one argument digit at a time for all generators
+together.  A worklist of id pairs, seeded as above, drives a union-find:
+popping a pair whose ends lie in different classes unions them and
+pushes the pair's image under every generator, read as Python ints
+through a memoryview of each image, as in congruence closure.  Each
+union thereby forces the images of its two ends together, so the image
+of every class is connected and the result is the least stable
+partition.  A root is linked under the smaller root, so every id's
+parent is at most the id, and one pass in id order leaves each id at
+its class's smallest.  `LinearTerm`s are decoded only when `classes()`
+lists the partition.
 
 The universe has nvars + sum nvars^arity terms.  When the terms plus the
 seed pairs exceed MAX_TERMS the constructor raises TermUniverseError
@@ -154,10 +162,12 @@ class EntailmentIndex:
     def __init__(self, condition: MaltsevCondition, nvars: int):
         if nvars < 2:
             raise ValueError("the variable set needs at least two variables")
-        norms = [normalize_identity(ident) for ident in condition.identities]
-        widths = [len(norm.variables()) for norm in norms]
+        # each identity's variables renamed 0, 1, ... by first occurrence
+        renamings = [
+            {a: i for i, a in enumerate(ident.variables())} for ident in condition.identities
+        ]
         size = universe_size(condition, nvars)
-        seed_count = sum(1 if w <= nvars else nvars**w for w in widths)
+        seed_count = sum(1 if len(r) <= nvars else nvars ** len(r) for r in renamings)
         if size + seed_count > MAX_TERMS:
             raise TermUniverseError(size + seed_count, nvars)
         self.condition = condition
@@ -169,14 +179,14 @@ class EntailmentIndex:
             offset += nvars**s.arity
 
         seeds = []
-        for norm, w in zip(norms, widths):
-            if w <= nvars:
-                seeds.append((self.term_id(norm.lhs), self.term_id(norm.rhs)))
+        for ident, renaming in zip(condition.identities, renamings):
+            if len(renaming) <= nvars:
+                lhs, rhs = self._seed_id(ident.lhs, renaming), self._seed_id(ident.rhs, renaming)
+                seeds.append((lhs, rhs))
             else:
-                lhs, rhs = self._instance_ids(norm.lhs, w), self._instance_ids(norm.rhs, w)
-                seeds += zip(lhs.tolist(), rhs.tolist())
+                seeds += zip(*self._instance_ids(ident, renaming))
         gammas = _monoid_generators(nvars)
-        images = [self._image(gamma, size) for gamma in gammas]
+        images = self._images(gammas)
 
         # Worklist saturation (module docstring).  Roots are linked
         # smaller id first, so every root is the smallest id of its class.
@@ -199,18 +209,16 @@ class EntailmentIndex:
                 parent[ra] = rb
             unions += 1
             for image in images:
-                stack.append((image.item(a), image.item(b)))
+                stack.append((image[a], image[b]))
         del images
 
+        # parent[i] <= i, so one pass in id order leaves each id at its root
+        for i, p in enumerate(parent):
+            parent[i] = parent[p]
         rep = np.array(parent, dtype=np.int64)
-        while True:
-            jumped = rep[rep]
-            if np.array_equal(jumped, rep):
-                break
-            rep = jumped
         rep.flags.writeable = False
         self._rep = rep
-        self.inconsistent = bool((rep[:nvars] != np.arange(nvars)).any())
+        self.inconsistent = parent[:nvars] != list(range(nvars))
         self.stats = EntailmentStats(
             terms=size,
             seed_pairs=len(seeds),
@@ -219,38 +227,62 @@ class EntailmentIndex:
             classes=size - unions,
         )
 
-    def _image(self, gamma: tuple[int, ...], size: int) -> np.ndarray:
-        """Id of the image of every term under the variable map gamma."""
-        n = self.nvars
-        g = np.asarray(gamma, dtype=np.int64)
-        image = np.empty(size, dtype=np.int64)
-        image[:n] = g
-        local: dict[int, np.ndarray] = {}
-        for s, offset in self._offsets.items():
-            k = s.arity
-            if k not in local:
-                # digit i of a block-local id is argument i; map every digit
-                block = np.zeros((n,) * k, dtype=np.int64)
-                for axis in range(k):
-                    shape = [1] * k
-                    shape[axis] = n
-                    block += (g * n ** (k - 1 - axis)).reshape(shape)
-                local[k] = block.ravel()
-            np.add(local[k], offset, out=image[offset : offset + n**k])
-        return image
+    def _images(self, gammas: list[tuple[int, ...]]) -> list[memoryview]:
+        """Id of the image of every term under each variable map.
 
-    def _instance_ids(self, term: LinearTerm, w: int) -> np.ndarray:
-        """Ids of the term's images under all nvars^w maps of its w variables.
-
-        Map q sends variable v to digit v of q in base nvars, most
-        significant first, as `term_id` reads an argument tuple.
+        Each comes as a memoryview, which the worklist indexes to Python
+        ints at under half an `.item()`'s cost, with no copy: a list would
+        be faster still, but would hold some 36 bytes per term where the
+        array holds 8, 1.7 times the peak memory of a 10^6-term closure.
         """
         n = self.nvars
-        maps = np.arange(n**w, dtype=np.int64)
-        local = np.zeros_like(maps)
+        g = np.array(gammas, dtype=np.int64)
+        arities = [s.arity for s in self._offsets]
+        # blocks[k][:, t]: the images of local id t of arity k, built one
+        # argument (one digit of t) at a time
+        blocks = [np.zeros((len(g), 1), dtype=np.int64)]
+        while len(blocks) <= max(arities, default=0):
+            blocks.append((blocks[-1][:, :, None] * n + g[:, None, :]).reshape(len(g), -1))
+        image = np.concatenate([g] + [blocks[k] for k in arities], axis=1)
+        offsets = np.array(list(self._offsets.values()), dtype=np.int64)
+        image[:, n:] += np.repeat(offsets, [n**k for k in arities])
+        return [memoryview(row) for row in image]
+
+    def _offset(self, term: LinearTerm) -> int:
+        return 0 if term.symbol is None else self._offsets[term.symbol]
+
+    def _seed_id(self, term: LinearTerm, renaming: dict[int, int]) -> int:
+        """Id of the term with its variables renamed; they fit the variable set."""
+        n = self.nvars
+        local = 0
         for a in term.args:
-            local = local * n + maps // n ** (w - 1 - a) % n
-        return local + (0 if term.symbol is None else self._offsets[term.symbol])
+            local = local * n + renaming[a]
+        return self._offset(term) + local
+
+    def _instance_ids(self, ident: Identity, renaming: dict[int, int]) -> list[list[int]]:
+        """Ids of both sides' images under all nvars^w maps of the w variables.
+
+        Map q sends renamed variable v to digit v of q in base nvars, most
+        significant first, as `term_id` reads an argument tuple.  A side's
+        id is linear in those digits, argument i of k weighing nvars^(k-1-i)
+        on its variable, so both sides' ids over all maps are built one
+        variable (one digit of q) at a time.
+        """
+        n, w = self.nvars, len(renaming)
+        weights = []  # per side: each variable's weight, then the offset
+        for term in (ident.lhs, ident.rhs):
+            row = [0] * w + [self._offset(term)]
+            k = len(term.args)
+            for i, a in enumerate(term.args):
+                row[renaming[a]] += n ** (k - 1 - i)
+            weights.append(row)
+        weights = np.array(weights, dtype=np.int64)
+        # steps[side, v, 0, d]: what digit d of variable v adds to the side's id
+        steps = weights[:, :w, None, None] * np.arange(n)
+        ids = weights[:, w:]
+        for v in range(w):
+            ids = (ids[:, :, None] + steps[:, v]).reshape(2, -1)
+        return ids.tolist()
 
     def term_id(self, term: LinearTerm) -> int:
         n = self.nvars

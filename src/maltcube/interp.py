@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .algebras import FiniteAlgebra, TermTree, leaf, node
-from .cube import check_condition, unpack_bits
+from .cube import _variable_mask, check_condition, unpack_bits
 from .terms import MaltsevCondition, OperationSymbol
 
 DUAL_IMPLICATION = OperationSymbol("impd", 2)
@@ -78,18 +78,6 @@ class BooleanOperationEntry:
 
 def _impd(a: TermTree, b: TermTree) -> TermTree:
     return node(DUAL_IMPLICATION, a, b)
-
-
-def _variable_mask(i: int, k: int) -> int:
-    """Table of x_{i+1} packed little-endian over the lexicographic rows.
-
-    Bit p is bit k-1-i of p: runs of `run` zeros then `run` ones, repeated.
-    """
-    run = 1 << (k - 1 - i)
-    mask = ((1 << run) - 1) << run
-    while mask.bit_length() < 1 << k:
-        mask |= mask << mask.bit_length()
-    return mask
 
 
 def _defining_term(mask: int, k: int) -> TermTree:
@@ -168,21 +156,22 @@ def find_interpretation(condition: MaltsevCondition) -> Interpretation | None:
     """The model of the condition in the clone read off its cube families.
 
     Symbol h's table is its report's `hits` bit vector: row p is 1
-    exactly when the positions carrying 1 form a member of F(h).  Returns
-    None when the condition is inconsistent or entails cube identities,
-    in which case no model in the clone exists.
+    exactly when the positions carrying 1 form a member of F(h).  Symbols
+    with equal arity and bits share one entry, built once.  Returns None
+    when the condition is inconsistent or entails cube identities, in
+    which case no model in the clone exists.
     """
     if any(s.arity == 0 for s in condition.signature):
         raise ValueError("nullary symbols have no term over the dual implication")
     report = check_condition(condition)
     if not report.applicable:
         return None
-    assignment = {
-        cube.symbol: BooleanOperationEntry(
-            cube.symbol.arity,
-            tuple(unpack_bits(cube.hits, 1 << cube.symbol.arity).tolist()),
-            _defining_term(cube.hits, cube.symbol.arity),
-        )
-        for cube in report.reports
-    }
+    entries: dict[tuple[int, int], BooleanOperationEntry] = {}
+    assignment = {}
+    for cube in report.reports:
+        hits, k = cube.hits, cube.symbol.arity
+        if (hits, k) not in entries:
+            table = tuple(unpack_bits(hits, 1 << k).tolist())
+            entries[hits, k] = BooleanOperationEntry(k, table, _defining_term(hits, k))
+        assignment[cube.symbol] = entries[hits, k]
     return Interpretation(condition, assignment)

@@ -30,12 +30,17 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from itertools import count
+from itertools import chain, count
 from typing import Iterable, Mapping, Sequence
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _CANONICAL_NAMES = ("x", "y", "z", "u", "v", "w")
 _INDEXED_VAR_RE = re.compile(r"x(\d+)")
+_SIGNATURE_ENTRY_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*/\s*(\d+)")
+
+
+def _is_name(text: str) -> bool:
+    """True for `[A-Za-z_][A-Za-z0-9_]*`, the shape of every name."""
+    return text.isascii() and text.isidentifier()
 
 
 def variable_name(index: int) -> str:
@@ -63,7 +68,7 @@ class OperationSymbol:
     arity: int
 
     def __post_init__(self) -> None:
-        if not _NAME_RE.fullmatch(self.name):
+        if not _is_name(self.name):
             raise ValueError(f"bad operation name {self.name!r}")
         if self.arity < 0:
             raise ValueError(f"negative arity for {self.name}")
@@ -85,7 +90,7 @@ class LinearTerm:
                 raise ValueError("a variable term carries exactly one index")
         elif len(self.args) != self.symbol.arity:
             raise ValueError(f"{self.symbol} applied to {len(self.args)} arguments")
-        if any(a < 0 for a in self.args):
+        if self.args and min(self.args) < 0:
             raise ValueError("negative variable index")
 
     @property
@@ -151,8 +156,8 @@ class MaltsevCondition:
             raise ValueError("operation names must be unique within a signature")
         declared = set(self.signature)
         for ident in self.identities:
-            for s in ident.symbols():
-                if s not in declared:
+            for s in (ident.lhs.symbol, ident.rhs.symbol):
+                if s is not None and s not in declared:
                     raise ValueError(f"identity {ident} uses undeclared symbol {s}")
 
     def __hash__(self) -> int:
@@ -332,9 +337,6 @@ class ConditionSyntaxError(LocatedInputError):
     """Raised for malformed condition files."""
 
 
-_SIDE_RE = re.compile(rf"({_NAME_RE.pattern})\s*(?:\((.*)\))?")
-
-
 def _significant_lines(text: str) -> list[tuple[int, str]]:
     out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -361,7 +363,7 @@ def parse_condition(text: str, source: str = "<string>") -> MaltsevCondition:
     if sig_body:
         for part in sig_body.split(","):
             part = part.strip()
-            m = re.fullmatch(r"([A-Za-z_][A-Za-z0-9_]*)\s*/\s*(\d+)", part)
+            m = _SIGNATURE_ENTRY_RE.fullmatch(part)
             if m is None:
                 raise fail(f"bad signature entry {part!r} (want name/arity)", lineno)
             try:
@@ -376,11 +378,13 @@ def parse_condition(text: str, source: str = "<string>") -> MaltsevCondition:
         raise fail("expected an identities: line after the signature", lines[0][0])
 
     def parse_side(side: str, lineno: int) -> tuple[OperationSymbol | None, list[str]]:
-        m = _SIDE_RE.fullmatch(side)
-        if m is None:
+        # NAME, or NAME ( inner ) with free space before the parenthesis
+        name, paren, inner = side.partition("(")
+        if paren:
+            name = name.rstrip() if side.endswith(")") else ""
+        if not _is_name(name):
             raise fail(f"cannot parse term {side!r}", lineno)
-        name, inner = m.groups()
-        if inner is None:
+        if not paren:
             symbol, names = None, [name]
         elif name not in by_name:
             raise fail(f"unknown operation symbol {name}", lineno)
@@ -388,11 +392,12 @@ def parse_condition(text: str, source: str = "<string>") -> MaltsevCondition:
             raise fail("nested terms are not linear", lineno)
         else:
             symbol = by_name[name]
+            inner = inner[:-1]
             names = [p.strip() for p in inner.split(",")] if inner.strip() else []
         for arg in names:
             if not arg:
                 raise fail("misplaced comma", lineno)
-            if not _NAME_RE.fullmatch(arg):
+            if not _is_name(arg):
                 raise fail(f"expected a variable, found {arg!r}", lineno)
             if arg in by_name:
                 raise fail(f"operation symbol {arg} used as a variable", lineno)
@@ -408,13 +413,15 @@ def parse_condition(text: str, source: str = "<string>") -> MaltsevCondition:
         sides += [parse_side(side.strip(), lineno) for side in pair]
 
     # Canonical names keep their index; the others take the smallest free one.
-    index = {n: variable_index(n) for _, names in sides for n in names}
+    index = dict.fromkeys(chain.from_iterable(names for _, names in sides))
+    for n in index:
+        index[n] = variable_index(n)
     taken = set(index.values())
     free = (i for i in count() if i not in taken)
     for n, i in index.items():
         if i is None:
             index[n] = next(free)
-    terms = [LinearTerm(symbol, tuple(index[n] for n in names)) for symbol, names in sides]
+    terms = [LinearTerm(symbol, tuple(map(index.__getitem__, names))) for symbol, names in sides]
     identities = [Identity(lhs, rhs) for lhs, rhs in zip(terms[::2], terms[1::2])]
     return MaltsevCondition(tuple(symbols), tuple(identities))
 

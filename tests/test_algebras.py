@@ -84,7 +84,7 @@ def test_algebra_validation():
 
 def test_table_entries_must_be_integers():
     for table in ([0.5, 1, 1, 0], ["1", "0", "1", "1"], [1.0, 0, 1, 1], [0, 1, 1, None],
-                  np.array([0.0, 0, 0, 1])):
+                  np.array([0.0, 0, 0, 1]), np.array([0, 1.0, 0, 1], dtype=object)):
         with pytest.raises(ValueError, match="not an integer"):
             FiniteAlgebra(2, {MEET: table})
     forms = [(0, 0, 0, 1), [0, 0, 0, 1], [False, False, False, True], [0, 0, 0, True]]
@@ -109,6 +109,9 @@ def test_one_reduction_refuses_every_entry_outside_the_universe():
     tables += [np.array([0, 2, 0, 0], np.uint8), np.array([0, -1, 0, 0], np.int8)]
     tables += [[np.int64(-1), np.uint64(0), np.int16(0), np.uint8(0)],
                [np.uint64(2), np.int64(0), 0, 0]]
+    # object arrays of integers are read as lists are, so one past int64 is refused
+    tables += [np.array(t, dtype=object)
+               for t in ([0, 0, 0, 2**64], [0, -1, 0, 0], [0, 2, 0, 0])]
     for table in tables:
         with pytest.raises(ValueError) as error:
             FiniteAlgebra(2, {MEET: table})
@@ -123,7 +126,9 @@ def test_one_reduction_refuses_every_entry_outside_the_universe():
     accepted = [np.array([0, 0, 0, 1], bool), [np.int64(0), np.uint8(0), np.int16(0), np.uint16(1)],
                 [np.int64(0), np.uint8(0), np.int16(0), np.uint64(1)],
                 [np.bool_(False), np.uint64(0), np.int16(0), np.True_],
-                [np.bool_(False), False, 0, np.True_], read_only([0, 0, 0, 1], np.uint64)]
+                [np.bool_(False), False, 0, np.True_], read_only([0, 0, 0, 1], np.uint64),
+                np.array([0, 0, 0, 1], dtype=object),
+                np.array([np.uint64(0), False, np.int8(0), 1], dtype=object)]
     for table in accepted:
         assert FiniteAlgebra(2, {MEET: table}).operations[MEET].tolist() == [0, 0, 0, 1]
 

@@ -2,6 +2,7 @@
 
 import io
 import time
+from dataclasses import asdict
 
 import pytest
 
@@ -53,6 +54,10 @@ def test_check_applicable(capsys, cp3_file):
     assert "consistent: yes" in lines
     assert "cube: none" in lines
     assert "applicable: yes" in lines
+    # the closure over {x, y}'s counters follow `consistent`
+    with open(cp3_file) as handle:
+        stats = condition_index(parse_condition(handle.read()), 2).stats
+    assert lines[1:6] == [f"closure.{key}: {value}" for key, value in asdict(stats).items()]
 
 
 def test_check_cube_entailing(capsys, tmp_path):
@@ -80,7 +85,11 @@ def test_check_inconsistent(capsys, tmp_path):
     capsys.readouterr()
     code, out, _ = run(capsys, "check", str(path))
     assert code == 1
-    assert out.splitlines() == ["consistent: no", "applicable: no", "reason: inconsistent"]
+    # the counters of the closure over {x, y}: 2 variables and 2 x 2^3 terms
+    closure = ["closure.terms: 18", "closure.seed_pairs: 17", "closure.unions: 17",
+               "closure.pops: 51", "closure.classes: 1"]
+    assert out.splitlines() == [
+        "consistent: no", *closure, "applicable: no", "reason: inconsistent"]
 
 
 def test_check_reads_stdin(capsys, monkeypatch):

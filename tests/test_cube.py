@@ -1,5 +1,6 @@
 """Cube-identity entailment: families, decisions, witnesses."""
 
+from dataclasses import replace
 from random import Random
 
 import numpy as np
@@ -162,6 +163,14 @@ def test_inconsistent_condition_report(condition_corpus):
     assert not report.applicable
     assert report.reports == ()
     assert report.cube_symbols == ()
+
+
+def test_report_carries_the_closure_counters(each_condition):
+    report = check_condition(each_condition)
+    assert report.closure == condition_index(each_condition, 2).stats
+    # the counters describe how the report was made, not what it says
+    other = replace(report.closure, pops=report.closure.pops + 1)
+    assert replace(report, closure=other) == report
 
 
 def test_check_condition_is_memoized(condition_corpus):

@@ -9,21 +9,31 @@ must build no closure over more than two variables.
 The reports keep each family as the closure's bit vector.  Their
 `y_family` views, verdicts, witness rows and interpretation tables must
 equal those of `reference_cube_report`, which lists the family as
-frozensets and runs the greedy on them.
+frozensets and runs the greedy on them.  The verdict, read off the bit
+vector by position masks, must equal the AND of the unpacked row numbers.
 """
 
 from itertools import product
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import OracleClosure, reference_cube_report, reference_truth_table
 from test_entailment_differential import conditions, seeded_cube_matrix
-from maltcube.cube import check_condition
+from maltcube.cube import (
+    _cube_report,
+    _minimal_subfamily,
+    _variable_mask,
+    check_condition,
+    unpack_bits,
+)
 from maltcube.entailment import EntailmentIndex, weak_closure
 from maltcube.interp import find_interpretation
 from maltcube.terms import (
     MaltsevCondition,
+    OperationSymbol,
     app,
     canonical_variable_set,
     hagemann_mitschke_condition,
@@ -141,3 +151,42 @@ def test_wide_projection_matches_the_frozenset_reference():
     condition = parse_condition(f"signature: h/17\nidentities:\n  h({args}) = x16\n")
     assert len(check_condition(condition).reports[0].y_family) == 65536
     assert_matches_frozenset_reference(condition)
+
+
+# --- the cube test on packed rows ---------------------------------------------
+
+
+@st.composite
+def row_families(draw):
+    """(k, hits): a set of row numbers packed as bits, with a shared set of
+    positions or, more often, none."""
+    k = draw(st.integers(1, 12))
+    rows = draw(st.lists(st.integers(0, 2**k - 1), max_size=2 * k))
+    common = draw(st.sampled_from([0, 0, draw(st.integers(0, 2**k - 1))]))
+    return k, sum({1 << (p | common) for p in rows})
+
+
+K16_SINGLETONS = sum(1 << (1 << j) for j in range(16))
+K16_SHARED = sum({1 << (p | 1) for p in range(0, 1 << 16, 257)})
+K20_MISS_ONE = sum(1 << ((1 << 20) - 1 - (1 << j)) for j in range(20))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(row_families())
+@example((16, K16_SINGLETONS)).via("every row one position")
+@example((16, K16_SHARED)).via("every row holds position 16")
+@example((20, K20_MISS_ONE)).via("every row misses one position")
+@example((20, _variable_mask(0, 20))).via("every row with position 1")
+@example((16, (1 << (1 << 16)) - 2)).via("every row but the all-x one")
+@example((20, 0)).via("no row")
+def test_bit_cube_test_matches_the_and_of_rows(case):
+    k, hits = case
+    report = _cube_report(OperationSymbol("h", k), hits, [_variable_mask(i, k) for i in range(k)])
+    rows = np.flatnonzero(unpack_bits(hits, 1 << k))
+    assert report.entails_cube == bool(rows.size and not np.bitwise_and.reduce(rows))
+    assert report.hits == hits
+    if report.witness is not None:
+        chosen = [int(row.translate(str.maketrans("xy", "01")), 2) for row in report.witness]
+        assert set(chosen) <= set(rows.tolist())
+        assert not np.bitwise_and.reduce(chosen)
+        assert chosen == _minimal_subfamily(rows, k)

@@ -5,6 +5,7 @@ integer ids only.  Their partitions must agree term for term: `_rep` holds
 the smallest id of each class in the same id order everywhere.
 """
 
+from itertools import product
 from random import Random
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import OracleClosure, ReferenceClosure
-from maltcube.entailment import weak_closure
+from maltcube.entailment import EntailmentStats, weak_closure
 from maltcube.terms import (
     Identity,
     MaltsevCondition,
@@ -20,6 +21,7 @@ from maltcube.terms import (
     app,
     canonical_variable_set,
     cube_condition,
+    parse_condition,
     var,
 )
 
@@ -78,3 +80,64 @@ def test_cube_matrix_matches_reference(arity, seed):
     assert index._rep.tolist() == list(reference._rep)
     assert index.inconsistent == reference.inconsistent
     assert index.stats.unions == reference.saturation_merges
+
+
+# --- seeds from identities wider than the variable set ------------------------
+
+
+def restricted_reps(oracle: OracleClosure, nvars: int, condition: MaltsevCondition) -> list[int]:
+    """`_rep` over nvars variables, read off a closure over a larger set.
+
+    Terms over the first nvars variables keep their relative id order in
+    any wider universe, so the smallest id of a term's class among them is
+    the first earlier term the oracle puts in the same class.
+    """
+    terms = [var(i) for i in range(nvars)]
+    terms += [app(s, *args) for s in condition.signature
+              for args in product(range(nvars), repeat=s.arity)]
+    roots = [oracle._find(oracle.index[t]) for t in terms]
+    first: dict[int, int] = {}
+    return [first.setdefault(root, i) for i, root in enumerate(roots)]
+
+
+def assert_matches_the_wider_oracle(condition: MaltsevCondition, nvars: int) -> None:
+    """_rep and every stat over nvars variables, against the all-maps oracle
+    over the canonical set, which takes every identity as it stands."""
+    oracle = OracleClosure(condition, canonical_variable_set(condition))
+    index = weak_closure(condition, nvars)
+    reps = restricted_reps(oracle, nvars, condition)
+    assert index._rep.tolist() == reps
+    assert index.inconsistent == (reps[:nvars] != list(range(nvars)))
+    widths = [len(ident.variables()) for ident in condition.identities]
+    seed_pairs = sum(1 if w <= nvars else nvars**w for w in widths)
+    classes = len(set(reps))
+    unions = len(reps) - classes
+    generators = 2 if nvars == 2 else 3  # the swap is the cycle on two variables
+    assert index.stats == EntailmentStats(
+        terms=len(reps), seed_pairs=seed_pairs, unions=unions,
+        pops=seed_pairs + generators * unions, classes=classes,
+    )
+
+
+WIDE_CONDITIONS = (
+    # repeated variables on both sides, three variables
+    "signature: h/4\nidentities:\n  h(x,y,z,x) = h(z,z,y,x)\n",
+    # four variables, one side a variable, and a second symbol
+    "signature: f/4, g/2\nidentities:\n  f(x,y,z,u) = x\n  f(y,y,x,x) = g(x,y)\n",
+    # the variables first met on the right-hand side
+    "signature: p/3\nidentities:\n  x = p(y,z,y)\n  p(x,x,y) = p(y,x,x)\n",
+    # a nullary symbol in a three-variable identity
+    "signature: c/0, q/3\nidentities:\n  q(x,y,z) = c()\n",
+)
+
+
+@pytest.mark.parametrize("nvars", [2, 3])
+@pytest.mark.parametrize("text", WIDE_CONDITIONS)
+def test_wide_and_repeated_seeds_match_the_oracle(text, nvars):
+    assert_matches_the_wider_oracle(parse_condition(text), nvars)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(conditions(min_arity=3), st.sampled_from([2, 3]))
+def test_generated_wide_seeds_match_the_oracle(condition, nvars):
+    assert_matches_the_wider_oracle(condition, nvars)

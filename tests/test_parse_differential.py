@@ -9,6 +9,7 @@ parse back to themselves, and line soups for algebra and instance files
 raise `AlgebraFormatError` and nothing else.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -52,9 +53,7 @@ term_lines = st.builds(lambda lhs, eq, rhs: lhs + eq + rhs,
 identity_lines = st.one_of(soup_lines, term_lines, term_lines, term_lines)
 
 
-@settings(max_examples=600, deadline=None, derandomize=True, database=None)
-@given(st.lists(identity_lines, min_size=1, max_size=2))
-def test_parser_matches_the_token_walker(lines):
+def assert_parsers_agree(lines: list[str]) -> None:
     text = HEAD + "\n".join(lines) + "\n"
     try:
         expected = oracle_parse_condition(text)
@@ -66,6 +65,24 @@ def test_parser_matches_the_token_walker(lines):
         assert exc.line is not None
         got = None
     assert got == expected
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(st.lists(identity_lines, min_size=1, max_size=2))
+def test_parser_matches_the_token_walker(lines):
+    assert_parsers_agree(lines)
+
+
+# names are checked by `isascii() and isidentifier()`: a letter outside ASCII,
+# a keyword, a leading digit and an inner space each take their own branch
+@pytest.mark.parametrize("line", [
+    "f(é,x) = x", "é = x", "f(xé,y) = x", "xé = y", "g(é) = é",
+    "f(if,None) = if", "None = g(None)", "f(x,lambda) = x",
+    "f(1x,y) = x", "1x = y", "f(x1,_1) = x1",
+    "f(x y,z) = x", "f(x, y ) = g( z )", "x y = z", "f (x,y) = g (y)",
+])
+def test_parser_matches_the_token_walker_on_names(line):
+    assert_parsers_agree([line])
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
