@@ -53,6 +53,7 @@ from .cube import (
     CubeReport,
     check_condition,
     entails_cube,
+    is_consistent,
     y_family,
 )
 from .entailment import (
@@ -63,7 +64,6 @@ from .entailment import (
     condition_index,
     derives,
     entails,
-    is_consistent,
     normalize_identity,
     weak_closure,
 )

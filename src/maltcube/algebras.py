@@ -85,6 +85,7 @@ seen codes.  The stop thus changes no member, order, derivation, witness,
 
 from __future__ import annotations
 
+import operator
 import re
 import threading
 from bisect import bisect_right
@@ -108,6 +109,7 @@ _CHUNK_TARGET = 1 << 16   # argument tuples per box, one vectorized call
 _BOX_SLACK = 64           # no box holds more than _BOX_SLACK * _CHUNK_TARGET tuples
 _BITMAP_CAP = 1 << 26     # largest packed-id space tracked by a byte map
 _LIFT_MEMO_BYTES = 1 << 24  # resident bytes kept by the lifted-table memo
+_INTEGERS = (int, np.integer, np.bool_)  # the entries a generator, target or member may have
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,7 +182,7 @@ class FiniteAlgebra:
         for a in args:
             if not 0 <= a < self.size:
                 raise ValueError(f"argument {a} outside the universe")
-            index = index * self.size + a
+            index = index * self.size + operator.index(a)  # a narrow numpy int would wrap
         return table.item(index)
 
     def symbol(self, name: str) -> OperationSymbol:
@@ -705,11 +707,12 @@ class ClosureResult:
     def position(self, member: Sequence[int]) -> int | None:
         """The member's index in member order, or None for a non-member;
         one lookup per word compares its code with every member's at once."""
-        member = tuple(member)
-        if len(member) != self.m or any(not 0 <= v < self.algebra.size for v in member):
-            return None
         n = self.algebra.size
-        return _find(self._words, _pack(member, n, _word_width(n, self.m)))
+        member = tuple(member)
+        if len(member) != self.m or not all(isinstance(v, _INTEGERS) and 0 <= v < n
+                                            for v in member):
+            return None
+        return _find(self._words, _pack(tuple(map(int, member)), n, _word_width(n, self.m)))
 
     def __contains__(self, member: Sequence[int]) -> bool:
         return self.position(member) is not None
@@ -1221,15 +1224,15 @@ class _NumpyEngine:
         )
 
 
-def _check_entries(role: str, values: tuple, size: int) -> None:
-    """Refuse a generator or target with an entry that is not an integer
-    (an int, a numpy integer or a bool) or that leaves {0..size-1}."""
-    integers = (int, np.integer, np.bool_)
+def _check_entries(role: str, values: tuple, size: int) -> tuple[int, ...]:
+    """A generator or target as Python ints, whose codes cannot wrap as a narrow numpy
+    integer's would; refuses an entry not among `_INTEGERS` or outside the universe."""
     for v in values:
-        if not isinstance(v, integers):
+        if not isinstance(v, _INTEGERS):
             raise ValueError(f"{role} {values} has an entry that is not an integer")
         if not 0 <= v < size:
             raise ValueError(f"{role} {values} leaves the universe")
+    return tuple(map(int, values))
 
 
 def _close(
@@ -1241,6 +1244,8 @@ def _close(
 ) -> ClosureResult:
     """Validate a closure request and run it, stopped at the target, if
     one is given, or once the members reach n^d (module docstring)."""
+    if target is not None:
+        target = _check_entries("target", target, algebra.size)
     generators = [tuple(g) for g in generators]
     if m is None:
         if not generators:
@@ -1250,10 +1255,10 @@ def _close(
         raise ValueError("power must be at least 1")
     if algebra.size > 1 << 62:
         raise ValueError("the closure's int64 words hold universes of at most 2^62 elements")
-    for g in generators:
+    for i, g in enumerate(generators):
         if len(g) != m:
             raise ValueError(f"generator {g} does not have length {m}")
-        _check_entries("generator", g, algebra.size)
+        generators[i] = _check_entries("generator", g, algebra.size)
     if budget < 1:
         raise ValueError("budget must be positive")
     return _NumpyEngine(algebra, m, budget).run(generators, target)
@@ -1300,7 +1305,6 @@ def smp_decide(
     (`stats.columns`), or to its last round, so `stats.members` is the
     whole subpower's.  The witness is the one the full closure records.
     """
-    _check_entries("target", instance.target, algebra.size)
     closure = _close(algebra, instance.generators, instance.m, budget, instance.target)
     position = closure.target_position
     if position is not None:

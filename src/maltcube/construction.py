@@ -29,23 +29,24 @@ pattern number, in sorted pattern order.  Below
 the canonical width, only an identity in more than |A| + 1 variables,
 seeded with all its instances, can push that closure over MAX_TERMS.
 The H-tables and pattern tables depend on M and |A| alone, so they are
-read off once per (M, |A|) and kept as read-only arrays for the
-CONDITION_INDEX_MEMO most recently used pairs; `extend` only pads A's
+read off once per (M, |A|), as read-only arrays; `extend` only pads A's
 tables around them.  The H-tables are int64, so `FiniteAlgebra` keeps
 them as they are, with no copy.
 
-`extend` keeps each A_M it builds in the byte-bounded lift memo of
-`maltcube.algebras`, charged A_M's table bytes and the bytes of A's
-content key; the copy of A_M's tables in its own content key is charged
-to the layouts made over A_M, which hold it too.  The key is A's table
-contents (`FiniteAlgebra._key`), A's symbol names in order and M: the
-contents alone leave the names out, and a lattice and a groupoid with
-equal tables take different extensions.  A repeat call
-returns the same A_M `FiniteAlgebra`, whose content key and closure
-layouts are then already made, in a fresh `ExtendedAlgebra` whose `base`
-is the caller's algebra; only A_M and the read-only arrays are shared.
-A failed precondition raises before the memo is consulted, so it leaves
-nothing there.
+`extend` keeps those tables, and each A_M, in the byte-bounded lift memo
+of `maltcube.algebras`; the closure they were read off is dropped.  An
+entry is charged the bytes of the distinct arrays it holds, so an array
+two entries share counts twice, and never less than once.  The (M, |A|)
+entry holds what `_read_off` gives; an A_M entry its tables and pattern
+arrays, plus the bytes of A's content key (the copy of A_M's tables in
+its own content key is charged to the layouts made over A_M).  Its key
+is A's table contents (`FiniteAlgebra._key`), A's symbol names in order
+and M: a lattice and a groupoid with equal tables take different
+extensions.  A repeat call returns the same A_M `FiniteAlgebra`, whose
+content key and closure layouts are then already made, in a fresh
+`ExtendedAlgebra` whose `base` is the caller's algebra.  A failed
+precondition raises before the memo is consulted, so it leaves nothing
+there.
 
 Consistency makes the position choice canonical: two derivable
 positions in different pattern blocks would merge two distinct
@@ -103,7 +104,7 @@ same value is the last case applied to one node of a witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -120,7 +121,7 @@ from .algebras import (
     tree_symbols,
 )
 from .cube import check_condition
-from .entailment import CONDITION_INDEX_MEMO, condition_index
+from .entailment import condition_index
 from .terms import (
     LinearTerm,
     MaltsevCondition,
@@ -215,28 +216,16 @@ def _read_off(condition: MaltsevCondition, absorbing: int):
         # one past the leading underivable positions, k + 1 (none) wrapping to 0
         least = (((~hits).cumprod(axis=1).sum(axis=1) + 1) % (k + 1)).astype(patterns.dtype)
         table = np.choose(least[numbers], [absorbing, *rows.T]).astype(np.int64)
-        for array in (least, table):
+        for array in (hits, least, table):
             array.setflags(write=False)
         yield symbol, table, patterns, reps, hits, least
 
 
-@lru_cache(maxsize=CONDITION_INDEX_MEMO)
-def _condition_tables(condition: MaltsevCondition, absorbing: int) -> tuple:
-    """`_read_off` without the hits, kept for the most recently used pairs.
-
-    A_M's H-part depends on M and |A| alone, so every extension of a
-    same-sized algebra by M shares these tables and read-only arrays.
-    """
-    return tuple(
-        (symbol, table, patterns, reps, least)
-        for symbol, table, patterns, reps, _, least in _read_off(condition, absorbing)
-    )
-
-
 def _build_extension(
-    algebra: FiniteAlgebra, condition: MaltsevCondition
+    algebra: FiniteAlgebra, condition: MaltsevCondition, tables
 ) -> ExtendedAlgebra:
-    """Table construction alone; `extend` adds the precondition checks."""
+    """Table construction alone, around what `_read_off` gives for
+    (M, |A|), whose arrays A_M shares; `extend` adds the precondition checks."""
     n = algebra.size
     absorbing = n
     operations: dict[OperationSymbol, np.ndarray] = {}
@@ -247,7 +236,7 @@ def _build_extension(
     patterns: dict[int, np.ndarray] = {}
     representatives: dict[int, np.ndarray] = {}
     pattern_tables: dict[OperationSymbol, np.ndarray] = {}
-    for symbol, table, symbol_patterns, reps, least in _condition_tables(condition, absorbing):
+    for symbol, table, symbol_patterns, reps, _, least in tables:
         operations[symbol] = table
         patterns[symbol.arity] = symbol_patterns
         representatives[symbol.arity] = reps
@@ -261,6 +250,11 @@ def _build_extension(
         representatives=representatives,
         pattern_tables=pattern_tables,
     )
+
+
+def _nbytes(arrays) -> int:
+    """Bytes of the distinct arrays among `arrays`."""
+    return sum(a.nbytes for a in {id(a): a for a in arrays}.values())
 
 
 def extend(algebra: FiniteAlgebra, condition: MaltsevCondition) -> ExtendedAlgebra:
@@ -286,11 +280,16 @@ def extend(algebra: FiniteAlgebra, condition: MaltsevCondition) -> ExtendedAlgeb
     with _lift_memo.lock:
         parts = _lift_memo.get(key)
         if parts is None:
-            ext = _build_extension(algebra, condition)
+            tables = _lift_memo.get((condition, algebra.size))
+            if tables is None:
+                tables = tuple(_read_off(condition, algebra.size))
+                held = chain.from_iterable(entry[1:] for entry in tables)
+                _lift_memo.put((condition, algebra.size), tables, _nbytes(held))
+            ext = _build_extension(algebra, condition, tables)
             parts = (ext.extended, ext.absorbing, ext.patterns, ext.representatives,
                      ext.pattern_tables)
-            tables = sum(t.nbytes for t in ext.extended.operations.values())
-            _lift_memo.put(key, parts, tables + len(key[0][2]))
+            held = chain(ext.extended.operations.values(), *(d.values() for d in parts[2:]))
+            _lift_memo.put(key, parts, _nbytes(held) + len(key[0][2]))
     extended, absorbing, *arrays = parts
     return ExtendedAlgebra(algebra, condition, extended, absorbing, *map(dict, arrays))
 

@@ -51,10 +51,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .entailment import CONDITION_INDEX_MEMO, EntailmentStats, condition_index
+from .entailment import EntailmentStats, condition_index
 from .terms import MaltsevCondition, OperationSymbol
 
 _XY = str.maketrans("01", "xy")
+
+CONDITION_INDEX_MEMO = 64  # reports `check_condition` keeps, most recently used
 
 
 def _variable_mask(i: int, k: int) -> int:
@@ -187,8 +189,9 @@ def check_condition(condition: MaltsevCondition) -> ConditionReport:
     Decided on the closure over {x, y} alone.  Id offset + p of that
     closure is h(w_B) for the B of row number p, so one comparison
     against the class of y, packed into one int, holds every symbol's
-    family.  Memoized per condition, like its closure; the frozen report
-    is shared.
+    family.  Memoized per condition, for the CONDITION_INDEX_MEMO most
+    recently used; the frozen report is shared, and the closure is not
+    kept.
     """
     index = condition_index(condition, 2)
     if index.inconsistent:
@@ -203,3 +206,8 @@ def check_condition(condition: MaltsevCondition) -> ConditionReport:
         hits = bits >> offset & (1 << (1 << k)) - 1
         reports.append(_cube_report(symbol, hits, masks[k]))
     return ConditionReport(condition, True, tuple(reports), index.stats)
+
+
+def is_consistent(condition: MaltsevCondition) -> bool:
+    """True when the condition does not entail x = y for distinct variables."""
+    return check_condition(condition).consistent

@@ -57,7 +57,6 @@ seed pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain, product
 
 import numpy as np
@@ -78,9 +77,10 @@ from .terms import (
 MAX_TERMS = 2_000_000
 """Largest count of terms plus seed pairs a closure may build.
 
-Over two variables a symbol of arity 20 fits and arity 21 does not; over
-the canonical set two arity-7 symbols fit and arity 8 does not; over
-three, as `extend` asks for a 2-element algebra, arity 13 and not 14.
+Over two variables, as `check_condition` asks, a symbol of arity 20 fits
+and arity 21 does not; over three, as `extend` asks for a 2-element
+algebra, arity 13 and not 14; over the canonical set, the default of
+`condition_index`, two arity-7 symbols fit and arity 8 does not.
 """
 
 
@@ -316,29 +316,17 @@ class EntailmentIndex:
         return [tuple(members) for members in by_rep.values()]
 
 
-def weak_closure(condition: MaltsevCondition, nvars: int) -> EntailmentIndex:
-    """Build the weak closure of the condition over nvars canonical variables."""
-    return EntailmentIndex(condition, nvars)
-
-
-CONDITION_INDEX_MEMO = 64
-
-
 def condition_index(condition: MaltsevCondition, nvars: int | None = None) -> EntailmentIndex:
-    """Memoized closure per (condition, variable-set size).
-
-    The canonical size, the default, is resolved before the memo, so
-    `condition_index(c)` and `condition_index(c, n)` share one entry.
+    """The weak closure of the condition over nvars variables, by default
+    its canonical set.  Built afresh on each call: what a caller reads
+    off a closure (a cube report, A_M's tables) is kept, not the closure.
     """
     if nvars is None:
         nvars = canonical_variable_set(condition)
-    return _closure_memo(condition, nvars)
+    return EntailmentIndex(condition, nvars)
 
 
-@lru_cache(maxsize=CONDITION_INDEX_MEMO)
-def _closure_memo(condition: MaltsevCondition, nvars: int) -> EntailmentIndex:
-    """Keeps the CONDITION_INDEX_MEMO most recently used closures."""
-    return weak_closure(condition, nvars)
+weak_closure = condition_index
 
 
 def entails(index: EntailmentIndex, ident: Identity) -> EntailmentVerdict:
@@ -360,15 +348,8 @@ def entails(index: EntailmentIndex, ident: Identity) -> EntailmentVerdict:
 
 
 def derives(condition: MaltsevCondition, ident: Identity) -> bool:
-    """Semantic consequence: derivable over a large enough set, or inconsistency."""
-    needed = max(
-        canonical_variable_set(condition),
-        len(normalize_identity(ident).variables()),
-    )
-    return entails(condition_index(condition, needed), ident).semantic
-
-
-def is_consistent(condition: MaltsevCondition) -> bool:
-    """True when the condition does not entail x = y for distinct variables."""
-    return not condition_index(condition, 2).inconsistent
+    """Semantic consequence, read off the closure over the identity's own
+    variables, at least two, which is exact for it (module docstring)."""
+    nvars = max(2, len(normalize_identity(ident).variables()))
+    return entails(condition_index(condition, nvars), ident).semantic
 

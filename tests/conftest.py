@@ -5,6 +5,7 @@ from random import Random
 import pytest
 
 from maltcube.algebras import random_algebra
+from maltcube.entailment import EntailmentIndex
 from maltcube.terms import (
     MaltsevCondition,
     OperationSymbol,
@@ -62,3 +63,17 @@ def each_condition(request) -> MaltsevCondition:
 @pytest.fixture(scope="session")
 def algebra_corpus():
     return list(ALGEBRAS)
+
+
+@pytest.fixture
+def closure_widths(monkeypatch) -> list[int]:
+    """The variable count of every weak closure built during the test, in order."""
+    widths: list[int] = []
+    build = EntailmentIndex.__init__
+
+    def counting(self, condition, nvars):
+        widths.append(nvars)
+        build(self, condition, nvars)
+
+    monkeypatch.setattr(EntailmentIndex, "__init__", counting)
+    return widths

@@ -35,8 +35,8 @@ from maltcube.construction import (
     extend,
     reduce_and_certify,
 )
-from maltcube.cube import check_condition
-from maltcube.entailment import condition_index, entails, is_consistent
+from maltcube.cube import check_condition, is_consistent
+from maltcube.entailment import condition_index, entails
 from maltcube.interp import DUAL_IMPLICATION, dual_implication_algebra, find_interpretation
 from maltcube.terms import (
     Identity,

@@ -2,6 +2,7 @@
 
 import pickle
 import time
+from itertools import product
 from random import Random
 
 import numpy as np
@@ -622,6 +623,30 @@ def test_closure_takes_numpy_integers_and_bools():
     assert generate_subpower(Z3, generators).member_list == generate_subpower(
         Z3, [(0, 1), (1, 2)]).member_list
     assert smp_decide(Z3, SmpInstance(2, generators, (False, np.int32(0)))).answer
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int16])
+def test_narrow_numpy_integers_agree_with_python_ints(dtype):
+    """A member's code passes the narrow type's range: 3^12 here, 3^5 for
+    `value`.  Arrays and scalars of the type must give the answers,
+    members, positions, witnesses and values Python ints give."""
+    neg = FiniteAlgebra(3, {OperationSymbol("neg", 1): (1, 2, 0)})
+    g = [i % 3 for i in range(12)]
+    shifted = [(v + 1) % 3 for v in g]
+    want = smp_decide(neg, SmpInstance(12, (g,), shifted))
+    assert want.answer
+    for cast in (lambda t: np.array(t, dtype=dtype), lambda t: tuple(map(dtype, t))):
+        got = smp_decide(neg, SmpInstance(12, (cast(g),), cast(shifted)))
+        assert got.answer and render_tree(got.witness) == render_tree(want.witness)
+        closure = generate_subpower(neg, [cast(g)])
+        assert closure.member_list == generate_subpower(neg, [g]).member_list
+        assert [closure.position(cast(t)) for t in closure.member_list] == [0, 1, 2]
+    assert closure.position([float(v) for v in shifted]) is None  # not an integer
+    rng = Random(5)
+    f = OperationSymbol("f", 5)
+    algebra = FiniteAlgebra(3, {f: tuple(rng.randrange(3) for _ in range(3**5))})
+    for args in product(range(3), repeat=5):
+        assert algebra.value(f, np.array(args, dtype=dtype)) == algebra.value(f, args)
 
 
 def test_closure_refuses_a_universe_past_2_62():

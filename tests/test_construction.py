@@ -22,15 +22,15 @@ from maltcube.construction import (
     ConstructionError,
     EliminationError,
     _build_extension,
+    _read_off,
     eliminate_H,
     evaluate_linear_via_pattern,
     extend,
     reduce_and_certify,
     well_definedness_audit,
 )
-from maltcube import entailment
-from maltcube.cube import check_condition
-from maltcube.entailment import CONDITION_INDEX_MEMO, EntailmentIndex, derives
+from maltcube.cube import CONDITION_INDEX_MEMO, check_condition
+from maltcube.entailment import EntailmentIndex, derives
 from maltcube.terms import (
     MaltsevCondition,
     OperationSymbol,
@@ -174,8 +174,8 @@ def test_second_extension_makes_no_entailment_query(monkeypatch, algebra_corpus)
     same_size = next(a for a in algebra_corpus if a.size == LATTICE2.size)
     ext = extend(same_size, condition)
     assert calls == []
-    assert well_definedness_audit(ext)
-    assert calls == []
+    assert well_definedness_audit(ext)  # reads the positions afresh, off a closure of its own
+    assert calls == ["__init__"]
 
 
 def test_check_condition_memo_is_bounded():
@@ -203,26 +203,22 @@ def test_check_condition_memo_is_bounded():
     [LATTICE2, FiniteAlgebra(1, {MEET: (0,)})],
     ids=["lattice2-width3", "trivial-width2"],
 )
-def test_extend_reuses_the_closure_at_its_width(monkeypatch, algebra):
+def test_extend_builds_one_closure_at_its_width(closure_widths, algebra):
     # fresh symbol names, so no earlier test left this condition in a memo;
-    # extend reads the closure over min(|A| + 1, 3) variables, built by
-    # derives at width 3 or by check_condition at width 2
+    # check_condition reads the closure over {x, y}, and extend reads A_M's
+    # tables off one over min(|A| + 1, 3) variables, then keeps the tables
     condition = parse_condition(
         render_condition(CP3).replace("p_", f"once{algebra.size}_")
     )
-    widths = []
-    build = entailment.weak_closure
-
-    def counting(condition, nvars):
-        widths.append(nvars)
-        return build(condition, nvars)
-
-    monkeypatch.setattr(entailment, "weak_closure", counting)
-    assert derives(condition, condition.identities[2])
+    assert derives(condition, condition.identities[2])  # over its own 2 variables
     ext = extend(algebra, condition)
-    assert sorted(widths) == [2, canonical_variable_set(condition)]
-    assert well_definedness_audit(ext)  # reads the same closure
-    assert len(widths) == 2
+    width = min(algebra.size + 1, canonical_variable_set(condition))
+    assert closure_widths == [2, 2, width]
+    other = FiniteAlgebra(algebra.size, {OperationSymbol("other", 1): tuple(range(algebra.size))})
+    extend(other, condition)  # another A_M around the same tables
+    assert closure_widths == [2, 2, width]
+    assert well_definedness_audit(ext)
+    assert closure_widths == [2, 2, width, width]
 
 
 # --- the audit ---------------------------------------------------------------
@@ -241,7 +237,7 @@ def test_audit_flags_injected_breakage():
     broken = parse_condition(
         "signature: h/2\nidentities:\n  h(x,y) = x\n  h(x,y) = y\n"
     )
-    ext = _build_extension(LATTICE2, broken)
+    ext = _build_extension(LATTICE2, broken, _read_off(broken, 2))
     result = well_definedness_audit(ext)
     assert not result
     assert result.symbol.name == "h"
@@ -341,7 +337,7 @@ def test_eliminate_abort_carries_the_cube_family():
     majority = parse_condition(
         "signature: m/3\nidentities:\n  m(x,x,y) = x\n  m(x,y,x) = x\n  m(y,x,x) = x\n"
     )
-    ext = _build_extension(LATTICE2, majority)
+    ext = _build_extension(LATTICE2, majority, _read_off(majority, 2))
     m = ext.extended.symbol("m")
     tree = node(m, leaf(0), leaf(1), leaf(2))
     generators = ((0, 0, 1), (0, 1, 0), (1, 0, 0))

@@ -8,9 +8,9 @@ symbols, inconsistent and cube-entailing conditions included) and
 algebras of every size from 1 to 4, all tables and the absorbing element
 must agree, and the pattern tables, read as dicts through `pattern_dict`,
 must be the reference's restricted to the patterns A_M's rows have.  The
-tables `_build_extension` takes from the memo per (M, |A|) must equal a
-fresh read off the closure and be read-only, and A_M must hold the
-memo's int64 H-tables themselves, not copies.
+tables `_build_extension` takes, as `extend` keeps them per (M, |A|),
+must equal a fresh read off the closure and be read-only, and A_M must
+hold their int64 H-tables themselves, not copies.
 """
 
 import numpy as np
@@ -19,12 +19,12 @@ from hypothesis import strategies as st
 
 from oracles import reference_build_extension
 from test_entailment_differential import conditions, seeded_cube_matrix
-from maltcube.algebras import FiniteAlgebra
+from maltcube.algebras import FiniteAlgebra, _lift_memo
 from maltcube.construction import (
     ExtendedAlgebra,
     _build_extension,
-    _condition_tables,
     _read_off,
+    extend,
     well_definedness_audit,
 )
 from maltcube.cube import check_condition
@@ -72,7 +72,8 @@ def test_matches_the_row_by_row_reference():
     @example(FiniteAlgebra(4, {G0: (1, 2, 3, 0)}), MaltsevCondition(
         (Q,), (Identity(app(Q, 0, 0, 1), var(0)),)))
     def compare(algebra, condition):
-        ext = _build_extension(algebra, condition)
+        tables = tuple(_read_off(condition, algebra.size))
+        ext = _build_extension(algebra, condition, tables)
         extended, reference_tables = reference_build_extension(algebra, condition)
         assert ext.absorbing == algebra.size
         assert ext.extended == extended
@@ -83,20 +84,20 @@ def test_matches_the_row_by_row_reference():
                 if len(set(pattern)) <= algebra.size + 1
             }
             assert pattern_dict(ext, symbol) == expected
-        memo = _condition_tables(condition, algebra.size)
         fresh = list(_read_off(condition, algebra.size))
-        assert [entry[0] for entry in memo] == [entry[0] for entry in fresh]
-        for (symbol, table, patterns, reps, least), (
-            _, fresh_table, fresh_patterns, fresh_reps, _, fresh_least
-        ) in zip(memo, fresh):
-            for array, again in ((table, fresh_table), (patterns, fresh_patterns),
-                                 (reps, fresh_reps), (least, fresh_least)):
-                assert np.array_equal(array, again) and not array.flags.writeable
+        assert [entry[0] for entry in tables] == [entry[0] for entry in fresh]
+        for (symbol, table, *arrays), (_, *again) in zip(tables, fresh):
+            for array, other in zip((table, *arrays), again):
+                assert np.array_equal(array, other) and not array.flags.writeable
             assert table.dtype == np.int64
             assert ext.extended.operations[symbol] is table  # shared, not copied
         report = check_condition(condition)
         if report.consistent:
             assert well_definedness_audit(ext)
+        if report.applicable:
+            kept = extend(algebra, condition).extended
+            memo = _lift_memo.get((condition, algebra.size))
+            assert all(kept.operations[symbol] is table for symbol, table, *_ in memo)
         seen.add(
             "inconsistent" if not report.consistent
             else "cube" if not report.applicable

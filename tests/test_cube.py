@@ -1,5 +1,7 @@
 """Cube-identity entailment: families, decisions, witnesses."""
 
+import gc
+import weakref
 from dataclasses import replace
 from random import Random
 
@@ -11,10 +13,11 @@ from maltcube.cube import (
     _minimal_subfamily,
     check_condition,
     entails_cube,
+    is_consistent,
     unpack_bits,
     y_family,
 )
-from maltcube.entailment import condition_index, entails, is_consistent
+from maltcube.entailment import EntailmentIndex, condition_index, entails
 from maltcube.terms import (
     Identity,
     app,
@@ -23,6 +26,7 @@ from maltcube.terms import (
     hagemann_mitschke_condition,
     jonsson_condition,
     parse_condition,
+    render_condition,
     var,
 )
 
@@ -176,6 +180,30 @@ def test_report_carries_the_closure_counters(each_condition):
 def test_check_condition_is_memoized(condition_corpus):
     cd3 = condition_corpus["cd3"]
     assert check_condition(cd3) is check_condition(cd3)
+
+
+def test_is_consistent_reads_the_memoized_report(closure_widths):
+    condition = parse_condition(render_condition(jonsson_condition(3)).replace("d_", "read_"))
+    assert is_consistent(condition) and is_consistent(condition)
+    assert closure_widths == [2]
+
+
+def test_check_condition_keeps_no_closure(monkeypatch):
+    """The memoized report holds the closure's counters, not the closure."""
+    built = []
+    build = EntailmentIndex.__init__
+
+    def recording(self, condition, nvars):
+        built.append(weakref.ref(self))
+        build(self, condition, nvars)
+
+    monkeypatch.setattr(EntailmentIndex, "__init__", recording)
+    # fresh symbol names, so no earlier test left this condition in the memo
+    condition = parse_condition(render_condition(jonsson_condition(3)).replace("d_", "kept_"))
+    report = check_condition(condition)
+    assert check_condition(condition) is report and report.applicable
+    gc.collect()
+    assert len(built) == 1 and built[0]() is None
 
 
 def test_free_symbols_are_cube_free(condition_corpus):

@@ -19,7 +19,7 @@ from maltcube.algebras import (
     leaf,
     node,
 )
-from maltcube.construction import EliminationError, _build_extension, eliminate_H
+from maltcube.construction import EliminationError, _build_extension, _read_off, eliminate_H
 from maltcube.terms import OperationSymbol, hagemann_mitschke_condition
 
 MAX_DEPTH = 5
@@ -80,7 +80,8 @@ def test_elimination_matches_the_reference(condition_corpus, algebra_corpus):
         names = {s.name for s in condition.signature}
         for algebra in algebra_corpus[:8]:
             if names.isdisjoint(s.name for s in algebra.operations):
-                extensions.append(_build_extension(algebra, condition))
+                tables = _read_off(condition, algebra.size)
+                extensions.append(_build_extension(algebra, condition, tables))
     trees = errors = 0
     for _ in range(3000):
         ext = rng.choice(extensions)
@@ -115,7 +116,7 @@ def test_elimination_skips_h_nodes_in_discarded_children():
          OperationSymbol("join", 2): (0, 1, 1, 1)},
     )
     cp3 = hagemann_mitschke_condition(3)
-    ext = _build_extension(lattice, cp3)
+    ext = _build_extension(lattice, cp3, _read_off(cp3, lattice.size))
     p_0, p_1 = cp3.symbol("p_0"), cp3.symbol("p_1")
     generators = ((0, 1), (1, 0))
     dropped = node(p_1, leaf(0), leaf(1), leaf(0))
@@ -133,7 +134,7 @@ def test_elimination_reports_the_first_stuck_node_top_down(condition_corpus):
     majority = condition_corpus["majority"]
     meet = OperationSymbol("meet", 2)
     lattice = FiniteAlgebra(2, {meet: (0, 0, 0, 1)})
-    ext = _build_extension(lattice, majority)
+    ext = _build_extension(lattice, majority, _read_off(majority, lattice.size))
     m = majority.symbol("m")
     generators = ((0, 0, 1), (0, 1, 0), (1, 0, 0))
     left = node(m, leaf(0), leaf(1), leaf(2))

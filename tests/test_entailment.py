@@ -7,16 +7,15 @@ from itertools import product
 import pytest
 
 from oracles import OracleClosure, monoid_generators, oracle_entails
+from maltcube.cube import is_consistent
 from maltcube.entailment import (
     MAX_TERMS,
     EntailmentIndex,
     EntailmentStats,
     TermUniverseError,
-    _closure_memo,
     condition_index,
     derives,
     entails,
-    is_consistent,
     normalize_identity,
     universe_size,
     weak_closure,
@@ -30,7 +29,6 @@ from maltcube.terms import (
     hagemann_mitschke_condition,
     jonsson_condition,
     parse_condition,
-    render_condition,
     substitute,
     var,
 )
@@ -237,32 +235,18 @@ def test_term_ids_follow_enumeration_order(condition_corpus):
     assert index.term_id(app(d0, 2, 1, 0)) == 3 + 2 * 9 + 1 * 3
 
 
-def test_condition_index_cached():
+def test_condition_index_builds_one_closure_per_call(closure_widths):
     cd3 = jonsson_condition(3)
-    assert condition_index(cd3) is condition_index(cd3)
-    assert condition_index(cd3, 4) is not condition_index(cd3, 3)
+    first = condition_index(cd3)
+    assert condition_index(cd3) is not first
+    assert first.nvars == condition_index(cd3, None).nvars == 3  # the canonical width
+    assert condition_index(cd3, 4).nvars == 4
+    assert closure_widths == [3, 3, 3, 4]
+    assert weak_closure is condition_index
 
 
-def test_condition_index_resolves_the_default_width_before_the_memo():
-    # fresh symbol names, so no earlier test left this condition in the memo
-    cd3 = parse_condition(render_condition(jonsson_condition(3)).replace("d_", "width_"))
-    misses = _closure_memo.cache_info().misses
-    index = condition_index(cd3)
-    assert condition_index(cd3, None) is index
-    assert condition_index(cd3, 3) is index
-    assert _closure_memo.cache_info().misses == misses + 1
-
-
-def test_condition_index_memo_is_bounded():
-    maxsize = _closure_memo.cache_info().maxsize
-    assert maxsize is not None
-    first = MaltsevCondition((OperationSymbol("memo_first", 2),), ())
-    released = weakref.ref(condition_index(first))
-    for i in range(maxsize - 1):
-        condition_index(MaltsevCondition((OperationSymbol(f"memo_{i}", 1),), ()))
-    gc.collect()
-    assert released() is not None  # still among the maxsize most recent
-    condition_index(MaltsevCondition((OperationSymbol("memo_last", 1),), ()))
+def test_a_dropped_closure_is_freed():
+    released = weakref.ref(condition_index(jonsson_condition(3)))
     gc.collect()
     assert released() is None
 

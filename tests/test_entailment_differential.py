@@ -2,7 +2,9 @@
 
 Both references build every term as a `LinearTerm`; the engine works on
 integer ids only.  Their partitions must agree term for term: `_rep` holds
-the smallest id of each class in the same id order everywhere.
+the smallest id of each class in the same id order everywhere.  `derives`
+asks the closure over an identity's own variables, which must give the
+verdict the closure over the canonical set gives.
 """
 
 from itertools import product
@@ -13,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import OracleClosure, ReferenceClosure
-from maltcube.entailment import EntailmentStats, weak_closure
+from maltcube.entailment import EntailmentStats, derives, entails, normalize_identity, weak_closure
 from maltcube.terms import (
     Identity,
     MaltsevCondition,
@@ -22,6 +24,8 @@ from maltcube.terms import (
     canonical_variable_set,
     cube_condition,
     parse_condition,
+    random_condition,
+    substitute,
     var,
 )
 
@@ -141,3 +145,43 @@ def test_wide_and_repeated_seeds_match_the_oracle(text, nvars):
 @given(conditions(min_arity=3), st.sampled_from([2, 3]))
 def test_generated_wide_seeds_match_the_oracle(condition, nvars):
     assert_matches_the_wider_oracle(condition, nvars)
+
+
+def derives_queries(condition: MaltsevCondition, rng: Random, count: int) -> list[Identity]:
+    """The condition's identities, `count` random instances of them over up
+    to 5 variables, and `count` identities between random terms or
+    variables over 1 to 5 variables."""
+    queries = list(condition.identities)
+    for _ in range(count if queries else 0):
+        ident = rng.choice(condition.identities)
+        mapping = {a: rng.randrange(5) for a in ident.variables()}
+        queries.append(Identity(substitute(ident.lhs, mapping), substitute(ident.rhs, mapping)))
+    for _ in range(count):
+        nvars = rng.randint(1, 5)
+        sides = []
+        for _ in range(2):
+            symbol = rng.choice((None,) + condition.signature)
+            arity = 1 if symbol is None else symbol.arity
+            args = [rng.randrange(nvars) for _ in range(arity)]
+            sides.append(var(args[0]) if symbol is None else app(symbol, *args))
+        queries.append(Identity(*sides))
+    return queries
+
+
+def test_derives_over_its_own_variables_matches_the_canonical_width(condition_corpus):
+    rng = Random(30)
+    generated = [random_condition(Random(seed), max_symbols=3, max_arity=4, max_variables=5)
+                 for seed in range(150)]
+    seen = set()
+    for condition in [*condition_corpus.values(), *generated]:
+        canonical = canonical_variable_set(condition)
+        references = {}
+        for ident in derives_queries(condition, rng, 20):
+            width = len(normalize_identity(ident).variables())
+            nvars = max(canonical, width)
+            if nvars not in references:
+                references[nvars] = weak_closure(condition, nvars)
+            want = entails(references[nvars], ident).semantic
+            assert derives(condition, ident) == want, (condition, ident)
+            seen.add((want, "narrower" if max(2, width) < canonical else "canonical or wider"))
+    assert seen == {(v, w) for v in (True, False) for w in ("narrower", "canonical or wider")}

@@ -7,13 +7,16 @@ memoized A_M inside a fresh `ExtendedAlgebra` whose `base` is the
 caller's algebra; a failed precondition is never kept, so a name clash
 still raises after a success under other names.  The certificates of
 `reduce_and_certify` must not depend on what the memo holds, the memo
-stays within its byte bound, an extension charged more than the whole
-bound is not kept and evicts nothing, and threads extending one pair
-agree.
+stays within its byte bound with A_M's condition tables kept beside each
+A_M, clearing it frees those tables, an extension charged more than the
+whole bound is not kept and evicts nothing, and threads extending one
+pair agree.
 """
 
+import gc
 import sys
 import threading
+import weakref
 from random import Random
 
 import pytest
@@ -136,6 +139,36 @@ def test_the_memo_stays_within_its_bound(monkeypatch):
             check_memo(bound)
     # 24 distinct algebras, of which the memo keeps the last few
     assert 0 < len(algebras._lift_memo.tables) < 24
+
+
+def test_condition_tables_stay_within_the_bound(monkeypatch):
+    """Beside each A_M, the memo keeps the tables read off per (M, |A|),
+    charged the arrays they hold, and evicts them like any other entry."""
+    bound = 1 << 14
+    monkeypatch.setattr(algebras, "_LIFT_MEMO_BYTES", bound)
+    clear_memo()
+    rng = Random(5)
+    conditions = (CP3, jonsson_condition(3), hagemann_mitschke_condition(4))
+    made = set()
+    for size in (1, 2, 3, 4):
+        for condition in conditions:
+            table = tuple(rng.randrange(size) for _ in range(size**2))
+            extend(FiniteAlgebra(size, {OperationSymbol("f", 2): table}), condition)
+            check_memo(bound)
+            assert (condition, size) in algebras._lift_memo.tables
+            made.add((condition, size))
+    assert len(made) == 12
+    assert 0 < len(made & algebras._lift_memo.tables.keys()) < 12
+
+
+def test_a_cleared_memo_frees_the_h_tables():
+    clear_memo()
+    ext = extend(named("meet", "join"), CP3)
+    freed = weakref.ref(ext.extended.operations[CP3.symbol("p_1")])
+    del ext
+    clear_memo()
+    gc.collect()
+    assert freed() is None
 
 
 def test_an_extension_larger_than_the_bound_evicts_nothing(monkeypatch):

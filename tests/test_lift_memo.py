@@ -54,13 +54,31 @@ def clear_memo():
         algebras._lift_memo.nbytes = 0
 
 
+def held(value) -> dict[int, np.ndarray]:
+    """The distinct arrays an entry holds, by id: a lifted array, or those
+    of an A_M and of A_M's condition tables; a layout's are entries of their own."""
+    if isinstance(value, np.ndarray):
+        return {id(value): value}
+    if isinstance(value, FiniteAlgebra):
+        value = value.operations
+    if isinstance(value, dict):
+        value = tuple(value.values())
+    if isinstance(value, tuple):
+        return {k: a for v in value for k, a in held(v).items()}
+    return {}
+
+
 def check_memo(bound):
-    """Charges add up, stay within the bound, and count each resident array
-    once; every layout's arrays are in the memo, after it."""
+    """Charges add up and stay within the bound; each entry is charged at
+    least the arrays it holds, so the memo counts every resident array at
+    least once; every layout's arrays are in the memo, after it."""
     memo = algebras._lift_memo
     keys = list(memo.tables)
     assert memo.nbytes == sum(charge for _, charge, _ in memo.tables.values()) <= bound
-    arrays = {id(v): v for v, _, _ in memo.tables.values() if isinstance(v, np.ndarray)}
+    arrays = {}
+    for value, charge, _ in memo.tables.values():
+        arrays.update(held(value))
+        assert sum(a.nbytes for a in held(value).values()) <= charge
     assert sum(a.nbytes for a in arrays.values()) <= memo.nbytes
     for key, (value, _, follow) in memo.tables.items():
         if isinstance(value, algebras._Layout):
