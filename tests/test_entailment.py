@@ -239,10 +239,17 @@ def test_condition_index_builds_one_closure_per_call(closure_widths):
     cd3 = jonsson_condition(3)
     first = condition_index(cd3)
     assert condition_index(cd3) is not first
-    assert first.nvars == condition_index(cd3, None).nvars == 3  # the canonical width
-    assert condition_index(cd3, 4).nvars == 4
-    assert closure_widths == [3, 3, 3, 4]
+    assert condition_index(cd3, 4) is not condition_index(cd3, 4)
+    assert closure_widths == [3, 3, 4, 4]
     assert weak_closure is condition_index
+
+
+def test_condition_index_resolves_the_default_width(closure_widths):
+    cd3 = jonsson_condition(3)
+    assert condition_index(cd3).nvars == 3  # the canonical width
+    assert condition_index(cd3, None).nvars == 3
+    assert condition_index(cd3, 4).nvars == 4
+    assert closure_widths == [3, 3, 4]
 
 
 def test_a_dropped_closure_is_freed():
