@@ -27,7 +27,6 @@ from .algebras import (
     node,
     parse_algebra,
     parse_instance,
-    random_algebra,
     render_algebra,
     render_instance,
     render_tree,
@@ -89,7 +88,6 @@ from .terms import (
     hagemann_mitschke_condition,
     jonsson_condition,
     parse_condition,
-    pattern_representative,
     random_condition,
     render_condition,
     render_identity,

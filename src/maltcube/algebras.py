@@ -94,7 +94,6 @@ from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import product, repeat
 from math import prod
-from random import Random
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -190,19 +189,6 @@ class FiniteAlgebra:
             if s.name == name:
                 return s
         raise KeyError(name)
-
-
-def random_algebra(
-    rng: Random, *, max_size: int = 3, max_operations: int = 2, max_arity: int = 2
-) -> FiniteAlgebra:
-    """A random algebra, sized for exhaustive cross-checking."""
-    size = rng.randint(1, max_size)
-    operations = {}
-    for i in range(rng.randint(1, max_operations)):
-        arity = rng.randint(0, max_arity)
-        table = tuple(rng.randrange(size) for _ in range(size**arity))
-        operations[OperationSymbol(f"f{i}", arity)] = table
-    return FiniteAlgebra(size, operations)
 
 
 # --- term trees -------------------------------------------------------------

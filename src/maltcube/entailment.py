@@ -22,10 +22,12 @@ Seeds are those instances.  An identity whose w distinct variables fit
 in X is seeded by its normalized instance alone (variables renamed 0, 1,
 ... by first occurrence), since substitution stability reaches every
 other instance; a wider identity is seeded with each of its |X|^w
-instances.  The renaming is read straight into ids, with no renamed
-terms built.  A side's id under a map of the w variables is linear in
-the map's digits, so both sides' ids over every map are built together,
-one variable at a time, with memory linear in the instance count.
+instances.  Seeds are read from the condition's rows of ints
+(`MaltsevCondition.rows`) and renamed straight into ids, so no
+`Identity` or `LinearTerm` is built or hashed on the way.  A side's id
+under a map of the w variables is linear in the map's digits, so both
+sides' ids over every map are built together, one variable at a time,
+with memory linear in the instance count.
 
 Saturation runs over a generating set of the full transformation monoid
 on X (a transposition, the full cycle, one rank-collapsing map) rather
@@ -58,6 +60,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, product
+from typing import Iterable
 
 import numpy as np
 
@@ -163,9 +166,8 @@ class EntailmentIndex:
         if nvars < 2:
             raise ValueError("the variable set needs at least two variables")
         # each identity's variables renamed 0, 1, ... by first occurrence
-        renamings = [
-            {a: i for i, a in enumerate(ident.variables())} for ident in condition.identities
-        ]
+        rows = list(condition.split_rows())
+        renamings = [{v: i for i, v in enumerate(dict.fromkeys(a + b))} for _, a, _, b in rows]
         size = universe_size(condition, nvars)
         seed_count = sum(1 if len(r) <= nvars else nvars ** len(r) for r in renamings)
         if size + seed_count > MAX_TERMS:
@@ -177,14 +179,15 @@ class EntailmentIndex:
         for s in condition.signature:
             self._offsets[s] = offset
             offset += nvars**s.arity
+        offsets = [*self._offsets.values(), 0]  # index -1 reads a variable's
 
         seeds = []
-        for ident, renaming in zip(condition.identities, renamings):
+        for (s, a, t, b), renaming in zip(rows, renamings):
             if len(renaming) <= nvars:
-                lhs, rhs = self._seed_id(ident.lhs, renaming), self._seed_id(ident.rhs, renaming)
-                seeds.append((lhs, rhs))
+                seeds.append((self._id(offsets[s], map(renaming.__getitem__, a)),
+                              self._id(offsets[t], map(renaming.__getitem__, b))))
             else:
-                seeds += zip(*self._instance_ids(ident, renaming))
+                seeds += zip(*self._instance_ids(((offsets[s], a), (offsets[t], b)), renaming))
         gammas = _monoid_generators(nvars)
         images = self._images(gammas)
 
@@ -248,20 +251,18 @@ class EntailmentIndex:
         image[:, n:] += np.repeat(offsets, [n**k for k in arities])
         return [memoryview(row) for row in image]
 
-    def _offset(self, term: LinearTerm) -> int:
-        return 0 if term.symbol is None else self._offsets[term.symbol]
-
-    def _seed_id(self, term: LinearTerm, renaming: dict[int, int]) -> int:
-        """Id of the term with its variables renamed; they fit the variable set."""
-        n = self.nvars
+    def _id(self, offset: int, args: Iterable[int]) -> int:
+        """Id of the symbol at `offset` (0 for a variable) applied to
+        `args`, which lie in the variable set."""
         local = 0
-        for a in term.args:
-            local = local * n + renaming[a]
-        return self._offset(term) + local
+        for a in args:
+            local = local * self.nvars + a
+        return offset + local
 
-    def _instance_ids(self, ident: Identity, renaming: dict[int, int]) -> list[list[int]]:
+    def _instance_ids(self, sides, renaming: dict[int, int]) -> list[list[int]]:
         """Ids of both sides' images under all nvars^w maps of the w variables.
 
+        Each side is its symbol's offset and its arguments, as in its row.
         Map q sends renamed variable v to digit v of q in base nvars, most
         significant first, as `term_id` reads an argument tuple.  A side's
         id is linear in those digits, argument i of k weighing nvars^(k-1-i)
@@ -270,10 +271,10 @@ class EntailmentIndex:
         """
         n, w = self.nvars, len(renaming)
         weights = []  # per side: each variable's weight, then the offset
-        for term in (ident.lhs, ident.rhs):
-            row = [0] * w + [self._offset(term)]
-            k = len(term.args)
-            for i, a in enumerate(term.args):
+        for offset, args in sides:
+            row = [0] * w + [offset]
+            k = len(args)
+            for i, a in enumerate(args):
                 row[renaming[a]] += n ** (k - 1 - i)
             weights.append(row)
         weights = np.array(weights, dtype=np.int64)
@@ -285,16 +286,10 @@ class EntailmentIndex:
         return ids.tolist()
 
     def term_id(self, term: LinearTerm) -> int:
-        n = self.nvars
         offset = 0 if term.symbol is None else self._offsets.get(term.symbol)
-        local = 0
-        for a in term.args:
-            if a >= n:
-                offset = None
-            local = local * n + a
-        if offset is None:
+        if offset is None or max(term.args, default=0) >= self.nvars:
             raise ValueError(f"term {render_term(term)} lies outside the universe")
-        return offset + local
+        return self._id(offset, term.args)
 
     def same_class(self, lhs: LinearTerm, rhs: LinearTerm) -> bool:
         return bool(self._rep[self.term_id(lhs)] == self._rep[self.term_id(rhs)])

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .algebras import FiniteAlgebra, TermTree, leaf, node
-from .cube import _variable_mask, check_condition, unpack_bits
+from .cube import _variable_mask, check_condition
 from .terms import MaltsevCondition, OperationSymbol
 
 DUAL_IMPLICATION = OperationSymbol("impd", 2)
@@ -80,17 +80,17 @@ def _impd(a: TermTree, b: TermTree) -> TermTree:
     return node(DUAL_IMPLICATION, a, b)
 
 
-def _defining_term(mask: int, k: int) -> TermTree:
+def _defining_term(mask: int, variables: list[int], leaves: list[TermTree]) -> TermTree:
     """A term for the clone member whose packed table is `mask`.
 
     Bit p of the mask is the value at the argument row of lexicographic
-    rank p.
+    rank p; `variables` and `leaves` hold the tables and leaves of x_1..x_k.
     """
     if not mask:
-        return _impd(leaf(0), leaf(0))
-    variables = [_variable_mask(i, k) for i in range(k)]
+        return _impd(leaves[0], leaves[0])
+    k = len(variables)
     j = min(j for j in range(k) if not mask & ~variables[j])
-    xj = leaf(j)
+    xj = leaves[j]
 
     def below_xj(g: int, start: int) -> TermTree:
         for i in range(start, k):
@@ -100,7 +100,7 @@ def _defining_term(mask: int, k: int) -> TermTree:
             g1, g0 = high | high >> shift, low | low << shift
             if i == j or g1 == g0:
                 continue
-            xi = leaf(i)
+            xi = leaves[i]
             parts = []
             if g1:
                 parts.append(_impd(_impd(xi, xj), below_xj(g1, i + 1)))
@@ -125,15 +125,16 @@ def clone_enumerate(k: int) -> tuple[BooleanOperationEntry, ...]:
     if not 1 <= k <= _MAX_CLONE_ARITY:
         raise ValueError(f"arity {k} outside the supported range 1..{_MAX_CLONE_ARITY}")
     masks = {0: None}  # insertion-ordered set
-    for j in range(k):
-        xj = _variable_mask(j, k)
+    variables = [_variable_mask(j, k) for j in range(k)]
+    for xj in variables:
         below = xj
         while below:  # every nonzero submask of x_j's table, x_j first
             masks.setdefault(below)
             below = (below - 1) & xj
+    leaves = [leaf(i) for i in range(k)]
     return tuple(
         BooleanOperationEntry(
-            k, tuple(mask >> p & 1 for p in range(1 << k)), _defining_term(mask, k)
+            k, tuple(mask >> p & 1 for p in range(1 << k)), _defining_term(mask, variables, leaves)
         )
         for mask in masks
     )
@@ -167,11 +168,13 @@ def find_interpretation(condition: MaltsevCondition) -> Interpretation | None:
     if not report.applicable:
         return None
     entries: dict[tuple[int, int], BooleanOperationEntry] = {}
+    per_arity = {k: ([_variable_mask(i, k) for i in range(k)], [leaf(i) for i in range(k)])
+                 for k in {s.arity for s in condition.signature}}
     assignment = {}
     for cube in report.reports:
         hits, k = cube.hits, cube.symbol.arity
         if (hits, k) not in entries:
-            table = tuple(unpack_bits(hits, 1 << k).tolist())
-            entries[hits, k] = BooleanOperationEntry(k, table, _defining_term(hits, k))
+            table = tuple(map(int, format(hits, f"0{1 << k}b")[::-1]))
+            entries[hits, k] = BooleanOperationEntry(k, table, _defining_term(hits, *per_arity[k]))
         assignment[cube.symbol] = entries[hits, k]
     return Interpretation(condition, assignment)

@@ -23,6 +23,10 @@ applications included, is a reported error.  Variables are numbered
 once the whole file is read: canonical names keep their fixed index,
 and every other name takes the smallest index no name of the file uses,
 in order of first occurrence.
+
+A `MaltsevCondition` keeps each identity as one row of ints (see its
+docstring).  The parser emits the rows, equality, the hash and the weak
+closure read them, and `condition.identities` is decoded on first access.
 """
 
 from __future__ import annotations
@@ -30,8 +34,8 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from itertools import chain, count
-from typing import Iterable, Mapping, Sequence
+from itertools import count
+from typing import Iterable, Iterator, Mapping, Sequence
 
 _CANONICAL_NAMES = ("x", "y", "z", "u", "v", "w")
 _INDEXED_VAR_RE = re.compile(r"x(\d+)")
@@ -136,43 +140,79 @@ def substitute(term: LinearTerm, gamma: Mapping[int, int] | Sequence[int]) -> Li
     return LinearTerm(term.symbol, tuple(gamma[a] for a in term.args))
 
 
-@dataclass(frozen=True)
 class MaltsevCondition:
     """A finite signature together with finitely many linear identities.
 
     Symbols are deduplicated preserving order and must have unique names;
     identities are deduplicated under exact equality and may only use
-    declared symbols.  Unused symbols stay part of the condition.
+    declared symbols.  Unused symbols stay part of the condition.  Each
+    identity is kept as a row of ints `(s, a_1..a_k, t, b_1..b_l)`: s and
+    t index the signature, or are -1 for a variable side, which has one
+    argument.  Equality and the hash, computed once, read the signature
+    and the rows; `identities` is decoded from the rows on first access.
     """
 
-    signature: tuple[OperationSymbol, ...]
-    identities: tuple[Identity, ...]
+    __slots__ = ("signature", "rows", "_identities", "_hash")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "signature", tuple(dict.fromkeys(self.signature)))
-        object.__setattr__(self, "identities", tuple(dict.fromkeys(self.identities)))
-        names = [s.name for s in self.signature]
-        if len(set(names)) != len(names):
+    def __new__(cls, signature: Iterable[OperationSymbol], identities: Iterable[Identity]):
+        signature = tuple(dict.fromkeys(signature))
+        if len({s.name for s in signature}) != len(signature):
             raise ValueError("operation names must be unique within a signature")
-        declared = set(self.signature)
-        for ident in self.identities:
+        position = {None: -1, **{s: i for i, s in enumerate(signature)}}
+        identities = tuple(dict.fromkeys(identities))
+        for ident in identities:
             for s in (ident.lhs.symbol, ident.rhs.symbol):
-                if s is not None and s not in declared:
+                if s not in position:
                     raise ValueError(f"identity {ident} uses undeclared symbol {s}")
+        rows = tuple((position[i.lhs.symbol], *i.lhs.args, position[i.rhs.symbol], *i.rhs.args)
+                     for i in identities)
+        return cls._from_rows(signature, rows, identities)
+
+    @classmethod
+    def _from_rows(cls, signature, rows, identities=None) -> MaltsevCondition:
+        """Rows already checked: distinct, declared symbols, matching arities."""
+        self = object.__new__(cls)
+        for name, value in zip(cls.__slots__, (signature, rows, identities, None)):
+            object.__setattr__(self, name, value)
+        return self
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen condition")
+
+    __delattr__ = __setattr__
+
+    def split_rows(self) -> Iterator[tuple[int, tuple[int, ...], int, tuple[int, ...]]]:
+        """Each row as (s, lhs arguments, t, rhs arguments)."""
+        arity = [s.arity for s in self.signature] + [1]  # index -1 reads a variable's
+        for row in self.rows:
+            k = arity[row[0]] + 1
+            yield row[0], row[1:k], row[k], row[k + 1:]
+
+    @property
+    def identities(self) -> tuple[Identity, ...]:
+        if self._identities is None:
+            symbols = self.signature + (None,)  # index -1 reads a variable's
+            object.__setattr__(self, "_identities", tuple(
+                Identity(LinearTerm(symbols[s], a), LinearTerm(symbols[t], b))
+                for s, a, t, b in self.split_rows()))
+        return self._identities
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.signature == other.signature and self.rows == other.rows
 
     def __hash__(self) -> int:
-        """The fields' hash, computed once: the memos keyed on a condition
-        hash it on every call."""
-        try:
-            return self.__dict__["_hash"]
-        except KeyError:
-            value = hash((self.signature, self.identities))
-            object.__setattr__(self, "_hash", value)
-            return value
+        """Computed once: the memos keyed on a condition hash it on every call."""
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.signature, self.rows)))
+        return self._hash
 
-    def __getstate__(self) -> dict:
-        # string hashes differ between processes, so the cached one stays behind
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+    def __reduce__(self):  # the cached hash stays behind: string hashes differ between processes
+        return MaltsevCondition._from_rows, (self.signature, self.rows)
+
+    def __repr__(self) -> str:
+        return f"MaltsevCondition(signature={self.signature!r}, identities={self.identities!r})"
 
     def symbol(self, name: str) -> OperationSymbol:
         for s in self.signature:
@@ -192,12 +232,12 @@ def canonical_variable_set(condition: MaltsevCondition) -> int:
 
     Takes the maximum of 2, every declared arity (whether or not the symbol
     occurs in an identity), and the number of distinct variables of any single
-    identity.  A set this large keeps the closure's verdicts independent of
-    the exact size chosen.
+    identity, read off its row.  A set this large keeps the closure's
+    verdicts independent of the exact size chosen.
     """
     size = max(2, condition.max_arity())
-    for ident in condition.identities:
-        size = max(size, len(ident.variables()))
+    for _, lhs, _, rhs in condition.split_rows():
+        size = max(size, len(set(lhs + rhs)))
     return size
 
 
@@ -208,12 +248,6 @@ def equality_pattern(values: Sequence) -> tuple[int, ...]:
     for i, v in enumerate(values):
         out.append(first.setdefault(v, i + 1))
     return tuple(out)
-
-
-def pattern_representative(pattern: Sequence[int]) -> tuple[int, ...]:
-    """Dense block indices realizing a pattern: (1, 1, 3) -> (0, 0, 1)."""
-    blocks: dict[int, int] = {}
-    return tuple(blocks.setdefault(p, len(blocks)) for p in pattern)
 
 
 # --- condition generators ---------------------------------------------------
@@ -370,42 +404,47 @@ def parse_condition(text: str, source: str = "<string>") -> MaltsevCondition:
                 symbols.append(OperationSymbol(m.group(1), int(m.group(2))))
             except ValueError as exc:
                 raise fail(str(exc), lineno) from None
-    by_name = {s.name: s for s in symbols}
-    if len(by_name) != len(symbols):
+    position = {s.name: i for i, s in enumerate(symbols)}
+    if len(position) != len(symbols):
         raise fail("duplicate operation name in signature", lineno)
 
     if len(lines) < 2 or lines[1][1] != "identities:":
         raise fail("expected an identities: line after the signature", lines[0][0])
 
-    def parse_side(side: str, lineno: int) -> tuple[OperationSymbol | None, list[str]]:
+    checked: dict[str, None] = {}  # variable names met so far, in first-occurrence order
+
+    def parse_side(side: str, lineno: int) -> tuple[int, list[str]]:
         # NAME, or NAME ( inner ) with free space before the parenthesis
         name, paren, inner = side.partition("(")
         if paren:
             name = name.rstrip() if side.endswith(")") else ""
-        if not _is_name(name):
+        if name not in position and not _is_name(name):
             raise fail(f"cannot parse term {side!r}", lineno)
         if not paren:
-            symbol, names = None, [name]
-        elif name not in by_name:
+            s, names = -1, [name]
+        elif name not in position:
             raise fail(f"unknown operation symbol {name}", lineno)
         elif "(" in inner:
             raise fail("nested terms are not linear", lineno)
         else:
-            symbol = by_name[name]
+            s = position[name]
             inner = inner[:-1]
             names = [p.strip() for p in inner.split(",")] if inner.strip() else []
         for arg in names:
+            if arg in checked:
+                continue
             if not arg:
                 raise fail("misplaced comma", lineno)
             if not _is_name(arg):
                 raise fail(f"expected a variable, found {arg!r}", lineno)
-            if arg in by_name:
+            if arg in position:
                 raise fail(f"operation symbol {arg} used as a variable", lineno)
-        if symbol is not None and len(names) != symbol.arity:
-            raise fail(f"{symbol} applied to {len(names)} arguments", lineno)
-        return symbol, names
+            checked[arg] = None
+        if s >= 0 and len(names) != symbols[s].arity:
+            raise fail(f"{symbols[s]} applied to {len(names)} arguments", lineno)
+        return s, names
 
-    sides: list[tuple[OperationSymbol | None, list[str]]] = []
+    sides: list[tuple[int, list[str]]] = []
     for lineno, body in lines[2:]:
         pair = body.split("=")
         if len(pair) != 2:
@@ -413,17 +452,16 @@ def parse_condition(text: str, source: str = "<string>") -> MaltsevCondition:
         sides += [parse_side(side.strip(), lineno) for side in pair]
 
     # Canonical names keep their index; the others take the smallest free one.
-    index = dict.fromkeys(chain.from_iterable(names for _, names in sides))
-    for n in index:
-        index[n] = variable_index(n)
+    index = {n: variable_index(n) for n in checked}
     taken = set(index.values())
     free = (i for i in count() if i not in taken)
     for n, i in index.items():
         if i is None:
             index[n] = next(free)
-    terms = [LinearTerm(symbol, tuple(map(index.__getitem__, names))) for symbol, names in sides]
-    identities = [Identity(lhs, rhs) for lhs, rhs in zip(terms[::2], terms[1::2])]
-    return MaltsevCondition(tuple(symbols), tuple(identities))
+    get = index.__getitem__
+    rows = dict.fromkeys((s, *map(get, a), t, *map(get, b))
+                         for (s, a), (t, b) in zip(sides[::2], sides[1::2]))
+    return MaltsevCondition._from_rows(tuple(symbols), tuple(rows))
 
 
 def render_term(term: LinearTerm) -> str:

@@ -4,7 +4,7 @@ from random import Random
 
 import pytest
 
-from maltcube.algebras import random_algebra
+from oracles import random_algebra
 from maltcube.entailment import EntailmentIndex
 from maltcube.terms import (
     MaltsevCondition,

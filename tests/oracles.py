@@ -45,6 +45,9 @@ available, trading speed for obviousness:
     token that numbers the variables, rather than by matching each side
     with one pattern.
 
+The module also holds two small helpers only the tests use: the seeded
+generator of random algebras and `pattern_representative`.
+
 A k-ary violation of relation preservation needs only k rows: pick for
 each output coordinate one argument row where the function is 0, if one
 exists per coordinate; otherwise the function is below that projection
@@ -84,11 +87,29 @@ from maltcube.terms import (
     app,
     canonical_variable_set,
     equality_pattern,
-    pattern_representative,
     substitute,
     var,
     variable_index,
 )
+
+
+def random_algebra(
+    rng: Random, *, max_size: int = 3, max_operations: int = 2, max_arity: int = 2
+) -> FiniteAlgebra:
+    """A random algebra, sized for exhaustive cross-checking."""
+    size = rng.randint(1, max_size)
+    operations = {}
+    for i in range(rng.randint(1, max_operations)):
+        arity = rng.randint(0, max_arity)
+        table = tuple(rng.randrange(size) for _ in range(size**arity))
+        operations[OperationSymbol(f"f{i}", arity)] = table
+    return FiniteAlgebra(size, operations)
+
+
+def pattern_representative(pattern: Sequence[int]) -> tuple[int, ...]:
+    """Dense block indices realizing a pattern: (1, 1, 3) -> (0, 0, 1)."""
+    blocks: dict[int, int] = {}
+    return tuple(blocks.setdefault(p, len(blocks)) for p in pattern)
 
 
 def normalize(identity: Identity) -> Identity:

@@ -8,7 +8,7 @@ from random import Random
 import numpy as np
 import pytest
 
-from oracles import oracle_rounds, oracle_subpower
+from oracles import oracle_rounds, oracle_subpower, random_algebra
 from test_closure_differential import assert_wide_closure_matches, round_sets
 from maltcube.algebras import (
     DEFAULT_BUDGET,
@@ -24,7 +24,6 @@ from maltcube.algebras import (
     node,
     parse_algebra,
     parse_instance,
-    random_algebra,
     render_algebra,
     render_instance,
     render_tree,

@@ -4,7 +4,9 @@ Both references build every term as a `LinearTerm`; the engine works on
 integer ids only.  Their partitions must agree term for term: `_rep` holds
 the smallest id of each class in the same id order everywhere.  `derives`
 asks the closure over an identity's own variables, which must give the
-verdict the closure over the canonical set gives.
+verdict the closure over the canonical set gives.  The engine reads its
+seeds off the condition's rows of ints, so the row cases run both a
+parsed condition and the same identities built through the constructor.
 """
 
 from itertools import product
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import OracleClosure, ReferenceClosure
+from oracles import OracleClosure, ReferenceClosure, monoid_generators
 from maltcube.entailment import EntailmentStats, derives, entails, normalize_identity, weak_closure
 from maltcube.terms import (
     Identity,
@@ -86,6 +88,41 @@ def test_cube_matrix_matches_reference(arity, seed):
     assert index.stats.unions == reference.saturation_merges
 
 
+# --- seeds read off a condition's rows ----------------------------------------
+
+ROW_SEED_CONDITIONS = (
+    # variables out of first-occurrence order: z is renamed 0, x is renamed 1
+    "signature: f/2\nidentities:\n  f(z,x) = x\n",
+    # repeated variables on a symbol side, and on both sides
+    "signature: g/4, f/2\nidentities:\n  g(y,x,y,y) = f(x,x)\n  g(z,z,x,z) = g(x,z,z,x)\n",
+    # a variable-only identity, with one of its variables met again later
+    "signature: f/2\nidentities:\n  f(y,z) = f(z,y)\n  z = y\n",
+    # a nullary side, whose row has no arguments
+    "signature: c/0, f/2\nidentities:\n  c() = f(x,x)\n  f(y,x) = c()\n",
+)
+
+
+@pytest.mark.parametrize("nvars", [2, 3])
+@pytest.mark.parametrize("text", ROW_SEED_CONDITIONS)
+def test_row_seeds_match_the_reference(text, nvars):
+    """_rep and every stat, for the parsed condition and for the same
+    identities built through the constructor."""
+    parsed = parse_condition(text)
+    built = MaltsevCondition(parsed.signature, parsed.identities)
+    reference = ReferenceClosure(parsed, nvars)
+    terms, unions = len(reference.terms), reference.saturation_merges
+    seeds = len(parsed.identities)
+    expected = EntailmentStats(
+        terms=terms, seed_pairs=seeds, unions=unions,
+        pops=seeds + len(monoid_generators(nvars)) * unions, classes=terms - unions,
+    )
+    for condition in (parsed, built):
+        index = weak_closure(condition, nvars)
+        assert index._rep.tolist() == list(reference._rep)
+        assert index.inconsistent == reference.inconsistent
+        assert index.stats == expected
+
+
 # --- seeds from identities wider than the variable set ------------------------
 
 
@@ -132,6 +169,8 @@ WIDE_CONDITIONS = (
     "signature: p/3\nidentities:\n  x = p(y,z,y)\n  p(x,x,y) = p(y,x,x)\n",
     # a nullary symbol in a three-variable identity
     "signature: c/0, q/3\nidentities:\n  q(x,y,z) = c()\n",
+    # four variables out of first-occurrence order, repeated on the left
+    "signature: f/3\nidentities:\n  f(z,x,z) = f(u,y,x)\n",
 )
 
 

@@ -2,12 +2,17 @@
 all three text formats.
 
 On generated identity lines both condition parsers accept with equal
-conditions or both reject; the oracle's bare KeyError counts as a
-rejection, while the parser under test may reject only with a located
-`ConditionSyntaxError`.  Rendered conditions, algebras and instances
-parse back to themselves, and line soups for algebra and instance files
-raise `AlgebraFormatError` and nothing else.
+conditions and equal hashes, or both reject; the oracle's bare KeyError
+counts as a rejection, while the parser under test may reject only with
+a located `ConditionSyntaxError`.  The oracle builds its condition from
+`Identity` objects and the parser from rows, so the hashes compare both
+paths.  Rendered conditions, algebras and instances parse back to
+themselves, a condition with its generator's hash and identities, and line
+soups for algebra and instance files raise `AlgebraFormatError` and
+nothing else.
 """
+
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +29,16 @@ from maltcube.algebras import (
     render_algebra,
     render_instance,
 )
-from maltcube.terms import ConditionSyntaxError, parse_condition, render_condition
+from maltcube.terms import (
+    ConditionSyntaxError,
+    cube_condition,
+    hagemann_mitschke_condition,
+    jonsson_condition,
+    parse_condition,
+    random_condition,
+    render_condition,
+    union_conditions,
+)
 
 HEAD = "signature: c/0, g/1, f/2\nidentities:\n"
 ARITY = {"c": 0, "g": 1, "f": 2, "ug": 1}
@@ -65,6 +79,8 @@ def assert_parsers_agree(lines: list[str]) -> None:
         assert exc.line is not None
         got = None
     assert got == expected
+    # the oracle builds through the constructor, the parser through rows
+    assert got is None or hash(got) == hash(expected)
 
 
 @settings(max_examples=600, deadline=None, derandomize=True, database=None)
@@ -88,7 +104,27 @@ def test_parser_matches_the_token_walker_on_names(line):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(conditions())
 def test_condition_round_trip(condition):
-    assert parse_condition(render_condition(condition)) == condition
+    parsed = parse_condition(render_condition(condition))
+    assert parsed == condition and hash(parsed) == hash(condition)
+    assert parsed.identities == condition.identities
+
+
+GENERATED = {
+    "jonsson": [jonsson_condition(k) for k in (1, 2, 5)],
+    "hagemann_mitschke": [hagemann_mitschke_condition(k) for k in (1, 2, 5)],
+    "cube": [cube_condition(["xyy", "yxy", "yyx"]), cube_condition(["xy", "yx"], name="q")],
+    "union": [union_conditions([jonsson_condition(3), hagemann_mitschke_condition(4)])],
+    "random": [random_condition(Random(seed), max_symbols=3, max_arity=4, max_variables=5)
+               for seed in range(40)],
+}
+
+
+@pytest.mark.parametrize("generator", sorted(GENERATED))
+def test_generated_conditions_round_trip_with_equal_hashes(generator):
+    for condition in GENERATED[generator]:
+        parsed = parse_condition(render_condition(condition))
+        assert parsed == condition and hash(parsed) == hash(condition)
+        assert parsed.identities == condition.identities
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

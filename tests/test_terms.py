@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 
+from oracles import pattern_representative
 from maltcube.cube import check_condition
 from maltcube.terms import (
     ConditionSyntaxError,
@@ -19,7 +20,6 @@ from maltcube.terms import (
     hagemann_mitschke_condition,
     jonsson_condition,
     parse_condition,
-    pattern_representative,
     random_condition,
     render_condition,
     render_identity,
@@ -239,3 +239,19 @@ def test_equal_conditions_parsed_apart_hash_alike_and_share_one_memo_entry():
     assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
     again = pickle.loads(pickle.dumps(first))
     assert again == first and hash(again) == hash(first)
+
+
+def test_a_built_condition_and_its_parsed_rendering_share_one_memo_entry():
+    built = cube_condition(["xyy", "yxy", "yyx"], name="memo_probe_c")
+    parsed = parse_condition(render_condition(built))
+    assert parsed == built and hash(parsed) == hash(built)
+    before = check_condition.cache_info()
+    report = check_condition(built)
+    assert check_condition(parsed) is report
+    after = check_condition.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+    again = pickle.loads(pickle.dumps(built))
+    assert again == built and hash(again) == hash(built)
+    assert again.identities == built.identities == parsed.identities
+    with pytest.raises(AttributeError):
+        built.rows = ()
