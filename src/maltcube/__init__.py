@@ -84,7 +84,6 @@ from .terms import (
     app,
     canonical_variable_set,
     cube_condition,
-    equality_pattern,
     hagemann_mitschke_condition,
     jonsson_condition,
     parse_condition,

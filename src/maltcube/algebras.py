@@ -45,9 +45,9 @@ depends on the tables and m alone, so it is memoized process-wide by
 their contents, and each lifted array by its group's tables: equal
 algebras share a layout, and the H-groups of every A_M over one M and |A|
 share their arrays.
-The memo evicts least recently used entries, a layout before its arrays,
-to stay within a fixed number of bytes, and keeps no entry larger than
-that bound, so a single large one never empties it.
+The memo charges each distinct array its entries hold once, evicts least
+recently used entries to stay within a fixed number of bytes, and keeps
+no entry larger than that bound, so a single large one never empties it.
 
 Derivations are kept in the arrays each box already holds: a seed's is
 its generator position or its constant, and a box that finds members
@@ -89,7 +89,7 @@ import operator
 import re
 import threading
 from bisect import bisect_right
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import product, repeat
@@ -802,34 +802,46 @@ class _ChunkSpec:
 
 
 class _LiftMemo:
-    """Lifted group chunks and closure layouts by contents, least recently
-    used first, within `_LIFT_MEMO_BYTES`.  An entry is (value, bytes
-    charged, follow): `follow` lists the keys of a layout's arrays, which
-    move behind it whenever it is used, so it is evicted before them."""
+    """Lifted group chunks, closure layouts and extensions by contents, least
+    recently used first, within `_LIFT_MEMO_BYTES`.  An entry is (value, its
+    arrays' names, its extra bytes); `arrays` keeps each distinct array once
+    by name and `holders` counts its entries, so it is charged once."""
 
     def __init__(self) -> None:
         self.tables: OrderedDict[tuple, tuple] = OrderedDict()
+        self.arrays: dict = {}
+        self.holders: Counter = Counter()
         self.nbytes = 0
         self.lock = threading.RLock()  # held while an entry is looked up or made
 
     def get(self, key: tuple):
         """The value under `key`, now most recently used, or None."""
         entry = self.tables.get(key)
-        for k in () if entry is None else (key, *entry[2]):
-            self.tables.move_to_end(k)
-        return None if entry is None else entry[0]
+        if entry is not None:
+            self.tables.move_to_end(key)
+        return entry and entry[0]
 
-    def put(self, key: tuple, value, charge: int, follow: tuple = ()) -> None:
-        """Add an entry, then evict the least recently used down to the bound.
-        An entry charged more than the whole bound is not kept, so it never
-        evicts the others."""
-        if charge > _LIFT_MEMO_BYTES:
+    def put(self, key: tuple, value, arrays, extra: bytes = b"") -> None:
+        """Add an entry holding `arrays` (by name, or named by id) and `extra`
+        bytes, then evict the least recently used down to the bound.  An entry
+        whose own arrays and extra pass the bound is not kept, so it evicts nothing."""
+        if not isinstance(arrays, Mapping):
+            arrays = {id(a): a for a in arrays}
+        if sum(a.nbytes for a in arrays.values()) + len(extra) > _LIFT_MEMO_BYTES:
             return
-        self.tables[key] = (value, charge, follow)
-        self.nbytes += charge
-        self.get(key)
+        self.tables[key] = (value, tuple(arrays), len(extra))
+        self.nbytes += len(extra) + sum(a.nbytes for name, a in arrays.items()
+                                        if name not in self.arrays)
+        self.arrays.update(arrays)  # a name held already names the same array
+        self.holders.update(arrays.keys())
         while self.nbytes > _LIFT_MEMO_BYTES:
-            self.nbytes -= self.tables.popitem(last=False)[1][1]
+            _, (_, names, charge) = self.tables.popitem(last=False)
+            self.holders.subtract(names)
+            self.nbytes -= charge
+            for name in names:
+                if not self.holders[name]:
+                    del self.holders[name]
+                    self.nbytes -= self.arrays.pop(name).nbytes
 
 
 _lift_memo = _LiftMemo()
@@ -861,17 +873,21 @@ def _lift(n: int, arity: int, tables: np.ndarray, length: int) -> np.ndarray:
 
 def _lifted_group(key: tuple) -> tuple[np.ndarray, bool]:
     """The stacked lifted tables under key = (n, arity, length, the group's
-    int64 tables as bytes), and whether this call had to build them.  Equal
-    groups of distinct algebras, such as the H-operations of every A_M
-    over one M and |A|, share one entry."""
+    int64 tables as bytes), and whether this call had to build them.  Named
+    by its key, the array is found while any entry holds it, so equal groups
+    of distinct algebras, such as the H-operations of every A_M over one M
+    and |A|, share it.  Its entry becomes the most recently used: while a
+    layout is made, its chunks are evicted only if together they pass the
+    bound, and then the layout is too large to keep."""
     with _lift_memo.lock:
-        lifted = _lift_memo.get(key)
-        if lifted is not None:
-            return lifted, False
-        n, arity, length, tables = key
-        lifted = _lift(n, arity, np.frombuffer(tables, np.int64).reshape(-1, n**arity), length)
-        _lift_memo.put(key, lifted, lifted.nbytes)
-        return lifted, True
+        lifted = _lift_memo.arrays.get(key)
+        built = lifted is None
+        if built:
+            n, arity, length, tables = key
+            lifted = _lift(n, arity, np.frombuffer(tables, np.int64).reshape(-1, n**arity), length)
+        if _lift_memo.get(key) is None:
+            _lift_memo.put(key, lifted, {key: lifted})
+        return lifted, built
 
 
 def _is_projection(n: int, arity: int, table: np.ndarray) -> bool:
@@ -923,18 +939,15 @@ class _Layout:
 
 
 def _layout(algebra: FiniteAlgebra, m: int) -> tuple[_Layout, int]:
-    """The layout of A^m, from the memo or made, and the chunks lifted for it.
-    A layout is charged its tables' bytes, and kept only if the memo still
-    holds every array it took, so it never keeps an evicted one alive."""
+    """The layout of A^m, from the memo or made, and the chunks lifted for
+    it.  A layout holds its lifted arrays and its tables' content key."""
     key = (algebra._key, m)
     with _lift_memo.lock:
         layout = _lift_memo.get(key)
         if layout is not None:
             return layout, 0
         layout = _Layout(algebra, m)
-        if layout.lifts and all(_lift_memo.tables.get(k, (None,))[0] is lifted
-                                for k, lifted in layout.lifts):
-            _lift_memo.put(key, layout, len(key[0][2]), tuple(k for k, _ in layout.lifts))
+        _lift_memo.put(key, layout, dict(layout.lifts), key[0][2])
         return layout, layout.built
 
 

@@ -23,6 +23,7 @@ arity 8 for `closure` (over the canonical set, as for `extend` and
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import asdict
 from functools import partial
@@ -69,7 +70,11 @@ def _load(parse, path: str):
 
 def _write(path: str | None, text: str) -> None:
     if path is None or path == "-":
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except BrokenPipeError:  # the reader stopped reading: the rest goes nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     else:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -96,7 +101,7 @@ def _reason(report) -> str:
 def _report(args, pairs, exit_code: int) -> int:
     """Print each (key, value) pair as `key: value`, or `key=value` with --machine."""
     sep = "=" if args.machine else ": "
-    print("\n".join(f"{key}{sep}{value}" for key, value in pairs))
+    _write(None, "".join(f"{key}{sep}{value}\n" for key, value in pairs))
     return exit_code
 
 

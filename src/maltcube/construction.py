@@ -34,19 +34,14 @@ tables around them.  The H-tables are int64, so `FiniteAlgebra` keeps
 them as they are, with no copy.
 
 `extend` keeps those tables, and each A_M, in the byte-bounded lift memo
-of `maltcube.algebras`; the closure they were read off is dropped.  An
-entry is charged the bytes of the distinct arrays it holds, so an array
-two entries share counts twice, and never less than once.  The (M, |A|)
-entry holds what `_read_off` gives; an A_M entry its tables and pattern
-arrays, plus the bytes of A's content key (the copy of A_M's tables in
-its own content key is charged to the layouts made over A_M).  Its key
-is A's table contents (`FiniteAlgebra._key`), A's symbol names in order
-and M: a lattice and a groupoid with equal tables take different
-extensions.  A repeat call returns the same A_M `FiniteAlgebra`, whose
-content key and closure layouts are then already made, in a fresh
-`ExtendedAlgebra` whose `base` is the caller's algebra.  A failed
-precondition raises before the memo is consulted, so it leaves nothing
-there.
+of `maltcube.algebras`, which charges an array once however many entries
+hold it; the closure they were read off is dropped.  An A_M's key is A's
+table contents (`FiniteAlgebra._key`), A's symbol names in order and M:
+a lattice and a groupoid with equal tables take different extensions.
+A repeat call returns the same A_M `FiniteAlgebra`, whose content key
+and closure layouts are then already made, in a fresh `ExtendedAlgebra`
+whose `base` is the caller's algebra.  A failed precondition raises
+before the memo is consulted, so it leaves nothing there.
 
 Consistency makes the position choice canonical: two derivable
 positions in different pattern blocks would merge two distinct
@@ -176,8 +171,8 @@ def _relabel(values: int, arity: int):
     The representatives are the rows with l(a) = a, given by their
     numbers in row order: l(a) read in base `values` is the number of
     a's representative row.  `first[:, i]` is the least j with a_j = a_i,
-    so `first + 1` is the row's `equality_pattern`; each j = i opens the
-    next label.  Where two representatives first differ, the later one
+    so `first + 1` is the row's 1-based equality pattern; each j = i opens
+    the next label.  Where two representatives first differ, the later one
     holds a later-opened or a new label, whose first occurrence comes
     later: representative order is sorted pattern order.
     """
@@ -252,11 +247,6 @@ def _build_extension(
     )
 
 
-def _nbytes(arrays) -> int:
-    """Bytes of the distinct arrays among `arrays`."""
-    return sum(a.nbytes for a in {id(a): a for a in arrays}.values())
-
-
 def extend(algebra: FiniteAlgebra, condition: MaltsevCondition) -> ExtendedAlgebra:
     """Build the absorbing extension of the algebra by the condition.
 
@@ -284,12 +274,12 @@ def extend(algebra: FiniteAlgebra, condition: MaltsevCondition) -> ExtendedAlgeb
             if tables is None:
                 tables = tuple(_read_off(condition, algebra.size))
                 held = chain.from_iterable(entry[1:] for entry in tables)
-                _lift_memo.put((condition, algebra.size), tables, _nbytes(held))
+                _lift_memo.put((condition, algebra.size), tables, held)
             ext = _build_extension(algebra, condition, tables)
             parts = (ext.extended, ext.absorbing, ext.patterns, ext.representatives,
                      ext.pattern_tables)
             held = chain(ext.extended.operations.values(), *(d.values() for d in parts[2:]))
-            _lift_memo.put(key, parts, _nbytes(held) + len(key[0][2]))
+            _lift_memo.put(key, parts, held, key[0][2])
     extended, absorbing, *arrays = parts
     return ExtendedAlgebra(algebra, condition, extended, absorbing, *map(dict, arrays))
 

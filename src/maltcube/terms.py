@@ -241,15 +241,6 @@ def canonical_variable_set(condition: MaltsevCondition) -> int:
     return size
 
 
-def equality_pattern(values: Sequence) -> tuple[int, ...]:
-    """First-occurrence pattern of a tuple, 1-based: (5, 5, 2) -> (1, 1, 3)."""
-    first: dict = {}
-    out = []
-    for i, v in enumerate(values):
-        out.append(first.setdefault(v, i + 1))
-    return tuple(out)
-
-
 # --- condition generators ---------------------------------------------------
 
 

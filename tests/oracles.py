@@ -45,8 +45,9 @@ available, trading speed for obviousness:
     token that numbers the variables, rather than by matching each side
     with one pattern.
 
-The module also holds two small helpers only the tests use: the seeded
-generator of random algebras and `pattern_representative`.
+The module also holds three small helpers only the tests use: the seeded
+generator of random algebras, `equality_pattern` and
+`pattern_representative`.
 
 A k-ary violation of relation preservation needs only k rows: pick for
 each output coordinate one argument row where the function is 0, if one
@@ -86,7 +87,6 @@ from maltcube.terms import (
     OperationSymbol,
     app,
     canonical_variable_set,
-    equality_pattern,
     substitute,
     var,
     variable_index,
@@ -104,6 +104,15 @@ def random_algebra(
         table = tuple(rng.randrange(size) for _ in range(size**arity))
         operations[OperationSymbol(f"f{i}", arity)] = table
     return FiniteAlgebra(size, operations)
+
+
+def equality_pattern(values: Sequence) -> tuple[int, ...]:
+    """First-occurrence pattern of a tuple, 1-based: (5, 5, 2) -> (1, 1, 3)."""
+    first: dict = {}
+    out = []
+    for i, v in enumerate(values):
+        out.append(first.setdefault(v, i + 1))
+    return tuple(out)
 
 
 def pattern_representative(pattern: Sequence[int]) -> tuple[int, ...]:

@@ -1,11 +1,16 @@
 """End-to-end command line checks running main() in process."""
 
 import io
+import os
+import subprocess
+import sys
 import time
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
+import maltcube
 from oracles import oracle_subpower
 from maltcube.algebras import FiniteAlgebra, parse_algebra, render_algebra
 from maltcube.cli import main
@@ -680,3 +685,31 @@ def test_smp_machine_reports_lift_reuse(capsys, tmp_path, lattice_file):
         assert int(stats["applications"]) % 2 == 0
         # at least the target's code passed the seen test, and no more than were applied
         assert 1 <= int(stats["unseen"]) <= int(stats["applications"])
+
+
+# --- a reader that stops reading ---------------------------------------------
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("instance, want", [("0 1\n1 0\ntarget:\n0 0", 0),
+                                            ("0 0\n1 1\ntarget:\n0 1", 1)],
+                         ids=["yes", "no"])
+def test_a_closed_pipe_keeps_the_exit_code_and_stderr_quiet(tmp_path, unbuffered, instance,
+                                                            want):
+    """The reader's end of stdout is closed before the command writes: the
+    command still exits with its own code and prints nothing to stderr."""
+    (tmp_path / "lattice.alg").write_text(LATTICE_TEXT)
+    (tmp_path / "inst.smp").write_text(f"m: 2\ngenerators:\n{instance}\n")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(maltcube.__file__).parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "maltcube.cli", "smp", "--machine", "lattice.alg", "inst.smp"],
+            cwd=tmp_path, env=env, stdout=write, stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (want, b"")

@@ -27,12 +27,20 @@ from test_lift_memo import check_memo, clear_memo
 from test_reduction_lemma import instances
 from maltcube import algebras
 from maltcube.algebras import FiniteAlgebra, SmpInstance, render_tree, satisfies
-from maltcube.construction import ConstructionError, extend, reduce_and_certify
+from maltcube.construction import (
+    ConstructionError,
+    _build_extension,
+    _read_off,
+    extend,
+    reduce_and_certify,
+)
+from maltcube.cube import check_condition
 from maltcube.terms import (
     OperationSymbol,
     hagemann_mitschke_condition,
     jonsson_condition,
     parse_condition,
+    union_conditions,
 )
 
 MEET_TABLE = (0, 0, 0, 1)
@@ -128,7 +136,8 @@ def test_certificates_agree_warm_and_with_the_memo_cleared():
 
 
 def test_the_memo_stays_within_its_bound(monkeypatch):
-    bound = 1 << 14
+    # the extensions and their 3 condition tables hold about 12 KB together
+    bound = 1 << 13
     monkeypatch.setattr(algebras, "_LIFT_MEMO_BYTES", bound)
     clear_memo()
     rng = Random(3)
@@ -137,7 +146,7 @@ def test_the_memo_stays_within_its_bound(monkeypatch):
             table = tuple(rng.randrange(size) for _ in range(size**2))
             extend(FiniteAlgebra(size, {OperationSymbol("f", 2): table}), CP3)
             check_memo(bound)
-    # 24 distinct algebras, of which the memo keeps the last few
+    # 24 algebras, of which the memo keeps the last few
     assert 0 < len(algebras._lift_memo.tables) < 24
 
 
@@ -159,6 +168,30 @@ def test_condition_tables_stay_within_the_bound(monkeypatch):
             made.add((condition, size))
     assert len(made) == 12
     assert 0 < len(made & algebras._lift_memo.tables.keys()) < 12
+
+
+def test_same_size_extensions_read_the_condition_tables_once(monkeypatch, closure_widths):
+    """The memo's bound holds the (M, |A|) tables and one A_M's own tables
+    and key, but not the tables charged twice: a series of same-size
+    algebras extended by M still reads the tables off one closure."""
+    condition = union_conditions([jonsson_condition(3), CP3])
+    rng = Random(6)
+    series = [FiniteAlgebra(3, {OperationSymbol("f", 2): tuple(rng.randrange(3)
+                                                               for _ in range(9))})
+              for _ in range(6)]
+    tables = tuple(_read_off(condition, 3))
+    shared = sum({id(a): a.nbytes for entry in tables for a in entry[1:]}.values())
+    operations = _build_extension(series[0], condition, tables).extended.operations
+    own = operations[OperationSymbol("f", 2)].nbytes + len(series[0]._key[2])
+    bound = shared + own + shared // 2
+    monkeypatch.setattr(algebras, "_LIFT_MEMO_BYTES", bound)
+    check_condition(condition)
+    clear_memo()
+    closure_widths.clear()
+    for algebra in series:
+        extend(algebra, condition)
+        assert len(closure_widths) == 1
+        check_memo(bound)
 
 
 def test_a_cleared_memo_frees_the_h_tables():

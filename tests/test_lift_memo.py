@@ -7,16 +7,18 @@ rebuilding after eviction, and reuse across equal but distinct tables
 and algebras.  A closure takes its layout (word bounds, operation groups
 and the chunks' lifted arrays) from the memo, so it must not depend on
 what the memo holds: a closure run warm and again with the memo cleared
-must agree on everything but `lifts_built` and `lifts_reused`.  A layout
-is evicted before its arrays, so an evicted array is freed; a group too
-large for the bound still closes; threads closing over one algebra
-agree.  Tables are int64 arrays, the form `FiniteAlgebra` stores.
+must agree on everything but `lifts_built` and `lifts_reused`.  The memo
+charges each array it holds once, and an array is freed with the last
+entry that holds it; a group too large for the bound still closes;
+threads closing over one algebra agree.  Tables are int64 arrays, the
+form `FiniteAlgebra` stores.
 """
 
 import gc
 import sys
 import threading
 import weakref
+from collections import Counter
 from dataclasses import astuple
 from random import Random
 
@@ -50,13 +52,15 @@ def lift(n, arity, tables, length):
 
 def clear_memo():
     with algebras._lift_memo.lock:
-        algebras._lift_memo.tables.clear()
+        for held in (algebras._lift_memo.tables, algebras._lift_memo.arrays,
+                     algebras._lift_memo.holders):
+            held.clear()
         algebras._lift_memo.nbytes = 0
 
 
 def held(value) -> dict[int, np.ndarray]:
-    """The distinct arrays an entry holds, by id: a lifted array, or those
-    of an A_M and of A_M's condition tables; a layout's are entries of their own."""
+    """The distinct arrays an entry's value holds, by id: a lifted array, or
+    those of an A_M and of A_M's condition tables; a layout's are in its plans."""
     if isinstance(value, np.ndarray):
         return {id(value): value}
     if isinstance(value, FiniteAlgebra):
@@ -69,21 +73,22 @@ def held(value) -> dict[int, np.ndarray]:
 
 
 def check_memo(bound):
-    """Charges add up and stay within the bound; each entry is charged at
-    least the arrays it holds, so the memo counts every resident array at
-    least once; every layout's arrays are in the memo, after it."""
+    """The memo's bytes are its distinct arrays' plus the entries' extra
+    bytes, within the bound; an array's holder count is the number of
+    entries that name it; every array an entry holds, and every array a
+    kept layout's chunks read, is one the memo holds under the entry's names."""
     memo = algebras._lift_memo
-    keys = list(memo.tables)
-    assert memo.nbytes == sum(charge for _, charge, _ in memo.tables.values()) <= bound
-    arrays = {}
-    for value, charge, _ in memo.tables.values():
-        arrays.update(held(value))
-        assert sum(a.nbytes for a in held(value).values()) <= charge
-    assert sum(a.nbytes for a in arrays.values()) <= memo.nbytes
-    for key, (value, _, follow) in memo.tables.items():
+    extra = sum(charge for _, _, charge in memo.tables.values())
+    assert memo.nbytes == sum(a.nbytes for a in memo.arrays.values()) + extra <= bound
+    assert memo.holders == Counter(name for _, names, _ in memo.tables.values()
+                                   for name in names)
+    assert memo.arrays.keys() == memo.holders.keys()
+    for value, names, _ in memo.tables.values():
+        mine = {id(memo.arrays[name]) for name in names}
+        assert held(value).keys() <= mine
         if isinstance(value, algebras._Layout):
-            assert all(keys.index(k) > keys.index(key) for k in follow)
-            assert all(memo.tables[k][0] is lifted for k, lifted in value.lifts)
+            assert {id(spec.lifted) for plan in value.plans for specs in plan
+                    for spec in specs} <= mine
 
 
 @st.composite
@@ -270,7 +275,7 @@ def test_an_evicted_array_is_freed(monkeypatch):
     ref = weakref.ref(lifted)
     del layout, lifted
     seed = 1
-    while key in algebras._lift_memo.tables:
+    while key in algebras._lift_memo.arrays:
         generate_subpower(random_algebra(seed), generators)
         seed += 1
     gc.collect()

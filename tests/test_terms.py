@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from oracles import pattern_representative
+from oracles import equality_pattern, pattern_representative
 from maltcube.cube import check_condition
 from maltcube.terms import (
     ConditionSyntaxError,
@@ -16,7 +16,6 @@ from maltcube.terms import (
     app,
     canonical_variable_set,
     cube_condition,
-    equality_pattern,
     hagemann_mitschke_condition,
     jonsson_condition,
     parse_condition,
