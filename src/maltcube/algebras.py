@@ -802,10 +802,11 @@ class _ChunkSpec:
 
 
 class _LiftMemo:
-    """Lifted group chunks, closure layouts and extensions by contents, least
-    recently used first, within `_LIFT_MEMO_BYTES`.  An entry is (value, its
-    arrays' names, its extra bytes); `arrays` keeps each distinct array once
-    by name and `holders` counts its entries, so it is charged once."""
+    """Lifted group chunks, closure layouts and extensions by contents, and
+    the weak closure's image blocks, least recently used first, within
+    `_LIFT_MEMO_BYTES`.  An entry is (value, its arrays' names, its extra
+    bytes); `arrays` keeps each distinct array once by name and `holders`
+    counts its entries, so it is charged once."""
 
     def __init__(self) -> None:
         self.tables: OrderedDict[tuple, tuple] = OrderedDict()

@@ -25,9 +25,10 @@ other instance; a wider identity is seeded with each of its |X|^w
 instances.  Seeds are read from the condition's rows of ints
 (`MaltsevCondition.rows`) and renamed straight into ids, so no
 `Identity` or `LinearTerm` is built or hashed on the way.  A side's id
-under a map of the w variables is linear in the map's digits, so both
-sides' ids over every map are built together, one variable at a time,
-with memory linear in the instance count.
+under a map of the w variables is linear in the map's digits, so the
+wide identities are grouped by w and each group's sides get their ids
+over every map in one numpy pass, one variable at a time, with memory
+linear in the instance count.
 
 Saturation runs over a generating set of the full transformation monoid
 on X (a transposition, the full cycle, one rank-collapsing map) rather
@@ -36,18 +37,22 @@ under arbitrary composites, so the fixpoint is the same.
 
 Terms are never built as objects during saturation.  Each term is an
 integer id (variables first, then each symbol's argument tuples in
-lexicographic order), and the image of every id under each generator is
-computed by numpy, one argument digit at a time for all generators
-together.  A worklist of id pairs, seeded as above, drives a union-find:
-popping a pair whose ends lie in different classes unions them and
-pushes the pair's image under every generator, read as Python ints
-through a memoryview of each image, as in congruence closure.  Each
-union thereby forces the images of its two ends together, so the image
-of every class is connected and the result is the least stable
-partition.  A root is linked under the smaller root, so every id's
-parent is at most the id, and one pass in id order leaves each id at
-its class's smallest.  `LinearTerm`s are decoded only when `classes()`
-lists the partition.
+lexicographic order).  The images of the argument tuples of arity k
+under every generator depend on nvars and k alone: they form one int32
+image block, built once per process, one argument digit at a time, and
+kept in the byte-bounded lift memo (`maltcube.algebras`) while it fits.
+A closure lays its variables' and symbols' blocks side by side and adds
+each symbol's offset, so it pays only for its own terms.
+
+A worklist of id pairs, seeded as above, drives a union-find: popping a
+pair whose ends lie in different classes unions them and pushes the
+pair's image under every generator, read as Python ints through a
+memoryview of each image, as in congruence closure.  Each union thereby
+forces the images of its two ends together, so the image of every class
+is connected and the result is the least stable partition.  A root is
+linked under the smaller root, so every id's parent is at most the id,
+and one pass in id order leaves each id at its class's smallest.
+`LinearTerm`s are decoded only when `classes()` lists the partition.
 
 The universe has nvars + sum nvars^arity terms.  When the terms plus the
 seed pairs exceed MAX_TERMS the constructor raises TermUniverseError
@@ -64,6 +69,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .algebras import _lift_memo
 from .terms import (
     Identity,
     LinearTerm,
@@ -139,6 +145,34 @@ def _monoid_generators(nvars: int) -> list[tuple[int, ...]]:
     return list(dict.fromkeys(map(tuple, (swap, cycle, collapse))))
 
 
+def _build_image_block(nvars: int, k: int) -> np.ndarray:
+    """Images of the local ids of arity k under each monoid generator.
+
+    Row g, column t is the local id of argument tuple t (over nvars
+    variables, in lexicographic order) mapped by generator g, built one
+    argument (one digit of t) at a time.  Read-only int32: every id of a
+    closure is below MAX_TERMS < 2^31.
+    """
+    gammas = np.array(_monoid_generators(nvars), dtype=np.int32)
+    block = np.zeros((len(gammas), 1), dtype=np.int32)
+    for _ in range(k):
+        block = (block[:, :, None] * nvars + gammas[:, None, :]).reshape(len(gammas), -1)
+    block.flags.writeable = False
+    return block
+
+
+def _image_block(nvars: int, k: int) -> np.ndarray:
+    """The image block of (nvars, k), from the lift memo or built and kept
+    there, within its byte bound, for every later closure to share."""
+    key = ("images", nvars, k)
+    with _lift_memo.lock:
+        block = _lift_memo.get(key)
+        if block is None:
+            block = _build_image_block(nvars, k)
+            _lift_memo.put(key, block, {key: block})
+        return block
+
+
 @dataclass(frozen=True, eq=False)
 class EntailmentVerdict:
     """Outcome of one entailment query."""
@@ -182,19 +216,22 @@ class EntailmentIndex:
         offsets = [*self._offsets.values(), 0]  # index -1 reads a variable's
 
         seeds = []
+        wide: dict[int, list] = {}  # per width w > nvars, the sides of its identities
         for (s, a, t, b), renaming in zip(rows, renamings):
             if len(renaming) <= nvars:
                 seeds.append((self._id(offsets[s], map(renaming.__getitem__, a)),
                               self._id(offsets[t], map(renaming.__getitem__, b))))
             else:
-                seeds += zip(*self._instance_ids(((offsets[s], a), (offsets[t], b)), renaming))
-        gammas = _monoid_generators(nvars)
-        images = self._images(gammas)
+                wide.setdefault(len(renaming), []).append(
+                    (renaming, (offsets[s], a), (offsets[t], b)))
+        for w, group in wide.items():
+            seeds += self._instance_ids(w, group)
+        images = self._images()
 
         # Worklist saturation (module docstring).  Roots are linked
         # smaller id first, so every root is the smallest id of its class.
         parent = list(range(size))
-        stack = list(seeds)
+        seed_pairs, stack = len(seeds), seeds
         unions = 0
         while stack:
             a, b = stack.pop()
@@ -213,6 +250,7 @@ class EntailmentIndex:
             unions += 1
             for image in images:
                 stack.append((image[a], image[b]))
+        pops = seed_pairs + len(images) * unions
         del images
 
         # parent[i] <= i, so one pass in id order leaves each id at its root
@@ -224,30 +262,27 @@ class EntailmentIndex:
         self.inconsistent = parent[:nvars] != list(range(nvars))
         self.stats = EntailmentStats(
             terms=size,
-            seed_pairs=len(seeds),
+            seed_pairs=seed_pairs,
             unions=unions,
-            pops=len(seeds) + len(gammas) * unions,
+            pops=pops,
             classes=size - unions,
         )
 
-    def _images(self, gammas: list[tuple[int, ...]]) -> list[memoryview]:
-        """Id of the image of every term under each variable map.
+    def _images(self) -> list[memoryview]:
+        """Id of the image of every term under each monoid generator: the
+        image blocks of the variables and of each symbol's arity, side by
+        side, plus each symbol's offset.
 
         Each comes as a memoryview, which the worklist indexes to Python
         ints at under half an `.item()`'s cost, with no copy: a list would
         be faster still, but would hold some 36 bytes per term where the
-        array holds 8, 1.7 times the peak memory of a 10^6-term closure.
+        array holds 4.
         """
         n = self.nvars
-        g = np.array(gammas, dtype=np.int64)
         arities = [s.arity for s in self._offsets]
-        # blocks[k][:, t]: the images of local id t of arity k, built one
-        # argument (one digit of t) at a time
-        blocks = [np.zeros((len(g), 1), dtype=np.int64)]
-        while len(blocks) <= max(arities, default=0):
-            blocks.append((blocks[-1][:, :, None] * n + g[:, None, :]).reshape(len(g), -1))
-        image = np.concatenate([g] + [blocks[k] for k in arities], axis=1)
-        offsets = np.array(list(self._offsets.values()), dtype=np.int64)
+        blocks = {k: _image_block(n, k) for k in {1, *arities}}
+        image = np.concatenate([blocks[1]] + [blocks[k] for k in arities], axis=1)
+        offsets = np.array(list(self._offsets.values()), dtype=np.int32)
         image[:, n:] += np.repeat(offsets, [n**k for k in arities])
         return [memoryview(row) for row in image]
 
@@ -259,31 +294,35 @@ class EntailmentIndex:
             local = local * self.nvars + a
         return offset + local
 
-    def _instance_ids(self, sides, renaming: dict[int, int]) -> list[list[int]]:
-        """Ids of both sides' images under all nvars^w maps of the w variables.
+    def _instance_ids(self, w: int, group) -> list[tuple[int, int]]:
+        """Seed pairs of every identity in `group`, each with w variables:
+        both sides' ids under all nvars^w maps of its variables.
 
-        Each side is its symbol's offset and its arguments, as in its row.
-        Map q sends renamed variable v to digit v of q in base nvars, most
-        significant first, as `term_id` reads an argument tuple.  A side's
-        id is linear in those digits, argument i of k weighing nvars^(k-1-i)
-        on its variable, so both sides' ids over all maps are built one
-        variable (one digit of q) at a time.
+        An identity comes as its renaming and its two sides, each its
+        symbol's offset and its arguments, as in its row.  Map q sends
+        renamed variable v to digit v of q in base nvars, most significant
+        first, as `term_id` reads an argument tuple.  A side's id is linear
+        in those digits, argument i of k weighing nvars^(k-1-i) on its
+        variable, so every side's ids over all maps are built in one pass,
+        one variable (one digit of q) at a time, with memory linear in the
+        instance count.
         """
-        n, w = self.nvars, len(renaming)
+        n = self.nvars
         weights = []  # per side: each variable's weight, then the offset
-        for offset, args in sides:
-            row = [0] * w + [offset]
-            k = len(args)
-            for i, a in enumerate(args):
-                row[renaming[a]] += n ** (k - 1 - i)
-            weights.append(row)
+        for renaming, *sides in group:
+            for offset, args in sides:
+                row = [0] * w + [offset]
+                k = len(args)
+                for i, a in enumerate(args):
+                    row[renaming[a]] += n ** (k - 1 - i)
+                weights.append(row)
         weights = np.array(weights, dtype=np.int64)
         # steps[side, v, 0, d]: what digit d of variable v adds to the side's id
         steps = weights[:, :w, None, None] * np.arange(n)
         ids = weights[:, w:]
         for v in range(w):
-            ids = (ids[:, :, None] + steps[:, v]).reshape(2, -1)
-        return ids.tolist()
+            ids = (ids[:, :, None] + steps[:, v]).reshape(len(weights), -1)
+        return list(zip(ids[0::2].ravel().tolist(), ids[1::2].ravel().tolist()))
 
     def term_id(self, term: LinearTerm) -> int:
         offset = 0 if term.symbol is None else self._offsets.get(term.symbol)

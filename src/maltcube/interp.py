@@ -40,6 +40,12 @@ with impd(a, b) = b AND NOT a, for g <= x_j and a, b <= x_j,
 
 expanding over the variables other than x_j that g depends on, so a
 projection comes out as the bare variable.
+
+A term depends on its table and arity alone, so each member up to arity
+_MAX_CLONE_ARITY is built once per process and shared by every model and
+by `clone_enumerate`.  The cache is bounded by the clone itself: 988
+members of at most 49 nodes each.  Above that arity a model's terms are
+built per call.
 """
 
 from __future__ import annotations
@@ -80,7 +86,9 @@ def _impd(a: TermTree, b: TermTree) -> TermTree:
     return node(DUAL_IMPLICATION, a, b)
 
 
-def _defining_term(mask: int, variables: list[int], leaves: list[TermTree]) -> TermTree:
+def _defining_term(
+    mask: int, variables: tuple[int, ...], leaves: tuple[TermTree, ...]
+) -> TermTree:
     """A term for the clone member whose packed table is `mask`.
 
     Bit p of the mask is the value at the argument row of lexicographic
@@ -115,6 +123,23 @@ def _defining_term(mask: int, variables: list[int], leaves: list[TermTree]) -> T
     return below_xj(mask, 0)
 
 
+@lru_cache(maxsize=None)  # one per arity; a model's arities stay below 21 (MAX_TERMS)
+def _basis(k: int) -> tuple[tuple[int, ...], tuple[TermTree, ...]]:
+    """The packed tables and the leaves of x_1..x_k."""
+    return tuple(_variable_mask(j, k) for j in range(k)), tuple(map(leaf, range(k)))
+
+
+def _build_member(mask: int, k: int) -> BooleanOperationEntry:
+    """The k-ary clone member whose packed table is `mask`, built afresh."""
+    table = tuple(map(int, format(mask, f"0{1 << k}b")[::-1]))
+    return BooleanOperationEntry(k, table, _defining_term(mask, *_basis(k)))
+
+
+# one shared entry per (table, arity), called only with clone members of arity
+# at most _MAX_CLONE_ARITY: at most 2 + 6 + 38 + 942 entries of at most 49 nodes
+_clone_member = lru_cache(maxsize=None)(_build_member)
+
+
 @lru_cache(maxsize=None)
 def clone_enumerate(k: int) -> tuple[BooleanOperationEntry, ...]:
     """All k-ary members of the clone: constant 0, then each table below x_j.
@@ -125,19 +150,12 @@ def clone_enumerate(k: int) -> tuple[BooleanOperationEntry, ...]:
     if not 1 <= k <= _MAX_CLONE_ARITY:
         raise ValueError(f"arity {k} outside the supported range 1..{_MAX_CLONE_ARITY}")
     masks = {0: None}  # insertion-ordered set
-    variables = [_variable_mask(j, k) for j in range(k)]
-    for xj in variables:
+    for xj in _basis(k)[0]:
         below = xj
         while below:  # every nonzero submask of x_j's table, x_j first
             masks.setdefault(below)
             below = (below - 1) & xj
-    leaves = [leaf(i) for i in range(k)]
-    return tuple(
-        BooleanOperationEntry(
-            k, tuple(mask >> p & 1 for p in range(1 << k)), _defining_term(mask, variables, leaves)
-        )
-        for mask in masks
-    )
+    return tuple(_clone_member(mask, k) for mask in masks)
 
 
 @dataclass(frozen=True)
@@ -158,7 +176,8 @@ def find_interpretation(condition: MaltsevCondition) -> Interpretation | None:
 
     Symbol h's table is its report's `hits` bit vector: row p is 1
     exactly when the positions carrying 1 form a member of F(h).  Symbols
-    with equal arity and bits share one entry, built once.  Returns None
+    with equal arity and bits share one entry: up to arity _MAX_CLONE_ARITY
+    the process's, above it one built in this call.  Returns None
     when the condition is inconsistent or entails cube identities, in
     which case no model in the clone exists.
     """
@@ -167,14 +186,10 @@ def find_interpretation(condition: MaltsevCondition) -> Interpretation | None:
     report = check_condition(condition)
     if not report.applicable:
         return None
-    entries: dict[tuple[int, int], BooleanOperationEntry] = {}
-    per_arity = {k: ([_variable_mask(i, k) for i in range(k)], [leaf(i) for i in range(k)])
-                 for k in {s.arity for s in condition.signature}}
+    per_call = lru_cache(maxsize=None)(_build_member)  # above _MAX_CLONE_ARITY
     assignment = {}
     for cube in report.reports:
-        hits, k = cube.hits, cube.symbol.arity
-        if (hits, k) not in entries:
-            table = tuple(map(int, format(hits, f"0{1 << k}b")[::-1]))
-            entries[hits, k] = BooleanOperationEntry(k, table, _defining_term(hits, *per_arity[k]))
-        assignment[cube.symbol] = entries[hits, k]
+        k = cube.symbol.arity
+        member = _clone_member if k <= _MAX_CLONE_ARITY else per_call
+        assignment[cube.symbol] = member(cube.hits, k)
     return Interpretation(condition, assignment)

@@ -4,7 +4,9 @@ A linear term is either a variable or a single operation symbol applied
 to variables; nesting is not representable.  Variables are stored as
 indices into an ordered canonical variable set v0, v1, ...; the text
 format maps the names x, y, z, u, v, w to indices 0..5 and x<k> to
-index k, so rendering and parsing invert each other exactly.
+index k, so rendering and parsing invert each other exactly.  Only
+ASCII digits without a leading zero spell k: `x01` and `x١` are
+free-form names, so they never fall onto the variable x1.
 
 Condition files look like:
 
@@ -38,8 +40,7 @@ from itertools import count
 from typing import Iterable, Iterator, Mapping, Sequence
 
 _CANONICAL_NAMES = ("x", "y", "z", "u", "v", "w")
-_INDEXED_VAR_RE = re.compile(r"x(\d+)")
-_SIGNATURE_ENTRY_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*/\s*(\d+)")
+_INDEXED_VAR_RE = re.compile(r"x(0|[1-9][0-9]*)")
 
 
 def _is_name(text: str) -> bool:
@@ -388,11 +389,11 @@ def parse_condition(text: str, source: str = "<string>") -> MaltsevCondition:
     if sig_body:
         for part in sig_body.split(","):
             part = part.strip()
-            m = _SIGNATURE_ENTRY_RE.fullmatch(part)
-            if m is None:
+            name, _, arity = map(str.strip, part.partition("/"))
+            if not (_is_name(name) and arity.isascii() and arity.isdigit()):
                 raise fail(f"bad signature entry {part!r} (want name/arity)", lineno)
             try:
-                symbols.append(OperationSymbol(m.group(1), int(m.group(2))))
+                symbols.append(OperationSymbol(name, int(arity)))
             except ValueError as exc:
                 raise fail(str(exc), lineno) from None
     position = {s.name: i for i, s in enumerate(symbols)}

@@ -145,11 +145,11 @@ class OracleClosure:
         self.parent = list(range(len(self.terms)))
         maps = list(product(range(nvars), repeat=nvars))
 
+        # every X-instance: each map of the identity's own variables into X,
+        # so an identity wider than X is seeded too
         for identity in condition.identities:
             identity = normalize(identity)
-            if len(identity.variables()) > nvars:
-                raise ValueError("identity needs more variables than available")
-            for gamma in maps:
+            for gamma in product(range(nvars), repeat=len(identity.variables())):
                 self._union(substitute(identity.lhs, gamma), substitute(identity.rhs, gamma))
 
         changed = True
@@ -872,7 +872,7 @@ def oracle_parse_condition(text: str, source: str = "<string>") -> MaltsevCondit
     if sig_body:
         for part in sig_body.split(","):
             part = part.strip()
-            m = re.fullmatch(r"([A-Za-z_][A-Za-z0-9_]*)\s*/\s*(\d+)", part)
+            m = re.fullmatch(r"([A-Za-z_][A-Za-z0-9_]*)\s*/\s*([0-9]+)", part)
             if m is None:
                 raise fail(f"bad signature entry {part!r} (want name/arity)", lineno)
             try:

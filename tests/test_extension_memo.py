@@ -85,10 +85,16 @@ def test_a_hit_keeps_the_callers_base():
         assert all(ours[k] is theirs[k] and not ours[k].flags.writeable for k in ours)
 
 
+def kept_by_extensions() -> list:
+    """The memo's keys but the weak closure's image blocks, which depend on
+    (nvars, k) alone, so a failing condition's closure may add them."""
+    return [key for key in algebras._lift_memo.tables if key[0] != "images"]
+
+
 def test_a_failure_is_never_kept():
     clear_memo()
     extend(named("meet", "join"), CP3)
-    entries = len(algebras._lift_memo.tables)
+    entries = kept_by_extensions()
     failures = [
         (named("meet", "p_1"), CP3, "collide"),
         (named("meet", "join"), parse_condition(
@@ -100,7 +106,7 @@ def test_a_failure_is_never_kept():
         for algebra, condition, message in failures:
             with pytest.raises(ConstructionError, match=message):
                 extend(algebra, condition)
-    assert len(algebras._lift_memo.tables) == entries
+    assert kept_by_extensions() == entries
 
 
 @st.composite

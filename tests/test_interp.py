@@ -203,6 +203,30 @@ def test_interpretation_rejects_unsupported_signatures():
         find_interpretation(MaltsevCondition((OperationSymbol("h", 21),), ()))
 
 
+def test_conditions_sharing_a_table_share_one_entry():
+    # the same table, x1 and (x2 or x3), under other names in conditions parsed apart
+    text = "m/3\nidentities:\n  m(x,x,y) = x\n  m(x,y,x) = x\n"
+    first = find_interpretation(parse_condition("signature: " + text))
+    second = find_interpretation(parse_condition("signature: " + text.replace("m", "q")))
+    entry = first.assignment[OperationSymbol("m", 3)]
+    assert entry.truth_table == (0, 0, 0, 0, 0, 1, 1, 1)
+    assert second.assignment[OperationSymbol("q", 3)] is entry
+    mask = int("".join(map(str, entry.truth_table[::-1])), 2)
+    fresh = interp._build_member(mask, 3)
+    assert fresh is not entry and fresh == entry
+    assert [e.truth_table for e in clone_enumerate(3)].count(entry.truth_table) == 1
+    assert entry in clone_enumerate(3)
+
+
+def test_entries_above_arity_four_are_built_per_call():
+    text = "signature: h/5, g/5\nidentities:\n  h(x,y,y,y,y) = x\n  g(x,y,y,y,y) = x\n"
+    first = find_interpretation(parse_condition(text)).assignment
+    second = find_interpretation(parse_condition(text)).assignment
+    h, g = OperationSymbol("h", 5), OperationSymbol("g", 5)
+    assert first[h] is first[g]  # one build per (table, arity) within a call
+    assert second[h] == first[h] and second[h] is not first[h]
+
+
 def test_interpretation_makes_no_clone_enumeration(monkeypatch, condition_corpus):
     def refuse(k):
         raise AssertionError("find_interpretation enumerated the clone")

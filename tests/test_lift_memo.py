@@ -11,7 +11,9 @@ must agree on everything but `lifts_built` and `lifts_reused`.  The memo
 charges each array it holds once, and an array is freed with the last
 entry that holds it; a group too large for the bound still closes;
 threads closing over one algebra agree.  Tables are int64 arrays, the
-form `FiniteAlgebra` stores.
+form `FiniteAlgebra` stores.  The weak closure's image blocks live in the
+same memo: each is checked against its definition, built once for
+conditions with equal arities, and not kept past the bound.
 """
 
 import gc
@@ -20,6 +22,7 @@ import threading
 import weakref
 from collections import Counter
 from dataclasses import astuple
+from itertools import product
 from random import Random
 
 import numpy as np
@@ -27,7 +30,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_lifted_table
+from oracles import monoid_generators, reference_lifted_table
 from test_closure_differential import (
     EXTENSION_CONDITIONS,
     closures,
@@ -35,10 +38,11 @@ from test_closure_differential import (
     repeat_coordinates,
     repeats,
 )
-from maltcube import algebras
+from maltcube import algebras, entailment
 from maltcube.algebras import FiniteAlgebra, SmpInstance, generate_subpower, render_tree, smp_decide
 from maltcube.construction import extend
-from maltcube.terms import OperationSymbol
+from maltcube.entailment import condition_index
+from maltcube.terms import OperationSymbol, parse_condition
 
 
 def ints(*values: int) -> np.ndarray:
@@ -331,3 +335,61 @@ def test_threads_closing_over_one_algebra_agree():
         assert (got.member_list, got.derivations, got.stats) == (
             want.member_list, want.derivations, want.stats)
     check_memo(algebras._LIFT_MEMO_BYTES)
+
+
+# --- the weak closure's image blocks -------------------------------------------
+
+
+@pytest.mark.parametrize("nvars", [2, 3, 4])
+def test_image_blocks_match_the_definition(nvars):
+    """Row g, column t: the local id of argument tuple t mapped by generator g."""
+    generators = monoid_generators(nvars)
+    for k in range(5):
+        block = entailment._build_image_block(nvars, k)
+        assert block.dtype == np.int32 and not block.flags.writeable
+        want = [[int("".join(str(gamma[a]) for a in args) or "0", nvars)
+                 for args in product(range(nvars), repeat=k)] for gamma in generators]
+        assert block.tolist() == want
+
+
+def test_conditions_with_equal_arities_build_each_block_once(monkeypatch):
+    built = []
+    build = entailment._build_image_block
+    monkeypatch.setattr(entailment, "_build_image_block",
+                        lambda nvars, k: built.append((nvars, k)) or build(nvars, k))
+    first = parse_condition("signature: f/3, g/2\nidentities:\n  f(x,y,y) = g(y,x)\n")
+    second = parse_condition(
+        "signature: p/3, q/2, r/3\nidentities:\n  p(x,x,y) = q(x,y)\n  r(y,x,z) = z\n")
+    clear_memo()
+    closures = {}
+    for condition in (first, second):
+        for nvars in (2, 3):
+            closures[condition, nvars] = condition_index(condition, nvars)
+    assert sorted(built) == [(n, k) for n in (2, 3) for k in (1, 2, 3)]
+    check_memo(algebras._LIFT_MEMO_BYTES)
+    # the same closures with nothing in the memo
+    for (condition, nvars), index in closures.items():
+        clear_memo()
+        again = condition_index(condition, nvars)
+        assert (again._rep.tolist(), again.stats) == (index._rep.tolist(), index.stats)
+
+
+def test_an_image_block_past_the_bound_is_not_kept(monkeypatch):
+    """h/12 over two variables needs a block of 2 x 2^12 int32 ids, 32 KiB:
+    past a bound of 4,096 bytes it is built for each closure and not kept,
+    and the closure does not change."""
+    condition = parse_condition(
+        "signature: h/12\nidentities:\n  h(x,y,x,y,x,y,x,y,x,y,x,y) = h(y,y,x,x,y,y,x,x,y,y,x,x)\n"
+        "  h(x,x,x,x,x,x,x,x,x,x,x,y) = x\n")
+    clear_memo()
+    want = condition_index(condition, 2)
+    assert ("images", 2, 12) in algebras._lift_memo.tables
+    monkeypatch.setattr(algebras, "_LIFT_MEMO_BYTES", 4096)
+    clear_memo()
+    for _ in range(2):
+        got = condition_index(condition, 2)
+        assert (got._rep.tolist(), got.inconsistent, got.stats) == (
+            want._rep.tolist(), want.inconsistent, want.stats)
+        assert ("images", 2, 12) not in algebras._lift_memo.tables
+        assert ("images", 2, 1) in algebras._lift_memo.tables
+        check_memo(4096)

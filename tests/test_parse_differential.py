@@ -101,6 +101,24 @@ def test_parser_matches_the_token_walker_on_names(line):
     assert_parsers_agree([line])
 
 
+# the signature is split at "/" and its arity read as ASCII digits; every
+# entry the token walker's pattern refuses gets the same located message
+@pytest.mark.parametrize("signature", [
+    "f/2", "f / 2, g/0", " f/2 ,g/1", "_f0/10", "f/00", "if/2", "f/2, f/3",
+    "f/", "/2", "f", "f/2/3", "f//2", "f/x", "f/-1", "f/+2", "f/2.0", "f/\u0661",
+    "f/\u00b2", "1f/2", "f g/2", "\u00e9/2", "f/2,", ",f/2", "f/2,,g/1", "f/ 2 3",
+])
+def test_signature_matches_the_token_walker(signature):
+    text = f"signature: {signature}\nidentities:\n  x = x\n"
+    results = []
+    for parse in (oracle_parse_condition, parse_condition):
+        try:
+            results.append(parse(text, source="sig.cond"))
+        except ConditionSyntaxError as exc:
+            results.append(str(exc))
+    assert results[0] == results[1]
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(conditions())
 def test_condition_round_trip(condition):

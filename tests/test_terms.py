@@ -6,7 +6,9 @@ from random import Random
 import pytest
 
 from oracles import equality_pattern, pattern_representative
+from maltcube.algebras import leaf
 from maltcube.cube import check_condition
+from maltcube.interp import find_interpretation
 from maltcube.terms import (
     ConditionSyntaxError,
     Identity,
@@ -39,6 +41,24 @@ def test_variable_names_round_trip():
     assert variable_name(6) == "x6"
     assert variable_index("q") is None
     assert variable_index("x3") == 3
+
+
+def test_only_plain_ascii_indices_are_canonical():
+    # a leading zero or a digit outside ASCII makes a free-form name
+    assert variable_index("x0") == 0 and variable_index("x10") == 10
+    assert variable_index("x01") is None and variable_index("x007") is None
+    assert variable_index("x\u0661") is None  # ARABIC-INDIC DIGIT ONE
+    assert variable_index("x\uff11") is None  # FULLWIDTH DIGIT ONE
+
+
+def test_a_leading_zero_name_stays_its_own_variable():
+    condition = parse_condition("signature: h/2\nidentities:\n  h(x01,x1) = x1\n")
+    h = condition.signature[0]
+    # x1 keeps index 1, and x01 takes the smallest free index, 0
+    assert condition.identities == (Identity(app(h, 0, 1), var(1)),)
+    assert render_condition(condition).endswith("  h(x,y) = y\n")
+    # h is the second projection, whose term is the bare variable x2
+    assert find_interpretation(condition).assignment[h].defining_term == leaf(1)
 
 
 def test_operation_symbol_validation():
