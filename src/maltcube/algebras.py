@@ -44,10 +44,8 @@ A closure's layout (the words, the groups and their chunks' arrays)
 depends on the tables and m alone, so it is memoized process-wide by
 their contents, and each lifted array by its group's tables: equal
 algebras share a layout, and the H-groups of every A_M over one M and |A|
-share their arrays.
-The memo charges each distinct array its entries hold once, evicts least
-recently used entries to stay within a fixed number of bytes, and keeps
-no entry larger than that bound, so a single large one never empties it.
+share their arrays.  Both live in the lift memo, whose `_LiftMemo.cached`
+is the one way in (`_LiftMemo` says what it keeps and charges).
 
 Derivations are kept in the arrays each box already holds: a seed's is
 its generator position or its constant, and a box that finds members
@@ -92,9 +90,9 @@ from bisect import bisect_right
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import product, repeat
+from itertools import product
 from math import prod
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -395,6 +393,14 @@ class AlgebraFormatError(LocatedInputError):
     """Raised for malformed algebra or instance files."""
 
 
+def _number(token: str) -> int:
+    """An optional `-`, then ASCII digits, as an int; else, as `1_0` or `+1`, a ValueError."""
+    digits = token[1:] if token.startswith("-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a number: {token!r}")
+    return int(token)
+
+
 def parse_algebra(text: str, source: str = "<string>") -> FiniteAlgebra:
     lines = _significant_lines(text)
     if not lines or not lines[0][1].startswith("universe:"):
@@ -402,7 +408,7 @@ def parse_algebra(text: str, source: str = "<string>") -> FiniteAlgebra:
                                  line=lines[0][0] if lines else None)
     lineno, head = lines[0]
     try:
-        size = int(head[len("universe:"):].strip())
+        size = _number(head[len("universe:"):].strip())
     except ValueError:
         raise AlgebraFormatError("universe wants an integer", source=source, line=lineno) from None
 
@@ -427,7 +433,7 @@ def parse_algebra(text: str, source: str = "<string>") -> FiniteAlgebra:
         current, values = None, []
 
     for lineno, body in lines[1:]:
-        m = re.fullmatch(r"op\s+([A-Za-z_][A-Za-z0-9_]*)\s*/\s*(\d+)\s*:(.*)", body)
+        m = re.fullmatch(r"op\s+([A-Za-z_][A-Za-z0-9_]*)\s*/\s*([0-9]+)\s*:(.*)", body)
         if m is not None:
             finish()
             symbol = OperationSymbol(m.group(1), int(m.group(2)))
@@ -441,7 +447,7 @@ def parse_algebra(text: str, source: str = "<string>") -> FiniteAlgebra:
             raise AlgebraFormatError(f"unexpected line {body!r}", source=source, line=lineno)
         for token in body.split():
             try:
-                values.append(int(token))
+                values.append(_number(token))
             except ValueError:
                 raise AlgebraFormatError(f"bad table entry {token!r}", source=source, line=lineno) from None
     finish()
@@ -484,7 +490,7 @@ def parse_instance(text: str, source: str = "<string>", size: int | None = None)
         raise AlgebraFormatError("expected an m: line first", source=source,
                                  line=lines[0][0] if lines else None)
     try:
-        m = int(lines[0][1][len("m:"):].strip())
+        m = _number(lines[0][1][len("m:"):].strip())
     except ValueError:
         m = 0
     if m < 1:
@@ -494,7 +500,7 @@ def parse_instance(text: str, source: str = "<string>", size: int | None = None)
 
     def parse_tuple(body: str, lineno: int, role: str) -> tuple[int, ...]:
         try:
-            values = tuple(int(tok) for tok in body.split())
+            values = tuple(map(_number, body.split()))
         except ValueError:
             raise AlgebraFormatError(f"bad tuple line {body!r}", source=source, line=lineno) from None
         if len(values) != m:
@@ -666,12 +672,8 @@ class ClosureResult:
 
     @cached_property
     def derivations(self) -> list:
-        """Every member's derivation in member order, built from the blocks."""
-        out = list(self._seeds)
-        for _, ops, args in self._blocks:
-            column = repeat(ops) if isinstance(ops, int) else ops.tolist()
-            out.extend(zip(column, *(a.tolist() for a in args)))
-        return out
+        """Every member's derivation in member order."""
+        return [self._derivation(pos) for pos in range(len(self._words[0]))]
 
     @cached_property
     def member_list(self) -> tuple[tuple[int, ...], ...]:
@@ -709,9 +711,10 @@ class ClosureResult:
             raise KeyError(f"{tuple(member)} is not a member")
         return self._witness_at(pos)
 
-    def _witness_at(self, pos: int) -> TermTree:
-        """The witness of the member at `pos`, built over a memo keyed by position."""
-        memo: dict[int, TermTree] = {}
+    def _witness_at(self, pos: int, memo: dict[int, TermTree] | None = None) -> TermTree:
+        """The witness of the member at `pos`, built over a memo keyed by
+        position, which callers may share so that trees share subtrees."""
+        memo = {} if memo is None else memo
         stack = [pos]
         while stack:
             p = stack.pop()
@@ -731,17 +734,10 @@ class ClosureResult:
         return memo[pos]
 
     def witness_trees(self) -> dict[tuple[int, ...], TermTree]:
-        """Every member's witness, built in member order from `derivations`:
-        a derivation's arguments are members of earlier rounds, so their
-        trees are built first."""
-        trees: list[TermTree] = []
-        for derivation in self.derivations:
-            if isinstance(derivation, int):
-                trees.append(leaf(derivation))
-            else:
-                op_index, *args = derivation
-                trees.append(TermTree(self._op_symbols[op_index], tuple(trees[a] for a in args)))
-        return dict(zip(self.member_list, trees))
+        """Every member's witness, over one memo, so a tree holds its
+        arguments' trees as the same objects."""
+        memo: dict[int, TermTree] = {}
+        return {member: self._witness_at(pos, memo) for pos, member in enumerate(self.member_list)}
 
 
 class _BitmapSeen:
@@ -802,32 +798,47 @@ class _ChunkSpec:
 
 
 class _LiftMemo:
-    """Lifted group chunks, closure layouts and extensions by contents, and
-    the weak closure's image blocks, least recently used first, within
-    `_LIFT_MEMO_BYTES`.  An entry is (value, its arrays' names, its extra
-    bytes); `arrays` keeps each distinct array once by name and `holders`
-    counts its entries, so it is charged once."""
+    """Values kept process-wide by key, least recently used first, within
+    `_LIFT_MEMO_BYTES`: lifted group chunks, closure layouts, A_M's and
+    their (M, |A|) tables, and the weak closure's image blocks.
+
+    `cached(key, build, holds, extra)` is the one way in.  Under the memo's
+    reentrant lock (a build may call it again), it returns the value under
+    `key`, now most recently used, or builds the value and keeps it,
+    charged for the arrays that `holds(value)` names and for `extra`'s
+    bytes, then evicts the least recently used down to the bound; and it
+    says whether this call built the value.  With no `holds`, the value is
+    one array named by its key, found while any entry holds it.  An entry
+    whose own arrays and extra pass the bound is not kept.  An entry is
+    (value, its arrays' names, its extra bytes); `arrays` keeps each
+    distinct array once and `holders` counts its entries, so it is charged
+    once and freed with its last holder."""
 
     def __init__(self) -> None:
         self.tables: OrderedDict[tuple, tuple] = OrderedDict()
         self.arrays: dict = {}
         self.holders: Counter = Counter()
         self.nbytes = 0
-        self.lock = threading.RLock()  # held while an entry is looked up or made
+        self.lock = threading.RLock()
 
-    def get(self, key: tuple):
-        """The value under `key`, now most recently used, or None."""
-        entry = self.tables.get(key)
-        if entry is not None:
-            self.tables.move_to_end(key)
-        return entry and entry[0]
+    def cached(self, key: tuple, build: Callable, holds: Callable | None = None,
+               extra: bytes = b"") -> tuple:
+        """The value under `key`, from the memo or built and kept, and whether
+        this call built it (class docstring)."""
+        with self.lock:
+            entry = self.tables.get(key)
+            if entry is not None:
+                self.tables.move_to_end(key)
+                return entry[0], False
+            value = self.arrays.get(key) if holds is None else None
+            built = value is None
+            if built:
+                value = build()
+            self.put(key, value, {key: value} if holds is None else holds(value), extra)
+            return value, built
 
-    def put(self, key: tuple, value, arrays, extra: bytes = b"") -> None:
-        """Add an entry holding `arrays` (by name, or named by id) and `extra`
-        bytes, then evict the least recently used down to the bound.  An entry
-        whose own arrays and extra pass the bound is not kept, so it evicts nothing."""
-        if not isinstance(arrays, Mapping):
-            arrays = {id(a): a for a in arrays}
+    def put(self, key: tuple, value, arrays: Mapping, extra: bytes = b"") -> None:
+        """Keep an entry holding `arrays`, by name, and `extra` (class docstring)."""
         if sum(a.nbytes for a in arrays.values()) + len(extra) > _LIFT_MEMO_BYTES:
             return
         self.tables[key] = (value, tuple(arrays), len(extra))
@@ -874,21 +885,15 @@ def _lift(n: int, arity: int, tables: np.ndarray, length: int) -> np.ndarray:
 
 def _lifted_group(key: tuple) -> tuple[np.ndarray, bool]:
     """The stacked lifted tables under key = (n, arity, length, the group's
-    int64 tables as bytes), and whether this call had to build them.  Named
-    by its key, the array is found while any entry holds it, so equal groups
-    of distinct algebras, such as the H-operations of every A_M over one M
-    and |A|, share it.  Its entry becomes the most recently used: while a
-    layout is made, its chunks are evicted only if together they pass the
-    bound, and then the layout is too large to keep."""
-    with _lift_memo.lock:
-        lifted = _lift_memo.arrays.get(key)
-        built = lifted is None
-        if built:
-            n, arity, length, tables = key
-            lifted = _lift(n, arity, np.frombuffer(tables, np.int64).reshape(-1, n**arity), length)
-        if _lift_memo.get(key) is None:
-            _lift_memo.put(key, lifted, {key: lifted})
-        return lifted, built
+    int64 tables as bytes), and whether this call built them.  Named by
+    its key in the lift memo (`_LiftMemo`), the array is shared by equal
+    groups of distinct algebras, such as the H-operations of every A_M over
+    one M and |A|.  While a layout is made, each lookup makes its chunk the
+    most recently used, so its chunks are evicted only if together they
+    pass the bound, and then the layout is too large to keep."""
+    n, arity, length, tables = key
+    return _lift_memo.cached(key, lambda: _lift(
+        n, arity, np.frombuffer(tables, np.int64).reshape(-1, n**arity), length))
 
 
 def _is_projection(n: int, arity: int, table: np.ndarray) -> bool:
@@ -940,16 +945,12 @@ class _Layout:
 
 
 def _layout(algebra: FiniteAlgebra, m: int) -> tuple[_Layout, int]:
-    """The layout of A^m, from the memo or made, and the chunks lifted for
-    it.  A layout holds its lifted arrays and its tables' content key."""
+    """The layout of A^m, from the lift memo or made, and the chunks this call
+    lifted for it.  A layout holds its lifted arrays and its tables' content key."""
     key = (algebra._key, m)
-    with _lift_memo.lock:
-        layout = _lift_memo.get(key)
-        if layout is not None:
-            return layout, 0
-        layout = _Layout(algebra, m)
-        _lift_memo.put(key, layout, dict(layout.lifts), key[0][2])
-        return layout, layout.built
+    layout, built = _lift_memo.cached(key, lambda: _Layout(algebra, m),
+                                      lambda layout: dict(layout.lifts), key[0][2])
+    return layout, layout.built if built else 0
 
 
 def _boxes(sizes: Sequence[int]):

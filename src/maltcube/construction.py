@@ -33,11 +33,11 @@ read off once per (M, |A|), as read-only arrays; `extend` only pads A's
 tables around them.  The H-tables are int64, so `FiniteAlgebra` keeps
 them as they are, with no copy.
 
-`extend` keeps those tables, and each A_M, in the byte-bounded lift memo
-of `maltcube.algebras`, which charges an array once however many entries
-hold it; the closure they were read off is dropped.  An A_M's key is A's
-table contents (`FiniteAlgebra._key`), A's symbol names in order and M:
-a lattice and a groupoid with equal tables take different extensions.
+`extend` keeps those tables, and each A_M, in the lift memo
+(`maltcube.algebras._LiftMemo`); the closure they were read off is
+dropped.  An A_M's key is A's table contents (`FiniteAlgebra._key`), A's
+symbol names in order and M: a lattice and a groupoid with equal tables
+take different extensions.
 A repeat call returns the same A_M `FiniteAlgebra`, whose content key
 and closure layouts are then already made, in a fresh `ExtendedAlgebra`
 whose `base` is the caller's algebra.  A failed precondition raises
@@ -267,20 +267,17 @@ def extend(algebra: FiniteAlgebra, condition: MaltsevCondition) -> ExtendedAlgeb
         bad = ", ".join(s.name for s in report.cube_symbols)
         raise ConstructionError(f"the condition entails cube identities for {bad}")
     key = (algebra._key, tuple(s.name for s in algebra.operations), condition)
-    with _lift_memo.lock:
-        parts = _lift_memo.get(key)
-        if parts is None:
-            tables = _lift_memo.get((condition, algebra.size))
-            if tables is None:
-                tables = tuple(_read_off(condition, algebra.size))
-                held = chain.from_iterable(entry[1:] for entry in tables)
-                _lift_memo.put((condition, algebra.size), tables, held)
-            ext = _build_extension(algebra, condition, tables)
-            parts = (ext.extended, ext.absorbing, ext.patterns, ext.representatives,
-                     ext.pattern_tables)
-            held = chain(ext.extended.operations.values(), *(d.values() for d in parts[2:]))
-            _lift_memo.put(key, parts, held, key[0][2])
-    extended, absorbing, *arrays = parts
+
+    def build() -> tuple:
+        tables, _ = _lift_memo.cached(
+            (condition, algebra.size), lambda: tuple(_read_off(condition, algebra.size)),
+            lambda tables: {id(a): a for entry in tables for a in entry[1:]})
+        ext = _build_extension(algebra, condition, tables)
+        return ext.extended, ext.absorbing, ext.patterns, ext.representatives, ext.pattern_tables
+
+    (extended, absorbing, *arrays), _ = _lift_memo.cached(key, build, lambda parts: {
+        id(a): a for a in chain(parts[0].operations.values(), *(d.values() for d in parts[2:]))
+    }, key[0][2])
     return ExtendedAlgebra(algebra, condition, extended, absorbing, *map(dict, arrays))
 
 

@@ -71,6 +71,12 @@ def _variable_mask(i: int, k: int) -> int:
     return mask
 
 
+@lru_cache(maxsize=None)  # one per arity; a closure's arities stay below 21 (MAX_TERMS)
+def _variable_masks(k: int) -> tuple[int, ...]:
+    """The tables of x_1..x_k, `_variable_mask(i, k)` for each i < k."""
+    return tuple(_variable_mask(i, k) for i in range(k))
+
+
 def pack_bits(bits: np.ndarray) -> int:
     """A 0/1 vector as one int, entry p as bit p."""
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
@@ -169,7 +175,7 @@ def entails_cube(condition: MaltsevCondition, symbol: OperationSymbol) -> CubeRe
     return report.reports[condition.signature.index(symbol)]
 
 
-def _cube_report(symbol: OperationSymbol, hits: int, masks: list[int]) -> CubeReport:
+def _cube_report(symbol: OperationSymbol, hits: int, masks: tuple[int, ...]) -> CubeReport:
     """The report for one symbol of a consistent condition, from its row
     bits and `masks[i] = _variable_mask(i, k)`, by the module's test."""
     k = symbol.arity
@@ -197,14 +203,11 @@ def check_condition(condition: MaltsevCondition) -> ConditionReport:
     if index.inconsistent:
         return ConditionReport(condition, False, (), index.stats)
     bits = pack_bits(index._rep == index._rep[1])
-    masks: dict[int, list[int]] = {}
     reports = []
     for symbol, offset in index._offsets.items():
         k = symbol.arity
-        if k not in masks:
-            masks[k] = [_variable_mask(i, k) for i in range(k)]
         hits = bits >> offset & (1 << (1 << k)) - 1
-        reports.append(_cube_report(symbol, hits, masks[k]))
+        reports.append(_cube_report(symbol, hits, _variable_masks(k)))
     return ConditionReport(condition, True, tuple(reports), index.stats)
 
 

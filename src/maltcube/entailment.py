@@ -164,13 +164,7 @@ def _build_image_block(nvars: int, k: int) -> np.ndarray:
 def _image_block(nvars: int, k: int) -> np.ndarray:
     """The image block of (nvars, k), from the lift memo or built and kept
     there, within its byte bound, for every later closure to share."""
-    key = ("images", nvars, k)
-    with _lift_memo.lock:
-        block = _lift_memo.get(key)
-        if block is None:
-            block = _build_image_block(nvars, k)
-            _lift_memo.put(key, block, {key: block})
-        return block
+    return _lift_memo.cached(("images", nvars, k), lambda: _build_image_block(nvars, k))[0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .algebras import FiniteAlgebra, TermTree, leaf, node
-from .cube import _variable_mask, check_condition
+from .cube import _variable_masks, check_condition
 from .terms import MaltsevCondition, OperationSymbol
 
 DUAL_IMPLICATION = OperationSymbol("impd", 2)
@@ -126,7 +126,7 @@ def _defining_term(
 @lru_cache(maxsize=None)  # one per arity; a model's arities stay below 21 (MAX_TERMS)
 def _basis(k: int) -> tuple[tuple[int, ...], tuple[TermTree, ...]]:
     """The packed tables and the leaves of x_1..x_k."""
-    return tuple(_variable_mask(j, k) for j in range(k)), tuple(map(leaf, range(k)))
+    return _variable_masks(k), tuple(map(leaf, range(k)))
 
 
 def _build_member(mask: int, k: int) -> BooleanOperationEntry:

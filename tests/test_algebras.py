@@ -502,6 +502,28 @@ def test_witness_trees_reproduce_members():
         generate_subpower(LATTICE2, ((0, 0),)).witness_tree((1, 1))
 
 
+def test_witness_trees_share_their_argument_trees():
+    """A member's tree holds its argument members' trees as the same objects,
+    so the trees of all members together are linear in the member count."""
+    generators = ((0, 1, 2), (1, 1, 0))
+    result = generate_subpower(Z3, generators)
+    trees = result.witness_trees()
+    assert list(trees) == list(result.member_list)
+    nested = 0
+    for member, derivation in zip(result.member_list, result.derivations):
+        tree = trees[member]
+        if isinstance(derivation, int):
+            assert tree.symbol is None
+            continue
+        op_index, *args = derivation
+        assert len(tree.children) == len(args)
+        for sub, position in zip(tree.children, args):
+            assert sub is trees[result.member_list[position]]
+            nested += sub.symbol is not None
+        assert evaluate_on_power(tree, Z3, generators) == member
+    assert nested  # some argument is itself an operation's tree, not a leaf
+
+
 def test_nullary_only_closure():
     # no generators at all: the closure is everything built from constants
     result = generate_subpower(Z3, (), m=2)

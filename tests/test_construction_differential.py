@@ -96,7 +96,7 @@ def test_matches_the_row_by_row_reference():
             assert well_definedness_audit(ext)
         if report.applicable:
             kept = extend(algebra, condition).extended
-            memo = _lift_memo.get((condition, algebra.size))
+            memo, _, _ = _lift_memo.tables[(condition, algebra.size)]
             assert all(kept.operations[symbol] is table for symbol, table, *_ in memo)
         seen.add(
             "inconsistent" if not report.consistent

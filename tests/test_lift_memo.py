@@ -10,7 +10,8 @@ what the memo holds: a closure run warm and again with the memo cleared
 must agree on everything but `lifts_built` and `lifts_reused`.  The memo
 charges each array it holds once, and an array is freed with the last
 entry that holds it; a group too large for the bound still closes;
-threads closing over one algebra agree.  Tables are int64 arrays, the
+threads closing over one algebra agree.  `cached`, the memo's one way
+in, is checked on a fresh memo.  Tables are int64 arrays, the
 form `FiniteAlgebra` stores.  The weak closure's image blocks live in the
 same memo: each is checked against its definition, built once for
 conditions with equal arities, and not kept past the bound.
@@ -150,6 +151,34 @@ def test_memo_stays_within_its_byte_bound(monkeypatch):
                 built_bytes += lifted.nbytes
                 check_memo(bound)
     assert built_bytes > bound
+
+
+def test_cached_builds_once_and_charges_what_it_holds(monkeypatch):
+    """`cached` on a fresh memo: a kept value comes back unbuilt; an entry is
+    charged once for each distinct array `holds` names, plus `extra`; an
+    array named by its key is found while another entry holds it; a value
+    past the bound is returned but not kept, so the next call builds it."""
+    monkeypatch.setattr(algebras, "_LIFT_MEMO_BYTES", 1000)
+    memo = algebras._LiftMemo()
+    a, b = np.zeros(10), np.zeros(20)
+    value, built = memo.cached(("a",), lambda: a)
+    assert value is a and built
+    value, built = memo.cached(("a",), pytest.fail)
+    assert value is a and not built
+    pair = (a, b)
+    value, built = memo.cached(("pair",), lambda: pair, lambda p: {("a",): p[0], ("b",): p[1]},
+                               b"key")
+    assert value is pair and built
+    assert memo.nbytes == a.nbytes + b.nbytes + 3
+    value, built = memo.cached(("b",), pytest.fail)  # held by the pair's entry
+    assert value is b and not built
+    assert list(memo.tables) == [("a",), ("pair",), ("b",)]
+    assert memo.holders == {("a",): 2, ("b",): 2} and memo.nbytes == a.nbytes + b.nbytes + 3
+    big = np.zeros(200)
+    for _ in range(2):
+        value, built = memo.cached(("big",), lambda: big)
+        assert value is big and built and ("big",) not in memo.tables
+    assert len(memo.tables) == 3
 
 
 def test_rebuilt_table_equals_the_evicted_one(monkeypatch):

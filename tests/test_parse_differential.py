@@ -9,13 +9,16 @@ a located `ConditionSyntaxError`.  The oracle builds its condition from
 paths.  Rendered conditions, algebras and instances parse back to
 themselves, a condition with its generator's hash and identities, and line
 soups for algebra and instance files raise `AlgebraFormatError` and
-nothing else.
+nothing else.  Every number of an algebra or instance file is an optional
+`-` then ASCII digits: any other token (`1_0`, `+1`, non-ASCII digits),
+which `int` would read, is refused at its line.
 """
 
+import re
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import oracle_parse_condition
@@ -31,6 +34,7 @@ from maltcube.algebras import (
 )
 from maltcube.terms import (
     ConditionSyntaxError,
+    OperationSymbol,
     cube_condition,
     hagemann_mitschke_condition,
     jonsson_condition,
@@ -160,6 +164,7 @@ SOUP_LINES = (
     "m: 2", "m: 0", "m: -1", "m: two", "generators:", "target:",
     "op f/1:", "op f/2: 0 1", "op c/0:", "op g/70:", "op f/-1:", "op /1:",
     "0 1", "0 1 1 0", "1", "2", "-1", "q", "18446744073709551616 0", "# note", "",
+    "universe: 1_0", "op f/\u0661:", "m: +2", "+1", "0 1_0", "\uff11 0",
 )
 # a well-formed head, or none, before the soup, so that table and tuple lines get parsed
 SOUP_HEADS = ("", "universe: 2\n", "universe: 2\nop f/1:\n", "universe: 2\nop f/1:\n0\n",
@@ -184,3 +189,48 @@ def test_line_soups_raise_only_format_errors(text):
             parse(text)
         except AlgebraFormatError as exc:
             assert exc.line is not None or not significant
+
+
+@pytest.mark.parametrize("parse, text, line", [
+    (parse_algebra, "universe: 1_0\nop f/1:\n0 0 0 0 0 0 0 0 0 0\n", 1),
+    (parse_algebra, "universe: 2\nop f/\u0661:\n0 1\n", 2),
+    (parse_algebra, "universe: 2\nop f/1:\n+1 0\n", 3),
+    (parse_algebra, "universe: 2\nop f/1:\n1 \uff10\n", 3),
+    (parse_instance, "m: 2\ngenerators:\n0 1_0\ntarget:\n0 0\n", 3),
+    (parse_instance, "m: \u0662\ngenerators:\n0 1\ntarget:\n0 0\n", 1),
+    (parse_instance, "m: 2\ngenerators:\n0 1\ntarget:\n0 +0\n", 5),
+], ids=["universe-underscore", "arity-arabic-indic", "entry-plus", "entry-fullwidth",
+        "generator-underscore", "m-arabic-indic", "target-plus"])
+def test_numbers_int_would_read_are_refused_at_their_line(parse, text, line):
+    with pytest.raises(AlgebraFormatError) as caught:
+        parse(text, source="f")
+    assert caught.value.line == line
+
+
+NUMBER_CHARACTERS = "0123456789-+_\u0661\u00b2\uff11"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.text(NUMBER_CHARACTERS, min_size=1, max_size=4))
+@example("1").via("a value of the universe")
+@example("-1").via("a number outside the universe")
+@example("1_0").via("a token int() reads as 10")
+def test_a_number_is_an_optional_minus_then_ascii_digits(token):
+    """A table entry or generator entry is read as its `int` exactly when it
+    is `-?[0-9]+`, and refused as a token at its line otherwise; a number
+    outside the universe is refused as such."""
+    number = re.fullmatch(r"-?[0-9]+", token) is not None
+    f = OperationSymbol("f", 1)
+    try:
+        algebra = parse_algebra(f"universe: 2\nop f/1:\n{token} 0\n")
+        assert number and algebra.operations[f][0] == int(token)
+    except AlgebraFormatError as exc:
+        if number:
+            assert "leaves the universe" in str(exc)
+        else:
+            assert "bad table entry" in str(exc) and exc.line == 3
+    try:
+        instance = parse_instance(f"m: 2\ngenerators:\n{token} 0\ntarget:\n0 0\n")
+        assert number and instance.generators == ((int(token), 0),)
+    except AlgebraFormatError as exc:
+        assert not number and "bad tuple line" in str(exc) and exc.line == 3
