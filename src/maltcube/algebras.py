@@ -40,6 +40,15 @@ box's members that pass the seen-set test are deduped by a stable radix
 argsort over their words' 16-bit digits, which keeps each fresh member
 with its first occurrence.
 
+The kernel is chosen per block, by its exact size.  A block of at most
+`_SCALAR_BOX` applications (64, and never past `_CHUNK_TARGET`, so it is
+one box) in a closure of one word under the seen bitmap is closed by one
+scalar Python loop instead: there numpy's fixed cost per call, not the
+work, sets the time.  The loop reads each lifted table and the bitmap
+through memoryviews, applies the operations in the vectorized box's
+order and keeps the same members, derivations and counters;
+`ClosureStats.scalar_boxes` counts these boxes.
+
 A closure's layout (the words, the groups and their chunks' arrays)
 depends on the tables and m alone, so it is memoized process-wide by
 their contents, and each lifted array by its group's tables: equal
@@ -104,6 +113,7 @@ MAX_APPLICATIONS = 10**9  # operations applied to argument tuples per closure (~
 _TABLE_CAP = 1 << 18      # max entries in a lifted chunk table
 _CHUNK_TARGET = 1 << 16   # argument tuples per box, one vectorized call
 _BOX_SLACK = 64           # no box holds more than _BOX_SLACK * _CHUNK_TARGET tuples
+_SCALAR_BOX = 64          # applications of the largest box closed in scalar Python
 _BITMAP_CAP = 1 << 26     # largest packed-id space tracked by a byte map
 _LIFT_MEMO_BYTES = 1 << 24  # resident bytes kept by the lifted-table memo
 _INTEGERS = (int, np.integer, np.bool_)  # the entries a generator, target or member may have
@@ -545,16 +555,17 @@ class ClosureStats:
     chunks (one stacked lifted array each) the closure built and took from
     the process-wide memo, all of a memoized layout's as reused; they
     depend on what earlier closures left there.  `boxes` counts the
-    vectorized calls and `applications` the operations applied to
-    argument tuples, a whole box at a time, projections left out.
+    boxes run, vectorized or scalar, and `applications` the operations
+    applied to argument tuples, a whole box at a time, projections left out.
     `unseen` counts the codes that passed the seen-set test, repeats
     included.  `columns` is d, the number of distinct generator columns (1
     without generators): no box after the one that brings the members to
     n^d is run or counted.  `fresh` has one entry per counted round, the
     members it found (or kept), summing to `members` minus the seeds.
     `seen` names the seen-set: "bitmap" for one word up to 2^26, else
-    "sorted".  These eight describe how the closure worked, not what it
-    found, so they take no part in equality.
+    "sorted".  `scalar_boxes` counts the boxes, among `boxes`, closed in
+    scalar Python.  These nine describe how the closure worked, not what
+    it found, so they take no part in equality.
     """
 
     members: int
@@ -567,6 +578,7 @@ class ClosureStats:
     columns: int = field(default=0, compare=False)
     fresh: tuple[int, ...] = field(default=(), compare=False)
     seen: str = field(default="", compare=False)
+    scalar_boxes: int = field(default=0, compare=False)
 
 
 class BudgetExceededError(RuntimeError):
@@ -645,7 +657,8 @@ class ClosureResult:
     or (op_index,) for a nullary constant; then one block (start, ops,
     args) per box that found members, from position `start` to the next
     block's start: `ops` is one operation index, or one per member, and
-    `args` one array of argument member positions per argument.
+    `args` one sequence of argument member positions per argument, arrays
+    for a vectorized box and lists for a scalar one.
     `witness_tree` rebuilds one member's derivation as a TermTree whose
     leaves name generator positions; `derivations` lists them all, each
     an int or (op_index, *argument positions), on first use.
@@ -668,7 +681,7 @@ class ClosureResult:
             return self._seeds[pos]
         start, ops, args = self._blocks[bisect_right(self._starts, pos) - 1]
         at = pos - start
-        return (ops if isinstance(ops, int) else ops.item(at), *(a.item(at) for a in args))
+        return (ops if isinstance(ops, int) else int(ops[at]), *(int(a[at]) for a in args))
 
     @cached_property
     def derivations(self) -> list:
@@ -750,6 +763,7 @@ class _BitmapSeen:
 
     def __init__(self, space: int):
         self._seen = np.zeros(space, dtype=bool)
+        self.view = memoryview(self._seen)  # what a scalar box reads and marks
 
     def new_mask(self, words: Sequence[np.ndarray]) -> np.ndarray:
         mask = self._seen.take(words[0])
@@ -795,6 +809,8 @@ class _ChunkSpec:
     # the group's lifted tables, read-only, as (operation, row, column): a
     # row per combination of the first k-1 arguments' codes, a column per last code
     lifted: np.ndarray
+    # the same tables flat, read by a scalar box; freed with the layout
+    flat: memoryview = field(compare=False, repr=False)
 
 
 class _LiftMemo:
@@ -940,7 +956,8 @@ class _Layout:
                     lifted, built = _lifted_group(key)
                     self.built += built
                     self.lifts.append((key, lifted))
-                    spec = _ChunkSpec(word, n ** (end - start - step), n**step, lifted)
+                    spec = _ChunkSpec(word, n ** (end - start - step), n**step, lifted,
+                                      lifted.reshape(-1).data)
                     self.plans[-1][word].append(spec)
 
 
@@ -1026,7 +1043,9 @@ class _NumpyEngine:
     block handed to `_boxes`), so its chunk indices, seen-set test, dedupe
     and provenance are computed once for all its operations.  A box is
     filled per chunk from a sub-table (`_sub_table`), and the rows that
-    pass the seen-set test are deduped by `_first_occurrences`.  Chunk
+    pass the seen-set test are deduped by `_first_occurrences`; the one
+    box of a small block under the seen bitmap is closed in scalar Python
+    (`_scalar_box`) instead.  Chunk
     codes are `np.intp`, so they index the lifted tables with no cast.
     The closure ends right after the box that brings the members to n^d
     (`_saturated`) or derives the target, whose position it records in
@@ -1052,6 +1071,7 @@ class _NumpyEngine:
         self.boxes = 0
         self.applications = 0
         self.unseen = 0
+        self.scalar_boxes = 0
         self.fresh: list[int] = []
         self.target_position: int | None = None
         self._comps: dict[tuple[int, int, int], np.ndarray] = {}
@@ -1061,7 +1081,7 @@ class _NumpyEngine:
     def _stats(self, members: int) -> ClosureStats:
         return ClosureStats(members, self.rounds, self.lifts_built, self.lifts_reused,
                             self.boxes, self.applications, self.unseen, self.columns,
-                            tuple(self.fresh), self.seen.kind)
+                            tuple(self.fresh), self.seen.kind, self.scalar_boxes)
 
     def _saturated(self, members: int) -> bool:
         """Whether `members` members fill the ceiling n^d, all the tuples
@@ -1125,56 +1145,127 @@ class _NumpyEngine:
             result.append(total.reshape(-1))
         return result
 
+    def _box(self, plan: list[list[_ChunkSpec]], ops: list[int], lo: int, width: int,
+             firsts: Sequence[int], extents: Sequence[int], goal: tuple | None):
+        """The vectorized box of operations ops[lo:lo + width] on the argument
+        tuples firsts[i] .. firsts[i] + extents[i] - 1: (fresh, op, args, at)
+        as `_round` takes it, or None if it finds no member.  The applied
+        words (`_apply`) that pass the seen-set test are deduped by
+        `_first_occurrences`, then ordered by operation."""
+        words = self._apply(plan, lo, lo + width, firsts, extents)
+        self.boxes += 1
+        self.applications += len(words[0])
+        hits = self.seen.new_mask(words).nonzero()[0]
+        if not len(hits):
+            return None
+        self.unseen += len(hits)
+        fresh, first = _first_occurrences([w[hits] for w in words], self.spaces)
+        at = _find(fresh, goal) if goal is not None and goal[0] in fresh[0] else None
+        if width == 1:  # fresh is in code order, all of one operation
+            op = ops[lo]
+            offsets = np.unravel_index(hits[first], extents)
+        else:
+            op_at, *offsets = np.unravel_index(hits[first], (width, *extents))
+            order = np.argsort(op_at, kind="stable")
+            if at is not None:  # stop after the target's operation
+                order = order[op_at[order] <= op_at[at]]
+                at = int((order == at).argmax())
+            fresh = [f[order] for f in fresh]
+            op = np.asarray(ops[lo:lo + width])[op_at[order]]
+            offsets = [o[order] for o in offsets]
+        self.seen.add(fresh)
+        return fresh, op, tuple(f + o for f, o in zip(firsts, offsets)), at
+
+    def _scalar_box(self, plan: list[list[_ChunkSpec]], ops: list[int],
+                    firsts: Sequence[int], extents: Sequence[int], goal: tuple | None):
+        """`_box` over all of `ops`, closed in scalar Python: the same
+        applications in the same order, operation-major, then tuples in
+        row-major order, so the same members, derivations and counts, with
+        lists for arrays.  One word only, the bitmap's.  Per chunk, the
+        tuples' codes combine into flat indices of the lifted matrices, read
+        through `_ChunkSpec.flat`; the seen bitmap is read and marked
+        through `_BitmapSeen.view`."""
+        k, width = len(extents), len(ops)
+        self.boxes += 1
+        self.scalar_boxes += 1
+        self.applications += prod(extents) * width
+        codes = None  # per operation, the code of each tuple
+        for spec in plan[0]:
+            comp = self._comp(spec)
+            index = [0]  # per tuple, its entry's index within one operation's matrix
+            for f, e in zip(firsts, extents):
+                index = [i * spec.modulus + c for i in index for c in comp[f:f + e].tolist()]
+            flat, size, scale = spec.flat, spec.modulus**k, spec.scale
+            part = [[flat[base + i] * scale for i in index]
+                    for base in range(0, width * size, size)]
+            codes = part if codes is None else [list(map(operator.add, a, b))
+                                                for a, b in zip(codes, part)]
+        seen = self.seen.view
+        first: dict[int, int] = {}  # each unseen code's first tuple
+        found = []  # per operation, the codes it finds first, in code order
+        for row in codes:
+            new = []
+            for t, code in enumerate(row):
+                if not seen[code]:
+                    self.unseen += 1
+                    if code not in first:
+                        first[code] = t
+                        new.append(code)
+            found.append(sorted(new))
+        if not first:
+            return None
+        reached = goal is not None and goal[0] in first
+        if reached:  # stop after the target's operation
+            found = found[:next(w for w, new in enumerate(found) if goal[0] in new) + 1]
+        fresh = [code for new in found for code in new]
+        args = [[] for _ in extents]
+        for code in fresh:
+            seen[code] = True
+            t = first[code]
+            for i in reversed(range(k)):
+                t, offset = divmod(t, extents[i])
+                args[i].append(firsts[i] + offset)
+        op = ops[0] if width == 1 else [ops[w] for w, new in enumerate(found) for _ in new]
+        return [fresh], op, tuple(args), fresh.index(goal[0]) if reached else None
+
     def _round(self, old: int, current: int, goal: tuple | None, found: list) -> bool:
         """Collect the fresh members of one round; True once the closure is done.
 
         The round applies every operation to the argument tuples that touch
-        a member found since `old`.  A box's fresh members come ordered by
-        (operation, code), each credited to the first operation and then
-        the first tuple that yields it; the box that yields `goal` keeps
-        only those of the operations up to `goal`'s.  Each box that finds
-        members appends (words, ops, args) to `found`: its fresh words, the
-        operation (one int, or one per member) and one array of argument
-        member positions per argument.  The closure is done after the box
-        that yields `goal` or brings the members to the ceiling, tested
-        after that box's budget check.
+        a member found since `old`, one block per group and axis, cut into
+        boxes by `_boxes`.  A block of at most `_SCALAR_BOX` applications
+        (capped at `_CHUNK_TARGET`, so it is one box) under the seen bitmap
+        is closed by `_scalar_box`, any other box by `_box`.  A box's fresh
+        members come ordered by (operation, code), each credited to the
+        first operation and then the first tuple that yields it; the box
+        that yields `goal` keeps only those of the operations up to
+        `goal`'s.  Each box that finds members appends (words, ops, args) to
+        `found`: its fresh words, the operation (one int, or one per member)
+        and the argument member positions per argument.  The closure is done
+        after the box that yields `goal` or brings the members to the
+        ceiling, tested after that box's budget check.
         """
         members = current
+        scalar = min(_SCALAR_BOX, _CHUNK_TARGET) if isinstance(self.seen, _BitmapSeen) else 0
         for (k, ops), plan in zip(self.groups, self.plans):
             for axis in range(k):
                 sizes = [old] * axis + [current - old] + [current] * (k - 1 - axis)
                 if any(s == 0 for s in sizes):
                     continue
                 bases = [0] * axis + [old] + [0] * (k - 1 - axis)
-                for starts, extents in _boxes([*sizes, len(ops)]):
-                    *starts, lo = starts
-                    *extents, width = extents
-                    firsts = [b + s for b, s in zip(bases, starts)]
-                    words = self._apply(plan, lo, lo + width, firsts, extents)
-                    self.boxes += 1
-                    self.applications += len(words[0])
-                    hits = self.seen.new_mask(words).nonzero()[0]
-                    if not len(hits):
+                if prod(sizes) * len(ops) <= scalar:
+                    boxes = [self._scalar_box(plan, ops, bases, sizes, goal)]
+                else:
+                    boxes = (self._box(plan, ops, lo, width,
+                                       [b + s for b, s in zip(bases, starts)], extents, goal)
+                             for (*starts, lo), (*extents, width) in _boxes([*sizes, len(ops)]))
+                for box in boxes:
+                    if box is None:
                         continue
-                    self.unseen += len(hits)
-                    fresh, first = _first_occurrences([w[hits] for w in words], self.spaces)
-                    at = _find(fresh, goal) if goal is not None and goal[0] in fresh[0] else None
-                    if width == 1:  # fresh is in code order, all of one operation
-                        op = ops[lo]
-                        offsets = np.unravel_index(hits[first], extents)
-                    else:
-                        op_at, *offsets = np.unravel_index(hits[first], (width, *extents))
-                        order = np.argsort(op_at, kind="stable")
-                        if at is not None:  # stop after the target's operation
-                            order = order[op_at[order] <= op_at[at]]
-                            at = int((order == at).argmax())
-                        fresh = [f[order] for f in fresh]
-                        op = np.asarray(ops[lo:lo + width])[op_at[order]]
-                        offsets = [o[order] for o in offsets]
+                    fresh, op, args, at = box
                     if at is not None:
                         self.target_position = members + at
-                    self.seen.add(fresh)
-                    found.append((fresh, op, tuple(f + o for f, o in zip(firsts, offsets))))
+                    found.append((fresh, op, args))
                     members += len(fresh[0])
                     self._check_budget(members)
                     if at is not None or self._saturated(members):
@@ -1211,7 +1302,7 @@ class _NumpyEngine:
                     self.blocks.append((start, op, args))
                     start += len(words[0])
                 self.fresh.append(start - current)
-                self._append_members([np.concatenate(column)
+                self._append_members([np.concatenate(column, dtype=np.int64)
                                       for column in zip(*(words for words, _, _ in found))])
         return ClosureResult(
             self.algebra,

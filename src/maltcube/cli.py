@@ -32,6 +32,7 @@ from random import Random
 from .algebras import (
     BudgetExceededError,
     DEFAULT_BUDGET,
+    _number,
     parse_algebra,
     parse_instance,
     render_algebra,
@@ -58,6 +59,16 @@ from .terms import (
 )
 
 _WITNESS_RENDER_CAP = 2000
+
+
+def _integer(token: str) -> int:
+    """A number argument, read as the algebra and instance files read one: an
+    optional `-`, then ASCII digits; `1_0` or `+7`, which `int()` reads, is a
+    usage error."""
+    try:
+        return _number(token)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _load(parse, path: str):
@@ -224,17 +235,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = common(sub.add_parser("closure", help="dump the identity closure classes"))
     p.add_argument("condition")
-    p.add_argument("--vars", type=int, default=None, help="variable count override")
+    p.add_argument("--vars", type=_integer, default=None, help="variable count override")
     p.set_defaults(func=_cmd_closure)
 
     p = sub.add_parser("gen", help="emit condition files")
     gen_sub = p.add_subparsers(dest="kind", required=True)
     for kind, configure in (
-        ("jonsson", lambda q: q.add_argument("k", type=int)),
-        ("hm", lambda q: q.add_argument("k", type=int)),
+        ("jonsson", lambda q: q.add_argument("k", type=_integer)),
+        ("hm", lambda q: q.add_argument("k", type=_integer)),
         ("cube", lambda q: q.add_argument("columns", nargs="+")),
         ("union", lambda q: q.add_argument("files", nargs="+")),
-        ("random", lambda q: q.add_argument("--seed", type=int, default=0)),
+        ("random", lambda q: q.add_argument("--seed", type=_integer, default=0)),
     ):
         q = gen_sub.add_parser(kind)
         configure(q)
@@ -255,7 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = common(sub.add_parser("smp", help="subpower membership"))
     p.add_argument("algebra")
     p.add_argument("instance")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_integer, default=DEFAULT_BUDGET)
     p.add_argument("--witness", action="store_true", help="print a witness term")
     p.set_defaults(func=_cmd_smp)
 
@@ -267,7 +278,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("algebra")
     p.add_argument("condition")
     p.add_argument("instance")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_integer, default=DEFAULT_BUDGET)
     p.set_defaults(func=_cmd_reduce)
 
     return parser

@@ -110,6 +110,7 @@ from .algebras import (
     SmpAnswer,
     SmpInstance,
     TermTree,
+    _close,
     _lift_memo,
     _values_on_power,
     smp_decide,
@@ -425,13 +426,15 @@ def reduce_and_certify(
     """Decide one instance over A and over A_M and cross-check the answers.
 
     When the extension answers yes, its witness is rewritten over F and
-    re-verified against the base algebra before certifying.
+    re-verified against the base algebra before certifying.  The base
+    answer is read off the closure stopped at the target, whose witness
+    the certificate never holds, so none is built.
     """
     for t in instance.generators + (instance.target,):
         if any(not 0 <= v < algebra.size for v in t):
             raise ValueError(f"instance tuple {t} leaves the base universe")
     ext = extend(algebra, condition)
-    base = smp_decide(algebra, instance, budget=budget)
+    base = _close(algebra, instance.generators, instance.m, budget, instance.target)
     extended = smp_decide(ext.extended, instance, budget=budget)
     eliminated: TermTree | None = None
     if extended.answer:
@@ -445,7 +448,7 @@ def reduce_and_certify(
             raise RuntimeError("the eliminated witness failed re-verification")
     return ReductionCertificate(
         instance=instance,
-        answer_base=base.answer,
+        answer_base=base.target_position is not None,
         answer_extended=extended.answer,
         eliminated_witness=eliminated,
     )

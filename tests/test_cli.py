@@ -283,6 +283,37 @@ def test_gen_random_is_seeded(capsys):
     assert first == second == render_condition(random_condition(Random(5)))
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "jonsson", "1_0"], ["gen", "hm", "\uff13"], ["gen", "hm", "+3"],
+    ["gen", "random", "--seed", "+7"], ["gen", "random", "--seed", "7.0"],
+    ["closure", "--vars", "1_0", "-"], ["smp", "--budget", "1_0", "a.alg", "i.smp"],
+    ["reduce", "--budget", "\u0661", "a.alg", "c.cond", "i.smp"],
+], ids=["underscore", "fullwidth", "plus", "plus-seed", "float-seed", "vars", "smp-budget",
+        "reduce-budget"])
+def test_number_arguments_are_read_as_files_read_numbers(capsys, argv):
+    """An optional `-`, then ASCII digits: what `int()` reads beyond that,
+    as 1_0, a fullwidth 3 or +7, is a usage error, before any file is read."""
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "not a number" in err
+
+
+def test_number_arguments_keep_their_range_checks(capsys, tmp_path, lattice_file):
+    from random import Random
+
+    code, out, _ = run(capsys, "gen", "random", "--seed", "-7")
+    assert (code, out) == (0, render_condition(random_condition(Random(-7))))
+    code, _, err = run(capsys, "gen", "jonsson", "0")
+    assert code == 2
+    assert "k must be at least 1" in err
+    inst = instance_file(tmp_path, "m: 2\ngenerators:\n0 1\n1 0\ntarget:\n0 0\n")
+    for budget in ("0", "-1"):
+        code, _, err = run(capsys, "smp", "--budget", budget, lattice_file, inst)
+        assert code == 2
+        assert "budget must be positive" in err
+
+
 # --- extend and model-check --------------------------------------------------
 
 
@@ -367,9 +398,10 @@ def test_smp_target_within_budget(capsys, tmp_path, lattice_file):
     assert lines[-1] == "witness: meet(x1,x2)"
     keys = [line.split(": ")[0] for line in lines[3:-1]]
     assert keys == ["lifts_built", "lifts_reused", "boxes", "applications", "unseen", "columns",
-                    "fresh", "seen"]
-    # 2 seeds and the 1 member of round 1, found in 4 bytes of a byte map
-    assert lines[-3:-1] == ["fresh: 1", "seen: bitmap"]
+                    "fresh", "seen", "scalar_boxes"]
+    # 2 seeds and the 1 member of round 1, found in 4 bytes of a byte map by
+    # round 1's one box of 8 applications, closed in scalar Python
+    assert lines[-4:-1] == ["fresh: 1", "seen: bitmap", "scalar_boxes: 1"]
 
 
 def test_smp_budget_exit(capsys, tmp_path, lattice_file):
