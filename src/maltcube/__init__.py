@@ -42,7 +42,6 @@ from .construction import (
     ExtendedAlgebra,
     ReductionCertificate,
     eliminate_H,
-    evaluate_linear_via_pattern,
     extend,
     reduce_and_certify,
     well_definedness_audit,
@@ -52,8 +51,6 @@ from .cube import (
     CubeReport,
     check_condition,
     entails_cube,
-    is_consistent,
-    y_family,
 )
 from .entailment import (
     EntailmentIndex,

@@ -116,7 +116,7 @@ _BOX_SLACK = 64           # no box holds more than _BOX_SLACK * _CHUNK_TARGET tu
 _SCALAR_BOX = 64          # applications of the largest box closed in scalar Python
 _BITMAP_CAP = 1 << 26     # largest packed-id space tracked by a byte map
 _LIFT_MEMO_BYTES = 1 << 24  # resident bytes kept by the lifted-table memo
-_INTEGERS = (int, np.integer, np.bool_)  # the entries a generator, target or member may have
+_INTEGERS = (int, np.integer, np.bool_)  # the entries a table, tuple or member may have
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,24 +144,21 @@ class FiniteAlgebra:
             if huge or expected != len(table):
                 raise ValueError(f"table for {symbol} has {len(table)} entries, expected {expected}")
             values = np.asarray(table)
-            # signed and unsigned numpy integers together make floats, and an
-            # object array may hold integers of any kind; when every entry is an
-            # integer, `int` is exact, and one past int64 leaves an object array
-            mixed = values.dtype.kind == "O" or (
-                values.dtype.kind == "f" and not isinstance(table, np.ndarray))
-            if mixed and all(isinstance(v, (int, np.integer, np.bool_)) for v in table):
-                values = np.asarray([int(v) for v in table])
-            if (values.dtype == np.int64 and values.ndim == 1 and values.flags.owndata
+            if values.dtype.kind not in "biu":
+                # signed and unsigned numpy integers together make floats, and an
+                # object array may hold integers of any size: read entry by entry
+                if not all(isinstance(v, _INTEGERS) for v in table):
+                    raise ValueError(f"table for {symbol} has an entry that is not an integer")
+                # a negative entry, or one past int64, becomes -1: the reduction refuses it
+                values = np.array([v if 0 <= v < 1 << 63 else -1 for v in map(int, table)],
+                                  dtype=np.int64)
+            elif (values.dtype == np.int64 and values.ndim == 1 and values.flags.owndata
                     and not values.flags.writeable):
                 pass  # read-only and its own memory, so nothing can change it: shared
-            elif values.dtype.kind in "biu":
-                values = values.reshape(len(table)).astype(np.int64)  # flat, or raise
-            elif all(isinstance(v, (int, np.integer, np.bool_)) for v in table):
-                values = None  # an int past int64 turned the array to float or object
             else:
-                raise ValueError(f"table for {symbol} has an entry that is not an integer")
+                values = values.reshape(len(table)).astype(np.int64)  # flat, or raise
             # one reduction: viewed as uint64, a negative entry wraps to 2^63 or more
-            if values is None or int(values.view(np.uint64).max()) >= min(self.size, 1 << 63):
+            if int(values.view(np.uint64).max()) >= min(self.size, 1 << 63):
                 raise ValueError(f"table for {symbol} leaves the universe")
             values.flags.writeable = False
             operations[symbol] = values
@@ -506,7 +503,9 @@ def parse_instance(text: str, source: str = "<string>", size: int | None = None)
     if m < 1:
         raise AlgebraFormatError("m wants a positive integer", source=source, line=lines[0][0])
     if len(lines) < 2 or lines[1][1] != "generators:":
-        raise AlgebraFormatError("expected a generators: line", source=source, line=lines[0][0])
+        # blame the second significant line, or the first when there is no second
+        raise AlgebraFormatError("expected a generators: line", source=source,
+                                 line=lines[:2][-1][0])
 
     def parse_tuple(body: str, lineno: int, role: str) -> tuple[int, ...]:
         try:
@@ -651,17 +650,19 @@ class ClosureResult:
     """Members of a generated subpower plus their derivations.
 
     Immutable once returned, and a view over the engine's arrays.  The
-    packed words: `member_list` and `members` unpack them once, on first
-    use; `target_position` is the index of the target a closure stopped
-    at.  The derivations: the seeds' first, each an int generator position
-    or (op_index,) for a nullary constant; then one block (start, ops,
-    args) per box that found members, from position `start` to the next
-    block's start: `ops` is one operation index, or one per member, and
-    `args` one sequence of argument member positions per argument, arrays
-    for a vectorized box and lists for a scalar one.
+    packed words: `member_list` unpacks them once, on first use, and
+    `position` (so `in`) finds a member without unpacking them;
+    `target_position` is the index of the target a closure stopped at.
+    The derivations: the seeds' first, each an int generator position or
+    (op_index,) for a nullary constant; then one block (start, ops, args)
+    per box that found members, from position `start` to the next block's
+    start: `ops` is one operation index, or one per member, and `args`
+    one sequence of argument member positions per argument, arrays for a
+    vectorized box and lists for a scalar one.
     `witness_tree` rebuilds one member's derivation as a TermTree whose
-    leaves name generator positions; `derivations` lists them all, each
-    an int or (op_index, *argument positions), on first use.
+    leaves name generator positions, one subtree object per position it
+    reaches; `derivations` lists them all, each an int or (op_index,
+    *argument positions), on first use.
     """
 
     def __init__(self, algebra, m, words, seeds, blocks, op_symbols, stats, target_position):
@@ -701,10 +702,6 @@ class ClosureResult:
                 word = word // n
         return tuple(map(tuple, digits.tolist()))
 
-    @cached_property
-    def members(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(self.member_list)
-
     def position(self, member: Sequence[int]) -> int | None:
         """The member's index in member order, or None for a non-member;
         one lookup per word compares its code with every member's at once."""
@@ -724,10 +721,10 @@ class ClosureResult:
             raise KeyError(f"{tuple(member)} is not a member")
         return self._witness_at(pos)
 
-    def _witness_at(self, pos: int, memo: dict[int, TermTree] | None = None) -> TermTree:
+    def _witness_at(self, pos: int) -> TermTree:
         """The witness of the member at `pos`, built over a memo keyed by
-        position, which callers may share so that trees share subtrees."""
-        memo = {} if memo is None else memo
+        position, so a position reached twice is one subtree object."""
+        memo: dict[int, TermTree] = {}
         stack = [pos]
         while stack:
             p = stack.pop()
@@ -745,12 +742,6 @@ class ClosureResult:
             else:
                 memo[p] = TermTree(self._op_symbols[op_index], tuple(memo[a] for a in args))
         return memo[pos]
-
-    def witness_trees(self) -> dict[tuple[int, ...], TermTree]:
-        """Every member's witness, over one memo, so a tree holds its
-        arguments' trees as the same objects."""
-        memo: dict[int, TermTree] = {}
-        return {member: self._witness_at(pos, memo) for pos, member in enumerate(self.member_list)}
 
 
 class _BitmapSeen:

@@ -107,7 +107,6 @@ import numpy as np
 from .algebras import (
     DEFAULT_BUDGET,
     FiniteAlgebra,
-    SmpAnswer,
     SmpInstance,
     TermTree,
     _close,
@@ -118,12 +117,7 @@ from .algebras import (
 )
 from .cube import check_condition
 from .entailment import condition_index
-from .terms import (
-    LinearTerm,
-    MaltsevCondition,
-    OperationSymbol,
-    canonical_variable_set,
-)
+from .terms import MaltsevCondition, OperationSymbol, canonical_variable_set
 
 
 class ConstructionError(ValueError):
@@ -150,11 +144,11 @@ class ExtendedAlgebra:
     """A base algebra together with its absorbing extension.
 
     `patterns[k]` lists the arity-k patterns of at most |A| + 1 blocks,
-    sorted; `representatives[k][r]` is pattern r's representative, the
-    row whose entries are its first-occurrence labels, as a
-    base-(|A| + 1) code, ascending with r; `pattern_tables[h][r]` is h's
-    least derivable position at pattern r, 0 where h absorbs.  All are
-    read-only arrays.
+    sorted, each as the 1-based positions where its entries first occur,
+    (1, 1, 3) for the row (5, 5, 2); `pattern_tables[h][r]` is h's least
+    derivable position at pattern r, 0 where h absorbs.  Together they
+    define h on A_M: a row takes its entry at that position, or the
+    absorbing element.  All are read-only arrays.
     """
 
     base: FiniteAlgebra
@@ -162,7 +156,6 @@ class ExtendedAlgebra:
     extended: FiniteAlgebra
     absorbing: int
     patterns: dict[int, np.ndarray]
-    representatives: dict[int, np.ndarray]
     pattern_tables: dict[OperationSymbol, np.ndarray]
 
 
@@ -187,15 +180,15 @@ def _relabel(values: int, arity: int):
     labels = np.take_along_axis(opened, first, axis=1)
     reps, numbers = np.unique(labels @ values ** np.arange(arity - 1, -1, -1), return_inverse=True)
     patterns = first[reps] + 1
-    for array in (reps, patterns):
-        array.setflags(write=False)
+    patterns.setflags(write=False)
     return rows, reps, patterns, numbers
 
 
 def _read_off(condition: MaltsevCondition, absorbing: int):
-    """Per symbol, its H-table, patterns, representatives, hits and least positions.
+    """Per symbol, its H-table, patterns, hits and least positions.
 
-    hits[r, i] tells whether position i + 1 is derivable at pattern r.
+    hits[r, i] tells whether position i + 1 is derivable at pattern r,
+    read at the pattern's representative row, which stays local here.
     A row takes a_i at its pattern's least position i (module
     docstring), and the absorbing element where `least` has 0.
     """
@@ -214,7 +207,7 @@ def _read_off(condition: MaltsevCondition, absorbing: int):
         table = np.choose(least[numbers], [absorbing, *rows.T]).astype(np.int64)
         for array in (hits, least, table):
             array.setflags(write=False)
-        yield symbol, table, patterns, reps, hits, least
+        yield symbol, table, patterns, hits, least
 
 
 def _build_extension(
@@ -230,12 +223,10 @@ def _build_extension(
         padded[(slice(n),) * symbol.arity] = table.reshape((n,) * symbol.arity)
         operations[symbol] = padded.ravel()
     patterns: dict[int, np.ndarray] = {}
-    representatives: dict[int, np.ndarray] = {}
     pattern_tables: dict[OperationSymbol, np.ndarray] = {}
-    for symbol, table, symbol_patterns, reps, _, least in tables:
+    for symbol, table, symbol_patterns, _, least in tables:
         operations[symbol] = table
         patterns[symbol.arity] = symbol_patterns
-        representatives[symbol.arity] = reps
         pattern_tables[symbol] = least
     return ExtendedAlgebra(
         base=algebra,
@@ -243,7 +234,6 @@ def _build_extension(
         extended=FiniteAlgebra(n + 1, operations),
         absorbing=absorbing,
         patterns=patterns,
-        representatives=representatives,
         pattern_tables=pattern_tables,
     )
 
@@ -274,12 +264,12 @@ def extend(algebra: FiniteAlgebra, condition: MaltsevCondition) -> ExtendedAlgeb
             (condition, algebra.size), lambda: tuple(_read_off(condition, algebra.size)),
             lambda tables: {id(a): a for entry in tables for a in entry[1:]})
         ext = _build_extension(algebra, condition, tables)
-        return ext.extended, ext.absorbing, ext.patterns, ext.representatives, ext.pattern_tables
+        return ext.extended, ext.patterns, ext.pattern_tables
 
-    (extended, absorbing, *arrays), _ = _lift_memo.cached(key, build, lambda parts: {
-        id(a): a for a in chain(parts[0].operations.values(), *(d.values() for d in parts[2:]))
+    (extended, *arrays), _ = _lift_memo.cached(key, build, lambda parts: {
+        id(a): a for a in chain(parts[0].operations.values(), *(d.values() for d in parts[1:]))
     }, key[0][2])
-    return ExtendedAlgebra(algebra, condition, extended, absorbing, *map(dict, arrays))
+    return ExtendedAlgebra(algebra, condition, extended, algebra.size, *map(dict, arrays))
 
 
 @dataclass(frozen=True)
@@ -304,7 +294,7 @@ def well_definedness_audit(ext: ExtendedAlgebra) -> AuditResult:
     positions read off the closure and checks each stored table against
     them, which catches injected breakage.
     """
-    for symbol, _, patterns, _, hits, _ in _read_off(ext.condition, ext.absorbing):
+    for symbol, _, patterns, hits, _ in _read_off(ext.condition, ext.absorbing):
         stored = ext.pattern_tables[symbol]
         # the stored position's block, 0 (no block) where the table absorbs
         block = (patterns * (np.arange(1, symbol.arity + 1) == stored[:, None])).sum(axis=1)
@@ -316,31 +306,6 @@ def well_definedness_audit(ext: ExtendedAlgebra) -> AuditResult:
             positions = tuple((np.flatnonzero(hits[r]) + 1).tolist())
             return AuditResult(False, symbol, tuple(patterns[r].tolist()), positions)
     return AuditResult(True)
-
-
-def evaluate_linear_via_pattern(
-    w: LinearTerm, ext: ExtendedAlgebra, values: Sequence[int]
-) -> int:
-    """Value of a linear H-term read off the equality pattern of its arguments.
-
-    Substitutes the argument row into the term, finds the pattern of the
-    resulting tuple by its representative, and looks up its least
-    derivable position.  Must agree with direct table evaluation.
-    """
-    if w.symbol is None:
-        return values[w.args[0]]
-    if w.symbol not in ext.condition.signature:
-        raise ValueError(f"{w.symbol} is not an H-symbol of the extension")
-    row = tuple(values[a] for a in w.args)
-    if any(not 0 <= v <= ext.absorbing for v in row):
-        raise ValueError("argument values leave the extended universe")
-    labels: dict[int, int] = {}
-    representative = 0
-    for v in row:
-        representative = representative * (ext.absorbing + 1) + labels.setdefault(v, len(labels))
-    number = ext.representatives[len(row)].searchsorted(representative)
-    position = ext.pattern_tables[w.symbol][number]
-    return row[position - 1] if position else ext.absorbing
 
 
 def eliminate_H(

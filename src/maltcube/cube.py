@@ -132,11 +132,6 @@ class ConditionReport:
         return tuple(r.symbol for r in self.reports if r.entails_cube)
 
 
-def y_family(condition: MaltsevCondition, symbol: OperationSymbol) -> frozenset[frozenset[int]]:
-    """All position sets B (1-based) with h(w_B) = y derivable."""
-    return entails_cube(condition, symbol).y_family
-
-
 def _minimal_subfamily(rows: np.ndarray, k: int) -> list[int]:
     """Greedy removal over a family with empty intersection; irreducible.
 
@@ -209,8 +204,3 @@ def check_condition(condition: MaltsevCondition) -> ConditionReport:
         hits = bits >> offset & (1 << (1 << k)) - 1
         reports.append(_cube_report(symbol, hits, _variable_masks(k)))
     return ConditionReport(condition, True, tuple(reports), index.stats)
-
-
-def is_consistent(condition: MaltsevCondition) -> bool:
-    """True when the condition does not entail x = y for distinct variables."""
-    return check_condition(condition).consistent

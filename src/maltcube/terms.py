@@ -98,10 +98,6 @@ class LinearTerm:
         if self.args and min(self.args) < 0:
             raise ValueError("negative variable index")
 
-    @property
-    def is_variable(self) -> bool:
-        return self.symbol is None
-
     def variables(self) -> tuple[int, ...]:
         """Distinct variable indices in first-occurrence order."""
         return tuple(dict.fromkeys(self.args))
@@ -401,7 +397,8 @@ def parse_condition(text: str, source: str = "<string>") -> MaltsevCondition:
         raise fail("duplicate operation name in signature", lineno)
 
     if len(lines) < 2 or lines[1][1] != "identities:":
-        raise fail("expected an identities: line after the signature", lines[0][0])
+        # blame the second significant line, or the first when there is no second
+        raise fail("expected an identities: line after the signature", lines[:2][-1][0])
 
     checked: dict[str, None] = {}  # variable names met so far, in first-occurrence order
 

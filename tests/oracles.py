@@ -45,9 +45,11 @@ available, trading speed for obviousness:
     token that numbers the variables, rather than by matching each side
     with one pattern.
 
-The module also holds three small helpers only the tests use: the seeded
-generator of random algebras, `equality_pattern` and
-`pattern_representative`.
+The module also holds small helpers only the tests use: the seeded
+generator of random algebras, `equality_pattern`,
+`pattern_representative`, `is_consistent`, and
+`evaluate_linear_via_pattern`, which reads a linear H-term's value off
+A_M's stored patterns and pattern tables, never its operation tables.
 
 A k-ary violation of relation preservation needs only k rows: pick for
 each output coordinate one argument row where the function is 0, if one
@@ -77,6 +79,7 @@ from maltcube.algebras import (
     tree_size,
 )
 from maltcube.construction import EliminationError, ExtendedAlgebra
+from maltcube.cube import check_condition
 from maltcube.entailment import condition_index
 from maltcube.interp import DUAL_IMPLICATION, BooleanOperationEntry, Interpretation
 from maltcube.terms import (
@@ -119,6 +122,30 @@ def pattern_representative(pattern: Sequence[int]) -> tuple[int, ...]:
     """Dense block indices realizing a pattern: (1, 1, 3) -> (0, 0, 1)."""
     blocks: dict[int, int] = {}
     return tuple(blocks.setdefault(p, len(blocks)) for p in pattern)
+
+
+def is_consistent(condition: MaltsevCondition) -> bool:
+    """True when the condition does not entail x = y for distinct variables."""
+    return check_condition(condition).consistent
+
+
+def evaluate_linear_via_pattern(
+    w: LinearTerm, ext: ExtendedAlgebra, values: Sequence[int]
+) -> int:
+    """Value of a linear H-term at `values`, from the equality pattern of
+    its argument row: the row's pattern is found among `ext.patterns`, and
+    the symbol's pattern table gives the least derivable position there,
+    0 for the absorbing element.  Must agree with the extended table."""
+    if w.symbol is None:
+        return values[w.args[0]]
+    if w.symbol not in ext.condition.signature:
+        raise ValueError(f"{w.symbol} is not an H-symbol of the extension")
+    row = tuple(values[a] for a in w.args)
+    if any(not 0 <= v <= ext.absorbing for v in row):
+        raise ValueError("argument values leave the extended universe")
+    (number,) = np.flatnonzero((ext.patterns[len(row)] == equality_pattern(row)).all(axis=1))
+    position = ext.pattern_tables[w.symbol][number]
+    return row[position - 1] if position else ext.absorbing
 
 
 def normalize(identity: Identity) -> Identity:
@@ -884,7 +911,8 @@ def oracle_parse_condition(text: str, source: str = "<string>") -> MaltsevCondit
         raise fail("duplicate operation name in signature", lineno)
 
     if len(lines) < 2 or lines[1][1] != "identities:":
-        raise fail("expected an identities: line after the signature", lines[0][0])
+        line = lines[1][0] if len(lines) > 1 else lines[0][0]
+        raise fail("expected an identities: line after the signature", line)
 
     # First pass: fix indices for canonical variable names, queue the others.
     reserved: set[int] = set()

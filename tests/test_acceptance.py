@@ -13,6 +13,8 @@ import pytest
 
 from oracles import (
     all_two_element_models,
+    evaluate_linear_via_pattern,
+    is_consistent,
     oracle_entails_cube,
     sampled_two_element_models,
 )
@@ -30,12 +32,8 @@ from maltcube.algebras import (
     tree_symbols,
 )
 from maltcube.cli import main
-from maltcube.construction import (
-    evaluate_linear_via_pattern,
-    extend,
-    reduce_and_certify,
-)
-from maltcube.cube import check_condition, is_consistent
+from maltcube.construction import extend, reduce_and_certify
+from maltcube.cube import check_condition
 from maltcube.entailment import condition_index, entails
 from maltcube.interp import DUAL_IMPLICATION, dual_implication_algebra, find_interpretation
 from maltcube.terms import (

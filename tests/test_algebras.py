@@ -426,7 +426,11 @@ def test_instance_round_trip():
         parse_instance("m: 2\ngenerators:\n0 x\ntarget:\n0 1\n")
     for text, line in (("m: 2\ngenerators:\n0 1\n0 1 1\ntarget:\n0 0\n", 4),
                        ("m: 2\ngenerators:\ntarget:\n0\n", 4),
-                       ("m: 0\ngenerators:\ntarget:\n0\n", 1)):
+                       ("m: 0\ngenerators:\ntarget:\n0\n", 1),
+                       # a missing generators: line is blamed on the line in its place
+                       ("m: 2\n# x\n\n\ngenerators: 0 1\n", 5),
+                       ("m: 2\ntarget:\n0 0\n", 2),
+                       ("\nm: 2\n", 2)):
         with pytest.raises(AlgebraFormatError) as caught:
             parse_instance(text)
         assert caught.value.line == line
@@ -470,7 +474,7 @@ def test_closure_random_corpus_matches_oracle(algebra_corpus):
         ]
         expected = oracle_subpower(algebra, generators, m)
         result = generate_subpower(algebra, generators)
-        assert result.members == expected
+        assert set(result.member_list) == expected
 
 
 def test_closure_member_queries():
@@ -497,37 +501,41 @@ def test_witness_trees_reproduce_members():
     for member in result.member_list:
         tree = result.witness_tree(member)
         assert evaluate_on_power(tree, Z3, generators) == member
-    assert set(result.witness_trees()) == set(result.member_list)
     with pytest.raises(KeyError, match="not a member"):
         generate_subpower(LATTICE2, ((0, 0),)).witness_tree((1, 1))
 
 
 def test_witness_trees_share_their_argument_trees():
-    """A member's tree holds its argument members' trees as the same objects,
-    so the trees of all members together are linear in the member count."""
+    """Within one witness, a member position reached twice is one subtree
+    object, so a witness is linear in the members its derivation reaches."""
     generators = ((0, 1, 2), (1, 1, 0))
     result = generate_subpower(Z3, generators)
-    trees = result.witness_trees()
-    assert list(trees) == list(result.member_list)
-    nested = 0
-    for member, derivation in zip(result.member_list, result.derivations):
-        tree = trees[member]
-        if isinstance(derivation, int):
-            assert tree.symbol is None
-            continue
-        op_index, *args = derivation
-        assert len(tree.children) == len(args)
-        for sub, position in zip(tree.children, args):
-            assert sub is trees[result.member_list[position]]
-            nested += sub.symbol is not None
-        assert evaluate_on_power(tree, Z3, generators) == member
-    assert nested  # some argument is itself an operation's tree, not a leaf
+    shared = 0
+    for member in result.member_list:
+        # walk the witness beside the derivations: one object per position
+        seen = {}
+        stack = [(result.position(member), result.witness_tree(member))]
+        while stack:
+            pos, sub = stack.pop()
+            if pos in seen:
+                assert sub is seen[pos]
+                shared += 1
+                continue
+            seen[pos] = sub
+            derivation = result.derivations[pos]
+            if isinstance(derivation, int):
+                assert sub == leaf(derivation)
+                continue
+            _, *args = derivation
+            assert len(sub.children) == len(args)
+            stack.extend(zip(args, sub.children))
+    assert shared  # some witness reaches one position twice
 
 
 def test_nullary_only_closure():
     # no generators at all: the closure is everything built from constants
     result = generate_subpower(Z3, (), m=2)
-    assert result.members == oracle_subpower(Z3, (), 2)
+    assert set(result.member_list) == oracle_subpower(Z3, (), 2)
     assert (1, 1) in result
     tree = result.witness_tree((2, 2))
     assert evaluate(tree, Z3, ()) == 2  # no leaves, so no arguments needed

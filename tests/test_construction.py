@@ -1,9 +1,11 @@
 """The absorbing extension, its audit, H-elimination, and the reduction."""
 
+from dataclasses import replace
 from itertools import product
 
 import pytest
 
+from oracles import equality_pattern, evaluate_linear_via_pattern
 from test_construction_differential import pattern_dict
 from maltcube.algebras import (
     BudgetExceededError,
@@ -24,7 +26,6 @@ from maltcube.construction import (
     _build_extension,
     _read_off,
     eliminate_H,
-    evaluate_linear_via_pattern,
     extend,
     reduce_and_certify,
     well_definedness_audit,
@@ -287,6 +288,24 @@ def test_pattern_evaluator_permuted_arguments():
         row = (values[1], values[2], values[2])
         direct = ext.extended.value(ext.extended.symbol("p_1"), row)
         assert evaluate_linear_via_pattern(term, ext, values) == direct
+
+
+def test_pattern_evaluator_catches_a_planted_pattern_table():
+    """The evaluator reads the pattern tables, not the H-tables, so a wrong
+    entry planted in a copy of one makes it disagree with the stored table,
+    on the rows of the planted pattern alone."""
+    ext = extend(LATTICE2, CP3)
+    p_1 = CP3.symbol("p_1")
+    planted = ext.pattern_tables[p_1].copy()
+    number = planted.argmax()
+    planted[number] = 0  # a derivable position turned into absorbing
+    broken = replace(ext, pattern_tables={**ext.pattern_tables, p_1: planted})
+    term = app(p_1, 0, 1, 2)
+    table_symbol = ext.extended.symbol("p_1")
+    disagree = [row for row in product(range(ext.extended.size), repeat=3)
+                if evaluate_linear_via_pattern(term, broken, row)
+                != ext.extended.value(table_symbol, row)]
+    assert {equality_pattern(row) for row in disagree} == {tuple(ext.patterns[3][number])}
 
 
 def test_pattern_evaluator_bare_variable_and_errors():

@@ -13,9 +13,7 @@ from maltcube.cube import (
     _minimal_subfamily,
     check_condition,
     entails_cube,
-    is_consistent,
     unpack_bits,
-    y_family,
 )
 from maltcube.entailment import EntailmentIndex, condition_index, entails
 from maltcube.terms import (
@@ -33,13 +31,13 @@ from maltcube.terms import (
 
 def test_y_family_maltsev(condition_corpus):
     maltsev = condition_corpus["maltsev"]
-    family = y_family(maltsev, maltsev.symbol("p"))
+    family = entails_cube(maltsev, maltsev.symbol("p")).y_family
     assert family == {frozenset({1}), frozenset({3}), frozenset({1, 2, 3})}
 
 
 def test_y_family_majority(condition_corpus):
     majority = condition_corpus["majority"]
-    family = y_family(majority, majority.symbol("m"))
+    family = entails_cube(majority, majority.symbol("m")).y_family
     assert family == {
         frozenset({1, 2}),
         frozenset({1, 3}),
@@ -52,9 +50,9 @@ def test_y_family_projection_contains_position(condition_corpus):
     # a projection-like symbol puts its position into every family member,
     # so the intersection can never empty out
     cd3 = condition_corpus["cd3"]
-    family = y_family(cd3, cd3.symbol("d_0"))
+    family = entails_cube(cd3, cd3.symbol("d_0")).y_family
     assert family and all(1 in member for member in family)
-    family = y_family(cd3, cd3.symbol("d_3"))
+    family = entails_cube(cd3, cd3.symbol("d_3")).y_family
     assert family and all(3 in member for member in family)
 
 
@@ -63,20 +61,20 @@ def test_y_family_never_contains_empty_for_consistent(each_condition):
     if not report.consistent:
         return
     for symbol in each_condition.signature:
-        assert frozenset() not in y_family(each_condition, symbol)
+        assert frozenset() not in entails_cube(each_condition, symbol).y_family
 
 
 def test_y_family_requires_consistency(condition_corpus):
     jonsson1 = condition_corpus["jonsson1"]
     with pytest.raises(ValueError, match="consistent"):
-        y_family(jonsson1, jonsson1.symbol("d_0"))
+        entails_cube(jonsson1, jonsson1.symbol("d_0"))
 
 
 def test_y_family_requires_declared_symbol(condition_corpus):
     cd3 = condition_corpus["cd3"]
     cp3 = condition_corpus["cp3"]
     with pytest.raises(ValueError):
-        y_family(cd3, cp3.symbol("p_1"))
+        entails_cube(cd3, cp3.symbol("p_1"))
 
 
 def test_maltsev_witness_rows(condition_corpus):
@@ -182,9 +180,9 @@ def test_check_condition_is_memoized(condition_corpus):
     assert check_condition(cd3) is check_condition(cd3)
 
 
-def test_is_consistent_reads_the_memoized_report(closure_widths):
+def test_consistency_reads_the_memoized_report(closure_widths):
     condition = parse_condition(render_condition(jonsson_condition(3)).replace("d_", "read_"))
-    assert is_consistent(condition) and is_consistent(condition)
+    assert check_condition(condition).consistent and check_condition(condition).consistent
     assert closure_widths == [2]
 
 
@@ -219,9 +217,9 @@ def test_all_x_row_makes_condition_inconsistent():
     # empty set can never join the y-family of a consistent condition and
     # minimal witness families always have at least two members
     condition = parse_condition("signature: h/2\nidentities:\n  h(x,x) = y\n")
-    assert not is_consistent(condition)
+    assert not check_condition(condition).consistent
     with pytest.raises(ValueError, match="consistent"):
-        y_family(condition, condition.symbol("h"))
+        entails_cube(condition, condition.symbol("h"))
 
 
 def row_numbers(family, k: int) -> np.ndarray:

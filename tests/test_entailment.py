@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 
 from oracles import OracleClosure, monoid_generators, oracle_entails
-from maltcube.cube import is_consistent
+from maltcube.cube import check_condition
 from maltcube.entailment import (
     MAX_TERMS,
     EntailmentIndex,
@@ -76,10 +76,10 @@ def test_underivable_stays_underivable():
 
 
 def test_inconsistent_conditions():
-    assert not is_consistent(jonsson_condition(1))
-    assert not is_consistent(hagemann_mitschke_condition(1))
+    assert not check_condition(jonsson_condition(1)).consistent
+    assert not check_condition(hagemann_mitschke_condition(1)).consistent
     xy = parse_condition("signature:\nidentities:\n  x = y\n")
-    assert not is_consistent(xy)
+    assert not check_condition(xy).consistent
     # inconsistency entails everything semantically
     assert derives(xy, Identity(var(X), var(Z)))
 
@@ -92,7 +92,7 @@ def test_consistent_conditions(condition_corpus):
         "free_unary": True, "free_binary": True, "commutative": True,
     }
     for name, consistent in expected.items():
-        assert is_consistent(condition_corpus[name]) == consistent, name
+        assert check_condition(condition_corpus[name]).consistent == consistent, name
 
 
 def test_variable_set_invariance(each_condition):

@@ -79,7 +79,7 @@ def test_a_hit_keeps_the_callers_base():
     assert got.base is second and want.base is first
     assert got.condition is again
     assert got.extended is want.extended and got.absorbing == want.absorbing
-    for name in ("patterns", "representatives", "pattern_tables"):
+    for name in ("patterns", "pattern_tables"):
         ours, theirs = getattr(got, name), getattr(want, name)
         assert ours is not theirs and ours.keys() == theirs.keys()
         assert all(ours[k] is theirs[k] and not ours[k].flags.writeable for k in ours)

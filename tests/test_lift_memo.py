@@ -242,7 +242,7 @@ def outcome(algebra, generators, m, target):
     return (
         full.member_list,
         full.derivations,
-        [render_tree(t) for t in full.witness_trees().values()],
+        [render_tree(full.witness_tree(member)) for member in full.member_list],
         [astuple(r.stats)[:2] + astuple(r.stats)[4:] for r in (full, answer)],
         answer.answer,
         answer.witness and render_tree(answer.witness),

@@ -53,8 +53,8 @@ def rows(result):
 
 
 def pick_target(algebra, m, full, pick, member):
-    if member and full.members:
-        return sorted(full.members)[pick % len(full.members)]
+    if member and full.member_list:
+        return sorted(full.member_list)[pick % len(full.member_list)]
     digits = []
     for _ in range(m):
         pick, digit = divmod(pick, algebra.size)

@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from oracles import equality_pattern, pattern_representative
+from oracles import equality_pattern, oracle_parse_condition, pattern_representative
 from maltcube.algebras import leaf
 from maltcube.cube import check_condition
 from maltcube.interp import find_interpretation
@@ -74,8 +74,8 @@ def test_operation_symbol_validation():
 def test_linear_term_shape():
     f = OperationSymbol("f", 2)
     t = app(f, 0, 0)
-    assert not t.is_variable and t.variables() == (0,)
-    assert var(3).is_variable and var(3).variables() == (3,)
+    assert t.symbol is not None and t.variables() == (0,)
+    assert var(3).symbol is None and var(3).variables() == (3,)
     with pytest.raises(ValueError):
         LinearTerm(f, (0,))
     with pytest.raises(ValueError):
@@ -243,6 +243,19 @@ def test_parse_errors_carry_location():
         parse_condition("identities:\n  x = x\n")
     with pytest.raises(ConditionSyntaxError, match="empty"):
         parse_condition("# nothing\n")
+
+
+@pytest.mark.parametrize("parse", [parse_condition, oracle_parse_condition])
+def test_a_wrong_second_header_line_is_located_at_itself(parse):
+    """The missing identities: line is blamed on the line that stands in its
+    place, not on the signature line before it."""
+    for text, line in (("# c\nsignature: f/1\n\nidentities: f(x) = x\n", 4),
+                       ("\nsignature: f/1\n  f(x) = x\n", 3),
+                       ("# c\nsignature: f/1\n", 2)):
+        with pytest.raises(ConditionSyntaxError, match="expected an identities: line") as caught:
+            parse(text, source="b.cond")
+        assert caught.value.line == line
+        assert str(caught.value).startswith(f"b.cond:{line}: ")
 
 
 def test_equal_conditions_parsed_apart_hash_alike_and_share_one_memo_entry():
