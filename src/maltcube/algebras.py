@@ -50,11 +50,11 @@ order and keeps the same members, derivations and counters;
 `ClosureStats.scalar_boxes` counts these boxes.
 
 A closure's layout (the words, the groups and their chunks' arrays)
-depends on the tables and m alone, so it is memoized process-wide by
-their contents, and each lifted array by its group's tables: equal
-algebras share a layout, and the H-groups of every A_M over one M and |A|
-share their arrays.  Both live in the lift memo, whose `_LiftMemo.cached`
-is the one way in (`_LiftMemo` says what it keeps and charges).
+depends on the tables and m alone, so equal algebras share one, kept
+by their contents in the lift memo (`_LiftMemo`).  A layout names each
+chunk's array by its group's tables and takes the arrays kept layouts
+hold under its names, so the H-groups of every A_M over one M and |A|
+share their arrays.
 
 Derivations are kept in the arrays each box already holds: a seed's is
 its generator position or its constant, and a box that finds members
@@ -806,20 +806,19 @@ class _ChunkSpec:
 
 class _LiftMemo:
     """Values kept process-wide by key, least recently used first, within
-    `_LIFT_MEMO_BYTES`: lifted group chunks, closure layouts, A_M's and
-    their (M, |A|) tables, and the weak closure's image blocks.
+    `_LIFT_MEMO_BYTES`: closure layouts, A_M's and their (M, |A|) tables,
+    and the weak closure's image blocks.
 
     `cached(key, build, holds, extra)` is the one way in.  Under the memo's
     reentrant lock (a build may call it again), it returns the value under
     `key`, now most recently used, or builds the value and keeps it,
-    charged for the arrays that `holds(value)` names and for `extra`'s
-    bytes, then evicts the least recently used down to the bound; and it
-    says whether this call built the value.  With no `holds`, the value is
-    one array named by its key, found while any entry holds it.  An entry
-    whose own arrays and extra pass the bound is not kept.  An entry is
-    (value, its arrays' names, its extra bytes); `arrays` keeps each
-    distinct array once and `holders` counts its entries, so it is charged
-    once and freed with its last holder."""
+    charged for the arrays that `holds(value)` names (by default the
+    value itself, named by its key) and for `extra`'s bytes, then evicts
+    the least recently used down to the bound; and it says whether this
+    call built the value.  An entry whose own arrays and extra pass the
+    bound is not kept.  An entry is (value, its arrays' names, its extra
+    bytes); `arrays` keeps each distinct array once and `holders` counts
+    its entries, so it is charged once and freed with its last holder."""
 
     def __init__(self) -> None:
         self.tables: OrderedDict[tuple, tuple] = OrderedDict()
@@ -837,37 +836,31 @@ class _LiftMemo:
             if entry is not None:
                 self.tables.move_to_end(key)
                 return entry[0], False
-            value = self.arrays.get(key) if holds is None else None
-            built = value is None
-            if built:
-                value = build()
-            self.put(key, value, {key: value} if holds is None else holds(value), extra)
-            return value, built
-
-    def put(self, key: tuple, value, arrays: Mapping, extra: bytes = b"") -> None:
-        """Keep an entry holding `arrays`, by name, and `extra` (class docstring)."""
-        if sum(a.nbytes for a in arrays.values()) + len(extra) > _LIFT_MEMO_BYTES:
-            return
-        self.tables[key] = (value, tuple(arrays), len(extra))
-        self.nbytes += len(extra) + sum(a.nbytes for name, a in arrays.items()
-                                        if name not in self.arrays)
-        self.arrays.update(arrays)  # a name held already names the same array
-        self.holders.update(arrays.keys())
-        while self.nbytes > _LIFT_MEMO_BYTES:
-            _, (_, names, charge) = self.tables.popitem(last=False)
-            self.holders.subtract(names)
-            self.nbytes -= charge
-            for name in names:
-                if not self.holders[name]:
-                    del self.holders[name]
-                    self.nbytes -= self.arrays.pop(name).nbytes
+            value = build()
+            arrays = {key: value} if holds is None else holds(value)
+            if sum(a.nbytes for a in arrays.values()) + len(extra) > _LIFT_MEMO_BYTES:
+                return value, True
+            self.tables[key] = (value, tuple(arrays), len(extra))
+            self.nbytes += len(extra) + sum(a.nbytes for name, a in arrays.items()
+                                            if name not in self.holders)
+            self.arrays.update(arrays)  # a name held already names the same array
+            self.holders.update(arrays.keys())
+            while self.nbytes > _LIFT_MEMO_BYTES:
+                _, (_, names, charge) = self.tables.popitem(last=False)
+                self.holders.subtract(names)
+                self.nbytes -= charge
+                for name in names:
+                    if not self.holders[name]:
+                        del self.holders[name]
+                        self.nbytes -= self.arrays.pop(name).nbytes
+            return value, True
 
 
 _lift_memo = _LiftMemo()
 
 
-def _lift(n: int, arity: int, tables: np.ndarray, length: int) -> np.ndarray:
-    """A group's operations, one int64 table per row of `tables`, on blocks
+def _lift(n: int, arity: int, tables: Sequence[np.ndarray], length: int) -> np.ndarray:
+    """A group's operations, one int64 table per item of `tables`, on blocks
     of `length` coordinates, over base-n block codes: entry (o, i_1 ...
     i_arity), each i a block code with its first coordinate most
     significant, is the code of operation o applied coordinatewise.
@@ -890,19 +883,6 @@ def _lift(n: int, arity: int, tables: np.ndarray, length: int) -> np.ndarray:
     return lifted
 
 
-def _lifted_group(key: tuple) -> tuple[np.ndarray, bool]:
-    """The stacked lifted tables under key = (n, arity, length, the group's
-    int64 tables as bytes), and whether this call built them.  Named by
-    its key in the lift memo (`_LiftMemo`), the array is shared by equal
-    groups of distinct algebras, such as the H-operations of every A_M over
-    one M and |A|.  While a layout is made, each lookup makes its chunk the
-    most recently used, so its chunks are evicted only if together they
-    pass the bound, and then the layout is too large to keep."""
-    n, arity, length, tables = key
-    return _lift_memo.cached(key, lambda: _lift(
-        n, arity, np.frombuffer(tables, np.int64).reshape(-1, n**arity), length))
-
-
 def _is_projection(n: int, arity: int, table: np.ndarray) -> bool:
     """Whether the table returns one argument, so derives nothing fresh and is left out."""
     values = table.reshape((n,) * arity)
@@ -917,8 +897,10 @@ class _Layout:
     `spaces`, the `groups` (arity, operation indices) of the operations
     that are not projections, and per group a plan, each word's chunks as
     `_ChunkSpec`s of at most `_TABLE_CAP` entries per operation.  `lifts`
-    pairs each chunk's memo key with its array, and `built` counts the
-    chunks lifted to make the layout."""
+    pairs each chunk's memo key, (n, arity, length, the group's tables as
+    bytes), with its array.  Made under the lift memo's lock, a layout
+    shares the chunks that kept entries hold under those keys and lifts
+    any other key once, however often it repeats; `built` counts those."""
 
     def __init__(self, algebra: FiniteAlgebra, m: int):
         n = algebra.size
@@ -934,6 +916,7 @@ class _Layout:
         self.plans: list[list[list[_ChunkSpec]]] = []  # per group, per word
         self.lifts: list[tuple[tuple, np.ndarray]] = []
         self.built = 0
+        fresh: dict[tuple, np.ndarray] = {}  # the chunks lifted here, by memo key
         for arity, ops in self.groups:
             length = 1
             while length < self.width and (n ** (length + 1)) ** arity <= _TABLE_CAP:
@@ -944,8 +927,10 @@ class _Layout:
                 for start in range(first, end, length):
                     step = min(length, end - start)
                     key = (n, arity, step, data)
-                    lifted, built = _lifted_group(key)
-                    self.built += built
+                    lifted = fresh.get(key, _lift_memo.arrays.get(key))
+                    if lifted is None:
+                        lifted = fresh[key] = _lift(n, arity, [tables[i] for i in ops], step)
+                        self.built += 1
                     self.lifts.append((key, lifted))
                     spec = _ChunkSpec(word, n ** (end - start - step), n**step, lifted,
                                       lifted.reshape(-1).data)

@@ -196,8 +196,9 @@ def _cmd_interpret(args) -> int:
     condition = _load(parse_condition, args.condition)
     interpretation = find_interpretation(condition)
     if interpretation is None:
-        pairs = [("interpretation", "none"), ("reason", _reason(check_condition(condition)))]
-        return _report(args, pairs, 1)
+        nullary = ", ".join(s.name for s in condition.signature if s.arity == 0)
+        reason = f"nullary symbols {nullary}" if nullary else _reason(check_condition(condition))
+        return _report(args, [("interpretation", "none"), ("reason", reason)], 1)
     pairs = [("interpretation", "yes")]
     pairs += [(f"term.{s.name}", render_tree(interpretation.assignment[s].defining_term))
               for s in condition.signature]

@@ -58,7 +58,7 @@ The universe has nvars + sum nvars^arity terms.  When the terms plus the
 seed pairs exceed MAX_TERMS the constructor raises TermUniverseError
 before allocating anything: one arity-9 symbol over nine variables would
 need 9^9 terms, and an identity in 38 variables over two would need 2^38
-seed pairs.
+seed pairs.  A power far past MAX_TERMS is refused uncomputed (see MAX_TERMS).
 """
 
 from __future__ import annotations
@@ -89,23 +89,34 @@ MAX_TERMS = 2_000_000
 Over two variables, as `check_condition` asks, a symbol of arity 20 fits
 and arity 21 does not; over three, as `extend` asks for a 2-element
 algebra, arity 13 and not 14; over the canonical set, the default of
-`condition_index`, two arity-7 symbols fit and arity 8 does not.
+`condition_index`, two arity-7 symbols fit and arity 8 does not.  A
+power nvars^k in the count is computed only while k * (bit length of
+nvars - 1) stays within 64 bits of MAX_TERMS's: h/100000 is refused at once.
 """
 
 
 class TermUniverseError(RuntimeError):
     """The closure would need more than MAX_TERMS terms and seed pairs.
 
-    Raised before anything is allocated; `terms` is that total.
+    Raised before anything is allocated; `terms` is that total, or None
+    when the message names a power in it too large to compute (see MAX_TERMS).
     """
 
-    def __init__(self, terms: int, nvars: int):
+    def __init__(self, terms: int | None, nvars: int, exponent: int = 0):
         self.terms = terms
         self.limit = MAX_TERMS
+        count = f"at least {nvars}^{exponent}" if terms is None else terms
         super().__init__(
-            f"the weak closure over {nvars} variables needs {terms} terms "
+            f"the weak closure over {nvars} variables needs {count} terms "
             f"and seed pairs, more than the limit of {MAX_TERMS}"
         )
+
+
+def _power(nvars: int, exponent: int) -> int:
+    """nvars^exponent; refused uncomputed when its bit length must pass MAX_TERMS's by 64."""
+    if exponent * (nvars.bit_length() - 1) > MAX_TERMS.bit_length() + 64:
+        raise TermUniverseError(None, nvars, exponent)
+    return nvars**exponent
 
 
 @dataclass(frozen=True)
@@ -121,11 +132,6 @@ class EntailmentStats:
     unions: int
     pops: int
     classes: int
-
-
-def universe_size(condition: MaltsevCondition, nvars: int) -> int:
-    """Number of linear terms over nvars variables: nvars + sum nvars^arity."""
-    return nvars + sum(nvars**s.arity for s in condition.signature)
 
 
 def normalize_identity(ident: Identity) -> Identity:
@@ -196,17 +202,16 @@ class EntailmentIndex:
         # each identity's variables renamed 0, 1, ... by first occurrence
         rows = list(condition.split_rows())
         renamings = [{v: i for i, v in enumerate(dict.fromkeys(a + b))} for _, a, _, b in rows]
-        size = universe_size(condition, nvars)
-        seed_count = sum(1 if len(r) <= nvars else nvars ** len(r) for r in renamings)
-        if size + seed_count > MAX_TERMS:
-            raise TermUniverseError(size + seed_count, nvars)
         self.condition = condition
         self.nvars = nvars
         self._offsets: dict[OperationSymbol, int] = {}
-        offset = nvars
+        size = nvars  # the terms: variables first, then each symbol's
         for s in condition.signature:
-            self._offsets[s] = offset
-            offset += nvars**s.arity
+            self._offsets[s] = size
+            size += _power(nvars, s.arity)
+        seed_count = sum(1 if len(r) <= nvars else _power(nvars, len(r)) for r in renamings)
+        if size + seed_count > MAX_TERMS:
+            raise TermUniverseError(size + seed_count, nvars)
         offsets = [*self._offsets.values(), 0]  # index -1 reads a variable's
 
         seeds = []

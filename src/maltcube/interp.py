@@ -28,10 +28,11 @@ form an interpretation:
     if f_h <= x_j, the rows of a cube matrix must each carry y at
     position j, so column j is all-y; if f_h = 0, no row has value y.
 
-So a model exists exactly when the condition is applicable, and it
-needs no search: f_h's truth table, over the argument rows in
-lexicographic order, is the bit vector `maltcube.cube` reads F(h) off
-the closure as.  Defining terms are built by Shannon expansion:
+So a model exists exactly when the condition is applicable and has no
+nullary symbol (no clone member is nullary), and it needs no search:
+f_h's truth table, over the argument rows in lexicographic order, is the
+bit vector `maltcube.cube` reads F(h) off the closure as.  Defining
+terms are built by Shannon expansion:
 with impd(a, b) = b AND NOT a, for g <= x_j and a, b <= x_j,
 
     constant 0 = impd(x1, x1),   g AND NOT x_i = impd(x_i, g),
@@ -177,14 +178,12 @@ def find_interpretation(condition: MaltsevCondition) -> Interpretation | None:
     Symbol h's table is its report's `hits` bit vector: row p is 1
     exactly when the positions carrying 1 form a member of F(h).  Symbols
     with equal arity and bits share one entry: up to arity _MAX_CLONE_ARITY
-    the process's, above it one built in this call.  Returns None
-    when the condition is inconsistent or entails cube identities, in
-    which case no model in the clone exists.
+    the process's, above it one built in this call.  Returns None when
+    the condition is inconsistent, entails cube identities or has a
+    nullary symbol, in which case no model in the clone exists.
     """
-    if any(s.arity == 0 for s in condition.signature):
-        raise ValueError("nullary symbols have no term over the dual implication")
     report = check_condition(condition)
-    if not report.applicable:
+    if not report.applicable or any(s.arity == 0 for s in condition.signature):
         return None
     per_call = lru_cache(maxsize=None)(_build_member)  # above _MAX_CLONE_ARITY
     assignment = {}

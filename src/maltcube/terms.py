@@ -388,10 +388,7 @@ def parse_condition(text: str, source: str = "<string>") -> MaltsevCondition:
             name, _, arity = map(str.strip, part.partition("/"))
             if not (_is_name(name) and arity.isascii() and arity.isdigit()):
                 raise fail(f"bad signature entry {part!r} (want name/arity)", lineno)
-            try:
-                symbols.append(OperationSymbol(name, int(arity)))
-            except ValueError as exc:
-                raise fail(str(exc), lineno) from None
+            symbols.append(OperationSymbol(name, int(arity)))
     position = {s.name: i for i, s in enumerate(symbols)}
     if len(position) != len(symbols):
         raise fail("duplicate operation name in signature", lineno)

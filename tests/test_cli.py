@@ -213,6 +213,30 @@ def test_check_refuses_too_many_seed_pairs(capsys, tmp_path):
     assert f"{2 + 2 * 2**19 + 2**38} terms and seed pairs" in err
 
 
+@pytest.mark.parametrize("command, arity", [
+    ("check", 100_000), ("interpret", 100_000), ("extend", 100_000),
+    ("closure", 3_000_000), ("check", 5000),
+])
+def test_an_over_large_arity_is_refused_at_once(capsys, tmp_path, lattice_file, command, arity):
+    # nvars^arity has thousands of bits or more, so it is refused uncomputed, and the
+    # message names the power and the limit; `extend` first decides the condition
+    # over {x, y}, and `closure` works over the canonical set, as many variables as
+    # the arity
+    path = tmp_path / "huge.cond"
+    path.write_text(f"signature: h/{arity}\nidentities:\n")
+    argv = [command, str(path)]
+    if command == "extend":
+        argv.insert(1, lattice_file)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    nvars = arity if command == "closure" else 2
+    assert err == (f"error: the weak closure over {nvars} variables needs at least "
+                   f"{nvars}^{arity} terms and seed pairs, more than the limit of 2000000\n")
+
+
 def test_check_and_interpret_arity_seventeen(capsys, tmp_path):
     path = tmp_path / "h17.cond"
     args = ",".join(f"x{i}" for i in range(17))
@@ -505,6 +529,14 @@ def test_interpret_none_reasons(capsys, tmp_path):
     code, out, _ = run(capsys, "interpret", str(hm1))
     assert code == 1
     assert out.splitlines() == ["interpretation: none", "reason: inconsistent"]
+    # applicable, but the clone has no nullary member to give c
+    nullary = tmp_path / "nullary.cond"
+    nullary.write_text("signature: c/0, h/2\nidentities:\n  h(x,y) = x\n")
+    code, out, _ = run(capsys, "check", str(nullary))
+    assert code == 0 and "applicable: yes" in out.splitlines()
+    code, out, _ = run(capsys, "interpret", "--machine", str(nullary))
+    assert code == 1
+    assert out.splitlines() == ["interpretation=none", "reason=nullary symbols c"]
 
 
 # two arity-4 symbols that derive y = z; a search over the clone tried every

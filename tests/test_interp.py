@@ -7,6 +7,7 @@ import pytest
 from oracles import dual_clone_member, oracle_preserves
 from maltcube import interp
 from maltcube.algebras import evaluate, satisfies, tree_size
+from maltcube.cube import check_condition
 from maltcube.entailment import TermUniverseError
 from maltcube.interp import (
     DUAL_IMPLICATION,
@@ -190,8 +191,11 @@ WIDE_CONDITIONS = {
 
 
 def test_interpretation_rejects_unsupported_signatures():
-    with pytest.raises(ValueError, match="nullary"):
-        find_interpretation(MaltsevCondition((OperationSymbol("c", 0),), ()))
+    # the clone has no nullary member, so no model exists, applicable or not
+    assert find_interpretation(MaltsevCondition((OperationSymbol("c", 0),), ())) is None
+    nullary = parse_condition("signature: c/0, h/2\nidentities:\n  h(x,y) = x\n")
+    assert check_condition(nullary).applicable
+    assert find_interpretation(nullary) is None
     for arity, text in WIDE_CONDITIONS.items():
         condition = parse_condition(text)
         assert condition.max_arity() == arity

@@ -4,15 +4,16 @@ A group's stacked lifted tables are checked against
 `reference_lifted_table`, which fills each operation's entries from the
 definition; the memo is checked for read-only entries, its byte bound,
 rebuilding after eviction, and reuse across equal but distinct tables
-and algebras.  A closure takes its layout (word bounds, operation groups
-and the chunks' lifted arrays) from the memo, so it must not depend on
-what the memo holds: a closure run warm and again with the memo cleared
-must agree on everything but `lifts_built` and `lifts_reused`.  The memo
-charges each array it holds once, and an array is freed with the last
-entry that holds it; a group too large for the bound still closes;
-threads closing over one algebra agree.  `cached`, the memo's one way
-in, is checked on a fresh memo.  Tables are int64 arrays, the
-form `FiniteAlgebra` stores.  The weak closure's image blocks live in the
+and algebras; a layout lifts each chunk key once, and takes the chunks
+that kept layouts hold.  A closure takes its layout (word bounds,
+operation groups and the chunks' lifted arrays) from the memo, so it
+must not depend on what the memo holds: a closure run warm and again
+with the memo cleared must agree on everything but `lifts_built` and
+`lifts_reused`.  The memo charges each array it holds once, and an array
+is freed with the last entry that holds it; a group too large for the
+bound still closes; threads closing over one algebra agree.  `cached`,
+the memo's one way in, is checked on a fresh memo.  Tables are int64
+arrays, the form `FiniteAlgebra` stores.  The weak closure's image blocks live in the
 same memo: each is checked against its definition, built once for
 conditions with equal arities, and not kept past the bound.
 """
@@ -50,9 +51,13 @@ def ints(*values: int) -> np.ndarray:
     return np.array(values, dtype=np.int64)
 
 
-def lift(n, arity, tables, length):
-    """The memo's entry point for a group: its int64 tables as one bytes key."""
-    return algebras._lifted_group((n, arity, length, b"".join(t.tobytes() for t in tables)))
+def group_layout(n, arity, tables, m, constants=0):
+    """The layout of A^m, and the chunks it lifted, for an algebra with one
+    operation per table and `constants` nullary constants 0, which no
+    group takes but which set its memo key apart from an equal group's."""
+    ops = {OperationSymbol(f"f{i}", arity): t for i, t in enumerate(tables)}
+    ops.update((OperationSymbol(f"c{i}", 0), ints(0)) for i in range(constants))
+    return algebras._layout(FiniteAlgebra(n, ops), m)
 
 
 def clear_memo():
@@ -111,53 +116,70 @@ def operations(draw):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(operations())
 def test_memoized_tables_match_the_definition(case):
+    """`_lift` against the definition; a layout over A^length, one chunk,
+    keeps the lifted tables of the operations that are not projections,
+    and a layout over equal but distinct tables takes that array."""
     n, arity, tables, length = case
-    lifted, _ = lift(n, arity, tables, length)
+    lifted = algebras._lift(n, arity, tables, length)
     modulus = n**length
     assert lifted.dtype == (np.uint8 if modulus <= 256 else np.uint16)
     assert lifted.shape == (len(tables), modulus ** (arity - 1), modulus)
     for matrix, table in zip(lifted, tables):
         want = reference_lifted_table(n, arity, table.tolist(), length)
         assert tuple(matrix.reshape(-1).tolist()) == want
-    again, built = lift(n, arity, [t.copy() for t in tables], length)
-    assert not built and again is lifted
+    clear_memo()
+    layout, built = group_layout(n, arity, tables, length)
+    if not layout.groups:  # projections only
+        return
+    ((_, ops),), (((spec,),),) = layout.groups, layout.plans
+    assert built == 1 and spec.lifted.dtype == lifted.dtype
+    assert np.array_equal(spec.lifted, lifted[ops])
+    again, built = group_layout(n, arity, [t.copy() for t in tables], length, constants=1)
+    assert again is not layout and built == 0 and again.plans[0][0][0].lifted is spec.lifted
 
 
 def test_memoized_tables_are_read_only():
-    lifted, _ = lift(2, 2, [ints(0, 1, 1, 0)], 2)
-    assert not lifted.flags.writeable
-    with pytest.raises(ValueError):
-        lifted[0, 0, 0] = 1
+    xor = ints(0, 1, 1, 0)
+    clear_memo()
+    for lifted in (algebras._lift(2, 2, [xor], 2), group_layout(2, 2, [xor], 2)[0].lifts[0][1]):
+        assert not lifted.flags.writeable
+        with pytest.raises(ValueError):
+            lifted[0, 0, 0] = 1
 
 
 def test_wide_blocks_are_stored_in_int32():
     # 2**17 block codes no longer fit uint16, nor 2**9 uint8
-    lifted, _ = lift(2, 1, [ints(1, 0)], 17)
+    lifted = algebras._lift(2, 1, [ints(1, 0)], 17)
     assert lifted.dtype == np.int32
     assert lifted[0, 0, 0] == (1 << 17) - 1 and lifted[0, 0, -1] == 0
-    assert lift(2, 1, [ints(1, 0)], 8)[0].dtype == np.uint8
-    lifted, _ = lift(2, 2, [ints(0, 1, 1, 1)], 9)
+    assert algebras._lift(2, 1, [ints(1, 0)], 8).dtype == np.uint8
+    lifted = algebras._lift(2, 2, [ints(0, 1, 1, 1)], 9)
     assert lifted.dtype == np.uint16 and lifted[0, -1, 0] == (1 << 9) - 1
 
 
 def test_memo_stays_within_its_byte_bound(monkeypatch):
+    """Layouts of unary operations over 3 elements in A^1 .. A^6, one chunk
+    each, lift about 5,500 bytes in all past a bound of 4,096."""
     bound = 4096
     monkeypatch.setattr(algebras, "_LIFT_MEMO_BYTES", bound)
+    clear_memo()
     built_bytes = 0
-    for value in range(3):
-        for length in range(1, 7):
-            lifted, built = lift(3, 1, [ints(value, 1, 2 - value)], length)
-            if built:  # only an insertion evicts
-                built_bytes += lifted.nbytes
-                check_memo(bound)
+    for table in (ints(1, 2, 0), ints(2, 0, 1), ints(1, 1, 1)):
+        for m in range(1, 7):
+            layout, built = group_layout(3, 1, [table], m)
+            assert built == 1  # a new layout each time, and only an insertion evicts
+            built_bytes += layout.lifts[0][1].nbytes
+            check_memo(bound)
     assert built_bytes > bound
 
 
 def test_cached_builds_once_and_charges_what_it_holds(monkeypatch):
     """`cached` on a fresh memo: a kept value comes back unbuilt; an entry is
-    charged once for each distinct array `holds` names, plus `extra`; an
-    array named by its key is found while another entry holds it; a value
-    past the bound is returned but not kept, so the next call builds it."""
+    charged once for each distinct array `holds` names, by default the
+    value under its key, plus `extra`; a key is looked up among the
+    entries alone, so an array another entry holds under that name is
+    built again, and charged no more; a value past the bound is returned
+    but not kept, so the next call builds it."""
     monkeypatch.setattr(algebras, "_LIFT_MEMO_BYTES", 1000)
     memo = algebras._LiftMemo()
     a, b = np.zeros(10), np.zeros(20)
@@ -170,8 +192,8 @@ def test_cached_builds_once_and_charges_what_it_holds(monkeypatch):
                                b"key")
     assert value is pair and built
     assert memo.nbytes == a.nbytes + b.nbytes + 3
-    value, built = memo.cached(("b",), pytest.fail)  # held by the pair's entry
-    assert value is b and not built
+    value, built = memo.cached(("b",), lambda: b)  # the pair's entry holds b under ("b",)
+    assert value is b and built
     assert list(memo.tables) == [("a",), ("pair",), ("b",)]
     assert memo.holders == {("a",): 2, ("b",): 2} and memo.nbytes == a.nbytes + b.nbytes + 3
     big = np.zeros(200)
@@ -182,16 +204,34 @@ def test_cached_builds_once_and_charges_what_it_holds(monkeypatch):
 
 
 def test_rebuilt_table_equals_the_evicted_one(monkeypatch):
+    """The majority layout is the least recently used when unary layouts
+    over A^1 .. A^9, about 3,000 bytes, pass a bound of 2,048."""
     monkeypatch.setattr(algebras, "_LIFT_MEMO_BYTES", 2048)
+    clear_memo()
     majority = ints(0, 0, 0, 1, 0, 1, 1, 1)
-    first, _ = lift(2, 3, [majority], 2)
-    for value in range(2):
-        for length in range(1, 10):  # together about twice the bound
-            lift(2, 1, [ints(value, 1 - value)], length)
-    assert (2, 3, 2, majority.tobytes()) not in algebras._lift_memo.tables
-    rebuilt, built = lift(2, 3, [majority], 2)
-    assert built and rebuilt is not first
-    assert np.array_equal(rebuilt, first) and rebuilt.dtype == first.dtype
+    first, _ = group_layout(2, 3, [majority], 2)
+    key, lifted = first.lifts[0]
+    for table in (ints(1, 0), ints(1, 1)):
+        for m in range(1, 10):
+            group_layout(2, 1, [table], m)
+    assert key not in algebras._lift_memo.arrays
+    rebuilt, built = group_layout(2, 3, [majority], 2)
+    assert built == 1 and rebuilt.lifts[0][1] is not lifted
+    assert np.array_equal(rebuilt.lifts[0][1], lifted)
+    assert rebuilt.lifts[0][1].dtype == lifted.dtype
+
+
+def test_a_repeated_chunk_is_lifted_once():
+    """A unary operation over 3 elements in A^39: one word of chunks of 11,
+    11, 11 and 6 coordinates, two keys, each lifted once; a second closure
+    takes all four chunks from the memoized layout."""
+    algebra = FiniteAlgebra(3, {OperationSymbol("neg", 1): (1, 2, 0)})
+    generators = [tuple(i % 3 for i in range(39))]
+    clear_memo()
+    stats = [generate_subpower(algebra, generators).stats for _ in range(2)]
+    assert [(s.lifts_built, s.lifts_reused) for s in stats] == [(2, 2), (0, 4)]
+    layout = algebras._lift_memo.tables[(algebra._key, 39)][0]
+    assert [spec.modulus for spec in layout.plans[0][0]] == [3**11] * 3 + [3**6]
 
 
 def test_equal_algebras_share_lifted_tables():
